@@ -3,7 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Callable, Sequence
 from typing import Any
+
+import numpy as np
+
+# Cells per block in first_failure: each mask, and each intp temporary
+# behind it, holds at most this many entries (2 MiB of intp).
+BLOCK_CELLS = 1 << 18
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -26,3 +34,38 @@ def as_int_matrix(rows: Any, name: str = "table") -> list[list[int]]:
             raise TypeError(f"{name} row {i} is not a sequence")
         out.append([int(v) for v in row])
     return out
+
+
+def first_failure(
+    shape: tuple[int, ...],
+    checks: Sequence[tuple[str, Callable[[slice], np.ndarray]]],
+) -> tuple[str, tuple[int, ...]] | None:
+    """The first failing check of a nested loop, as (name, indices).
+
+    shape is the extent of the loop nest, outermost first. Each check is
+    (name, mask_of); mask_of(rows) returns a boolean mismatch mask over
+    the leading indices in the slice rows and the next d - 1 loop
+    indices, for a check at depth d. The answer is the failure that the
+    loops would meet first: indices in scan order, a shallower check
+    before the deeper loop at the same prefix, and checks at the same
+    indices in listed order. Leading indices go in blocks of at most
+    BLOCK_CELLS cells of the deepest loop, and the scan stops at the
+    first block that fails.
+    """
+    depth = len(shape)
+    step = max(1, BLOCK_CELLS // max(1, math.prod(shape[1:])))
+    for lo in range(0, shape[0], step):
+        rows = slice(lo, min(lo + step, shape[0]))
+        best = None
+        for k, (name, mask_of) in enumerate(checks):
+            mask = mask_of(rows)
+            if not mask.any():
+                continue
+            at = np.unravel_index(int(mask.argmax()), mask.shape)
+            at = (int(at[0]) + lo,) + tuple(int(i) for i in at[1:])
+            key = at + (-1,) * (depth - len(at)) + (k,)
+            if best is None or key < best[0]:
+                best = (key, name, at)
+        if best is not None:
+            return best[1], best[2]
+    return None

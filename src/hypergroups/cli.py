@@ -394,7 +394,7 @@ def run(argv) -> int:
     except AlgebraError as exc:
         _note(f"error: {exc}")
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
         _note(f"input error: {exc}")
         return 2
 

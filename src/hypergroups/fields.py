@@ -11,6 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._util import first_failure
 from .errors import (
     InternalInconsistencyError,
     NotIrreducibleError,
@@ -91,34 +94,6 @@ def _digits(n: int, p: int, width: int) -> list[int]:
     return out
 
 
-def _undigits(coeffs, p: int) -> int:
-    n = 0
-    for c in reversed(list(coeffs)):
-        n = n * p + c
-    return n
-
-
-def _poly_mulmod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
-    """(a*b) mod modulus over GF(p); inputs of degree < m, monic modulus."""
-    m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce from the top; modulus is monic so no inverse needed
-    for d in range(len(prod) - 1, m - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            shift = d - m
-            for j in range(m):
-                prod[shift + j] = (prod[shift + j] - c * modulus[j]) % p
-    out = prod[:m]
-    out += [0] * (m - len(out))
-    return out
-
-
 def _poly_divides(divisor: list[int], poly: list[int], p: int) -> bool:
     """Whether the monic divisor divides poly over GF(p)."""
     rem = list(poly)
@@ -179,17 +154,20 @@ def make_extension_field(p: int, modulus) -> FiniteField:
     factor = _irreducibility_witness(modulus, p)
     if factor is not None:
         raise NotIrreducibleError(factor)
-    polys = [_digits(i, p, m) for i in range(q)]
-    add = [
-        [_undigits([(a + b) % p for a, b in zip(pa, pb)], p) for pb in polys]
-        for pa in polys
-    ]
-    mul = [
-        [_undigits(_poly_mulmod(pa, pb, modulus, p), p) for pb in polys]
-        for pa in polys
-    ]
+    weights = p ** np.arange(m)
+    digits = np.arange(q)[:, None] // weights % p   # digits[i, j]: x^j in i
+    add = ((digits[:, None, :] + digits[None, :, :]) % p * weights).sum(axis=-1)
+    # prod[i, k, d]: coefficient of x^d in (element i) * (element k)
+    prod = np.zeros((q, q, 2 * m - 1), dtype=np.intp)
+    for j in range(m):
+        prod[:, :, j:j + m] += digits[:, None, j, None] * digits[None, :, :]
+    # reduce from the top; the modulus is monic so no inverse is needed
+    low = np.array(modulus[:m])
+    for d in range(2 * m - 2, m - 1, -1):
+        prod[:, :, d - m:d] -= prod[:, :, d, None] % p * low
+    mul = (prod[:, :, :m] % p * weights).sum(axis=-1)
     return FiniteField(
-        p=p, m=m, modulus=modulus, q=q, add=add, mul=mul,
+        p=p, m=m, modulus=modulus, q=q, add=add.tolist(), mul=mul.tolist(),
         zero=0, one=1, name=f"GF({q};{format_poly(modulus)})",
     )
 
@@ -303,8 +281,8 @@ def _cyclic_generator(group: FiniteGroup) -> int | None:
 
 
 def check_field_tables(
-    add: list[list[int]],
-    mul: list[list[int]],
+    add,
+    mul,
     zero: int,
     one: int,
     require_commutative_mul: bool = True,
@@ -313,46 +291,56 @@ def check_field_tables(
 
     Shared between constructed fields and reconstruction candidates;
     with require_commutative_mul off it checks a division ring instead.
+    The checks run in this order, each reporting the first witness in
+    scan order: add_neutral, add_inverse, then add_commutative and
+    add_associative over (a, b[, c]), mul_neutral and mul_zero over a,
+    then mul_commutative, left_distributive, right_distributive and
+    mul_associative over (a, b[, c]), and last mul_inverse.
     """
-    n = len(add)
-    rng = range(n)
     if zero == one:
         return False, "zero_equals_one", (zero,)
-    for a in rng:
-        if add[a][zero] != a or add[zero][a] != a:
-            return False, "add_neutral", (a,)
-    for a in rng:
-        if all(add[a][b] != zero for b in rng):
-            return False, "add_inverse", (a,)
-    for a in rng:
-        for b in rng:
-            if add[a][b] != add[b][a]:
-                return False, "add_commutative", (a, b)
-            for c in rng:
-                if add[add[a][b]][c] != add[a][add[b][c]]:
-                    return False, "add_associative", (a, b, c)
-    for a in rng:
-        if mul[a][one] != a or mul[one][a] != a:
-            return False, "mul_neutral", (a,)
-        if mul[a][zero] != zero or mul[zero][a] != zero:
-            return False, "mul_zero", (a,)
-    for a in rng:
-        for b in rng:
-            if require_commutative_mul and mul[a][b] != mul[b][a]:
-                return False, "mul_commutative", (a, b)
-            for c in rng:
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                    return False, "left_distributive", (a, b, c)
-                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
-                    return False, "right_distributive", (a, b, c)
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    return False, "mul_associative", (a, b, c)
-    for a in rng:
-        if a == zero:
-            continue
-        if all(mul[a][b] != one for b in rng):
-            return False, "mul_inverse", (a,)
-    return True, "ok", None
+    n = len(add)
+    A = np.asarray(add, dtype=np.intp).reshape(n, n)
+    M = np.asarray(mul, dtype=np.intp).reshape(n, n)
+    ar = np.arange(n, dtype=np.intp)
+
+    flat_add = A.ravel().astype(np.int32)  # a compact copy keeps the gathers in cache
+
+    def add_at(x, y):  # A[x, y] for broadcastable index arrays
+        return flat_add.take(x * n + y)
+
+    mul_block = [
+        ("left_distributive",
+         lambda r: M[r].take(A, axis=1) != add_at(M[r][:, :, None], M[r][:, None, :])),
+        ("right_distributive", lambda r: M[A[r]] != add_at(M[r][:, None, :], M)),
+        ("mul_associative", lambda r: M[M[r]] != M[r].take(M, axis=1)),
+    ]
+    if require_commutative_mul:
+        mul_block.insert(0, ("mul_commutative", lambda r: M[r] != M.T[r]))
+    failure = (
+        first_failure((n,), [
+            ("add_neutral", lambda r: (A[r, zero] != ar[r]) | (A[zero, r] != ar[r])),
+        ])
+        or first_failure((n, n), [
+            ("add_inverse", lambda r: ~(A[r] == zero).any(axis=1)),
+        ])
+        or first_failure((n, n, n), [
+            ("add_commutative", lambda r: A[r] != A.T[r]),
+            ("add_associative", lambda r: A[A[r]] != A[r].take(A, axis=1)),
+        ])
+        or first_failure((n,), [
+            ("mul_neutral", lambda r: (M[r, one] != ar[r]) | (M[one, r] != ar[r])),
+            ("mul_zero", lambda r: (M[r, zero] != zero) | (M[zero, r] != zero)),
+        ])
+        or first_failure((n, n, n), mul_block)
+        or first_failure((n, n), [
+            ("mul_inverse", lambda r: (ar[r] != zero) & ~(M[r] == one).any(axis=1)),
+        ])
+    )
+    if failure is None:
+        return True, "ok", None
+    what, witness = failure
+    return False, what, witness
 
 
 @dataclass
@@ -415,6 +403,8 @@ def field_isomorphism(f1: FiniteField, f2: FiniteField) -> list[int] | None:
             break
     if g1 is None:
         return None
+    add1 = np.asarray(f1.add, dtype=np.intp)
+    add2 = np.asarray(f2.add, dtype=np.intp)
     for cand in range(1, f2.q):
         if mult_order(f2, cand) != f2.q - 1:
             continue
@@ -426,11 +416,7 @@ def field_isomorphism(f1: FiniteField, f2: FiniteField) -> list[int] | None:
             x = f1.mul[x][g1]
             image = f2.mul[image][cand]
             mapping[x] = image
-        good = all(
-            mapping[f1.add[a][b]] == f2.add[mapping[a]][mapping[b]]
-            for a in range(f1.q)
-            for b in range(f1.q)
-        )
-        if good:
+        image_of = np.asarray(mapping, dtype=np.intp)
+        if (image_of[add1] == add2[image_of[:, None], image_of[None, :]]).all():
             return mapping
     return None

@@ -20,7 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import HypergroupOverGroup, hypergroup_from_tables
+import numpy as np
+
+from ._util import first_failure
+from .core import HypergroupOverGroup, _first_mismatch, hypergroup_from_tables
 from .errors import (
     AlgebraError,
     InternalInconsistencyError,
@@ -230,25 +233,25 @@ def reconstruct_field(
     """
     m = hg.m_size
     hn = hg.h.order
-    ht = hg.h.table
     eps = hg.h.identity
+    phi, psi, xi, lam, ht = hg.np_tables()
 
-    for a in range(m):
-        for al in range(hn):
-            if hg.psi[a][al] != al:
-                return FieldReconstruction(
-                    status="PsiNotTrivial",
-                    witness=(a, al),
-                    detail=f"psi[{a}][{al}] = {hg.psi[a][al]} != {al}",
-                )
-    for a in range(m):
-        for b in range(m):
-            if hg.lam[a][b] != eps:
-                return FieldReconstruction(
-                    status="LamNotTrivial",
-                    witness=(a, b),
-                    detail=f"lam[{a}][{b}] = {hg.lam[a][b]} != {eps}",
-                )
+    first = _first_mismatch(psi, np.arange(hn))
+    if first is not None:
+        a, al = first
+        return FieldReconstruction(
+            status="PsiNotTrivial",
+            witness=(a, al),
+            detail=f"psi[{a}][{al}] = {hg.psi[a][al]} != {al}",
+        )
+    first = _first_mismatch(lam, eps)
+    if first is not None:
+        a, b = first
+        return FieldReconstruction(
+            status="LamNotTrivial",
+            witness=(a, b),
+            detail=f"lam[{a}][{b}] = {hg.lam[a][b]} != {eps}",
+        )
 
     try:
         xi_group = group_from_cayley_table(hg.xi)
@@ -258,14 +261,14 @@ def reconstruct_field(
             witness=getattr(exc, "witness", None),
             detail=f"(M, xi) is not a group: {exc}",
         )
-    for a in range(m):
-        for b in range(a + 1, m):
-            if hg.xi[a][b] != hg.xi[b][a]:
-                return FieldReconstruction(
-                    status="XiNotAbelianGroup",
-                    witness=(a, b),
-                    detail=f"xi[{a}][{b}] != xi[{b}][{a}]",
-                )
+    first = _first_mismatch(np.triu(xi, 1), np.triu(xi.T, 1))
+    if first is not None:
+        a, b = first
+        return FieldReconstruction(
+            status="XiNotAbelianGroup",
+            witness=(a, b),
+            detail=f"xi[{a}][{b}] != xi[{b}][{a}]",
+        )
     if xi_group.identity != hg.o:
         return FieldReconstruction(
             status="XiNotAbelianGroup",
@@ -274,75 +277,87 @@ def reconstruct_field(
         )
 
     if require_abelian_h:
-        for al in range(hn):
-            for be in range(al + 1, hn):
-                if ht[al][be] != ht[be][al]:
-                    return FieldReconstruction(
-                        status="HNotAbelian",
-                        witness=(al, be),
-                        detail=f"H product at ({al}, {be}) is not commutative",
-                    )
+        first = _first_mismatch(np.triu(ht, 1), np.triu(ht.T, 1))
+        if first is not None:
+            al, be = first
+            return FieldReconstruction(
+                status="HNotAbelian",
+                witness=(al, be),
+                detail=f"H product at ({al}, {be}) is not commutative",
+            )
 
     # t(alpha) = phi(., alpha) must be an endomorphism of (M, xi)
-    for al in range(hn):
-        for a in range(m):
-            for b in range(m):
-                lhs = hg.phi[hg.xi[a][b]][al]
-                rhs = hg.xi[hg.phi[a][al]][hg.phi[b][al]]
-                if lhs != rhs:
-                    return FieldReconstruction(
-                        status="PhiNotEndomorphism",
-                        witness=(al, a, b),
-                        detail=(
-                            f"phi(., {al}) does not preserve xi at ({a}, {b})"
-                        ),
-                    )
-    t = [[hg.phi[a][al] for a in range(m)] for al in range(hn)]
-    for al in range(hn):
-        for be in range(al + 1, hn):
-            if t[al] == t[be]:
-                return FieldReconstruction(
-                    status="TNotInjective",
-                    witness=(al, be),
-                    detail=f"phi(., {al}) and phi(., {be}) coincide",
-                )
+    t = np.ascontiguousarray(phi.T)
+    flat_xi = xi.ravel().astype(np.int32)  # a compact copy keeps the gathers in cache
+    failure = first_failure((hn, m, m), [(
+        "PhiNotEndomorphism",  # t[al][xi[a][b]] != xi[t[al][a]][t[al][b]]
+        lambda r: t[r].take(xi, axis=1)
+        != flat_xi.take(t[r][:, :, None] * m + t[r][:, None, :]),
+    )])
+    if failure is not None:
+        al, a, b = failure[1]
+        return FieldReconstruction(
+            status="PhiNotEndomorphism",
+            witness=(al, a, b),
+            detail=f"phi(., {al}) does not preserve xi at ({a}, {b})",
+        )
+    first_with = {}
+    repeats = []
+    for be, row in enumerate(t):
+        al = first_with.setdefault(row.tobytes(), be)
+        if al != be:
+            repeats.append((al, be))
+    if repeats:
+        al, be = min(repeats)
+        return FieldReconstruction(
+            status="TNotInjective",
+            witness=(al, be),
+            detail=f"phi(., {al}) and phi(., {be}) coincide",
+        )
 
-    zeta = [hg.o] * m
-    if zeta in t:
+    zero_at = np.flatnonzero((t == hg.o).all(axis=1))
+    if len(zero_at):
         return FieldReconstruction(
             status="NotAField",
-            witness=(t.index(zeta),),
+            witness=(int(zero_at[0]),),
             detail="the zero endomorphism equals some t(alpha)",
         )
     # k ordering: zeta first, then t(alpha) in H order
-    k_endos = [zeta] + t
-    index_of = {tuple(e): i for i, e in enumerate(k_endos)}
+    k = np.vstack([np.full((1, m), hg.o), t]).astype(flat_xi.dtype)
+    k_endos = k.tolist()
+    nk = len(k)
 
-    nk = len(k_endos)
-    add_table = [[0] * nk for _ in range(nk)]
+    # each row of k as one opaque value, so sums are looked up by sorting
+    row_of = np.dtype((np.void, m * k.itemsize))
+    k_rows = k.view(row_of).ravel()
+    order = np.argsort(k_rows)
+    sorted_rows = k_rows[order]
+    add = np.empty((nk, nk), dtype=np.intp)
     for i in range(nk):
-        for j in range(nk):
-            s = tuple(hg.xi[k_endos[i][a]][k_endos[j][a]] for a in range(m))
-            idx = index_of.get(s)
-            if idx is None:
-                return FieldReconstruction(
-                    status="NotAdditivelyClosed",
-                    witness=(i, j),
-                    detail=(
-                        f"k[{i}] + k[{j}] is the endomorphism {list(s)}, "
-                        f"not in k"
-                    ),
-                    k_endomorphisms=k_endos,
-                )
-            add_table[i][j] = idx
-    mul_table = [[0] * nk for _ in range(nk)]
-    for i in range(1, nk):
-        for j in range(1, nk):
-            mul_table[i][j] = 1 + ht[i - 1][j - 1]
+        sums = flat_xi.take(k[i] * m + k)   # sums[j] = k[i] + k[j], pointwise
+        sum_rows = sums.view(row_of).ravel()
+        pos = np.minimum(np.searchsorted(sorted_rows, sum_rows), nk - 1)
+        missing = np.flatnonzero(sorted_rows[pos] != sum_rows)
+        if len(missing):
+            j = int(missing[0])
+            return FieldReconstruction(
+                status="NotAdditivelyClosed",
+                witness=(i, j),
+                detail=(
+                    f"k[{i}] + k[{j}] is the endomorphism {sums[j].tolist()}, "
+                    f"not in k"
+                ),
+                k_endomorphisms=k_endos,
+            )
+        add[i] = order[pos]
+    mul = np.zeros((nk, nk), dtype=np.intp)
+    mul[1:, 1:] = 1 + ht
+    add_table = add.tolist()
+    mul_table = mul.tolist()
 
     one = 1 + eps
     ok, what, witness = check_field_tables(
-        add_table, mul_table, 0, one,
+        add, mul, 0, one,
         require_commutative_mul=require_abelian_h,
     )
     if not ok:
@@ -377,12 +392,14 @@ def reconstruct_field(
             f"a field of order {nk} admits no isomorphism onto {canonical.name}"
         )
 
+    # an a at which the nk endomorphisms take nk distinct values
     unit_witness = None
-    for a in range(m):
-        values = {e[a] for e in k_endos}
-        if len(values) == nk and nk == m:
-            unit_witness = a
-            break
+    if nk == m:
+        column = np.sort(k, axis=0)
+        distinct = 1 + (column[1:] != column[:-1]).sum(axis=0)
+        units = np.flatnonzero(distinct == nk)
+        if len(units):
+            unit_witness = int(units[0])
     return FieldReconstruction(
         status="ok",
         field=canonical,

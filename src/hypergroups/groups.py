@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_int_matrix, canonical_dumps
+from ._util import as_int_matrix, canonical_dumps, first_failure
 from .errors import (
     IndexOutOfRangeError,
     NoIdentityError,
@@ -147,11 +147,12 @@ def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
         raise NoIdentityError("no two-sided neutral element")
 
     t = np.asarray(table, dtype=np.intp)
-    lhs = t[t, :]            # lhs[a,b,c] = (a*b)*c
-    rhs = t[:, t]            # rhs[a,b,c] = a*(b*c)
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        raise NotAssociativeError(tuple(int(v) for v in bad[0]))
+    # (a*b)*c != a*(b*c), over blocks of a
+    failure = first_failure((n, n, n), [
+        ("associative", lambda r: t[t[r]] != t[r].take(t, axis=1)),
+    ])
+    if failure is not None:
+        raise NotAssociativeError(failure[1])
 
     inverse = [-1] * n
     for x in range(n):

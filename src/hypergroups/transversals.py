@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, NotATransversalError
@@ -160,8 +161,13 @@ def sample_transversals(
     if total <= cap:
         return list(enumerate_transversals(group, h))
     rng = random.Random(seed)
-    picks = sorted(rng.sample(range(total), cap))
-    return [transversal_at(group, h, i) for i in picks]
+    if total <= sys.maxsize:
+        picks = rng.sample(range(total), cap)
+    else:  # range() has no length past sys.maxsize; draw until distinct
+        picks = set()
+        while len(picks) < cap:
+            picks.add(rng.randrange(total))
+    return [transversal_at(group, h, i) for i in sorted(picks)]
 
 
 def decompose(t: Transversal, x: int) -> Decomposition:

@@ -1,0 +1,244 @@
+"""Plain nested-loop oracles for the vectorized table checks.
+
+Each function here is the straightforward scan the library's numpy code
+must agree with: same check order, same first witness in scan order.
+They are slow (q^3 Python steps) and only tests import them.
+"""
+
+from __future__ import annotations
+
+from hypergroups import AlgebraError, FiniteField, make_field
+
+
+def check_field_tables(add, mul, zero, one, require_commutative_mul=True):
+    """(ok, failing check, witness) of the field axioms, by loops."""
+    n = len(add)
+    rng = range(n)
+    if zero == one:
+        return False, "zero_equals_one", (zero,)
+    for a in rng:
+        if add[a][zero] != a or add[zero][a] != a:
+            return False, "add_neutral", (a,)
+    for a in rng:
+        if all(add[a][b] != zero for b in rng):
+            return False, "add_inverse", (a,)
+    for a in rng:
+        for b in rng:
+            if add[a][b] != add[b][a]:
+                return False, "add_commutative", (a, b)
+            for c in rng:
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    return False, "add_associative", (a, b, c)
+    for a in rng:
+        if mul[a][one] != a or mul[one][a] != a:
+            return False, "mul_neutral", (a,)
+        if mul[a][zero] != zero or mul[zero][a] != zero:
+            return False, "mul_zero", (a,)
+    for a in rng:
+        for b in rng:
+            if require_commutative_mul and mul[a][b] != mul[b][a]:
+                return False, "mul_commutative", (a, b)
+            for c in rng:
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    return False, "left_distributive", (a, b, c)
+                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
+                    return False, "right_distributive", (a, b, c)
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    return False, "mul_associative", (a, b, c)
+    for a in rng:
+        if a == zero:
+            continue
+        if all(mul[a][b] != one for b in rng):
+            return False, "mul_inverse", (a,)
+    return True, "ok", None
+
+
+def _digits(n, p, width):
+    out = []
+    for _ in range(width):
+        n, r = divmod(n, p)
+        out.append(r)
+    return out
+
+
+def _undigits(coeffs, p):
+    n = 0
+    for c in reversed(coeffs):
+        n = n * p + c
+    return n
+
+
+def _poly_mulmod(a, b, modulus, p):
+    """(a*b) mod the monic modulus over GF(p), by schoolbook product and
+    top-down reduction."""
+    m = len(modulus) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for d in range(len(prod) - 1, m - 1, -1):
+        c = prod[d]
+        prod[d] = 0
+        for j in range(m):
+            prod[d - m + j] = (prod[d - m + j] - c * modulus[j]) % p
+    return prod[:m]
+
+
+def extension_tables(p, modulus):
+    """(add, mul) of GF(p)[x]/(modulus) in the digit encoding."""
+    m = len(modulus) - 1
+    polys = [_digits(i, p, m) for i in range(p ** m)]
+    add = [
+        [_undigits([(a + b) % p for a, b in zip(pa, pb)], p) for pb in polys]
+        for pa in polys
+    ]
+    mul = [
+        [_undigits(_poly_mulmod(pa, pb, modulus, p), p) for pb in polys]
+        for pa in polys
+    ]
+    return add, mul
+
+
+def associativity_witness(table):
+    """The first (a, b, c) with (a*b)*c != a*(b*c), or None."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def cayley_failure(table):
+    """(failed, witness, identity) for a table with entries in range,
+    checked as the library does: identity, associativity, inverses. The
+    witness is the failing error's `witness`, None for a missing
+    identity."""
+    n = len(table)
+    identity = next(
+        (e for e in range(n)
+         if all(table[e][x] == x and table[x][e] == x for x in range(n))),
+        None,
+    )
+    if identity is None:
+        return True, None, None
+    triple = associativity_witness(table)
+    if triple is not None:
+        return True, triple, identity
+    for x in range(n):
+        if not any(table[x][y] == identity and table[y][x] == identity
+                   for y in range(n)):
+            return True, x, identity
+    return False, None, identity
+
+
+def field_isomorphism(f1, f2):
+    """The first multiplicative-generator map f1 -> f2 that is additive."""
+    if f1.q != f2.q:
+        return None
+
+    def mult_order(f, a):
+        k, y = 1, a
+        while y != f.one:
+            y = f.mul[y][a]
+            k += 1
+        return k
+
+    g1 = next((a for a in range(1, f1.q) if mult_order(f1, a) == f1.q - 1), None)
+    if g1 is None:
+        return None
+    for cand in range(1, f2.q):
+        if mult_order(f2, cand) != f2.q - 1:
+            continue
+        mapping = [f2.zero] * f1.q
+        mapping[f1.one] = f2.one
+        x, image = f1.one, f2.one
+        for _ in range(f1.q - 2):
+            x = f1.mul[x][g1]
+            image = f2.mul[image][cand]
+            mapping[x] = image
+        if all(mapping[f1.add[a][b]] == f2.add[mapping[a]][mapping[b]]
+               for a in range(f1.q) for b in range(f1.q)):
+            return mapping
+    return None
+
+
+def reconstruct_field(hg, require_abelian_h=True):
+    """What reconstruct_field reports, by loops: a dict with status and
+    witness, plus the candidate tables, unit witness and isomorphism
+    once they exist."""
+    m = hg.m_size
+    hn = hg.h.order
+    ht = hg.h.table
+    eps = hg.h.identity
+    for a in range(m):
+        for al in range(hn):
+            if hg.psi[a][al] != al:
+                return {"status": "PsiNotTrivial", "witness": (a, al)}
+    for a in range(m):
+        for b in range(m):
+            if hg.lam[a][b] != eps:
+                return {"status": "LamNotTrivial", "witness": (a, b)}
+    failed, witness, identity = cayley_failure(hg.xi)
+    if failed:
+        return {"status": "XiNotAbelianGroup", "witness": witness}
+    for a in range(m):
+        for b in range(a + 1, m):
+            if hg.xi[a][b] != hg.xi[b][a]:
+                return {"status": "XiNotAbelianGroup", "witness": (a, b)}
+    if identity != hg.o:
+        return {"status": "XiNotAbelianGroup", "witness": (identity,)}
+    if require_abelian_h:
+        for al in range(hn):
+            for be in range(al + 1, hn):
+                if ht[al][be] != ht[be][al]:
+                    return {"status": "HNotAbelian", "witness": (al, be)}
+    for al in range(hn):
+        for a in range(m):
+            for b in range(m):
+                if (hg.phi[hg.xi[a][b]][al]
+                        != hg.xi[hg.phi[a][al]][hg.phi[b][al]]):
+                    return {"status": "PhiNotEndomorphism", "witness": (al, a, b)}
+    t = [[hg.phi[a][al] for a in range(m)] for al in range(hn)]
+    for al in range(hn):
+        for be in range(al + 1, hn):
+            if t[al] == t[be]:
+                return {"status": "TNotInjective", "witness": (al, be)}
+    zeta = [hg.o] * m
+    if zeta in t:
+        return {"status": "NotAField", "witness": (t.index(zeta),)}
+    k_endos = [zeta] + t
+    index_of = {tuple(e): i for i, e in enumerate(k_endos)}
+    nk = len(k_endos)
+    add = [[0] * nk for _ in range(nk)]
+    for i in range(nk):
+        for j in range(nk):
+            s = tuple(hg.xi[k_endos[i][a]][k_endos[j][a]] for a in range(m))
+            if s not in index_of:
+                return {"status": "NotAdditivelyClosed", "witness": (i, j),
+                        "sum": list(s), "k_endomorphisms": k_endos}
+            add[i][j] = index_of[s]
+    mul = [[0] * nk for _ in range(nk)]
+    for i in range(1, nk):
+        for j in range(1, nk):
+            mul[i][j] = 1 + ht[i - 1][j - 1]
+    tables = {"k_endomorphisms": k_endos, "add_table": add, "mul_table": mul}
+    one = 1 + eps
+    ok, _, witness = check_field_tables(add, mul, 0, one, require_abelian_h)
+    if not ok:
+        return {"status": "NotAField", "witness": witness, **tables}
+    try:
+        canonical = make_field(nk)
+    except AlgebraError:
+        return {"status": "NotAField", "witness": (nk,), **tables}
+    candidate = FiniteField(
+        p=canonical.p, m=canonical.m, modulus=canonical.modulus, q=nk,
+        add=add, mul=mul, zero=0, one=one, name=f"k({nk})",
+    )
+    unit_witness = next(
+        (a for a in range(m) if len({e[a] for e in k_endos}) == nk == m), None
+    )
+    return {"status": "ok", "witness": None, **tables,
+            "iso_to_canonical": field_isomorphism(candidate, canonical),
+            "unit_witness": unit_witness}

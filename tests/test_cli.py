@@ -145,6 +145,21 @@ class TestConstructVerify:
         f.write_text(json.dumps({"m_size": 2}))
         assert run(["hg", "verify", str(f)]) == 2
 
+    def test_non_integer_subgroup_is_exit_2(self, capsys):
+        assert main(["hg", "construct", "--group", "Z6", "--subgroup", "a",
+                     "--transversal", "0,1,2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+
+    def test_non_integer_value_in_json_is_exit_2(self, z6_file, tmp_path, capsys):
+        data = json.loads(z6_file.read_text())
+        data["o"] = "x"
+        bad = tmp_path / "bad_o.json"
+        bad.write_text(json.dumps(data))
+        assert main(["hg", "verify", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+
 
 class TestSolve:
     def test_divide(self, z6_file, capsys):

@@ -11,6 +11,8 @@ scan order.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergroups import (
     NotIrreducibleError,
@@ -30,6 +32,8 @@ from hypergroups import (
     parse_poly,
     verify_field_axioms,
 )
+
+import loop_oracles
 
 # --------------------------------------------------------------------
 # oracles
@@ -318,3 +322,79 @@ class TestFieldSpec:
             parse_field_spec("GF(4;x^2+1)")
         with pytest.raises(UnknownSpecError):
             parse_field_spec("GF(8;x^2+x+1)")  # degree mismatch
+
+
+# --------------------------------------------------------------------
+# numpy tables and checks against the loop oracles
+
+
+@st.composite
+def mutated_field_tables(draw):
+    """The tables of GF(q), or of the ring Z/n (no field: it fails
+    mul_inverse), with up to three entries changed, possibly
+    symmetrically, and now and then with zero and one swapped. Changes
+    land mostly off the rows and columns of 0 and 1, so that the deeper
+    checks are reached."""
+    q, ring = draw(st.sampled_from(
+        [(q, False) for q in (2, 3, 4, 5, 7, 8, 9)] + [(n, True) for n in (4, 6, 8, 9)]
+    ))
+    if ring:
+        add = [[(i + j) % q for j in range(q)] for i in range(q)]
+        mul = [[(i * j) % q for j in range(q)] for i in range(q)]
+    else:
+        f = make_field(q)
+        add, mul = [row[:] for row in f.add], [row[:] for row in f.mul]
+    cell = st.one_of(st.integers(min(2, q - 1), q - 1), st.integers(0, q - 1))
+    for _ in range(draw(st.integers(0, 3))):
+        table = draw(st.sampled_from([add, mul]))
+        a, b, v = draw(cell), draw(cell), draw(st.integers(0, q - 1))
+        table[a][b] = v
+        if draw(st.booleans()):
+            table[b][a] = v
+    zero, one = (1, 0) if draw(st.integers(0, 9)) == 0 else (0, 1)
+    return add, mul, zero, one
+
+
+class TestAgainstLoopOracles:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(tables=mutated_field_tables(), commutative=st.booleans())
+    def test_check_field_tables_matches_loops(self, tables, commutative):
+        add, mul, zero, one = tables
+        assert check_field_tables(add, mul, zero, one, commutative) == (
+            loop_oracles.check_field_tables(add, mul, zero, one, commutative)
+        )
+
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_every_single_mul_mutation_matches_loops(self, q):
+        f = make_field(q)
+        for a, b, v in itertools.product(range(q), repeat=3):
+            mul = [row[:] for row in f.mul]
+            mul[a][b] = v
+            for commutative in (True, False):
+                assert check_field_tables(f.add, mul, 0, 1, commutative) == (
+                    loop_oracles.check_field_tables(f.add, mul, 0, 1, commutative)
+                )
+
+    @pytest.mark.parametrize(
+        "p,m",
+        [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 2), (3, 3),
+         (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)],
+    )
+    def test_extension_tables_match_loops(self, p, m):
+        irreducible = [c for c in monic_polys_ascending(p, m)
+                       if oracle_irreducible(c, p)]
+        picks = {0, len(irreducible) // 2, len(irreducible) - 1}
+        for modulus in (irreducible[i] for i in sorted(picks)):
+            f = make_extension_field(p, modulus)
+            assert (f.add, f.mul) == loop_oracles.extension_tables(p, modulus)
+            assert all(type(v) is int for row in f.mul for v in row)
+
+    def test_field_isomorphism_matches_loops(self):
+        for q in (4, 8, 9, 16, 25, 27):
+            p, m = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4),
+                    25: (5, 2), 27: (3, 3)}[q]
+            moduli = [c for c in monic_polys_ascending(p, m)
+                      if oracle_irreducible(c, p)]
+            f1 = make_extension_field(p, moduli[-1])
+            f2 = make_field(q)
+            assert field_isomorphism(f1, f2) == loop_oracles.field_isomorphism(f1, f2)

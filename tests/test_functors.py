@@ -8,8 +8,11 @@ straight from the functor definitions.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergroups import (
+    FiniteGroup,
     ShapeMismatchError,
     SizeLimitExceededError,
     compose,
@@ -36,6 +39,8 @@ from hypergroups import (
     verify_morphism,
 )
 from hypergroups.functors import RECONSTRUCTION_DIAGNOSTICS
+
+import loop_oracles
 
 
 class TestFunctorGroup:
@@ -329,3 +334,69 @@ class TestReconstructField:
             r = reconstruct_field(hg)
             again = functor_field(r.field)
             assert find_isomorphism(hg, again) is not None
+
+
+# --------------------------------------------------------------------
+# reconstruction against the loop oracle
+
+
+def _base_image(kind, arg):
+    if kind == "field":
+        return functor_field(make_field(arg))
+    if kind == "vs":
+        return functor_vector_space(make_field(arg[0]), arg[1])
+    return functor_group(group_from_spec(arg))
+
+
+@st.composite
+def mutated_images(draw):
+    """A functor image (mostly of a field) with one table entry changed,
+    or one phi column swapped for another map of M: a multiple of a
+    power of Frobenius, a copy of another column, or the zero map."""
+    kind, arg = draw(st.sampled_from(
+        [("field", q) for q in (2, 3, 4, 5, 7, 8, 9)]
+        + [("vs", (2, 2)), ("vs", (3, 2)), ("group", "Z4"), ("group", "S3")]
+    ))
+    hg = _base_image(kind, arg)
+    m, hn = hg.m_size, hg.h.order
+    tables = {name: [row[:] for row in getattr(hg, name)]
+              for name in ("phi", "psi", "xi", "lam")}
+    h_table = [row[:] for row in hg.h.table]
+    mutation = draw(st.sampled_from(["none", "entry", "column"]))
+    if mutation == "entry":
+        name = draw(st.sampled_from(["phi", "psi", "xi", "lam", "h"]))
+        table = h_table if name == "h" else tables[name]
+        limit = m if name in ("phi", "xi") else hn
+        row = draw(st.integers(0, len(table) - 1))
+        col = draw(st.integers(0, len(table[row]) - 1))
+        table[row][col] = draw(st.integers(0, limit - 1))
+    elif mutation == "column" and kind == "field":
+        f = make_field(arg)
+        c = draw(st.integers(0, f.q - 1))
+        power = draw(st.integers(0, f.m - 1))
+        frob, x_to_power = frobenius(f), list(range(f.q))
+        for _ in range(power):
+            x_to_power = [frob[x] for x in x_to_power]
+        al = draw(st.integers(0, hn - 1))
+        for a in range(m):
+            tables["phi"][a][al] = f.mul[x_to_power[a]][c]
+    h = FiniteGroup(order=hn, table=h_table, identity=hg.h.identity,
+                    inverse=list(hg.h.inverse), name="H")
+    return hypergroup_from_tables(m, h, o=hg.o, **tables)
+
+
+class TestReconstructionAgainstLoops:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(hg=mutated_images(), abelian=st.booleans())
+    def test_status_and_witness_match_loops(self, hg, abelian):
+        r = reconstruct_field(hg, require_abelian_h=abelian)
+        expected = loop_oracles.reconstruct_field(hg, require_abelian_h=abelian)
+        assert (r.status, r.witness) == (expected["status"], expected["witness"])
+        for key in ("k_endomorphisms", "add_table", "mul_table",
+                    "iso_to_canonical", "unit_witness"):
+            if key in expected:
+                assert getattr(r, key) == expected[key], key
+        if r.status == "NotAdditivelyClosed":
+            i, j = r.witness
+            assert r.detail == (f"k[{i}] + k[{j}] is the endomorphism "
+                                f"{expected['sum']}, not in k")

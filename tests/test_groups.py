@@ -10,7 +10,10 @@ trusted.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypergroups import _util
 from hypergroups import (
     NoIdentityError,
     NoInverseError,
@@ -43,6 +46,8 @@ from hypergroups import (
     symmetric_group,
     trivial_group,
 )
+
+import loop_oracles
 
 # --------------------------------------------------------------------
 # oracles
@@ -139,6 +144,36 @@ class TestGroupFromCayleyTable:
         with pytest.raises(NotAssociativeError) as ei:
             group_from_cayley_table(table)
         assert ei.value.witness == (1, 1, 1)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(spec=st.sampled_from(["Z6", "S3", "Q8", "Z2xZ4", "D4", "Z3xS3"]),
+           data=st.data())
+    def test_mutated_tables_give_loop_witness(self, spec, data):
+        # row and column 0 stay, so 0 stays the identity
+        table = [row[:] for row in group_from_spec(spec).table]
+        n = len(table)
+        for _ in range(data.draw(st.integers(1, 3))):
+            a, b = (data.draw(st.integers(1, n - 1)) for _ in range(2))
+            table[a][b] = data.draw(st.integers(0, n - 1))
+        failed, witness, _ = loop_oracles.cayley_failure(table)
+        try:
+            group_from_cayley_table(table)
+            got = (False, None)
+        except (NotAssociativeError, NoInverseError) as exc:
+            got = (True, exc.witness)
+        assert got == (failed, witness)
+
+    def test_associativity_witness_past_the_first_block(self, monkeypatch):
+        # one leading element per block: the witness (1, ., .) of a
+        # mutated Z2^5 lies in the second block
+        table = [row[:] for row in group_from_spec("Z2xZ2xZ2xZ2xZ2").table]
+        monkeypatch.setattr(_util, "BLOCK_CELLS", len(table) ** 2)
+        table[21][5] = table[21][6]
+        expected = loop_oracles.associativity_witness(table)
+        assert expected[0] == 1
+        with pytest.raises(NotAssociativeError) as ei:
+            group_from_cayley_table(table)
+        assert ei.value.witness == expected
 
     def test_no_identity(self):
         table = [[1, 1], [1, 1]]

@@ -7,12 +7,15 @@ lookup.
 """
 
 import itertools
+import random
+import sys
 
 import pytest
 
 from hypergroups import (
     InternalInconsistencyError,
     NotATransversalError,
+    check_normal_case,
     cyclic_group,
     decompose,
     dihedral_group,
@@ -153,6 +156,31 @@ class TestEnumeration:
         assert len({t.reps for t in s1}) == 40
         s3 = sample_transversals(g, h, cap=40, seed=1)
         assert [t.reps for t in s3] != [t.reps for t in s1]
+
+    def test_sampling_past_sys_maxsize(self):
+        # Z256 over {0, 128}: 2^128 transversals, more than range() can
+        # count; the draw must still be distinct and reproducible
+        g = cyclic_group(256)
+        h = subgroup_from_elements(g, [0, 128])
+        assert transversal_count(g, h) > sys.maxsize
+        s1 = sample_transversals(g, h, cap=5, seed=0)
+        assert [t.reps for t in s1] == [
+            t.reps for t in sample_transversals(g, h, cap=5, seed=0)
+        ]
+        assert len({t.reps for t in s1}) == 5
+        assert all(is_right_transversal(g, h, t.reps) for t in s1)
+        report = check_normal_case(g, h, transversal_cap=5)
+        assert report.overall and report.transversals_checked == 5
+
+    def test_sampling_below_sys_maxsize_keeps_the_seeded_draw(self):
+        # the same picks as random.sample, the draw used before the
+        # large-count path existed
+        g = dihedral_group(8)
+        h = subgroup_from_elements(g, [0, 8])
+        picks = sorted(random.Random(3).sample(range(2 ** 8), 10))
+        assert [t.reps for t in sample_transversals(g, h, cap=10, seed=3)] == [
+            transversal_at(g, h, i).reps for i in picks
+        ]
 
     def test_make_transversal_reorders_and_validates(self):
         g = cyclic_group(6)

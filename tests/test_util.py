@@ -1,0 +1,118 @@
+"""The blocked first-witness scan behind the vectorized table checks.
+
+first_failure is compared with the nested loops it stands for: walk the
+indices in scan order, run each shallow check before the deeper loop at
+the same prefix, and the checks at one index in listed order. Small
+block sizes force many blocks, so the block boundaries are exercised.
+"""
+
+from contextlib import contextmanager
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypergroups import _util
+from hypergroups._util import first_failure
+
+
+def loop_first_failure(shape, masks):
+    """The failure the nested loops meet first; masks are (name, full
+    boolean array over the first d loop indices)."""
+
+    def scan(prefix):
+        for name, mask in masks:
+            if mask.ndim == len(prefix) and mask[prefix]:
+                return name, prefix
+        if len(prefix) == len(shape):
+            return None
+        for i in range(shape[len(prefix)]):
+            hit = scan(prefix + (i,))
+            if hit:
+                return hit
+        return None
+
+    for i in range(shape[0]):
+        hit = scan((i,))
+        if hit:
+            return hit
+    return None
+
+
+@st.composite
+def loop_nests(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    masks = []
+    for k in range(draw(st.integers(1, 4))):
+        depth = draw(st.integers(1, len(shape)))
+        cells = int(np.prod(shape[:depth]))
+        density = draw(st.sampled_from([0.0, 0.05, 0.3]))
+        flags = draw(st.lists(st.floats(0, 1), min_size=cells, max_size=cells))
+        mask = (np.array(flags) < density).reshape(shape[:depth])
+        masks.append((f"check{k}", mask))
+    return shape, masks
+
+
+@contextmanager
+def block_cells(cells):
+    saved = _util.BLOCK_CELLS
+    _util.BLOCK_CELLS = cells
+    try:
+        yield
+    finally:
+        _util.BLOCK_CELLS = saved
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(nest=loop_nests(), block=st.sampled_from([1, 3, 8, 1 << 18]))
+def test_matches_nested_loops(nest, block):
+    shape, masks = nest
+    checks = [(name, lambda r, mask=mask: mask[r]) for name, mask in masks]
+    with block_cells(block):
+        assert first_failure(shape, checks) == loop_first_failure(shape, masks)
+
+
+def test_shallow_check_before_deeper_loop():
+    deep = np.zeros((2, 2, 2), dtype=bool)
+    deep[0, 1, 0] = True
+    shallow = np.zeros((2, 2), dtype=bool)
+    shallow[0, 1] = True
+    checks = [("deep", lambda r: deep[r]), ("shallow", lambda r: shallow[r])]
+    assert first_failure((2, 2, 2), checks) == ("shallow", (0, 1))
+    shallow[0, 1], shallow[1, 0] = False, True
+    assert first_failure((2, 2, 2), checks) == ("deep", (0, 1, 0))
+
+
+def test_stops_at_first_failing_block():
+    seen = []
+
+    def mask_of(rows):
+        seen.append(rows.start)
+        out = np.zeros((rows.stop - rows.start, 2, 2), dtype=bool)
+        if rows.start <= 2 < rows.stop:
+            out[2 - rows.start, 1, 1] = True
+        return out
+
+    with block_cells(4):  # one leading index per block at shape (8, 2, 2)
+        assert first_failure((8, 2, 2), [("c", mask_of)]) == ("c", (2, 1, 1))
+    assert seen == [0, 1, 2]
+
+
+def test_block_bound_holds():
+    sizes = []
+
+    def mask_of(rows):
+        sizes.append((rows.stop - rows.start) * 64 * 64)
+        return np.zeros((rows.stop - rows.start, 64, 64), dtype=bool)
+
+    assert first_failure((300, 64, 64), [("c", mask_of)]) is None
+    assert max(sizes) <= _util.BLOCK_CELLS
+    assert sum(sizes) == 300 * 64 * 64
+
+
+def test_witness_indices_are_python_ints():
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[2, 1] = True
+    name, at = first_failure((3, 3), [("c", lambda r: mask[r])])
+    assert (name, at) == ("c", (2, 1))
+    assert all(type(i) is int for i in at)
