@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_int_matrix
+from ._util import as_int_matrix, first_failure
 from .errors import (
     AlgebraError,
     IndexOutOfRangeError,
@@ -38,6 +38,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Subgroup,
+    first_nonassociative,
     group_from_cayley_table,
     group_from_json,
     group_isomorphism,
@@ -121,15 +122,22 @@ class HypergroupOverGroup:
         return self.h.order
 
     def np_tables(self):
-        """(phi, psi, xi, lam, h table) as cached intp arrays."""
-        cached = getattr(self, "_np_tables", None)
-        if cached is None:
-            cached = tuple(
-                np.asarray(t, dtype=np.intp)
-                for t in (self.phi, self.psi, self.xi, self.lam, self.h.table)
+        """(phi, psi, xi, lam, h table) as fresh intp arrays, shape- and
+        range-checked; raises MalformedTablesError on the first bad row,
+        cell or o, in table order."""
+        m, hn = self.m_size, self.h.order
+        out = tuple(
+            _table_array(name, rows, m, ncols, vrange)
+            for name, rows, ncols, vrange in (
+                ("phi", self.phi, hn, m),
+                ("psi", self.psi, hn, hn),
+                ("xi", self.xi, m, m),
+                ("lam", self.lam, m, hn),
             )
-            object.__setattr__(self, "_np_tables", cached)
-        return cached
+        )
+        if not 0 <= self.o < m:
+            raise MalformedTablesError("o", f"value {self.o} outside [0, {m})")
+        return out + (np.asarray(self.h.table, dtype=np.intp),)
 
     def __repr__(self) -> str:
         return (
@@ -156,29 +164,31 @@ class AxiomReport:
         }
 
 
-def _check_shapes(hg: HypergroupOverGroup) -> None:
-    m, hn = hg.m_size, hg.h.order
-    specs = (
-        ("phi", hg.phi, hn, m),
-        ("psi", hg.psi, hn, hn),
-        ("xi", hg.xi, m, m),
-        ("lam", hg.lam, m, hn),
-    )
-    for name, tbl, ncols, vrange in specs:
-        if len(tbl) != m:
-            raise MalformedTablesError(name, f"expected {m} rows, got {len(tbl)}")
-        for i, row in enumerate(tbl):
-            if len(row) != ncols:
-                raise MalformedTablesError(
-                    f"{name}[{i}]", f"expected {ncols} columns, got {len(row)}"
-                )
-            for j, v in enumerate(row):
-                if not 0 <= v < vrange:
-                    raise MalformedTablesError(
-                        f"{name}[{i}][{j}]", f"value {v} outside [0, {vrange})"
-                    )
-    if not 0 <= hg.o < m:
-        raise MalformedTablesError("o", f"value {hg.o} outside [0, {m})")
+def _table_array(name: str, rows, nrows: int, ncols: int, vrange: int) -> np.ndarray:
+    """rows as an (nrows, ncols) intp array with values in [0, vrange);
+    the first fault in row-major order raises MalformedTablesError."""
+    if len(rows) != nrows:
+        raise MalformedTablesError(name, f"expected {nrows} rows, got {len(rows)}")
+    ragged = next((i for i, row in enumerate(rows) if len(row) != ncols), nrows)
+    try:
+        arr = np.array(rows[:ragged], dtype=np.intp).reshape(ragged, ncols)
+        in_range = bool(((arr >= 0) & (arr < vrange)).all())
+    except OverflowError:  # a value beyond intp is out of range anyway
+        in_range = False
+    if not in_range:
+        i, j, v = next(
+            (i, j, v) for i, row in enumerate(rows[:ragged])
+            for j, v in enumerate(row) if not 0 <= v < vrange
+        )
+        raise MalformedTablesError(
+            f"{name}[{i}][{j}]", f"value {v} outside [0, {vrange})"
+        )
+    if ragged < nrows:
+        raise MalformedTablesError(
+            f"{name}[{ragged}]",
+            f"expected {ncols} columns, got {len(rows[ragged])}",
+        )
+    return arr
 
 
 def hypergroup_from_tables(
@@ -202,7 +212,7 @@ def hypergroup_from_tables(
         o=int(o),
         ambient=ambient,
     )
-    _check_shapes(hg)
+    hg.np_tables()  # raises on a bad shape or range
     return hg
 
 
@@ -264,6 +274,14 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> tuple | None:
     return tuple(int(v) for v in bad[0])
 
 
+def _axiom_result(name: str, shape: tuple[int, ...], mask_of, detail) -> CheckResult:
+    """The first failure of one axiom over shape, or a pass."""
+    failure = first_failure(shape, [(name, mask_of)])
+    if failure is None:
+        return CheckResult(True)
+    return CheckResult(False, failure[1], detail(failure[1]))
+
+
 def verify_axioms(hg: HypergroupOverGroup) -> AxiomReport:
     """Exhaustively check P1-P3 and A1-A5, recording the lexicographically
     first witness per axiom.
@@ -277,10 +295,17 @@ def verify_axioms(hg: HypergroupOverGroup) -> AxiomReport:
       A4: xi[xi[a][b]][c]            == xi[phi[a][lam[b][c]]][xi[b][c]]
       A5: ht[lam[a][b]][lam[xi[a][b]][c]]
           == ht[psi[a][lam[b][c]]][lam[phi[a][lam[b][c]]][xi[b][c]]]
+
+    The tables are converted and validated once per call; a malformed
+    one raises MalformedTablesError. Each cubic relation is one
+    first_failure scan over blocks of leading a, which stops at the
+    first failing block. Memory: besides the tables, a block holds a
+    few intp temporaries of at most max(BLOCK_CELLS, |M|^2, |H|^2)
+    cells each (512 KiB for |M|, |H| <= 256), so the peak grows with
+    the square of the orders, not the cube.
     """
-    _check_shapes(hg)
     phi, psi, xi, lam, ht = hg.np_tables()
-    m = hg.m_size
+    m, hn = hg.m_size, hg.h.order
     eps = hg.h.identity
     o = hg.o
     checks: dict[str, CheckResult] = {}
@@ -292,7 +317,7 @@ def verify_axioms(hg: HypergroupOverGroup) -> AxiomReport:
     if len(neutral_bad):
         a = int(neutral_bad[0])
         p1 = CheckResult(
-            False, (o, a), f"xi[{o}][{a}] = {hg.xi[o][a]}, expected {a}"
+            False, (o, a), f"xi[{o}][{a}] = {xi[o, a]}, expected {a}"
         )
     else:
         col_ok = (np.sort(xi, axis=0) == marange[:, None]).all(axis=0)
@@ -300,8 +325,7 @@ def verify_axioms(hg: HypergroupOverGroup) -> AxiomReport:
         if len(bad_cols):
             a = int(bad_cols[0])
             seen: dict[int, int] = {}
-            for x in range(m):
-                v = hg.xi[x][a]
+            for x, v in enumerate(xi[:, a].tolist()):
                 if v in seen:
                     p1 = CheckResult(
                         False,
@@ -313,26 +337,22 @@ def verify_axioms(hg: HypergroupOverGroup) -> AxiomReport:
     checks["P1"] = p1
 
     # P2: unit action, then A0
-    p2 = CheckResult(True)
     unit_bad = np.flatnonzero(phi[:, eps] != marange)
     if len(unit_bad):
         a = int(unit_bad[0])
-        p2 = CheckResult(
-            False, (a,), f"phi[{a}][{eps}] = {hg.phi[a][eps]}, expected {a}"
+        checks["P2"] = CheckResult(
+            False, (a,), f"phi[{a}][{eps}] = {phi[a, eps]}, expected {a}"
         )
     else:
-        w = _first_mismatch(phi[phi], phi[:, ht])
-        if w is not None:
-            a, al, be = w
-            p2 = CheckResult(
-                False, w,
-                f"phi[phi[{a}][{al}]][{be}] != phi[{a}][{al}*{be}]",
-            )
-    checks["P2"] = p2
+        checks["P2"] = _axiom_result(
+            "P2", (m, hn, hn),
+            lambda r: phi.take(phi[r], axis=0) != phi[r].take(ht, axis=1),
+            lambda w: "phi[phi[{0}][{1}]][{2}] != phi[{0}][{1}*{2}]".format(*w),
+        )
 
     # P3: alpha -> psi[o][alpha] onto H
-    image = set(hg.psi[o])
-    missing = [b for b in range(hg.h.order) if b not in image]
+    image = set(psi[o].tolist())
+    missing = [b for b in range(hn) if b not in image]
     checks["P3"] = (
         CheckResult(True)
         if not missing
@@ -342,46 +362,46 @@ def verify_axioms(hg: HypergroupOverGroup) -> AxiomReport:
         )
     )
 
-    # A1
-    inner = psi[phi]                              # psi[phi[a,al], be]
-    w = _first_mismatch(psi[:, ht], ht[psi[:, :, None], inner])
-    checks["A1"] = (
-        CheckResult(True) if w is None
-        else CheckResult(False, w, "A1 fails at (a, alpha, beta) = %s" % (w,))
-    )
+    def fails_at(axiom: str, names: str):
+        return lambda w: f"{axiom} fails at ({names}) = {w}"
 
-    # A2
-    t1 = phi[:, psi]                              # phi[a, psi[b,al]]
-    w = _first_mismatch(phi[xi], xi[t1, phi[None]])
-    checks["A2"] = (
-        CheckResult(True) if w is None
-        else CheckResult(False, w, "A2 fails at (a, b, alpha) = %s" % (w,))
-    )
+    # Pair lookups T[i][j] read the flat table at i * ncols + j, with
+    # the row index tables premultiplied once (phi_m = phi * |M|), so a
+    # lookup costs one add and one take per block.
+    xif, lamf, htf = xi.ravel(), lam.ravel(), ht.ravel()
+    phi_m, psi_h, lam_h = phi * m, psi * hn, lam * hn
 
-    # A3
-    lhs = ht[lam[:, :, None], psi[xi]]
-    rhs = ht[psi[:, psi], lam[t1, phi[None]]]
-    w = _first_mismatch(lhs, rhs)
-    checks["A3"] = (
-        CheckResult(True) if w is None
-        else CheckResult(False, w, "A3 fails at (a, b, alpha) = %s" % (w,))
+    checks["A1"] = _axiom_result(
+        "A1", (m, hn, hn),
+        lambda r: psi[r].take(ht, axis=1)
+        != htf.take(psi_h[r][:, :, None] + psi.take(phi[r], axis=0)),
+        fails_at("A1", "a, alpha, beta"),
     )
-
-    # A4
-    p1l = phi[:, lam]                             # phi[a, lam[b,c]]
-    w = _first_mismatch(xi[xi], xi[p1l, xi[None]])
-    checks["A4"] = (
-        CheckResult(True) if w is None
-        else CheckResult(False, w, "A4 fails at (a, b, c) = %s" % (w,))
+    checks["A2"] = _axiom_result(
+        "A2", (m, m, hn),
+        lambda r: phi.take(xi[r], axis=0)
+        != xif.take(phi_m[r].take(psi, axis=1) + phi),
+        fails_at("A2", "a, b, alpha"),
     )
-
-    # A5
-    lhs = ht[lam[:, :, None], lam[xi]]
-    rhs = ht[psi[:, lam], lam[p1l, xi[None]]]
-    w = _first_mismatch(lhs, rhs)
-    checks["A5"] = (
-        CheckResult(True) if w is None
-        else CheckResult(False, w, "A5 fails at (a, b, c) = %s" % (w,))
+    checks["A3"] = _axiom_result(
+        "A3", (m, m, hn),
+        lambda r: htf.take(lam_h[r][:, :, None] + psi.take(xi[r], axis=0))
+        != htf.take(psi_h[r].take(psi, axis=1)
+                    + lamf.take(phi_m[r].take(psi, axis=1) + phi)),
+        fails_at("A3", "a, b, alpha"),
+    )
+    checks["A4"] = _axiom_result(
+        "A4", (m, m, m),
+        lambda r: xi.take(xi[r], axis=0)
+        != xif.take(phi_m[r].take(lam, axis=1) + xi),
+        fails_at("A4", "a, b, c"),
+    )
+    checks["A5"] = _axiom_result(
+        "A5", (m, m, m),
+        lambda r: htf.take(lam_h[r][:, :, None] + lam.take(xi[r], axis=0))
+        != htf.take(psi_h[r].take(lam, axis=1)
+                    + lamf.take(phi_m[r].take(lam, axis=1) + xi)),
+        fails_at("A5", "a, b, c"),
     )
 
     return AxiomReport(checks=checks)
@@ -552,8 +572,8 @@ def is_group_quasigroup(hg: HypergroupOverGroup) -> bool:
     """True iff xi is associative; an associative right quasigroup with a
     left neutral is a group, so associativity plus P1 must yield a full
     group or the structure is internally inconsistent."""
-    _, _, xi, _, _ = hg.np_tables()
-    if _first_mismatch(xi[xi], xi[:, xi]) is not None:
+    m = hg.m_size
+    if first_nonassociative(_table_array("xi", hg.xi, m, m, m)) is not None:
         return False
     try:
         group_from_cayley_table(hg.xi)

@@ -146,13 +146,9 @@ def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
     if identity is None:
         raise NoIdentityError("no two-sided neutral element")
 
-    t = np.asarray(table, dtype=np.intp)
-    # (a*b)*c != a*(b*c), over blocks of a
-    failure = first_failure((n, n, n), [
-        ("associative", lambda r: t[t[r]] != t[r].take(t, axis=1)),
-    ])
-    if failure is not None:
-        raise NotAssociativeError(failure[1])
+    witness = first_nonassociative(np.asarray(table, dtype=np.intp))
+    if witness is not None:
+        raise NotAssociativeError(witness)
 
     inverse = [-1] * n
     for x in range(n):
@@ -170,6 +166,16 @@ def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
         inverse=inverse,
         name=name if name is not None else f"G{n}",
     )
+
+
+def first_nonassociative(t: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in scan order with (a*b)*c != a*(b*c) in the
+    square intp table t, scanned over blocks of a."""
+    n = len(t)
+    failure = first_failure((n, n, n), [
+        ("associative", lambda r: t.take(t[r], axis=0) != t[r].take(t, axis=1)),
+    ])
+    return None if failure is None else failure[1]
 
 
 def trivial_group() -> FiniteGroup:

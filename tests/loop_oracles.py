@@ -7,6 +7,8 @@ They are slow (q^3 Python steps) and only tests import them.
 
 from __future__ import annotations
 
+from itertools import product
+
 from hypergroups import AlgebraError, FiniteField, make_field
 
 
@@ -242,3 +244,91 @@ def reconstruct_field(hg, require_abelian_h=True):
     return {"status": "ok", "witness": None, **tables,
             "iso_to_canonical": field_isomorphism(candidate, canonical),
             "unit_witness": unit_witness}
+
+
+def verify_axioms(hg):
+    """{axiom: (ok, witness, detail)} of P1-P3 and A1-A5, by loops.
+
+    P1 checks the left neutral row before the columns and P2 the unit
+    action before A0; every other axiom is one loop nest whose first
+    failing index tuple is the witness.
+    """
+    m, hn = hg.m_size, hg.h.order
+    phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
+    ht, eps, o = hg.h.table, hg.h.identity, hg.o
+    M, H = range(m), range(hn)
+    passed = (True, None, "")
+
+    def first(loops, holds, detail):
+        for w in product(*loops):
+            if not holds(*w):
+                return False, w, detail(*w)
+        return passed
+
+    def p1():
+        for a in M:
+            if xi[o][a] != a:
+                return False, (o, a), f"xi[{o}][{a}] = {xi[o][a]}, expected {a}"
+        for a in M:
+            seen = {}
+            for x in M:
+                v = xi[x][a]
+                if v in seen:
+                    return (False, (seen[v], x, a),
+                            f"xi[{seen[v]}][{a}] = xi[{x}][{a}] = {v}")
+                seen[v] = x
+        return passed
+
+    def p2():
+        for a in M:
+            if phi[a][eps] != a:
+                return False, (a,), f"phi[{a}][{eps}] = {phi[a][eps]}, expected {a}"
+        return first(
+            (M, H, H),
+            lambda a, al, be: phi[phi[a][al]][be] == phi[a][ht[al][be]],
+            lambda a, al, be: f"phi[phi[{a}][{al}]][{be}] != phi[{a}][{al}*{be}]",
+        )
+
+    def p3():
+        for b in H:
+            if b not in psi[o]:
+                return False, (b,), f"{b} not in the image of psi[{o}]"
+        return passed
+
+    def fails_at(axiom, names):
+        return lambda *w: f"{axiom} fails at ({names}) = {w}"
+
+    return {
+        "P1": p1(),
+        "P2": p2(),
+        "P3": p3(),
+        "A1": first(
+            (M, H, H),
+            lambda a, al, be:
+                psi[a][ht[al][be]] == ht[psi[a][al]][psi[phi[a][al]][be]],
+            fails_at("A1", "a, alpha, beta"),
+        ),
+        "A2": first(
+            (M, M, H),
+            lambda a, b, al:
+                phi[xi[a][b]][al] == xi[phi[a][psi[b][al]]][phi[b][al]],
+            fails_at("A2", "a, b, alpha"),
+        ),
+        "A3": first(
+            (M, M, H),
+            lambda a, b, al: ht[lam[a][b]][psi[xi[a][b]][al]]
+            == ht[psi[a][psi[b][al]]][lam[phi[a][psi[b][al]]][phi[b][al]]],
+            fails_at("A3", "a, b, alpha"),
+        ),
+        "A4": first(
+            (M, M, M),
+            lambda a, b, c: xi[xi[a][b]][c] == xi[phi[a][lam[b][c]]][xi[b][c]],
+            fails_at("A4", "a, b, c"),
+        ),
+        "A5": first(
+            (M, M, M),
+            lambda a, b, c: ht[lam[a][b]][lam[xi[a][b]][c]]
+            == ht[psi[a][lam[b][c]]][lam[phi[a][lam[b][c]]][xi[b][c]]],
+            fails_at("A5", "a, b, c"),
+        ),
+    }

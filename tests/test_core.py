@@ -11,9 +11,17 @@ oracles on every run.
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hypergroups
 from hypergroups import (
     AXIOM_NAMES,
     IDENTITY_NAMES,
@@ -43,7 +51,10 @@ from hypergroups import (
     trivial_group,
     verify_axioms,
 )
+from hypergroups import _util
 from hypergroups._util import canonical_dumps
+
+import loop_oracles
 
 # --------------------------------------------------------------------
 # oracles
@@ -86,44 +97,8 @@ def oracle_standard_tables(group, h, t):
     return phi, psi, xi, lam
 
 
-def oracle_axioms(hg):
-    """Triple-loop evaluation of P1-P3, A1-A5; returns dict of bools."""
-    m, hn = hg.m_size, hg.h.order
-    phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
-    ht = hg.h.table
-    eps, o = hg.h.identity, hg.o
-    out = {}
-    out["P1"] = all(xi[o][a] == a for a in range(m)) and all(
-        sorted(xi[x][a] for x in range(m)) == list(range(m)) for a in range(m)
-    )
-    out["P2"] = all(phi[a][eps] == a for a in range(m)) and all(
-        phi[phi[a][al]][be] == phi[a][ht[al][be]]
-        for a in range(m) for al in range(hn) for be in range(hn)
-    )
-    out["P3"] = set(psi[o]) == set(range(hn))
-    out["A1"] = all(
-        psi[a][ht[al][be]] == ht[psi[a][al]][psi[phi[a][al]][be]]
-        for a in range(m) for al in range(hn) for be in range(hn)
-    )
-    out["A2"] = all(
-        phi[xi[a][b]][al] == xi[phi[a][psi[b][al]]][phi[b][al]]
-        for a in range(m) for b in range(m) for al in range(hn)
-    )
-    out["A3"] = all(
-        ht[lam[a][b]][psi[xi[a][b]][al]]
-        == ht[psi[a][psi[b][al]]][lam[phi[a][psi[b][al]]][phi[b][al]]]
-        for a in range(m) for b in range(m) for al in range(hn)
-    )
-    out["A4"] = all(
-        xi[xi[a][b]][c] == xi[phi[a][lam[b][c]]][xi[b][c]]
-        for a in range(m) for b in range(m) for c in range(m)
-    )
-    out["A5"] = all(
-        ht[lam[a][b]][lam[xi[a][b]][c]]
-        == ht[psi[a][lam[b][c]]][lam[phi[a][lam[b][c]]][xi[b][c]]]
-        for a in range(m) for b in range(m) for c in range(m)
-    )
-    return out
+def results(report):
+    return {k: (c.ok, c.witness, c.detail) for k, c in report.checks.items()}
 
 
 def all_small_hypergroups(max_order):
@@ -224,11 +199,11 @@ class TestVerifyAxioms:
             report = verify_axioms(hg)
             assert report.overall, (g.name, h.elements, t.reps,
                                     report.failing())
-            assert all(oracle_axioms(hg).values())
+            assert results(report) == loop_oracles.verify_axioms(hg)
 
     def test_vectorized_verdicts_match_loop_oracle_on_mutations(self):
         # mutate every entry of every table once; the two routes must
-        # agree axiom-by-axiom on the full verdict vector
+        # agree axiom by axiom on verdict, witness and detail
         _, _, _, hg = z6_example()
         tables = ("phi", "psi", "xi", "lam")
         # value ranges: phi and xi take values in M, psi and lam in H
@@ -242,9 +217,8 @@ class TestVerifyAxioms:
                             continue
                         mutated = copy.deepcopy(hg)
                         getattr(mutated, tname)[i][j] = v
-                        report = verify_axioms(mutated)
-                        expect = oracle_axioms(mutated)
-                        got = {k: c.ok for k, c in report.checks.items()}
+                        got = results(verify_axioms(mutated))
+                        expect = loop_oracles.verify_axioms(mutated)
                         assert got == expect, (tname, i, j, v)
 
     def test_p1_neutral_witness(self):
@@ -299,6 +273,109 @@ class TestVerifyAxioms:
         d = verify_axioms(hg).to_dict()
         assert d["overall"] is True
         assert set(d["axioms"]) == set(AXIOM_NAMES)
+
+    @pytest.mark.parametrize("table, row, cells, location, message", [
+        ("phi", 1, [1], "phi[1]", "expected 2 columns, got 1"),
+        ("lam", 0, [0, -1, 0], "lam[0][1]", "value -1 outside [0, 2)"),
+        ("psi", 2, [0, 2 ** 70], "psi[2][1]",
+         f"value {2 ** 70} outside [0, 2)"),
+    ])
+    def test_malformed_cell_messages(self, table, row, cells, location, message):
+        _, _, _, hg = z6_example()
+        getattr(hg, table)[row] = cells
+        with pytest.raises(MalformedTablesError) as ei:
+            verify_axioms(hg)
+        assert (ei.value.location, str(ei.value)) == (
+            location, f"{location}: {message}")
+
+    def test_malformed_first_fault_in_row_order(self):
+        # a bad value before a ragged row is reported first, and the
+        # row count before either
+        _, _, _, hg = z6_example()
+        hg.xi[0] = [0, 1, 5]
+        hg.xi[1] = [1]
+        with pytest.raises(MalformedTablesError, match=r"^xi\[0\]\[2\]: "):
+            verify_axioms(hg)
+        hg.xi[0] = [0, 1, 2]
+        with pytest.raises(MalformedTablesError, match=r"^xi\[1\]: expected 3 columns"):
+            verify_axioms(hg)
+        hg.xi.append([0, 1, 2])
+        with pytest.raises(MalformedTablesError, match=r"^xi: expected 3 rows, got 4$"):
+            verify_axioms(hg)
+        _, _, _, hg = z6_example()
+        hg.o = 3
+        with pytest.raises(MalformedTablesError,
+                           match=r"^o: value 3 outside \[0, 3\)$"):
+            verify_axioms(hg)
+
+    def test_tables_edited_after_a_verify_are_reread(self):
+        g = symmetric_group(3)
+        h = subgroup_from_elements(g, [0, 1])
+        hg = standard_construction(g, h, enumerate_transversals(g, h)[0])
+        assert verify_axioms(hg).overall
+        hg.xi[1][1], hg.xi[2][1] = hg.xi[2][1], hg.xi[1][1]
+        report = verify_axioms(hg)
+        fresh = hypergroup_from_tables(hg.m_size, hg.h, hg.phi, hg.psi,
+                                       hg.xi, hg.lam, hg.o)
+        assert not report.overall
+        assert {"A2", "A4", "A5"} <= set(report.failing())
+        assert results(report) == results(verify_axioms(fresh))
+        assert results(report) == loop_oracles.verify_axioms(hg)
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs resource")
+    def test_memory_bounded_at_m_256(self):
+        # whole-cube temporaries at |M| = 256 would take 128 MiB each
+        code = (
+            "import resource, sys\n"
+            "from hypergroups import (group_from_spec, standard_construction,\n"
+            "    subgroup_from_elements, verify_axioms)\n"
+            "g = group_from_spec('x'.join(['Z2'] * 8))\n"
+            "hg = standard_construction(g, subgroup_from_elements(g, [0]),\n"
+            "                           list(range(256)))\n"
+            "print(verify_axioms(hg).overall)\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(peak // 1024 if sys.platform == 'darwin' else peak)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(hypergroups.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        overall, peak_kib = proc.stdout.split()
+        assert overall == "True"
+        assert int(peak_kib) <= 128 * 1024
+
+
+@st.composite
+def verify_inputs(draw):
+    """A standard construction, half the time with one table entry
+    changed to another in-range value."""
+    g = group_from_spec(draw(st.sampled_from(
+        ["Z4", "Z2xZ2", "Z6", "S3", "D4", "Q8", "Z2xZ4", "Z8"])))
+    h = draw(st.sampled_from(enumerate_subgroups(g)))
+    hg = standard_construction(
+        g, h, draw(st.sampled_from(enumerate_transversals(g, h, limit=6))))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["phi", "psi", "xi", "lam"]))
+        table = getattr(hg, name)
+        limit = hg.m_size if name in ("phi", "xi") else hg.h.order
+        row = draw(st.integers(0, len(table) - 1))
+        col = draw(st.integers(0, len(table[row]) - 1))
+        table[row][col] = draw(st.integers(0, limit - 1))
+    return hg
+
+
+class TestVerifyAgainstLoops:
+    # small blocks split every scan into many, so witnesses are found
+    # past block boundaries and in blocks other than the first
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(hg=verify_inputs(), block=st.sampled_from([1, 7, 64]))
+    def test_results_match_loops(self, hg, block):
+        with mock.patch.object(_util, "BLOCK_CELLS", block):
+            report = verify_axioms(hg)
+        assert results(report) == loop_oracles.verify_axioms(hg)
 
 
 # --------------------------------------------------------------------
