@@ -40,10 +40,16 @@ class CatalogEntry:
     provenance: str
     class_id: int
     iso_to_rep: HgMorphism | None  # None for the representative itself
+    xi_is_group: bool
+    xi_commutative: bool
 
 
 @dataclass
 class Catalog:
+    """Entries deduplicated by isomorphism: find_isomorphism runs only
+    against the class representatives sharing the entry's _invariant_key,
+    in class-id order, so a finer key only removes calls that would miss."""
+
     entries: list[CatalogEntry] = field(default_factory=list)
     class_reps: list[HypergroupOverGroup] = field(default_factory=list)
     _buckets: dict = field(default_factory=dict, repr=False)
@@ -51,30 +57,26 @@ class Catalog:
     def insert(self, hg: HypergroupOverGroup, provenance: str) -> CatalogEntry:
         key = _invariant_key(hg)
         bucket = self._buckets.setdefault(key, [])
+        flags = key[3], key[4]  # is_group_quasigroup, _xi_commutative
         for class_id in bucket:
             iso = find_isomorphism(hg, self.class_reps[class_id])
             if iso is not None:
-                entry = CatalogEntry(hg, provenance, class_id, iso)
+                entry = CatalogEntry(hg, provenance, class_id, iso, *flags)
                 self.entries.append(entry)
                 return entry
         class_id = len(self.class_reps)
         self.class_reps.append(hg)
         bucket.append(class_id)
-        entry = CatalogEntry(hg, provenance, class_id, None)
+        entry = CatalogEntry(hg, provenance, class_id, None, *flags)
         self.entries.append(entry)
         return entry
 
     def stats(self) -> dict[tuple, int]:
         """Entry counts keyed by (|M|, |H|, xi is a group, xi commutative)."""
         out: dict[tuple, int] = {}
-        for entry in self.entries:
-            hg = entry.hypergroup
-            k = (
-                hg.m_size,
-                hg.h.order,
-                is_group_quasigroup(hg),
-                _xi_commutative(hg),
-            )
+        for e in self.entries:
+            k = (e.hypergroup.m_size, e.hypergroup.h.order, e.xi_is_group,
+                 e.xi_commutative)
             out[k] = out.get(k, 0) + 1
         return out
 
@@ -105,16 +107,44 @@ def _lam_trivial(hg: HypergroupOverGroup) -> bool:
 
 
 def _invariant_key(hg: HypergroupOverGroup) -> tuple:
-    """Isomorphism-invariant bucket key for dedup."""
+    """Isomorphism-invariant bucket key for dedup.
+
+    Sizes, H's element orders, whether xi is a group and commutative,
+    the sorted _element_keys, whether psi and lam are trivial, and the
+    sorted colours of M after at most three rounds of colour refinement
+    (stopping once no colour class splits). Refinement starts from the
+    hashed _element_keys, with H coloured by element order, and
+    recolours a by its xi/lam row, xi/lam column and (phi, psi) action.
+    Only what an isomorphism carries along enters, so isomorphic
+    hypergroups get equal keys; components are only added, so a coarser
+    key's bucket can only split.
+    """
+    mr, hr = range(hg.m_size), range(hg.h.order)
+    xi, lam, phi, psi = hg.xi, hg.lam, hg.phi, hg.psi
+    hc = element_orders(hg.h)
+    keys = _element_keys(hg)
+    c = [hash(k) for k in keys]
+    n_colours = len(set(c))
+    for _ in range(3):
+        c = [hash((
+            c[a],
+            tuple(sorted((c[xi[a][b]], c[b], hc[lam[a][b]]) for b in mr)),
+            tuple(sorted((c[xi[b][a]], c[b], hc[lam[b][a]]) for b in mr)),
+            tuple(sorted((c[phi[a][al]], hc[al], hc[psi[a][al]]) for al in hr)),
+        )) for a in mr]
+        if len(set(c)) == n_colours:
+            break
+        n_colours = len(set(c))
     return (
         hg.m_size,
         hg.h.order,
-        tuple(sorted(element_orders(hg.h))),
+        tuple(sorted(hc)),
         is_group_quasigroup(hg),
         _xi_commutative(hg),
-        tuple(sorted(_element_keys(hg))),
+        tuple(sorted(keys)),
         _psi_trivial(hg),
         _lam_trivial(hg),
+        tuple(sorted(c)),
     )
 
 
@@ -236,12 +266,15 @@ def _lambda_candidates(
     psi: list[list[int]], m: int
 ):
     """All lam tables consistent with A3 and A5, by DFS over cells with
-    A3-forced propagation and an A5 check on completed tables.
+    A3-forced propagation and A5 pruning.
 
     Each A3 instance (a, b, al) links cells (a, b) and
     (phi[a][psi[b][al]], phi[b][al]) by an invertible relation in H, so
     assigning one cell forces the other; free cells only appear when a
-    new component starts.
+    new component starts. After each successful assignment every A5
+    instance (a, b, c) whose four lam cells are assigned is checked; a
+    failure prunes the subtree, whose leaves all keep those cells and so
+    fail A5. The yield sequence is that of an A5 check at the leaves only.
     """
     hn = h.order
     ht = h.table
@@ -284,17 +317,19 @@ def _lambda_candidates(
                     queue.append(c1)
         return True
 
-    def a5_holds():
+    def a5_violated():
         for a in range(m):
             for b in range(m):
+                ab = lam[a][b]
                 for c in range(m):
-                    lhs = ht[lam[a][b]][lam[xi[a][b]][c]]
-                    rhs = ht[psi[a][lam[b][c]]][
-                        lam[phi[a][lam[b][c]]][xi[b][c]]
-                    ]
-                    if lhs != rhs:
-                        return False
-        return True
+                    bc = lam[b][c]
+                    if ab < 0 or bc < 0:
+                        continue
+                    x = lam[xi[a][b]][c]
+                    y = lam[phi[a][bc]][xi[b][c]]
+                    if x >= 0 and y >= 0 and ht[ab][x] != ht[psi[a][bc]][y]:
+                        return True
+        return False
 
     def undo(trail):
         for (a, b) in trail:
@@ -304,13 +339,12 @@ def _lambda_candidates(
         while pos < len(cells) and lam[cells[pos][0]][cells[pos][1]] >= 0:
             pos += 1
         if pos == len(cells):
-            if a5_holds():
-                yield [row[:] for row in lam]
+            yield [row[:] for row in lam]
             return
         cell = cells[pos]
         for value in range(hn):
             trail: list[tuple[int, int]] = []
-            if force(cell, value, trail):
+            if force(cell, value, trail) and not a5_violated():
                 yield from search(pos + 1)
             undo(trail)
 
@@ -408,8 +442,8 @@ def catalog_csv(catalog: Catalog) -> str:
                 entry.class_id,
                 hg.m_size,
                 hg.h.order,
-                str(is_group_quasigroup(hg)).lower(),
-                str(_xi_commutative(hg)).lower(),
+                str(entry.xi_is_group).lower(),
+                str(entry.xi_commutative).lower(),
                 entry.provenance,
             ]
         )

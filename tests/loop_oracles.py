@@ -2,14 +2,19 @@
 
 Each function here is the straightforward scan the library's numpy code
 must agree with: same check order, same first witness in scan order.
-They are slow (q^3 Python steps) and only tests import them.
+They are slow (q^3 Python steps) and only tests import them. The last
+two are earlier, slower versions of library code kept as references:
+the group test on xi and the abstract lambda search without pruning.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from hypergroups import AlgebraError, FiniteField, make_field
+from hypergroups import (AlgebraError, FiniteField, InternalInconsistencyError,
+                         group_from_cayley_table, make_field)
+from hypergroups import core
+from hypergroups.groups import first_nonassociative
 
 
 def check_field_tables(add, mul, zero, one, require_commutative_mul=True):
@@ -332,3 +337,104 @@ def verify_axioms(hg):
             fails_at("A5", "a, b, c"),
         ),
     }
+
+
+def is_group_quasigroup(hg):
+    """True iff (M, xi) is a group, through group_from_cayley_table
+    after a first associativity scan; raises InternalInconsistencyError
+    when xi is associative and P1 holds but (M, xi) is not a group."""
+    m = hg.m_size
+    if first_nonassociative(core._table_array("xi", hg.xi, m, m, m)) is not None:
+        return False
+    try:
+        group_from_cayley_table(hg.xi)
+        return True
+    except AlgebraError:
+        if core.verify_axioms(hg).checks["P1"].ok:
+            raise InternalInconsistencyError(
+                "xi is associative and P1 holds but (M, xi) is not a group"
+            )
+        return False
+
+
+def lambda_candidates(h, xi, phi, psi, m):
+    """All lam tables consistent with A3 and A5, by DFS over cells with
+    A3-forced propagation and an A5 check on completed tables.
+
+    Each A3 instance (a, b, al) links cells (a, b) and
+    (phi[a][psi[b][al]], phi[b][al]) by an invertible relation in H, so
+    assigning one cell forces the other; free cells only appear when a
+    new component starts.
+    """
+    hn = h.order
+    ht = h.table
+    hinv = h.inverse
+    links: dict[tuple[int, int], list[tuple]] = {}
+    for a in range(m):
+        for b in range(m):
+            for al in range(hn):
+                t = psi[xi[a][b]][al]
+                s = psi[a][psi[b][al]]
+                c1 = (a, b)
+                c2 = (phi[a][psi[b][al]], phi[b][al])
+                # relation: lam[c1] * t = s * lam[c2]
+                links.setdefault(c1, []).append((c1, c2, t, s))
+                links.setdefault(c2, []).append((c1, c2, t, s))
+    lam = [[-1] * m for _ in range(m)]
+    cells = [(a, b) for a in range(m) for b in range(m)]
+
+    def force(cell, value, trail):
+        lam[cell[0]][cell[1]] = value
+        trail.append(cell)
+        queue = [cell]
+        while queue:
+            c = queue.pop()
+            for (c1, c2, t, s) in links.get(c, ()):
+                v1 = lam[c1[0]][c1[1]]
+                v2 = lam[c2[0]][c2[1]]
+                if v1 >= 0 and v2 >= 0:
+                    if ht[v1][t] != ht[s][v2]:
+                        return False
+                elif v1 >= 0:
+                    forced = ht[hinv[s]][ht[v1][t]]
+                    lam[c2[0]][c2[1]] = forced
+                    trail.append(c2)
+                    queue.append(c2)
+                elif v2 >= 0:
+                    forced = ht[ht[s][v2]][hinv[t]]
+                    lam[c1[0]][c1[1]] = forced
+                    trail.append(c1)
+                    queue.append(c1)
+        return True
+
+    def a5_holds():
+        for a in range(m):
+            for b in range(m):
+                for c in range(m):
+                    lhs = ht[lam[a][b]][lam[xi[a][b]][c]]
+                    rhs = ht[psi[a][lam[b][c]]][
+                        lam[phi[a][lam[b][c]]][xi[b][c]]
+                    ]
+                    if lhs != rhs:
+                        return False
+        return True
+
+    def undo(trail):
+        for (a, b) in trail:
+            lam[a][b] = -1
+
+    def search(pos):
+        while pos < len(cells) and lam[cells[pos][0]][cells[pos][1]] >= 0:
+            pos += 1
+        if pos == len(cells):
+            if a5_holds():
+                yield [row[:] for row in lam]
+            return
+        cell = cells[pos]
+        for value in range(hn):
+            trail: list[tuple[int, int]] = []
+            if force(cell, value, trail):
+                yield from search(pos + 1)
+            undo(trail)
+
+    yield from search(0)

@@ -7,27 +7,45 @@ produce the identical partition.
 """
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergroups import (
+    HgMorphism,
     SizeLimitExceededError,
+    builtin_groups,
+    enumerate_subgroups,
     find_isomorphism,
     group_from_spec,
+    group_isomorphisms,
     hypergroup_from_json,
+    hypergroup_from_tables,
+    sample_transversals,
+    standard_construction,
     verify_axioms,
     verify_morphism,
 )
 from hypergroups.classify import (
     Catalog,
+    _invariant_key,
+    _lambda_candidates,
+    _phi_candidates,
+    _psi_candidates,
+    _xi_candidates,
     catalog_csv,
     enumerate_abstract,
     export_catalog,
     sweep_standard,
     universality_probe,
 )
+from hypergroups.cli import run
+
+import loop_oracles
 
 
 def oracle_partition(hypergroups):
@@ -171,6 +189,20 @@ class TestAbstract:
         )
 
 
+class TestLambdaPruning:
+    @pytest.mark.parametrize("m,spec", [
+        (2, "Z2"), (2, "Z3"), (3, "E"), (3, "Z2"), (3, "Z3"),
+    ])
+    def test_same_tables_as_unpruned_search(self, m, spec):
+        h = group_from_spec(spec)
+        for xi in _xi_candidates(m):
+            for phi in _phi_candidates(h, m):
+                for psi in _psi_candidates(h, phi, m):
+                    args = (h, xi, phi, psi, m)
+                    assert list(_lambda_candidates(*args)) == list(
+                        loop_oracles.lambda_candidates(*args)), args
+
+
 class TestUniversality:
     def test_all_m3_h_z2_classes_realized_by_order_six(self):
         ab = enumerate_abstract(3, group_from_spec("Z2"))
@@ -238,3 +270,64 @@ class TestInsertDirect:
         assert e1.iso_to_rep is None
         assert e2.iso_to_rep is not None
         assert verify_morphism(e2.iso_to_rep).ok
+
+
+@st.composite
+def transported(draw):
+    """A standard construction with 4 <= |G| <= 12 and |M| > 1, and its
+    image under a random (f0, f1): f0 an automorphism of H, f1 a
+    permutation of M."""
+    g = draw(st.sampled_from(builtin_groups(12)[3:]))
+    h = draw(st.sampled_from(enumerate_subgroups(g)[:-1]))
+    t = sample_transversals(g, h, cap=1, seed=draw(st.integers(0, 2**16)))[0]
+    hg = standard_construction(g, h, t)
+    m, hn = hg.m_size, hg.h.order
+    f0 = draw(st.sampled_from(list(group_isomorphisms(hg.h, hg.h))))
+    f1 = draw(st.permutations(range(m)))
+    phi, psi = [[0] * hn for _ in range(m)], [[0] * hn for _ in range(m)]
+    xi, lam = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
+    for a in range(m):
+        for al in range(hn):
+            phi[f1[a]][f0[al]] = f1[hg.phi[a][al]]
+            psi[f1[a]][f0[al]] = f0[hg.psi[a][al]]
+        for b in range(m):
+            xi[f1[a]][f1[b]] = f1[hg.xi[a][b]]
+            lam[f1[a]][f1[b]] = f0[hg.lam[a][b]]
+    image = hypergroup_from_tables(m, hg.h, phi, psi, xi, lam, f1[hg.o])
+    return hg, image, list(f0), list(f1)
+
+
+class TestInvariantKey:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(case=transported())
+    def test_equal_on_isomorphic_copies(self, case):
+        hg, image, f0, f1 = case
+        assert verify_morphism(HgMorphism(hg, image, f0, f1)).ok
+        assert _invariant_key(hg) == _invariant_key(image)
+        iso = find_isomorphism(hg, image)
+        assert iso is not None and verify_morphism(iso).ok
+
+
+class TestFrozenOutputs:
+    """Digests of classify output, frozen so that cutting the catalog's
+    work cannot change a byte of it or a certificate."""
+
+    def test_export_tree(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["classify", "--max-order", "8", "--out", str(out)]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == (
+            "2bf01d0ff67d7797fa9908fec8fb97eba640688c47d0dea6258410fae3d59219")
+
+    def test_class_ids_and_certificates(self):
+        entries = sweep_standard(8).entries
+        certificates = [
+            [e.class_id,
+             None if e.iso_to_rep is None else [e.iso_to_rep.f0, e.iso_to_rep.f1]]
+            for e in entries
+        ]
+        assert len(entries) == 701
+        assert hashlib.sha256(json.dumps(certificates).encode()).hexdigest() == (
+            "63ffb0495dc6e3f6622be7d9bb8c877453ae6263a92930863ea8c6f01cd4df56")

@@ -25,13 +25,16 @@ import hypergroups
 from hypergroups import (
     AXIOM_NAMES,
     IDENTITY_NAMES,
+    AlgebraError,
     IndexOutOfRangeError,
+    InternalInconsistencyError,
     MalformedTablesError,
     MultipleSolutionsError,
     NoAmbientError,
     NoSolutionError,
     NotATransversalError,
     NotNormalError,
+    builtin_groups,
     check_derived_identities,
     check_normal_case,
     cyclic_group,
@@ -45,6 +48,7 @@ from hypergroups import (
     lemma_solve,
     make_transversal,
     quasigroup_divide,
+    sample_transversals,
     standard_construction,
     subgroup_from_elements,
     symmetric_group,
@@ -475,6 +479,38 @@ class TestDerivedIdentities:
 # group quasigroups and the normal case
 
 
+@st.composite
+def xi_mutations(draw):
+    """A standard construction with |G| <= 24 and |M| > 1 whose xi is
+    kept, has one entry changed (in range or not), or is replaced by an
+    associative table that is not Latin: a left or right projection or a
+    constant."""
+    g = draw(st.sampled_from(builtin_groups(24)[1:]))
+    h = draw(st.sampled_from(enumerate_subgroups(g)[:-1]))
+    t = sample_transversals(g, h, cap=1, seed=draw(st.integers(0, 2**16)))[0]
+    hg = standard_construction(g, h, t)
+    m = hg.m_size
+    kind = draw(st.sampled_from(
+        ["keep", "cell", "out_of_range", "left", "right", "constant"]))
+    if kind in ("cell", "out_of_range"):
+        a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        hg.xi[a][b] = draw(st.integers(0, m - 1) if kind == "cell"
+                           else st.sampled_from([-1, m]))
+    elif kind != "keep":
+        k = draw(st.integers(0, m - 1))
+        hg.xi = [[{"left": a, "right": b, "constant": k}[kind] for b in range(m)]
+                 for a in range(m)]
+    return hg
+
+
+def outcome(f, hg):
+    """f(hg), or the type and message of the error it raised."""
+    try:
+        return f(hg)
+    except (AlgebraError, InternalInconsistencyError) as exc:
+        return type(exc), str(exc)
+
+
 class TestGroupQuasigroup:
     def test_z6_gives_group(self):
         _, _, _, hg = z6_example()
@@ -496,6 +532,12 @@ class TestGroupQuasigroup:
         )
         # xi constant: associative but P1 fails; not a group
         assert not is_group_quasigroup(hg)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(hg=xi_mutations())
+    def test_matches_group_table_oracle(self, hg):
+        assert outcome(is_group_quasigroup, hg) == outcome(
+            loop_oracles.is_group_quasigroup, hg)
 
     def test_normal_case_z6(self):
         g = cyclic_group(6)
