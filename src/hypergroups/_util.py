@@ -29,7 +29,10 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def as_int_matrix(rows: Any, name: str = "table") -> list[list[int]]:
-    """Coerce a nested sequence to list-of-list-of-int, rejecting junk."""
+    """Coerce a nested sequence or an array to list-of-list-of-int,
+    rejecting junk."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     if not isinstance(rows, (list, tuple)):
         raise TypeError(f"{name} must be a sequence of rows")
     out = []

@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from ._util import canonical_dumps
 from .core import (
     HypergroupOverGroup,
@@ -57,7 +59,7 @@ class Catalog:
     def insert(self, hg: HypergroupOverGroup, provenance: str) -> CatalogEntry:
         key = _invariant_key(hg)
         bucket = self._buckets.setdefault(key, [])
-        flags = key[3], key[4]  # is_group_quasigroup, _xi_commutative
+        flags = key[3], key[4]  # xi is a group, xi is commutative
         for class_id in bucket:
             iso = find_isomorphism(hg, self.class_reps[class_id])
             if iso is not None:
@@ -85,27 +87,6 @@ class Catalog:
         return len(self.class_reps)
 
 
-def _xi_commutative(hg: HypergroupOverGroup) -> bool:
-    return all(
-        hg.xi[a][b] == hg.xi[b][a]
-        for a in range(hg.m_size)
-        for b in range(a + 1, hg.m_size)
-    )
-
-
-def _psi_trivial(hg: HypergroupOverGroup) -> bool:
-    return all(
-        hg.psi[a][al] == al
-        for a in range(hg.m_size)
-        for al in range(hg.h.order)
-    )
-
-
-def _lam_trivial(hg: HypergroupOverGroup) -> bool:
-    eps = hg.h.identity
-    return all(v == eps for row in hg.lam for v in row)
-
-
 def _invariant_key(hg: HypergroupOverGroup) -> tuple:
     """Isomorphism-invariant bucket key for dedup.
 
@@ -120,7 +101,7 @@ def _invariant_key(hg: HypergroupOverGroup) -> tuple:
     key's bucket can only split.
     """
     mr, hr = range(hg.m_size), range(hg.h.order)
-    xi, lam, phi, psi = hg.xi, hg.lam, hg.phi, hg.psi
+    xi, lam, phi, psi = (t.tolist() for t in (hg.xi, hg.lam, hg.phi, hg.psi))
     hc = element_orders(hg.h)
     keys = _element_keys(hg)
     c = [hash(k) for k in keys]
@@ -140,10 +121,10 @@ def _invariant_key(hg: HypergroupOverGroup) -> tuple:
         hg.h.order,
         tuple(sorted(hc)),
         is_group_quasigroup(hg),
-        _xi_commutative(hg),
+        bool((hg.xi == hg.xi.T).all()),
         tuple(sorted(keys)),
-        _psi_trivial(hg),
-        _lam_trivial(hg),
+        bool((hg.psi == np.arange(hg.h.order)).all()),
+        bool((hg.lam == hg.h.identity).all()),
         tuple(sorted(c)),
     )
 
@@ -213,13 +194,12 @@ def _phi_candidates(h: FiniteGroup, m: int):
 
 def _cyclic_generator_of(h: FiniteGroup) -> int:
     orders = element_orders(h)
-    for al in range(h.order):
-        if orders[al] == h.order:
-            return al
-    raise SizeLimitExceededError(
-        "abstract enumeration requires a cyclic H (all groups of order "
-        "<= 3 are cyclic)"
-    )
+    if h.order not in orders:
+        raise SizeLimitExceededError(
+            "abstract enumeration requires a cyclic H (all groups of order "
+            "<= 3 are cyclic)"
+        )
+    return orders.index(h.order)
 
 
 def _psi_candidates(h: FiniteGroup, phi: list[list[int]], m: int):

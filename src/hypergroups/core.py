@@ -14,7 +14,10 @@ the unique H x M factorization.
 
 H-indices in psi/lam refer to a standalone copy of H on 0..|H|-1, so
 abstract hypergroups (loaded or enumerated, no ambient group) use the
-same representation as constructed ones.
+same representation as constructed ones. The four tables are stored
+only as read-only intp arrays, shape- and range-checked once when a
+HypergroupOverGroup is made; lists appear only in the JSON form that
+hypergroup_to_json writes.
 """
 
 from __future__ import annotations
@@ -106,38 +109,52 @@ class Ambient:
         return self.transversal.decomposition.coset_of[parent_element]
 
 
-@dataclass
+@dataclass(eq=False)
 class HypergroupOverGroup:
+    """The tables phi, psi, xi and lam as read-only intp arrays.
+
+    __post_init__ converts and checks each table once, through
+    _table_array: rows of the right length, values in [0, |M|) for phi
+    and xi and in [0, |H|) for psi and lam, and o in [0, |M|). A fault
+    raises MalformedTablesError, whether the hypergroup comes from
+    hypergroup_from_tables, standard_construction or
+    dataclasses.replace. A table cannot be written in place, so no
+    check or derived value can go stale; a changed hypergroup is a new
+    one, made with dataclasses.replace. Equality compares values.
+    """
+
     m_size: int
     h: FiniteGroup
-    phi: list[list[int]]
-    psi: list[list[int]]
-    xi: list[list[int]]
-    lam: list[list[int]]
+    phi: np.ndarray
+    psi: np.ndarray
+    xi: np.ndarray
+    lam: np.ndarray
     o: int
     ambient: Ambient | None = None
+
+    def __post_init__(self):
+        m, hn = self.m_size, self.h.order
+        for name, ncols, vrange in (("phi", hn, m), ("psi", hn, hn),
+                                    ("xi", m, m), ("lam", m, hn)):
+            table = _table_array(name, getattr(self, name), m, ncols, vrange)
+            table.flags.writeable = False
+            setattr(self, name, table)
+        if not 0 <= self.o < m:
+            raise MalformedTablesError("o", f"value {self.o} outside [0, {m})")
 
     @property
     def h_size(self) -> int:
         return self.h.order
 
-    def np_tables(self):
-        """(phi, psi, xi, lam, h table) as fresh intp arrays, shape- and
-        range-checked; raises MalformedTablesError on the first bad row,
-        cell or o, in table order."""
-        m, hn = self.m_size, self.h.order
-        out = tuple(
-            _table_array(name, rows, m, ncols, vrange)
-            for name, rows, ncols, vrange in (
-                ("phi", self.phi, hn, m),
-                ("psi", self.psi, hn, hn),
-                ("xi", self.xi, m, m),
-                ("lam", self.lam, m, hn),
-            )
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HypergroupOverGroup):
+            return NotImplemented
+        return (
+            (self.m_size, self.h, self.o, self.ambient)
+            == (other.m_size, other.h, other.o, other.ambient)
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in ("phi", "psi", "xi", "lam"))
         )
-        if not 0 <= self.o < m:
-            raise MalformedTablesError("o", f"value {self.o} outside [0, {m})")
-        return out + (np.asarray(self.h.table, dtype=np.intp),)
 
     def __repr__(self) -> str:
         return (
@@ -165,17 +182,22 @@ class AxiomReport:
 
 
 def _table_array(name: str, rows, nrows: int, ncols: int, vrange: int) -> np.ndarray:
-    """rows as an (nrows, ncols) intp array with values in [0, vrange);
-    the first fault in row-major order raises MalformedTablesError."""
-    if len(rows) != nrows:
-        raise MalformedTablesError(name, f"expected {nrows} rows, got {len(rows)}")
-    ragged = next((i for i, row in enumerate(rows) if len(row) != ncols), nrows)
-    try:
-        arr = np.array(rows[:ragged], dtype=np.intp).reshape(ragged, ncols)
-        in_range = bool(((arr >= 0) & (arr < vrange)).all())
-    except OverflowError:  # a value beyond intp is out of range anyway
-        in_range = False
-    if not in_range:
+    """rows as a new (nrows, ncols) intp array with values in [0, vrange);
+    the first fault in row-major order raises MalformedTablesError. An
+    integer array of that shape skips the row-by-row checks."""
+    if (isinstance(rows, np.ndarray) and rows.shape == (nrows, ncols)
+            and rows.dtype.kind in "iu"):
+        arr, ragged = rows.astype(np.intp), nrows
+    else:
+        rows = as_int_matrix(rows, name)
+        if len(rows) != nrows:
+            raise MalformedTablesError(name, f"expected {nrows} rows, got {len(rows)}")
+        ragged = next((i for i, row in enumerate(rows) if len(row) != ncols), nrows)
+        try:
+            arr = np.array(rows[:ragged], dtype=np.intp).reshape(ragged, ncols)
+        except OverflowError:  # a value beyond intp is out of range anyway
+            arr = None
+    if arr is None or not ((arr >= 0) & (arr < vrange)).all():
         i, j, v = next(
             (i, j, v) for i, row in enumerate(rows[:ragged])
             for j, v in enumerate(row) if not 0 <= v < vrange
@@ -202,18 +224,16 @@ def hypergroup_from_tables(
     ambient: Ambient | None = None,
 ) -> HypergroupOverGroup:
     """Shape- and range-validate tables; axioms are verify_axioms' job."""
-    hg = HypergroupOverGroup(
+    return HypergroupOverGroup(
         m_size=int(m_size),
         h=h,
-        phi=as_int_matrix(phi, "phi"),
-        psi=as_int_matrix(psi, "psi"),
-        xi=as_int_matrix(xi, "xi"),
-        lam=as_int_matrix(lam, "lam"),
+        phi=phi,
+        psi=psi,
+        xi=xi,
+        lam=lam,
         o=int(o),
         ambient=ambient,
     )
-    hg.np_tables()  # raises on a bad shape or range
-    return hg
 
 
 def standard_construction(group: FiniteGroup, h: Subgroup, transversal) -> HypergroupOverGroup:
@@ -258,10 +278,10 @@ def standard_construction(group: FiniteGroup, h: Subgroup, transversal) -> Hyper
     return HypergroupOverGroup(
         m_size=len(t.reps),
         h=h.as_group(),
-        phi=phi.tolist(),
-        psi=psi.tolist(),
-        xi=xi.tolist(),
-        lam=lam.tolist(),
+        phi=phi,
+        psi=psi,
+        xi=xi,
+        lam=lam,
         o=0,
         ambient=ambient,
     )
@@ -296,15 +316,14 @@ def verify_axioms(hg: HypergroupOverGroup) -> AxiomReport:
       A5: ht[lam[a][b]][lam[xi[a][b]][c]]
           == ht[psi[a][lam[b][c]]][lam[phi[a][lam[b][c]]][xi[b][c]]]
 
-    The tables are converted and validated once per call; a malformed
-    one raises MalformedTablesError. Each cubic relation is one
-    first_failure scan over blocks of leading a, which stops at the
-    first failing block. Memory: besides the tables, a block holds a
-    few intp temporaries of at most max(BLOCK_CELLS, |M|^2, |H|^2)
-    cells each (512 KiB for |M|, |H| <= 256), so the peak grows with
-    the square of the orders, not the cube.
+    Each cubic relation is one first_failure scan over blocks of leading
+    a, which stops at the first failing block. Memory: besides the
+    tables, a block holds a few intp temporaries of at most
+    max(BLOCK_CELLS, |M|^2, |H|^2) cells each (512 KiB for |M|, |H| <=
+    256), so the peak grows with the square of the orders, not the cube.
     """
-    phi, psi, xi, lam, ht = hg.np_tables()
+    phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
+    ht = np.asarray(hg.h.table, dtype=np.intp)
     m, hn = hg.m_size, hg.h.order
     eps = hg.h.identity
     o = hg.o
@@ -411,7 +430,7 @@ def quasigroup_divide(hg: HypergroupOverGroup, a: int, b: int) -> int:
     """The unique x with xi[x][a] = b, by column scan."""
     if not 0 <= a < hg.m_size or not 0 <= b < hg.m_size:
         raise IndexOutOfRangeError(f"({a}, {b}) outside M = [0, {hg.m_size})")
-    hits = [x for x in range(hg.m_size) if hg.xi[x][a] == b]
+    hits = np.flatnonzero(hg.xi[:, a] == b).tolist()
     if not hits:
         raise NoSolutionError(f"[x, {a}] = {b} has no solution (P1 violated)")
     if len(hits) > 1:
@@ -441,10 +460,10 @@ def lemma_solve(hg: HypergroupOverGroup, a: int, b: int) -> int:
     )
     ah = amb.h_index(ah_parent)
     am = amb.m_index(am_parent)
-    x = hg.xi[hg.phi[b][ah]][am]
+    x = int(hg.xi[hg.phi[b, ah], am])
 
     ht = hg.h.table
-    companion = ht[ht[hg.lam[x][a]][hg.psi[b][ah]]][hg.lam[hg.phi[b][ah]][am]]
+    companion = ht[ht[hg.lam[x, a]][hg.psi[b, ah]]][hg.lam[hg.phi[b, ah], am]]
     if companion != hg.h.identity:
         raise InternalInconsistencyError(
             f"companion condition (F3) fails at (a, b) = ({a}, {b}): "
@@ -573,11 +592,10 @@ def is_group_quasigroup(hg: HypergroupOverGroup) -> bool:
     associative right quasigroup with a left neutral is a group, so
     associativity plus P1 must yield a Latin square or the structure is
     internally inconsistent."""
-    m = hg.m_size
-    xi = _table_array("xi", hg.xi, m, m, m)
+    xi = hg.xi
     if first_nonassociative(xi) is not None:
         return False
-    if (np.sort(np.vstack((xi, xi.T)), axis=1) == np.arange(m)).all():
+    if (np.sort(np.vstack((xi, xi.T)), axis=1) == np.arange(hg.m_size)).all():
         return True  # every row and every column is a permutation
     if verify_axioms(hg).checks["P1"].ok:
         raise InternalInconsistencyError(
@@ -629,8 +647,7 @@ def check_normal_case(
     transversals = sample_transversals(group, h, cap=transversal_cap, seed=seed)
     for tidx, t in enumerate(transversals):
         hg = standard_construction(group, h, t)
-        phi, _, _, _, _ = hg.np_tables()
-        w = _first_mismatch(phi, np.arange(hg.m_size, dtype=np.intp)[:, None])
+        w = _first_mismatch(hg.phi, np.arange(hg.m_size, dtype=np.intp)[:, None])
         if w is not None and checks["phi_trivial"].ok:
             checks["phi_trivial"] = CheckResult(
                 False, (tidx,) + w,
@@ -673,10 +690,10 @@ def hypergroup_to_json(hg: HypergroupOverGroup) -> dict:
     data = {
         "m_size": hg.m_size,
         "h": group_to_json(hg.h),
-        "phi": hg.phi,
-        "psi": hg.psi,
-        "xi": hg.xi,
-        "lam": hg.lam,
+        "phi": hg.phi.tolist(),
+        "psi": hg.psi.tolist(),
+        "xi": hg.xi.tolist(),
+        "lam": hg.lam.tolist(),
         "o": hg.o,
     }
     if hg.ambient is not None:

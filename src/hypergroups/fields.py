@@ -22,7 +22,7 @@ from .errors import (
     SizeLimitExceededError,
     UnknownSpecError,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, element_orders
 
 MAX_FIELD_ORDER = 512
 MAX_PRIME = 97
@@ -263,21 +263,9 @@ def multiplicative_group(f: FiniteField) -> FiniteGroup:
         order=n, table=table, identity=f.one - 1, inverse=inverse,
         name=f"{f.name}*",
     )
-    if _cyclic_generator(group) is None:
+    if n not in element_orders(group):
         raise InternalInconsistencyError(f"{group.name} is not cyclic")
     return group
-
-
-def _cyclic_generator(group: FiniteGroup) -> int | None:
-    for x in range(group.order):
-        y = x
-        k = 1
-        while y != group.identity:
-            y = group.table[y][x]
-            k += 1
-        if k == group.order:
-            return x
-    return None
 
 
 def check_field_tables(
@@ -383,31 +371,19 @@ def field_isomorphism(f1: FiniteField, f2: FiniteField) -> list[int] | None:
 
     Sends a multiplicative generator of f1 to each element of the same
     multiplicative order in f2 (ascending), extends multiplicatively,
-    and keeps the first map that is also additive.
+    and keeps the first map that is also additive. Both must be fields:
+    multiplicative_group raises if either has zero divisors or a
+    multiplicative group that is not cyclic.
     """
     if f1.q != f2.q:
         return None
-
-    def mult_order(f, a):
-        k = 1
-        y = a
-        while y != f.one:
-            y = f.mul[y][a]
-            k += 1
-        return k
-
-    g1 = None
-    for a in range(1, f1.q):
-        if mult_order(f1, a) == f1.q - 1:
-            g1 = a
-            break
-    if g1 is None:
-        return None
+    n = f1.q - 1
+    # element h of a multiplicative group is field element h + 1
+    orders1, orders2 = (element_orders(multiplicative_group(f)) for f in (f1, f2))
+    g1 = orders1.index(n) + 1
     add1 = np.asarray(f1.add, dtype=np.intp)
     add2 = np.asarray(f2.add, dtype=np.intp)
-    for cand in range(1, f2.q):
-        if mult_order(f2, cand) != f2.q - 1:
-            continue
+    for cand in (h + 1 for h, k in enumerate(orders2) if k == n):
         mapping = [f2.zero] * f1.q
         mapping[f1.one] = f2.one
         x = f1.one

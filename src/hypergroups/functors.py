@@ -234,7 +234,8 @@ def reconstruct_field(
     m = hg.m_size
     hn = hg.h.order
     eps = hg.h.identity
-    phi, psi, xi, lam, ht = hg.np_tables()
+    phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
+    ht = np.asarray(hg.h.table, dtype=np.intp)
 
     first = _first_mismatch(psi, np.arange(hn))
     if first is not None:
@@ -242,7 +243,7 @@ def reconstruct_field(
         return FieldReconstruction(
             status="PsiNotTrivial",
             witness=(a, al),
-            detail=f"psi[{a}][{al}] = {hg.psi[a][al]} != {al}",
+            detail=f"psi[{a}][{al}] = {psi[a, al]} != {al}",
         )
     first = _first_mismatch(lam, eps)
     if first is not None:
@@ -250,11 +251,11 @@ def reconstruct_field(
         return FieldReconstruction(
             status="LamNotTrivial",
             witness=(a, b),
-            detail=f"lam[{a}][{b}] = {hg.lam[a][b]} != {eps}",
+            detail=f"lam[{a}][{b}] = {lam[a, b]} != {eps}",
         )
 
     try:
-        xi_group = group_from_cayley_table(hg.xi)
+        xi_group = group_from_cayley_table(xi)
     except AlgebraError as exc:
         return FieldReconstruction(
             status="XiNotAbelianGroup",

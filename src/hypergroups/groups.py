@@ -421,13 +421,7 @@ def _close(group: FiniteGroup, seed: frozenset[int]) -> frozenset[int]:
 
 
 def is_normal(subgroup: Subgroup) -> bool:
-    g = subgroup.parent
-    for x in range(g.order):
-        xinv = g.inverse[x]
-        for h in subgroup.elements:
-            if not subgroup.contains(g.table[g.table[x][h]][xinv]):
-                return False
-    return True
+    return _normality_witness(subgroup) is None
 
 
 def right_cosets(group: FiniteGroup, h: Subgroup) -> CosetDecomposition:
@@ -449,8 +443,8 @@ def right_cosets(group: FiniteGroup, h: Subgroup) -> CosetDecomposition:
 
 
 def quotient_group(group: FiniteGroup, h: Subgroup) -> FiniteGroup:
-    if not is_normal(h):
-        witness = _normality_witness(h)
+    witness = _normality_witness(h)
+    if witness is not None:
         raise NotNormalError(witness)
     dec = right_cosets(group, h)
     n = len(dec.cosets)

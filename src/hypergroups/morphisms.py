@@ -87,63 +87,67 @@ def verify_morphism(m: HgMorphism) -> MorphismReport:
         raise ShapeMismatchError("f0 value outside the target H")
     if any(not 0 <= v < dst.m_size for v in m.f1):
         raise ShapeMismatchError("f1 value outside the target M")
-    f0, f1 = m.f0, m.f1
-    ht, ht2 = src.h.table, dst.h.table
-    for al in range(src.h.order):
-        for be in range(src.h.order):
+    return _first_failed_square(m.f0, m.f1, src.h.table, dst.h.table,
+                                _table_lists(src), _table_lists(dst))
+
+
+def _table_lists(hg: HypergroupOverGroup) -> list[list[list[int]]]:
+    """phi, psi, xi and lam as lists, for the pure-Python loops."""
+    return [t.tolist() for t in (hg.phi, hg.psi, hg.xi, hg.lam)]
+
+
+def _first_failed_square(f0, f1, ht, ht2, tables1, tables2) -> MorphismReport:
+    """The scan of verify_morphism, on _table_lists of source and target."""
+    phi1, psi1, xi1, lam1 = tables1
+    phi2, psi2, xi2, lam2 = tables2
+    hn, m = len(ht), len(phi1)
+    for al in range(hn):
+        for be in range(hn):
             if f0[ht[al][be]] != ht2[f0[al]][f0[be]]:
                 return MorphismReport(False, "f0_homomorphism", (al, be))
-    for a in range(src.m_size):
+    for a in range(m):
         fa = f1[a]
-        for al in range(src.h.order):
-            if f1[src.phi[a][al]] != dst.phi[fa][f0[al]]:
+        for al in range(hn):
+            if f1[phi1[a][al]] != phi2[fa][f0[al]]:
                 return MorphismReport(False, "phi_square", (a, al))
-            if f0[src.psi[a][al]] != dst.psi[fa][f0[al]]:
+            if f0[psi1[a][al]] != psi2[fa][f0[al]]:
                 return MorphismReport(False, "psi_square", (a, al))
-    for a in range(src.m_size):
+    for a in range(m):
         fa = f1[a]
-        for b in range(src.m_size):
-            if f1[src.xi[a][b]] != dst.xi[fa][f1[b]]:
+        for b in range(m):
+            if f1[xi1[a][b]] != xi2[fa][f1[b]]:
                 return MorphismReport(False, "xi_square", (a, b))
-            if f0[src.lam[a][b]] != dst.lam[fa][f1[b]]:
+            if f0[lam1[a][b]] != lam2[fa][f1[b]]:
                 return MorphismReport(False, "lam_square", (a, b))
     return MorphismReport(True)
 
 
-def _phi_orbit_sizes(hg: HypergroupOverGroup) -> list[int]:
-    """Size of each element's orbit under the H-action phi."""
-    sizes = []
-    for a in range(hg.m_size):
-        orbit = {hg.phi[a][al] for al in range(hg.h.order)}
-        sizes.append(len(orbit))
-    return sizes
-
-
-def _xi_column_cycle_type(hg: HypergroupOverGroup, a: int) -> tuple[int, ...]:
-    """Cycle type of x -> xi[x][a]; relabeling-invariant when columns
-    are permutations, and harmless (just a fingerprint) when not."""
-    seen = [False] * hg.m_size
+def _xi_column_cycle_type(column: list[int]) -> tuple[int, ...]:
+    """Cycle type of x -> column[x], with column = xi[.][a];
+    relabeling-invariant when columns are permutations, and harmless
+    (just a fingerprint) when not."""
+    seen = [False] * len(column)
     lengths = []
-    for start in range(hg.m_size):
+    for start in range(len(column)):
         if seen[start]:
             continue
         length = 0
         x = start
         while not seen[x]:
             seen[x] = True
-            x = hg.xi[x][a]
+            x = column[x]
             length += 1
-            if length > hg.m_size:
-                break
         lengths.append(length)
     return tuple(sorted(lengths))
 
 
 def _element_keys(hg: HypergroupOverGroup) -> list[tuple]:
-    orbits = _phi_orbit_sizes(hg)
+    """Per element a: the size of its phi-orbit, the cycle type of its
+    xi column, and whether it is o."""
+    columns = hg.xi.T.tolist()
     return [
-        (orbits[a], _xi_column_cycle_type(hg, a), a == hg.o)
-        for a in range(hg.m_size)
+        (len(set(row)), _xi_column_cycle_type(columns[a]), a == hg.o)
+        for a, row in enumerate(hg.phi.tolist())
     ]
 
 
@@ -174,6 +178,9 @@ def find_isomorphism(
     candidates = [
         [b for b in range(m) if keys2[b] == keys1[a]] for a in range(m)
     ]
+    tables1, tables2 = _table_lists(hg), _table_lists(hg2)
+    phi1, psi1, xi1, lam1 = tables1
+    phi2, psi2, xi2, lam2 = tables2
 
     for f0 in group_isomorphisms(hg.h, hg2.h):
         f1 = [-1] * m
@@ -192,9 +199,9 @@ def find_isomorphism(
                 x = queue.pop()
                 fx = f1[x]
                 for al in range(hn):
-                    if f0[hg.psi[x][al]] != hg2.psi[fx][f0[al]]:
+                    if f0[psi1[x][al]] != psi2[fx][f0[al]]:
                         return False
-                    y, fy = hg.phi[x][al], hg2.phi[fx][f0[al]]
+                    y, fy = phi1[x][al], phi2[fx][f0[al]]
                     if f1[y] < 0:
                         if used[fy]:
                             return False
@@ -211,9 +218,9 @@ def find_isomorphism(
                     for u, v, fu, fv in (
                         (x, z, fx, fz), (z, x, fz, fx)
                     ):
-                        if f0[hg.lam[u][v]] != hg2.lam[fu][fv]:
+                        if f0[lam1[u][v]] != lam2[fu][fv]:
                             return False
-                        y, fy = hg.xi[u][v], hg2.xi[fu][fv]
+                        y, fy = xi1[u][v], xi2[fu][fv]
                         if f1[y] < 0:
                             if used[fy]:
                                 return False
@@ -255,14 +262,14 @@ def find_isomorphism(
             continue
         result = search()
         if result is not None:
-            morphism = HgMorphism(source=hg, target=hg2, f0=list(f0), f1=result)
-            report = verify_morphism(morphism)
+            report = _first_failed_square(f0, result, hg.h.table, hg2.h.table,
+                                          tables1, tables2)
             if not report.ok:
                 raise InternalInconsistencyError(
                     f"isomorphism search returned a non-morphism "
                     f"({report.failed} at {report.witness})"
                 )
-            return morphism
+            return HgMorphism(source=hg, target=hg2, f0=list(f0), f1=result)
         undo(trail0)
     return None
 

@@ -65,34 +65,6 @@ def is_right_transversal(group: FiniteGroup, h: Subgroup, candidate) -> bool:
     return all(c == 1 for c in hits)
 
 
-def _bijection_characterization(group: FiniteGroup, h: Subgroup, candidate) -> bool:
-    """(alpha, a) -> alpha*a is a bijection H x candidate -> G."""
-    members = list(candidate)
-    if len(h.elements) * len(members) != group.order:
-        return False
-    seen = set()
-    for alpha in h.elements:
-        row = group.table[alpha]
-        for a in members:
-            seen.add(row[a])
-    return len(seen) == group.order
-
-
-def _section_characterization(group: FiniteGroup, h: Subgroup, candidate) -> bool:
-    """candidate is the image of a section of the factor map G -> H\\G."""
-    members = list(candidate)
-    dec = _cosets(group, h)
-    sigma: dict[int, int] = {}
-    for x in members:
-        if not 0 <= x < group.order:
-            return False
-        c = dec.coset_of[x]
-        if c in sigma:
-            return False
-        sigma[c] = x
-    return len(sigma) == len(dec.cosets)
-
-
 def make_transversal(group: FiniteGroup, h: Subgroup, reps) -> Transversal:
     """Validate reps as a transversal and order them by coset index."""
     members = [int(x) for x in reps]

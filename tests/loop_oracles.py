@@ -3,8 +3,10 @@
 Each function here is the straightforward scan the library's numpy code
 must agree with: same check order, same first witness in scan order.
 They are slow (q^3 Python steps) and only tests import them. The last
-two are earlier, slower versions of library code kept as references:
-the group test on xi and the abstract lambda search without pruning.
+four are other routes to library answers kept as references: the group
+test on xi and the abstract lambda search without pruning, both earlier
+versions of library code, and two characterizations of a right
+transversal.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import product
 from hypergroups import (AlgebraError, FiniteField, InternalInconsistencyError,
                          group_from_cayley_table, make_field)
 from hypergroups import core
-from hypergroups.groups import first_nonassociative
+from hypergroups.groups import first_nonassociative, right_cosets
 
 
 def check_field_tables(add, mul, zero, one, require_commutative_mul=True):
@@ -179,20 +181,21 @@ def reconstruct_field(hg, require_abelian_h=True):
     hn = hg.h.order
     ht = hg.h.table
     eps = hg.h.identity
+    phi, psi, xi, lam = (t.tolist() for t in (hg.phi, hg.psi, hg.xi, hg.lam))
     for a in range(m):
         for al in range(hn):
-            if hg.psi[a][al] != al:
+            if psi[a][al] != al:
                 return {"status": "PsiNotTrivial", "witness": (a, al)}
     for a in range(m):
         for b in range(m):
-            if hg.lam[a][b] != eps:
+            if lam[a][b] != eps:
                 return {"status": "LamNotTrivial", "witness": (a, b)}
-    failed, witness, identity = cayley_failure(hg.xi)
+    failed, witness, identity = cayley_failure(xi)
     if failed:
         return {"status": "XiNotAbelianGroup", "witness": witness}
     for a in range(m):
         for b in range(a + 1, m):
-            if hg.xi[a][b] != hg.xi[b][a]:
+            if xi[a][b] != xi[b][a]:
                 return {"status": "XiNotAbelianGroup", "witness": (a, b)}
     if identity != hg.o:
         return {"status": "XiNotAbelianGroup", "witness": (identity,)}
@@ -204,10 +207,10 @@ def reconstruct_field(hg, require_abelian_h=True):
     for al in range(hn):
         for a in range(m):
             for b in range(m):
-                if (hg.phi[hg.xi[a][b]][al]
-                        != hg.xi[hg.phi[a][al]][hg.phi[b][al]]):
+                if (phi[xi[a][b]][al]
+                        != xi[phi[a][al]][phi[b][al]]):
                     return {"status": "PhiNotEndomorphism", "witness": (al, a, b)}
-    t = [[hg.phi[a][al] for a in range(m)] for al in range(hn)]
+    t = [[phi[a][al] for a in range(m)] for al in range(hn)]
     for al in range(hn):
         for be in range(al + 1, hn):
             if t[al] == t[be]:
@@ -221,7 +224,7 @@ def reconstruct_field(hg, require_abelian_h=True):
     add = [[0] * nk for _ in range(nk)]
     for i in range(nk):
         for j in range(nk):
-            s = tuple(hg.xi[k_endos[i][a]][k_endos[j][a]] for a in range(m))
+            s = tuple(xi[k_endos[i][a]][k_endos[j][a]] for a in range(m))
             if s not in index_of:
                 return {"status": "NotAdditivelyClosed", "witness": (i, j),
                         "sum": list(s), "k_endomorphisms": k_endos}
@@ -259,7 +262,7 @@ def verify_axioms(hg):
     failing index tuple is the witness.
     """
     m, hn = hg.m_size, hg.h.order
-    phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
+    phi, psi, xi, lam = (t.tolist() for t in (hg.phi, hg.psi, hg.xi, hg.lam))
     ht, eps, o = hg.h.table, hg.h.identity, hg.o
     M, H = range(m), range(hn)
     passed = (True, None, "")
@@ -438,3 +441,31 @@ def lambda_candidates(h, xi, phi, psi, m):
             undo(trail)
 
     yield from search(0)
+
+
+def bijection_characterization(group, h, candidate):
+    """(alpha, a) -> alpha*a is a bijection H x candidate -> G."""
+    members = list(candidate)
+    if len(h.elements) * len(members) != group.order:
+        return False
+    seen = set()
+    for alpha in h.elements:
+        row = group.table[alpha]
+        for a in members:
+            seen.add(row[a])
+    return len(seen) == group.order
+
+
+def section_characterization(group, h, candidate):
+    """candidate is the image of a section of the factor map G -> H\\G."""
+    members = list(candidate)
+    dec = right_cosets(group, h)
+    sigma: dict[int, int] = {}
+    for x in members:
+        if not 0 <= x < group.order:
+            return False
+        c = dec.coset_of[x]
+        if c in sigma:
+            return False
+        sigma[c] = x
+    return len(sigma) == len(dec.cosets)

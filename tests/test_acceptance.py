@@ -388,7 +388,7 @@ def test_criterion_10_mutation_sensitivity():
     ]
     bad = []
     for axiom, tb, i, j, v, expected in mutations:
-        tabs = {k: [row[:] for row in getattr(base, k)]
+        tabs = {k: getattr(base, k).tolist()
                 for k in ("phi", "psi", "xi", "lam")}
         assert tabs[tb][i][j] != v
         tabs[tb][i][j] = v

@@ -246,7 +246,8 @@ class TestExport:
             raw = (tmp_path / "out" / f"class_{i:04d}.json").read_text()
             assert raw.endswith("\n")
             back = hypergroup_from_json(json.loads(raw))
-            assert back.xi == rep.xi and back.lam == rep.lam
+            assert back.xi.tolist() == rep.xi.tolist()
+            assert back.lam.tolist() == rep.lam.tolist()
 
     def test_export_byte_identical_across_runs(self, tmp_path):
         export_catalog(sweep_standard(4), tmp_path / "a")

@@ -7,6 +7,7 @@ fresh interpreter, as the installer-generated wrapper would, so it needs
 no install.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -185,14 +186,15 @@ class TestIso:
         perm = [1, 2, 0]
         inv = [perm.index(i) for i in range(3)]
         other = hypergroup_to_json(hg)
+        phi, psi, xi, lam = (other[k] for k in ("phi", "psi", "xi", "lam"))
         other["o"] = perm[hg.o]
-        other["phi"] = [[perm[hg.phi[inv[a]][al]] for al in range(2)]
+        other["phi"] = [[perm[phi[inv[a]][al]] for al in range(2)]
                         for a in range(3)]
-        other["psi"] = [[hg.psi[inv[a]][al] for al in range(2)]
+        other["psi"] = [[psi[inv[a]][al] for al in range(2)]
                         for a in range(3)]
-        other["xi"] = [[perm[hg.xi[inv[a]][inv[b]]] for b in range(3)]
+        other["xi"] = [[perm[xi[inv[a]][inv[b]]] for b in range(3)]
                        for a in range(3)]
-        other["lam"] = [[hg.lam[inv[a]][inv[b]] for b in range(3)]
+        other["lam"] = [[lam[inv[a]][inv[b]] for b in range(3)]
                         for a in range(3)]
         other.pop("ambient", None)
         f2 = tmp_path / "relabeled.json"
@@ -370,3 +372,89 @@ class TestExitCodesAndDeterminism:
     def test_json_outputs_end_with_newline(self, capsys):
         run(["--format", "json", "group", "info", "Z2"])
         assert capsys.readouterr().out.endswith("\n")
+
+
+def _frozen_calls(tmp_path):
+    """{name: argv} of CLI calls whose exit code and stdout are frozen.
+
+    The inputs are written by the CLI and edited as JSON lists, so they
+    do not depend on how the library stores its tables: an S3 hypergroup
+    over {0,1} with two xi cells of one column swapped (A2, A4 and A5
+    fail with witnesses), a relabelled copy of the unedited one, the Z6
+    example, a certificate that collapses H, and the group functor image
+    of Z3, which is no field.
+    """
+    def construct(name, *argv):
+        path = tmp_path / name
+        assert run(["hg", "construct", *argv, "-o", str(path)]) == 0
+        return json.loads(path.read_text()), str(path)
+
+    def write(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    s3, s3_file = construct("s3.json", "--group", "S3", "--subgroup", "1",
+                            "--transversal", "auto")
+    _, z6_file = construct("z6.json", "--group", "Z6", "--subgroup", "3",
+                           "--transversal", "0,1,2")
+    swapped = json.loads(json.dumps(s3))
+    xi = swapped["xi"]
+    xi[1][1], xi[2][1] = xi[2][1], xi[1][1]
+    swapped_file = write("swapped.json", swapped)
+    neutral = json.loads(json.dumps(s3))
+    neutral["xi"][0][1] = 0  # the left neutral row and column 1 break
+    neutral_file = write("neutral.json", neutral)
+    perm = [2, 0, 1]
+    inv = [perm.index(i) for i in range(3)]
+    relabelled = {
+        "m_size": 3, "h": s3["h"], "o": perm[s3["o"]],
+        "phi": [[perm[s3["phi"][inv[a]][al]] for al in range(2)] for a in range(3)],
+        "psi": [[s3["psi"][inv[a]][al] for al in range(2)] for a in range(3)],
+        "xi": [[perm[s3["xi"][inv[a]][inv[b]]] for b in range(3)] for a in range(3)],
+        "lam": [[s3["lam"][inv[a]][inv[b]] for b in range(3)] for a in range(3)],
+    }
+    relabelled_file = write("relabelled.json", relabelled)
+    collapse_file = write("collapse.json", {"f0": [0, 0], "f1": [0, 1, 2]})
+    fg3_file = str(tmp_path / "fg3.json")
+    assert run(["functor", "group", "Z3", "-o", fg3_file]) == 0
+    return {
+        "verify_text": ["hg", "verify", swapped_file],
+        "verify_json": ["--format", "json", "hg", "verify", swapped_file],
+        "verify_neutral_text": ["hg", "verify", neutral_file],
+        "solve_divide": ["--format", "json", "hg", "solve", z6_file,
+                         "--a", "1", "--b", "0"],
+        "solve_lemma": ["--format", "json", "hg", "solve", z6_file,
+                        "--a", "1", "--b", "0", "--lemma"],
+        "iso_relabelled": ["--format", "json", "hg", "iso", s3_file,
+                           relabelled_file],
+        "morphism_text": ["hg", "morphism", z6_file, z6_file, collapse_file],
+        "morphism_json": ["--format", "json", "hg", "morphism", z6_file,
+                          z6_file, collapse_file],
+        "reconstruct_text": ["reconstruct-field", fg3_file],
+    }
+
+
+# (exit code, sha256 of stdout) of each call in _frozen_calls, taken
+# when the tables were still stored as lists
+FROZEN_CLI = {
+    "iso_relabelled": (0, "aa792ae22dccf49a791157da878fa37f6b1cceaaee7fde8ab88500fded48ff63"),
+    "morphism_json": (1, "cf62485de3a58c97f968705228e64bc43e82368e433d6e35fa490ffb86798e3d"),
+    "morphism_text": (1, "4ec9dfa01a26375bbcc5e179d08d6239683d67317af6cffacff97b4946b38af8"),
+    "reconstruct_text": (1, "bf89e770d079c2f85c94ceccac5b990cf65a87cd31cf06a1a9f690ca1c85cfe6"),
+    "solve_divide": (0, "b3d4beb7179bf99036d095cda5a06b0bdb831ea0807d81fab2530e34c1441d5b"),
+    "solve_lemma": (0, "9b35a319906d0f8dea4e05dd2b39abbb5169e0af6356be5f1e061d00e6451ccd"),
+    "verify_json": (1, "73afd4a19295ce8d739655ddb27a41b018db7cddccb9ef630fb7278d545537e6"),
+    "verify_neutral_text": (1, "7118117edc6aba49be2153995f8805f943d1d2ab71ef61d59ee22f948a0c786b"),
+    "verify_text": (1, "292de99a7d1de92be26f8c803eeae4a99de5d34b0e1dbce6e79a888df60ba648"),
+}
+
+
+class TestFrozenCliOutputs:
+    @pytest.mark.parametrize("name", sorted(FROZEN_CLI))
+    def test_exit_code_and_stdout(self, name, tmp_path, capsys):
+        argv = _frozen_calls(tmp_path)[name]
+        capsys.readouterr()
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == FROZEN_CLI[name]

@@ -9,14 +9,15 @@ by hand from the Z6 / S3 examples and are re-derived here by those
 oracles on every run.
 """
 
-import copy
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,7 @@ from hypergroups import (
     builtin_groups,
     check_derived_identities,
     check_normal_case,
+    compose,
     cyclic_group,
     enumerate_subgroups,
     enumerate_transversals,
@@ -44,6 +46,7 @@ from hypergroups import (
     hypergroup_from_json,
     hypergroup_from_tables,
     hypergroup_to_json,
+    identity_morphism,
     is_group_quasigroup,
     lemma_solve,
     make_transversal,
@@ -117,6 +120,14 @@ def all_small_hypergroups(max_order):
                 yield g, h, t
 
 
+def with_cell(hg, name, i, j, v):
+    """hg with cell (i, j) of one table set to v: a new hypergroup, made
+    by dataclasses.replace so the tables are checked again."""
+    table = getattr(hg, name).tolist()
+    table[i][j] = v
+    return replace(hg, **{name: table})
+
+
 def z6_example():
     g = cyclic_group(6)
     h = subgroup_from_elements(g, [0, 3])
@@ -132,10 +143,10 @@ class TestStandardConstruction:
     def test_z6_frozen_tables(self):
         g, h, t, hg = z6_example()
         # 1+2 = 3 = 3*0 in Z6: M-part index 0, H-part 3 (subgroup index 1)
-        assert hg.xi == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-        assert hg.lam == [[0, 0, 0], [0, 0, 1], [0, 1, 1]]
-        assert hg.phi == [[0, 0], [1, 1], [2, 2]]  # abelian: trivial
-        assert hg.psi == [[0, 1], [0, 1], [0, 1]]
+        assert hg.xi.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        assert hg.lam.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 1]]
+        assert hg.phi.tolist() == [[0, 0], [1, 1], [2, 2]]  # abelian: trivial
+        assert hg.psi.tolist() == [[0, 1], [0, 1], [0, 1]]
         assert hg.o == 0
         assert hg.xi[1][2] == 0
         assert hg.lam[1][2] == 1
@@ -146,10 +157,10 @@ class TestStandardConstruction:
             hg = standard_construction(g, h, t)
             phi, psi, xi, lam = oracle_standard_tables(g, h, t)
             label = (g.name, h.elements, t.reps)
-            assert hg.phi == phi, label
-            assert hg.psi == psi, label
-            assert hg.xi == xi, label
-            assert hg.lam == lam, label
+            assert hg.phi.tolist() == phi, label
+            assert hg.psi.tolist() == psi, label
+            assert hg.xi.tolist() == xi, label
+            assert hg.lam.tolist() == lam, label
             assert hg.o == 0  # identity coset is always coset 0
 
     def test_raw_reps_accepted(self):
@@ -157,7 +168,8 @@ class TestStandardConstruction:
         h = subgroup_from_elements(g, [0, 3])
         hg1 = standard_construction(g, h, [0, 1, 2])
         hg2 = standard_construction(g, h, make_transversal(g, h, [0, 1, 2]))
-        assert hg1.xi == hg2.xi and hg1.lam == hg2.lam
+        assert hg1.xi.tolist() == hg2.xi.tolist()
+        assert hg1.lam.tolist() == hg2.lam.tolist()
 
     def test_rejects_non_transversal(self):
         g = cyclic_group(6)
@@ -183,8 +195,8 @@ class TestStandardConstruction:
         # H = {e}: M = G and xi is the group table
         h = subgroup_from_elements(g, [0])
         hg = standard_construction(g, h, list(range(6)))
-        assert hg.xi == [list(r) for r in g.table]
-        assert all(v == 0 for row in hg.lam for v in row)
+        assert hg.xi.tolist() == [list(r) for r in g.table]
+        assert all(v == 0 for row in hg.lam.tolist() for v in row)
 
 
 # --------------------------------------------------------------------
@@ -219,22 +231,21 @@ class TestVerifyAxioms:
                     for v in range(sizes[tname]):
                         if v == base[i][j]:
                             continue
-                        mutated = copy.deepcopy(hg)
-                        getattr(mutated, tname)[i][j] = v
+                        mutated = with_cell(hg, tname, i, j, v)
                         got = results(verify_axioms(mutated))
                         expect = loop_oracles.verify_axioms(mutated)
                         assert got == expect, (tname, i, j, v)
 
     def test_p1_neutral_witness(self):
         _, _, _, hg = z6_example()
-        hg.xi[0][1] = 0
+        hg = with_cell(hg, "xi", 0, 1, 0)
         rep = verify_axioms(hg)
         assert not rep.checks["P1"].ok
         assert rep.checks["P1"].witness == (0, 1)
 
     def test_p1_column_witness(self):
         _, _, _, hg = z6_example()
-        hg.xi[1][1] = 0  # column 1 becomes (1, 0, 0)
+        hg = with_cell(hg, "xi", 1, 1, 0)  # column 1 becomes (1, 0, 0)
         rep = verify_axioms(hg)
         assert not rep.checks["P1"].ok
         x1, x2, a = rep.checks["P1"].witness
@@ -242,29 +253,29 @@ class TestVerifyAxioms:
 
     def test_p2_unit_witness(self):
         _, _, _, hg = z6_example()
-        hg.phi[2][0] = 0
+        hg = with_cell(hg, "phi", 2, 0, 0)
         rep = verify_axioms(hg)
         assert rep.checks["P2"].witness == (2,)
 
     def test_p3_witness(self):
         _, _, _, hg = z6_example()
-        hg.psi[0][1] = 0  # image of psi[o] loses 1
+        hg = with_cell(hg, "psi", 0, 1, 0)  # image of psi[o] loses 1
         rep = verify_axioms(hg)
         assert not rep.checks["P3"].ok
         assert rep.checks["P3"].witness == (1,)
 
     def test_failing_list(self):
         _, _, _, hg = z6_example()
-        hg.xi[0][1] = 0
+        hg = with_cell(hg, "xi", 0, 1, 0)
         rep = verify_axioms(hg)
         assert "P1" in rep.failing() and not rep.overall
 
     def test_malformed_shapes(self):
         g, h, t, hg = z6_example()
-        bad = copy.deepcopy(hg)
-        bad.phi[1] = [1]  # ragged
+        phi = hg.phi.tolist()
+        phi[1] = [1]  # ragged
         with pytest.raises(MalformedTablesError):
-            verify_axioms(bad)
+            replace(hg, phi=phi)
         with pytest.raises(MalformedTablesError) as ei:
             hypergroup_from_tables(
                 3, hg.h, hg.phi, hg.psi,
@@ -286,9 +297,10 @@ class TestVerifyAxioms:
     ])
     def test_malformed_cell_messages(self, table, row, cells, location, message):
         _, _, _, hg = z6_example()
-        getattr(hg, table)[row] = cells
+        rows = getattr(hg, table).tolist()
+        rows[row] = cells
         with pytest.raises(MalformedTablesError) as ei:
-            verify_axioms(hg)
+            replace(hg, **{table: rows})
         assert (ei.value.location, str(ei.value)) == (
             location, f"{location}: {message}")
 
@@ -296,35 +308,40 @@ class TestVerifyAxioms:
         # a bad value before a ragged row is reported first, and the
         # row count before either
         _, _, _, hg = z6_example()
-        hg.xi[0] = [0, 1, 5]
-        hg.xi[1] = [1]
+        xi = hg.xi.tolist()
+        xi[0] = [0, 1, 5]
+        xi[1] = [1]
         with pytest.raises(MalformedTablesError, match=r"^xi\[0\]\[2\]: "):
-            verify_axioms(hg)
-        hg.xi[0] = [0, 1, 2]
+            replace(hg, xi=xi)
+        xi[0] = [0, 1, 2]
         with pytest.raises(MalformedTablesError, match=r"^xi\[1\]: expected 3 columns"):
-            verify_axioms(hg)
-        hg.xi.append([0, 1, 2])
+            replace(hg, xi=xi)
+        xi.append([0, 1, 2])
         with pytest.raises(MalformedTablesError, match=r"^xi: expected 3 rows, got 4$"):
-            verify_axioms(hg)
-        _, _, _, hg = z6_example()
-        hg.o = 3
+            replace(hg, xi=xi)
         with pytest.raises(MalformedTablesError,
                            match=r"^o: value 3 outside \[0, 3\)$"):
-            verify_axioms(hg)
+            replace(hg, o=3)
 
     def test_tables_edited_after_a_verify_are_reread(self):
         g = symmetric_group(3)
         h = subgroup_from_elements(g, [0, 1])
         hg = standard_construction(g, h, enumerate_transversals(g, h)[0])
         assert verify_axioms(hg).overall
-        hg.xi[1][1], hg.xi[2][1] = hg.xi[2][1], hg.xi[1][1]
-        report = verify_axioms(hg)
+        # the tables are read-only, so a verified hypergroup stays verified
+        with pytest.raises(ValueError, match="read-only"):
+            hg.xi[1, 1], hg.xi[2, 1] = hg.xi[2, 1], hg.xi[1, 1]
+        assert verify_axioms(hg).overall
+        xi = hg.xi.tolist()
+        xi[1][1], xi[2][1] = xi[2][1], xi[1][1]
+        swapped = replace(hg, xi=xi)
+        report = verify_axioms(swapped)
         fresh = hypergroup_from_tables(hg.m_size, hg.h, hg.phi, hg.psi,
-                                       hg.xi, hg.lam, hg.o)
+                                       xi, hg.lam, hg.o)
         assert not report.overall
         assert {"A2", "A4", "A5"} <= set(report.failing())
         assert results(report) == results(verify_axioms(fresh))
-        assert results(report) == loop_oracles.verify_axioms(hg)
+        assert results(report) == loop_oracles.verify_axioms(swapped)
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs resource")
     def test_memory_bounded_at_m_256(self):
@@ -363,11 +380,11 @@ def verify_inputs(draw):
         g, h, draw(st.sampled_from(enumerate_transversals(g, h, limit=6))))
     if draw(st.booleans()):
         name = draw(st.sampled_from(["phi", "psi", "xi", "lam"]))
-        table = getattr(hg, name)
+        rows, cols = getattr(hg, name).shape
         limit = hg.m_size if name in ("phi", "xi") else hg.h.order
-        row = draw(st.integers(0, len(table) - 1))
-        col = draw(st.integers(0, len(table[row]) - 1))
-        table[row][col] = draw(st.integers(0, limit - 1))
+        hg = with_cell(hg, name, draw(st.integers(0, rows - 1)),
+                       draw(st.integers(0, cols - 1)),
+                       draw(st.integers(0, limit - 1)))
     return hg
 
 
@@ -427,7 +444,7 @@ class TestSolving:
 
     def test_divide_on_broken_tables(self):
         _, _, _, hg = z6_example()
-        hg.xi[1][1] = 0  # column 1 now (1, 0, 0): 0 twice, 2 never
+        hg = with_cell(hg, "xi", 1, 1, 0)  # column 1 now (1, 0, 0): 0 twice, 2 never
         with pytest.raises(MultipleSolutionsError):
             quasigroup_divide(hg, 1, 0)
         with pytest.raises(NoSolutionError):
@@ -481,32 +498,35 @@ class TestDerivedIdentities:
 
 @st.composite
 def xi_mutations(draw):
-    """A standard construction with |G| <= 24 and |M| > 1 whose xi is
-    kept, has one entry changed (in range or not), or is replaced by an
-    associative table that is not Latin: a left or right projection or a
-    constant."""
+    """A standard construction with |G| <= 24 and |M| > 1, and an xi for
+    it as lists: its own, with one entry changed (in range or not), or
+    an associative table that is not Latin: a left or right projection
+    or a constant."""
     g = draw(st.sampled_from(builtin_groups(24)[1:]))
     h = draw(st.sampled_from(enumerate_subgroups(g)[:-1]))
     t = sample_transversals(g, h, cap=1, seed=draw(st.integers(0, 2**16)))[0]
     hg = standard_construction(g, h, t)
     m = hg.m_size
+    xi = hg.xi.tolist()
     kind = draw(st.sampled_from(
         ["keep", "cell", "out_of_range", "left", "right", "constant"]))
     if kind in ("cell", "out_of_range"):
         a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
-        hg.xi[a][b] = draw(st.integers(0, m - 1) if kind == "cell"
-                           else st.sampled_from([-1, m]))
+        xi[a][b] = draw(st.integers(0, m - 1) if kind == "cell"
+                        else st.sampled_from([-1, m]))
     elif kind != "keep":
         k = draw(st.integers(0, m - 1))
-        hg.xi = [[{"left": a, "right": b, "constant": k}[kind] for b in range(m)]
-                 for a in range(m)]
-    return hg
+        xi = [[{"left": a, "right": b, "constant": k}[kind] for b in range(m)]
+              for a in range(m)]
+    return hg, xi
 
 
-def outcome(f, hg):
-    """f(hg), or the type and message of the error it raised."""
+def outcome(f, hg, xi):
+    """f of hg with its xi replaced, or the type and message of the
+    error that building or checking raised (an out-of-range xi raises
+    MalformedTablesError when replace builds the hypergroup)."""
     try:
-        return f(hg)
+        return f(replace(hg, xi=xi))
     except (AlgebraError, InternalInconsistencyError) as exc:
         return type(exc), str(exc)
 
@@ -534,10 +554,10 @@ class TestGroupQuasigroup:
         assert not is_group_quasigroup(hg)
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-    @given(hg=xi_mutations())
-    def test_matches_group_table_oracle(self, hg):
-        assert outcome(is_group_quasigroup, hg) == outcome(
-            loop_oracles.is_group_quasigroup, hg)
+    @given(case=xi_mutations())
+    def test_matches_group_table_oracle(self, case):
+        assert outcome(is_group_quasigroup, *case) == outcome(
+            loop_oracles.is_group_quasigroup, *case)
 
     def test_normal_case_z6(self):
         g = cyclic_group(6)
@@ -558,6 +578,87 @@ class TestGroupQuasigroup:
         g = symmetric_group(3)
         with pytest.raises(NotNormalError):
             check_normal_case(g, subgroup_from_elements(g, [0, 1]))
+
+
+# --------------------------------------------------------------------
+# the stored table form
+
+TABLES = ("phi", "psi", "xi", "lam")
+
+
+class TestStoredTables:
+    def test_in_place_writes_raise(self):
+        _, _, _, hg = z6_example()
+        made = [
+            hg,
+            hypergroup_from_json(hypergroup_to_json(hg)),
+            hypergroup_from_tables(hg.m_size, hg.h, hg.phi.tolist(),
+                                   hg.psi.tolist(), hg.xi.tolist(),
+                                   hg.lam.tolist(), hg.o),
+            with_cell(hg, "lam", 1, 2, 0),
+        ]
+        for other in made:
+            for name in TABLES:
+                table = getattr(other, name)
+                assert table.dtype == np.intp and not table.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = table[0, 0] + 1
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = table[-1]
+        assert hg.xi[0, 0] == 0 and hg == made[1]
+
+    def test_array_input_is_copied(self):
+        _, _, _, hg = z6_example()
+        xi = np.array(hg.xi)  # a writeable copy, owned by the caller
+        made = hypergroup_from_tables(hg.m_size, hg.h, hg.phi, hg.psi, xi,
+                                      hg.lam, hg.o)
+        xi[0, 1] = 0
+        assert made.xi.tolist() == hg.xi.tolist()
+
+    @pytest.mark.parametrize("table, rows, location, message", [
+        ("phi", [[0, 0], [1], [2, 2]], "phi[1]", "expected 2 columns, got 1"),
+        ("xi", [[0, 1, 2], [1, 2, 0], [2, 0, 3]], "xi[2][2]",
+         "value 3 outside [0, 3)"),
+        ("lam", [[0, 0, 0], [0, 0, 1]], "lam", "expected 3 rows, got 2"),
+        ("psi", np.array([[0, 1], [0, 2], [0, 1]]), "psi[1][1]",
+         "value 2 outside [0, 2)"),
+        ("xi", np.zeros((3, 2), dtype=np.int64), "xi[0]",
+         "expected 3 columns, got 2"),
+    ])
+    def test_replace_checks_like_hypergroup_from_tables(
+            self, table, rows, location, message):
+        _, _, _, hg = z6_example()
+        tables = {name: getattr(hg, name) for name in TABLES}
+        tables[table] = rows
+        with pytest.raises(MalformedTablesError) as built:
+            hypergroup_from_tables(hg.m_size, hg.h, o=hg.o, **tables)
+        with pytest.raises(MalformedTablesError) as replaced:
+            replace(hg, **{table: rows})
+        expected = (location, f"{location}: {message}")
+        assert (built.value.location, str(built.value)) == expected
+        assert (replaced.value.location, str(replaced.value)) == expected
+
+    def test_value_equality(self):
+        _, _, _, hg = z6_example()
+        _, _, _, again = z6_example()
+        assert hg == again and hg is not again
+        assert with_cell(hg, "lam", 1, 2, 0) != hg
+        assert replace(hg, ambient=None) != hg
+        assert hg != "Z6"
+        # compose accepts a target equal, not identical, to the source
+        assert compose(identity_morphism(hg), identity_morphism(again)).f1 == [0, 1, 2]
+
+    def test_witnesses_and_answers_are_python_ints(self):
+        _, _, _, hg = z6_example()
+        assert type(quasigroup_divide(hg, 1, 0)) is int
+        assert type(lemma_solve(hg, 1, 0)) is int
+        for cell in (("xi", 0, 1, 0), ("xi", 1, 1, 0), ("phi", 2, 0, 0),
+                     ("psi", 0, 1, 0), ("lam", 1, 2, 0)):
+            report = verify_axioms(with_cell(hg, *cell))
+            assert not report.overall
+            for check in report.checks.values():
+                assert check.witness is None or all(
+                    type(w) is int for w in check.witness), (cell, check)
 
 
 # --------------------------------------------------------------------
@@ -589,7 +690,7 @@ class TestSerialization:
         data = hypergroup_to_json(bare)
         assert "ambient" not in data
         hg2 = hypergroup_from_json(data)
-        assert hg2.ambient is None and hg2.xi == hg.xi
+        assert hg2.ambient is None and hg2.xi.tolist() == hg.xi.tolist()
 
     def test_json_fields(self):
         _, _, _, hg = z6_example()

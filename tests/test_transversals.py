@@ -32,10 +32,8 @@ from hypergroups import (
     transversal_at,
     transversal_count,
 )
-from hypergroups.transversals import (
-    _bijection_characterization,
-    _section_characterization,
-)
+
+import loop_oracles
 
 # --------------------------------------------------------------------
 # oracles
@@ -100,8 +98,10 @@ class TestRecognition:
                     cand = [x for x in range(g.order) if (r >> x) & 1]
                     direct = is_right_transversal(g, h, cand)
                     assert direct == oracle_is_transversal(g, h.elements, cand)
-                    assert direct == _bijection_characterization(g, h, cand)
-                    assert direct == _section_characterization(g, h, cand)
+                    assert direct == loop_oracles.bijection_characterization(
+                        g, h, cand)
+                    assert direct == loop_oracles.section_characterization(
+                        g, h, cand)
 
 
 # --------------------------------------------------------------------
