@@ -10,6 +10,7 @@ functors, inverts the field functor, and classifies small instances
 up to isomorphism.
 """
 
+from ._util import CheckResult, Report
 from .classify import (
     Catalog,
     CatalogEntry,
@@ -24,11 +25,7 @@ from .core import (
     AXIOM_NAMES,
     IDENTITY_NAMES,
     Ambient,
-    AxiomReport,
-    CheckResult,
     HypergroupOverGroup,
-    IdentityReport,
-    NormalCaseReport,
     check_derived_identities,
     check_normal_case,
     hypergroup_from_json,

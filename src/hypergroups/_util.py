@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -16,6 +17,47 @@ import numpy as np
 # check_field_tables and reconstruct_field at GF(128) 1.4-2.5x slower
 # (41,703 minor faults instead of 1,120).
 BLOCK_CELLS = 1 << 16
+
+
+@dataclass
+class CheckResult:
+    ok: bool
+    witness: tuple | None = None
+    detail: str = ""
+
+    def to_dict(self) -> dict:
+        return {
+            "ok": self.ok,
+            "witness": list(self.witness) if self.witness is not None else None,
+            "detail": self.detail,
+        }
+
+
+@dataclass
+class Report:
+    """Named checks, each with its first counterexample.
+
+    to_dict() gives info's keys, "overall", and the checks under the
+    key section.
+    """
+
+    checks: dict[str, CheckResult]
+    section: str = "checks"
+    info: dict = field(default_factory=dict)
+
+    @property
+    def overall(self) -> bool:
+        return all(c.ok for c in self.checks.values())
+
+    def failing(self) -> list[str]:
+        return [name for name, c in self.checks.items() if not c.ok]
+
+    def to_dict(self) -> dict:
+        return {
+            **self.info,
+            "overall": self.overall,
+            self.section: {k: v.to_dict() for k, v in self.checks.items()},
+        }
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -77,3 +119,11 @@ def first_failure(
         if best is not None:
             return best[1], best[2]
     return None
+
+
+def first_mismatch(lhs: np.ndarray, rhs) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order with lhs[i, j] != rhs[i, j],
+    rhs broadcast to the shape of the 2-D lhs; None if they agree."""
+    rhs = np.broadcast_to(rhs, lhs.shape)
+    failure = first_failure(lhs.shape, [("", lambda r: lhs[r] != rhs[r])])
+    return None if failure is None else failure[1]

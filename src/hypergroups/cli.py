@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,19 +66,36 @@ def _note(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def _read_json(text: str):
+    """JSON without NaN, +-Infinity or floats past the float range, none
+    of which an integer field can hold, and not nested past the
+    decoder's recursion limit."""
+    try:
+        return json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _load_group(value: str) -> FiniteGroup:
     path = Path(value)
     if path.is_file():
         text = path.read_text()
         if text.lstrip().startswith("{"):
-            data = json.loads(text)
+            data = _read_json(text)
             return group_from_cayley_table(data["table"], name=data.get("name", "G"))
         return parse_cayley_text(text)
     return group_from_spec(value)
 
 
 def _load_hypergroup(value: str) -> HypergroupOverGroup:
-    return hypergroup_from_json(json.loads(Path(value).read_text()))
+    return hypergroup_from_json(_read_json(Path(value).read_text()))
 
 
 def _parse_indices(value: str) -> list[int]:
@@ -201,7 +219,7 @@ def _cmd_hg_iso(args, cfg: CliConfig) -> int:
 def _cmd_hg_morphism(args, cfg: CliConfig) -> int:
     src = _load_hypergroup(args.source)
     dst = _load_hypergroup(args.target)
-    data = json.loads(Path(args.morphism).read_text())
+    data = _read_json(Path(args.morphism).read_text())
     mor = HgMorphism(source=src, target=dst,
                      f0=list(data["f0"]), f1=list(data["f1"]))
     report = verify_morphism(mor)
@@ -277,7 +295,9 @@ def _cmd_field(args, cfg: CliConfig) -> int:
     f = parse_field_spec(args.spec)
     report = verify_field_axioms(f)
     if cfg.format == "json":
-        _emit_json(report.to_dict())
+        _emit_json({"overall": report.overall, "checks": {
+            name: {"ok": c.ok, "detail": list(c.witness) if c.witness else None}
+            for name, c in report.checks.items()}})
     else:
         _emit(f"field {f.name}: order {f.q}, characteristic {f.p}, "
               f"degree {f.m}")

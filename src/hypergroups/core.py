@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_int_matrix, first_failure
+from ._util import CheckResult, Report, as_int_matrix, first_failure, first_mismatch
 from .errors import (
     AlgebraError,
     IndexOutOfRangeError,
@@ -60,20 +60,6 @@ from .transversals import (
 )
 
 AXIOM_NAMES = ("P1", "P2", "P3", "A1", "A2", "A3", "A4", "A5")
-
-
-@dataclass
-class CheckResult:
-    ok: bool
-    witness: tuple | None = None
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "detail": self.detail,
-        }
 
 
 @dataclass
@@ -120,7 +106,9 @@ class HypergroupOverGroup:
     hypergroup_from_tables, standard_construction or
     dataclasses.replace. A table cannot be written in place, so no
     check or derived value can go stale; a changed hypergroup is a new
-    one, made with dataclasses.replace. Equality compares values.
+    one, made with dataclasses.replace. Equality compares values; copy
+    and pickle rebuild through the constructor, so copies are checked
+    and read-only too.
     """
 
     m_size: int
@@ -142,9 +130,9 @@ class HypergroupOverGroup:
         if not 0 <= self.o < m:
             raise MalformedTablesError("o", f"value {self.o} outside [0, {m})")
 
-    @property
-    def h_size(self) -> int:
-        return self.h.order
+    def __reduce__(self):
+        return (HypergroupOverGroup, (self.m_size, self.h, self.phi, self.psi,
+                                      self.xi, self.lam, self.o, self.ambient))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HypergroupOverGroup):
@@ -161,24 +149,6 @@ class HypergroupOverGroup:
             f"HypergroupOverGroup(|M|={self.m_size}, H={self.h.name}, "
             f"o={self.o})"
         )
-
-
-@dataclass
-class AxiomReport:
-    checks: dict[str, CheckResult]
-
-    @property
-    def overall(self) -> bool:
-        return all(c.ok for c in self.checks.values())
-
-    def failing(self) -> list[str]:
-        return [name for name, c in self.checks.items() if not c.ok]
-
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "axioms": {k: v.to_dict() for k, v in self.checks.items()},
-        }
 
 
 def _table_array(name: str, rows, nrows: int, ncols: int, vrange: int) -> np.ndarray:
@@ -287,13 +257,6 @@ def standard_construction(group: FiniteGroup, h: Subgroup, transversal) -> Hyper
     )
 
 
-def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> tuple | None:
-    bad = np.argwhere(lhs != rhs)
-    if len(bad) == 0:
-        return None
-    return tuple(int(v) for v in bad[0])
-
-
 def _axiom_result(name: str, shape: tuple[int, ...], mask_of, detail) -> CheckResult:
     """The first failure of one axiom over shape, or a pass."""
     failure = first_failure(shape, [(name, mask_of)])
@@ -302,7 +265,7 @@ def _axiom_result(name: str, shape: tuple[int, ...], mask_of, detail) -> CheckRe
     return CheckResult(False, failure[1], detail(failure[1]))
 
 
-def verify_axioms(hg: HypergroupOverGroup) -> AxiomReport:
+def verify_axioms(hg: HypergroupOverGroup) -> Report:
     """Exhaustively check P1-P3 and A1-A5, recording the lexicographically
     first witness per axiom.
 
@@ -423,7 +386,7 @@ def verify_axioms(hg: HypergroupOverGroup) -> AxiomReport:
         fails_at("A5", "a, b, c"),
     )
 
-    return AxiomReport(checks=checks)
+    return Report(checks, "axioms")
 
 
 def quasigroup_divide(hg: HypergroupOverGroup, a: int, b: int) -> int:
@@ -485,22 +448,7 @@ IDENTITY_NAMES = (
 )
 
 
-@dataclass
-class IdentityReport:
-    checks: dict[str, CheckResult]
-
-    @property
-    def overall(self) -> bool:
-        return all(c.ok for c in self.checks.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "identities": {k: v.to_dict() for k, v in self.checks.items()},
-        }
-
-
-def check_derived_identities(hg: HypergroupOverGroup) -> IdentityReport:
+def check_derived_identities(hg: HypergroupOverGroup) -> Report:
     """Identities that follow from the construction; all reference the
     ambient triple through theta or the inverse decomposition.
 
@@ -525,12 +473,11 @@ def check_derived_identities(hg: HypergroupOverGroup) -> IdentityReport:
     o = hg.o
     checks: dict[str, CheckResult] = {}
 
-    def run(name, domain, test):
-        for args in domain:
-            if not test(*args):
-                checks[name] = CheckResult(False, args, f"{name} fails at {args}")
-                return
-        checks[name] = CheckResult(True)
+    def run(name, size, test):
+        """The first x in range(size) that fails test, or a pass."""
+        bad = next((x for x in range(size) if not test(x)), None)
+        checks[name] = (CheckResult(True) if bad is None else
+                        CheckResult(False, (bad,), f"{name} fails at {(bad,)}"))
 
     inv_dec = [
         inverse_decomposition(amb.transversal, amb.m_to_parent[a])
@@ -539,52 +486,20 @@ def check_derived_identities(hg: HypergroupOverGroup) -> IdentityReport:
     inv_h = [amb.h_index(hp) for hp, _ in inv_dec]
     inv_m = [amb.m_index(mp) for _, mp in inv_dec]
 
-    run(
-        "inv_factor_neutral",
-        [(a,) for a in range(m)],
-        lambda a: hg.xi[inv_m[a]][a] == o,
-    )
-    run(
-        "inv_factor_theta",
-        [(a,) for a in range(m)],
-        lambda a: ht[inv_h[a]][hg.lam[inv_m[a]][a]] == theta,
-    )
-    run(
-        "conjugated_neutral_row",
-        [(al,) for al in range(hn)],
-        lambda al: hg.psi[o][al] == ht[ht[theta_inv][al]][theta],
-    )
-    run(
-        "o_fixed_by_action",
-        [(al,) for al in range(hn)],
-        lambda al: hg.phi[o][al] == o,
-    )
-    run(
-        "identity_acts_trivially",
-        [(a,) for a in range(m)],
-        lambda a: hg.phi[a][eps] == a,
-    )
-    run(
-        "identity_maps_to_identity",
-        [(a,) for a in range(m)],
-        lambda a: hg.psi[a][eps] == eps,
-    )
-    run(
-        "left_neutral_row",
-        [(a,) for a in range(m)],
-        lambda a: hg.xi[o][a] == a,
-    )
-    run(
-        "right_mult_by_neutral",
-        [(a,) for a in range(m)],
-        lambda a: hg.xi[a][o] == hg.phi[a][theta_inv],
-    )
-    run(
-        "right_cofactor_of_neutral",
-        [(a,) for a in range(m)],
-        lambda a: hg.lam[a][o] == hg.psi[a][theta_inv],
-    )
-    return IdentityReport(checks=checks)
+    run("inv_factor_neutral", m, lambda a: hg.xi[inv_m[a]][a] == o)
+    run("inv_factor_theta", m,
+        lambda a: ht[inv_h[a]][hg.lam[inv_m[a]][a]] == theta)
+    run("conjugated_neutral_row", hn,
+        lambda al: hg.psi[o][al] == ht[ht[theta_inv][al]][theta])
+    run("o_fixed_by_action", hn, lambda al: hg.phi[o][al] == o)
+    run("identity_acts_trivially", m, lambda a: hg.phi[a][eps] == a)
+    run("identity_maps_to_identity", m, lambda a: hg.psi[a][eps] == eps)
+    run("left_neutral_row", m, lambda a: hg.xi[o][a] == a)
+    run("right_mult_by_neutral", m,
+        lambda a: hg.xi[a][o] == hg.phi[a][theta_inv])
+    run("right_cofactor_of_neutral", m,
+        lambda a: hg.lam[a][o] == hg.psi[a][theta_inv])
+    return Report(checks, "identities")
 
 
 def is_group_quasigroup(hg: HypergroupOverGroup) -> bool:
@@ -604,86 +519,56 @@ def is_group_quasigroup(hg: HypergroupOverGroup) -> bool:
     return False
 
 
-@dataclass
-class NormalCaseReport:
-    group_name: str
-    subgroup_elements: tuple[int, ...]
-    transversals_checked: int
-    checks: dict[str, CheckResult]
-
-    @property
-    def overall(self) -> bool:
-        return all(c.ok for c in self.checks.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group_name,
-            "subgroup": list(self.subgroup_elements),
-            "transversals_checked": self.transversals_checked,
-            "overall": self.overall,
-            "checks": {k: v.to_dict() for k, v in self.checks.items()},
-        }
-
-
 def check_normal_case(
     group: FiniteGroup,
     h: Subgroup,
     transversal_cap: int = DEFAULT_SAMPLE_CAP,
     seed: int = 0,
-) -> NormalCaseReport:
+) -> Report:
     """For a normal H: phi is trivial, (M, xi) is a group isomorphic to
     the quotient G/H, and all transversals give pairwise isomorphic
-    (M, xi). Transversals beyond the cap are sampled with the seed."""
+    (M, xi). Transversals beyond the cap are sampled with the seed. Each
+    check keeps its first failure; info names the group, the subgroup
+    and the number of transversals checked."""
     if not is_normal(h):
         raise NotNormalError(msg=f"{{{','.join(map(str, h.elements))}}} is not normal in {group.name}")
     quotient = quotient_group(group, h)
-    checks = {
-        "phi_trivial": CheckResult(True),
-        "xi_is_group": CheckResult(True),
-        "isomorphic_to_quotient": CheckResult(True),
-        "transversals_pairwise_isomorphic": CheckResult(True),
-    }
+    checks = {name: CheckResult(True) for name in (
+        "phi_trivial", "xi_is_group", "isomorphic_to_quotient",
+        "transversals_pairwise_isomorphic")}
+
+    def fail_once(name, witness, detail):
+        if checks[name].ok:
+            checks[name] = CheckResult(False, witness, detail)
+
     first_xi_group: FiniteGroup | None = None
     transversals = sample_transversals(group, h, cap=transversal_cap, seed=seed)
     for tidx, t in enumerate(transversals):
         hg = standard_construction(group, h, t)
-        w = _first_mismatch(hg.phi, np.arange(hg.m_size, dtype=np.intp)[:, None])
-        if w is not None and checks["phi_trivial"].ok:
-            checks["phi_trivial"] = CheckResult(
-                False, (tidx,) + w,
-                f"phi[{w[0]}][{w[1]}] != {w[0]} for transversal {list(t.reps)}",
-            )
+        reps = list(t.reps)
+        w = first_mismatch(hg.phi, np.arange(hg.m_size, dtype=np.intp)[:, None])
+        if w is not None:
+            fail_once("phi_trivial", (tidx,) + w,
+                      f"phi[{w[0]}][{w[1]}] != {w[0]} for transversal {reps}")
         try:
             xi_group = group_from_cayley_table(hg.xi)
         except AlgebraError as exc:
-            if checks["xi_is_group"].ok:
-                checks["xi_is_group"] = CheckResult(
-                    False, (tidx,),
-                    f"(M, xi) not a group for transversal {list(t.reps)}: {exc}",
-                )
+            fail_once("xi_is_group", (tidx,),
+                      f"(M, xi) not a group for transversal {reps}: {exc}")
             continue
         if group_isomorphism(xi_group, quotient) is None:
-            if checks["isomorphic_to_quotient"].ok:
-                checks["isomorphic_to_quotient"] = CheckResult(
-                    False, (tidx,),
-                    f"(M, xi) of transversal {list(t.reps)} is not "
-                    f"isomorphic to {quotient.name}",
-                )
+            fail_once("isomorphic_to_quotient", (tidx,),
+                      f"(M, xi) of transversal {reps} is not isomorphic to "
+                      f"{quotient.name}")
         if first_xi_group is None:
             first_xi_group = xi_group
         elif group_isomorphism(xi_group, first_xi_group) is None:
-            if checks["transversals_pairwise_isomorphic"].ok:
-                checks["transversals_pairwise_isomorphic"] = CheckResult(
-                    False, (tidx,),
-                    f"(M, xi) of transversal {list(t.reps)} is not "
-                    f"isomorphic to the first transversal's",
-                )
-    return NormalCaseReport(
-        group_name=group.name,
-        subgroup_elements=h.elements,
-        transversals_checked=len(transversals),
-        checks=checks,
-    )
+            fail_once("transversals_pairwise_isomorphic", (tidx,),
+                      f"(M, xi) of transversal {reps} is not isomorphic to "
+                      f"the first transversal's")
+    info = {"group": group.name, "subgroup": list(h.elements),
+            "transversals_checked": len(transversals)}
+    return Report(checks, info=info)
 
 
 def hypergroup_to_json(hg: HypergroupOverGroup) -> dict:

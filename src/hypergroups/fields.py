@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import first_failure
+from ._util import CheckResult, Report, first_failure
 from .errors import (
     InternalInconsistencyError,
     NotIrreducibleError,
@@ -331,39 +331,19 @@ def check_field_tables(
     return False, what, witness
 
 
-@dataclass
-class FieldReport:
-    checks: dict[str, tuple]
-
-    @property
-    def overall(self) -> bool:
-        return all(ok for ok, _ in self.checks.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "checks": {
-                name: {"ok": ok, "detail": list(detail) if detail else None}
-                for name, (ok, detail) in self.checks.items()
-            },
-        }
-
-
-def verify_field_axioms(f: FiniteField) -> FieldReport:
+def verify_field_axioms(f: FiniteField) -> Report:
     """Exhaustive check of the FiniteField invariants plus cyclicity of
-    the nonzero elements under multiplication."""
-    checks: dict[str, tuple] = {}
+    the nonzero elements under multiplication. A failing field_axioms
+    has the witness (failing check, *indices); a failing
+    multiplicative_cyclic has (reason,)."""
     ok, what, witness = check_field_tables(f.add, f.mul, f.zero, f.one)
-    if ok:
-        checks["field_axioms"] = (True, None)
-    else:
-        checks["field_axioms"] = (False, (what,) + (witness or ()))
+    checks = {"field_axioms": CheckResult(ok, None if ok else (what, *witness))}
     try:
         g = multiplicative_group(f)
-        checks["multiplicative_cyclic"] = (g.order == f.q - 1, None)
+        checks["multiplicative_cyclic"] = CheckResult(g.order == f.q - 1)
     except InternalInconsistencyError as exc:
-        checks["multiplicative_cyclic"] = (False, (str(exc),))
-    return FieldReport(checks=checks)
+        checks["multiplicative_cyclic"] = CheckResult(False, (str(exc),))
+    return Report(checks)
 
 
 def field_isomorphism(f1: FiniteField, f2: FiniteField) -> list[int] | None:

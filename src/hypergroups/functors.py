@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import first_failure
-from .core import HypergroupOverGroup, _first_mismatch, hypergroup_from_tables
+from ._util import first_failure, first_mismatch
+from .core import HypergroupOverGroup, hypergroup_from_tables
 from .errors import (
     AlgebraError,
     InternalInconsistencyError,
@@ -87,11 +87,13 @@ def functor_vector_space(k: FiniteField, dim: int) -> HypergroupOverGroup:
     """
     if dim < 1:
         raise SizeLimitExceededError(f"dimension {dim} must be >= 1")
-    size = k.q ** dim
-    if size > VS_SIZE_BOUND:
+    # |k| >= 2, so a dim from the bit length of the bound on is over it;
+    # the power is taken only below that, and no huge dim is printed
+    if dim >= VS_SIZE_BOUND.bit_length() or k.q ** dim > VS_SIZE_BOUND:
         raise SizeLimitExceededError(
-            f"|k|^dim = {size} exceeds bound {VS_SIZE_BOUND}"
+            f"|k|^dim exceeds bound {VS_SIZE_BOUND} (|k| = {k.q})"
         )
+    size = k.q ** dim
     h = multiplicative_group(k)
     vectors = list(itertools.product(range(k.q), repeat=dim))
     phi = [
@@ -237,7 +239,7 @@ def reconstruct_field(
     phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
     ht = np.asarray(hg.h.table, dtype=np.intp)
 
-    first = _first_mismatch(psi, np.arange(hn))
+    first = first_mismatch(psi, np.arange(hn))
     if first is not None:
         a, al = first
         return FieldReconstruction(
@@ -245,7 +247,7 @@ def reconstruct_field(
             witness=(a, al),
             detail=f"psi[{a}][{al}] = {psi[a, al]} != {al}",
         )
-    first = _first_mismatch(lam, eps)
+    first = first_mismatch(lam, eps)
     if first is not None:
         a, b = first
         return FieldReconstruction(
@@ -262,7 +264,7 @@ def reconstruct_field(
             witness=getattr(exc, "witness", None),
             detail=f"(M, xi) is not a group: {exc}",
         )
-    first = _first_mismatch(np.triu(xi, 1), np.triu(xi.T, 1))
+    first = first_mismatch(np.triu(xi, 1), np.triu(xi.T, 1))
     if first is not None:
         a, b = first
         return FieldReconstruction(
@@ -278,7 +280,7 @@ def reconstruct_field(
         )
 
     if require_abelian_h:
-        first = _first_mismatch(np.triu(ht, 1), np.triu(ht.T, 1))
+        first = first_mismatch(np.triu(ht, 1), np.triu(ht.T, 1))
         if first is not None:
             al, be = first
             return FieldReconstruction(

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_int_matrix, canonical_dumps, first_failure
+from ._util import as_int_matrix, first_failure
 from .errors import (
     IndexOutOfRangeError,
+    InternalInconsistencyError,
     NoIdentityError,
     NoInverseError,
     NotAssociativeError,
@@ -47,9 +48,6 @@ class FiniteGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverse[i]
 
     def np_table(self) -> np.ndarray:
         cached = getattr(self, "_np_table", None)
@@ -480,14 +478,24 @@ def _normality_witness(h: Subgroup) -> tuple[int, int] | None:
 
 
 def element_orders(group: FiniteGroup) -> list[int]:
-    orders = [0] * group.order
-    for x in range(group.order):
-        y = x
-        k = 1
-        while y != group.identity:
-            y = group.table[y][x]
-            k += 1
-        orders[x] = k
+    """The order of each element, by walking its powers. A walk that
+    passes |G| steps (the table is no group) raises
+    InternalInconsistencyError instead of running forever."""
+    n, e, t = group.order, group.identity, group.table
+    succ = list(range(1, n + 1))  # succ[k] = k + 1, and no succ[n]
+    orders = [0] * n
+    try:
+        for x in range(n):
+            y = x
+            k = 1
+            while y != e:  # the only comparison per step
+                y = t[y][x]
+                k = succ[k]
+            orders[x] = k
+    except IndexError:
+        raise InternalInconsistencyError(
+            f"the powers of {x} in {group.name} never reach the identity"
+        ) from None
     return orders
 
 
@@ -578,10 +586,6 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 def group_from_json(data: dict) -> FiniteGroup:
     return group_from_cayley_table(data["table"], name=data.get("name"))
-
-
-def group_dumps(group: FiniteGroup) -> str:
-    return canonical_dumps(group_to_json(group))
 
 
 def format_cayley_text(group: FiniteGroup) -> str:

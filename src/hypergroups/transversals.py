@@ -29,10 +29,6 @@ class Transversal:
     reps: tuple[int, ...]
     decomposition: CosetDecomposition
 
-    @property
-    def size(self) -> int:
-        return len(self.reps)
-
     def __repr__(self) -> str:
         return f"Transversal({list(self.reps)} in {self.group.name})"
 

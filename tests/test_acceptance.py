@@ -128,7 +128,7 @@ def test_criterion_4_normal_subgroups():
             if not r.overall:
                 bad.append((group.name, h.elements))
             reports += 1
-            transversals += r.transversals_checked
+            transversals += r.info["transversals_checked"]
     # index-2 subgroups always yield a group quasigroup
     index2 = 0
     for group in builtin_groups(16):

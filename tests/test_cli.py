@@ -10,6 +10,7 @@ no install.
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from importlib.metadata import EntryPoint, entry_points
@@ -34,6 +35,16 @@ from hypergroups import (
 from hypergroups.cli import main, run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def _child_env():
+    """The environment of a fresh interpreter that runs the same
+    hypergroups this test imported."""
+    src = str(Path(hypergroups.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def _console_script():
@@ -357,14 +368,9 @@ class TestExitCodesAndDeterminism:
         ep = _console_script()
         code = (f"import sys; from {ep.module} import {ep.attr}; "
                 f"sys.exit({ep.attr}())")
-        # the child runs the same hypergroups this test imported
-        src = str(Path(hypergroups.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-c", code, "group", "info", "Z6"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=_child_env(), timeout=60,
         )
         assert proc.returncode == 0
         assert "order 6" in proc.stdout
@@ -372,6 +378,76 @@ class TestExitCodesAndDeterminism:
     def test_json_outputs_end_with_newline(self, capsys):
         run(["--format", "json", "group", "info", "Z2"])
         assert capsys.readouterr().out.endswith("\n")
+
+
+class TestExtremeNumbers:
+    """Numbers that no table or bound can hold exit 2 with a message:
+    never a traceback, never a hang."""
+
+    @staticmethod
+    def _edited(tmp_path, where, token):
+        s3 = tmp_path / "s3.json"
+        assert run(["hg", "construct", "--group", "S3", "--subgroup", "1",
+                    "--transversal", "auto", "-o", str(s3)]) == 0
+        data = json.loads(s3.read_text())
+        if where in ("m_size", "o"):
+            data[where] = "TOKEN"
+        elif where == "cell":
+            data["xi"][0][0] = "TOKEN"
+        else:
+            data["ambient"][where][1] = "TOKEN"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace('"TOKEN"', token))
+        return str(s3), str(bad)
+
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e400"])
+    @pytest.mark.parametrize(
+        "where", ["m_size", "o", "cell", "subgroup", "transversal"])
+    def test_hypergroup_file(self, tmp_path, capsys, where, token):
+        s3, bad = self._edited(tmp_path, where, token)
+        for argv in (["hg", "verify", bad],
+                     ["hg", "solve", bad, "--a", "1", "--b", "0"],
+                     ["hg", "iso", bad, s3],
+                     ["reconstruct-field", bad]):
+            capsys.readouterr()
+            assert run(argv) == 2, argv
+            assert "is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["Infinity", "NaN"])
+    def test_group_and_morphism_files(self, tmp_path, z6_file, capsys, token):
+        group = tmp_path / "g.json"
+        group.write_text('{"table": [[0, 1], [1, %s]]}' % token)
+        morphism = tmp_path / "m.json"
+        morphism.write_text('{"f0": [0, 0], "f1": [0, %s, 2]}' % token)
+        for argv in (["group", "info", str(group)],
+                     ["hg", "morphism", str(z6_file), str(z6_file), str(morphism)]):
+            capsys.readouterr()
+            assert run(argv) == 2, argv
+            assert "is not a finite number" in capsys.readouterr().err
+
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(["hg", "verify", str(deep)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", ["99999999999999999999", "10000"])
+    def test_huge_vector_space_dimension(self, dim):
+        # a child under a time and an address-space limit, so that taking
+        # q ** dim first can neither hang the suite nor eat the memory
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = _child_env()
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypergroups.cli", "functor", "vs", "GF(3)", dim],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 2
+        assert "exceeds bound 512" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def _frozen_calls(tmp_path):
@@ -432,12 +508,17 @@ def _frozen_calls(tmp_path):
         "morphism_json": ["--format", "json", "hg", "morphism", z6_file,
                           z6_file, collapse_file],
         "reconstruct_text": ["reconstruct-field", fg3_file],
+        "field_json": ["--format", "json", "field", "GF(8)"],
+        "field_text": ["field", "GF(4;x^2+x+1)"],
     }
 
 
 # (exit code, sha256 of stdout) of each call in _frozen_calls, taken
-# when the tables were still stored as lists
+# when the tables were still stored as lists; the field calls were
+# added before the field checks moved into the shared Report
 FROZEN_CLI = {
+    "field_json": (0, "d01f5f66c66a08337ded0aeb820438dbaddb2348a941099fffb2d2d5399f7b78"),
+    "field_text": (0, "d9f4170cf86746ef4e993d0157392863f7bec134fe8b150ae0bc141dcbb0f5a8"),
     "iso_relabelled": (0, "aa792ae22dccf49a791157da878fa37f6b1cceaaee7fde8ab88500fded48ff63"),
     "morphism_json": (1, "cf62485de3a58c97f968705228e64bc43e82368e433d6e35fa490ffb86798e3d"),
     "morphism_text": (1, "4ec9dfa01a26375bbcc5e179d08d6239683d67317af6cffacff97b4946b38af8"),

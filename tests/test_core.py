@@ -9,8 +9,12 @@ by hand from the Z6 / S3 examples and are re-derived here by those
 oracles on every run.
 """
 
+import copy
+import hashlib
+import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -48,6 +52,7 @@ from hypergroups import (
     hypergroup_to_json,
     identity_morphism,
     is_group_quasigroup,
+    is_normal,
     lemma_solve,
     make_transversal,
     quasigroup_divide,
@@ -563,7 +568,7 @@ class TestGroupQuasigroup:
         g = cyclic_group(6)
         rep = check_normal_case(g, subgroup_from_elements(g, [0, 3]))
         assert rep.overall
-        assert rep.transversals_checked == 8
+        assert rep.info["transversals_checked"] == 8
         assert set(rep.checks) == {
             "phi_trivial", "xi_is_group", "isomorphic_to_quotient",
             "transversals_pairwise_isomorphic",
@@ -572,7 +577,7 @@ class TestGroupQuasigroup:
     def test_normal_case_s3(self):
         g = symmetric_group(3)
         rep = check_normal_case(g, subgroup_from_elements(g, [0, 3, 4]))
-        assert rep.overall and rep.transversals_checked == 9
+        assert rep.overall and rep.info["transversals_checked"] == 9
 
     def test_normal_case_rejects_non_normal(self):
         g = symmetric_group(3)
@@ -581,9 +586,83 @@ class TestGroupQuasigroup:
 
 
 # --------------------------------------------------------------------
-# the stored table form
+# frozen report dumps
 
 TABLES = ("phi", "psi", "xi", "lam")
+
+
+def broken_normal_case(g, h):
+    """check_normal_case with every check made to fail: phi edited in
+    each construction, every second xi group refused, and no group
+    isomorphism found."""
+    calls = itertools.count()
+
+    def edited(*args):
+        hg = standard_construction(*args)
+        return with_cell(hg, "phi", hg.m_size - 1, 0, 0)
+
+    def every_second(table):
+        if next(calls) % 2:
+            raise AlgebraError("refused")
+        return hypergroups.group_from_cayley_table(table)
+
+    with mock.patch.object(hypergroups.core, "standard_construction", edited), \
+            mock.patch.object(hypergroups.core, "group_from_cayley_table",
+                              every_second), \
+            mock.patch.object(hypergroups.core, "group_isomorphism",
+                              lambda *args: None):
+        return check_normal_case(g, h)
+
+
+def report_dumps(kind, spec):
+    """canonical_dumps of the to_dict() of every report in one case:
+    check_normal_case on each normal subgroup of the group, capped,
+    uncapped and broken, or check_derived_identities on the first four
+    transversals of each subgroup, unedited and with cell (|M|-1, 0) of
+    each table set to 0."""
+    g = group_from_spec(spec)
+    if kind == "normal":
+        dicts = [report.to_dict()
+                 for h in enumerate_subgroups(g) if is_normal(h)
+                 for report in (check_normal_case(g, h, transversal_cap=3, seed=1),
+                                check_normal_case(g, h, seed=1),
+                                broken_normal_case(g, h))]
+    else:
+        dicts = []
+        for h in enumerate_subgroups(g):
+            for t in enumerate_transversals(g, h, limit=4):
+                hg = standard_construction(g, h, t)
+                dicts.append(check_derived_identities(hg).to_dict())
+                dicts += [
+                    check_derived_identities(
+                        with_cell(hg, name, hg.m_size - 1, 0, 0)).to_dict()
+                    for name in TABLES
+                ]
+    return canonical_dumps(dicts)
+
+
+# sha256 of report_dumps, taken before the named-check report classes
+# were merged into one Report
+FROZEN_REPORTS = {
+    ("identities", "S3"):
+        "8ed2a1dd0a2890eb1318a8e025758253c82980847d9c15db6338f51bb640e709",
+    ("identities", "D4"):
+        "b32ce8f8eecdbec350b574da37de834d8ecdc21a49098b18cd7dd56ea2efdcce",
+    ("normal", "S3"):
+        "e84980007cd984805cd92e80ee16e2ba01f98a4a914494add82774a57751d794",
+    ("normal", "D4"):
+        "e22113ad213dcb809956672e93e8b5ae6480354062d5d9a2388bda1fb2b49261",
+}
+
+
+@pytest.mark.parametrize("kind, spec", sorted(FROZEN_REPORTS))
+def test_frozen_report_dumps(kind, spec):
+    digest = hashlib.sha256(report_dumps(kind, spec).encode()).hexdigest()
+    assert digest == FROZEN_REPORTS[kind, spec]
+
+
+# --------------------------------------------------------------------
+# the stored table form
 
 
 class TestStoredTables:
@@ -606,6 +685,20 @@ class TestStoredTables:
                 with pytest.raises(ValueError, match="read-only"):
                     table[0] = table[-1]
         assert hg.xi[0, 0] == 0 and hg == made[1]
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy, copy.deepcopy, lambda hg: pickle.loads(pickle.dumps(hg)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_checked_and_read_only(self, copy_of):
+        _, _, _, hg = z6_example()
+        for original in (hg, replace(hg, ambient=None)):
+            other = copy_of(original)
+            assert other == original and other is not original
+            for name in TABLES:
+                assert not getattr(other, name).flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(other, name)[0, 1] = 0
+            assert verify_axioms(other).overall
 
     def test_array_input_is_copied(self):
         _, _, _, hg = z6_example()

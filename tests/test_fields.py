@@ -9,12 +9,15 @@ scan order.
 """
 
 import itertools
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergroups import (
+    InternalInconsistencyError,
     NotIrreducibleError,
     NotMonicError,
     NotPrimeError,
@@ -37,6 +40,20 @@ import loop_oracles
 
 # --------------------------------------------------------------------
 # oracles
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError inside the block once seconds have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def poly_mul_mod_p(a, b, p):
@@ -173,6 +190,17 @@ class TestExtensionFields:
     def test_axioms_pass(self, q):
         rep = verify_field_axioms(make_field(q))
         assert rep.overall, (q, rep.checks)
+
+    def test_non_field_gives_a_report(self):
+        f = make_field(9)
+        f.mul[2][3], f.mul[2][4] = f.mul[2][4], f.mul[2][3]
+        with time_limit(10):
+            rep = verify_field_axioms(f)
+            with pytest.raises(InternalInconsistencyError, match="never reach"):
+                multiplicative_group(f)
+        assert not rep.overall
+        assert rep.checks["field_axioms"].witness == ("right_distributive", 1, 1, 3)
+        assert not rep.checks["multiplicative_cyclic"].ok
 
     def test_digit_encoding(self):
         # element index = ascending base-p digit encoding of coefficients

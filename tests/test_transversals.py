@@ -170,7 +170,7 @@ class TestEnumeration:
         assert len({t.reps for t in s1}) == 5
         assert all(is_right_transversal(g, h, t.reps) for t in s1)
         report = check_normal_case(g, h, transversal_cap=5)
-        assert report.overall and report.transversals_checked == 5
+        assert report.overall and report.info["transversals_checked"] == 5
 
     def test_sampling_below_sys_maxsize_keeps_the_seeded_draw(self):
         # the same picks as random.sample, the draw used before the

@@ -4,6 +4,9 @@ first_failure is compared with the nested loops it stands for: walk the
 indices in scan order, run each shallow check before the deeper loop at
 the same prefix, and the checks at one index in listed order. Small
 block sizes force many blocks, so the block boundaries are exercised.
+first_mismatch, its 2-D table-against-table case, is compared with a
+double loop over a full table and over a broadcast row, column and
+scalar.
 """
 
 from contextlib import contextmanager
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergroups import _util
-from hypergroups._util import first_failure
+from hypergroups._util import first_failure, first_mismatch
 
 
 def loop_first_failure(shape, masks):
@@ -70,6 +73,30 @@ def test_matches_nested_loops(nest, block):
     checks = [(name, lambda r, mask=mask: mask[r]) for name, mask in masks]
     with block_cells(block):
         assert first_failure(shape, checks) == loop_first_failure(shape, masks)
+
+
+@st.composite
+def mismatch_cases(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = st.integers(0, 2)
+    lhs = np.array(draw(st.lists(cells, min_size=rows * cols,
+                                 max_size=rows * cols))).reshape(rows, cols)
+    shape = draw(st.sampled_from([(rows, cols), (cols,), (rows, 1), ()]))
+    size = int(np.prod(shape))
+    rhs = np.array(draw(st.lists(cells, min_size=size, max_size=size))).reshape(shape)
+    return lhs, rhs if shape else int(rhs)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(case=mismatch_cases(), block=st.sampled_from([1, 3, 8, 1 << 18]))
+def test_first_mismatch_matches_loops(case, block):
+    lhs, rhs = case
+    full = np.broadcast_to(rhs, lhs.shape)
+    expected = next(((i, j) for i in range(lhs.shape[0])
+                     for j in range(lhs.shape[1]) if lhs[i, j] != full[i, j]),
+                    None)
+    with block_cells(block):
+        assert first_mismatch(lhs, rhs) == expected
 
 
 def test_shallow_check_before_deeper_loop():
