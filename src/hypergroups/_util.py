@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Callable, Sequence
@@ -9,6 +10,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+from .errors import MalformedTablesError
 
 # Cells per block in first_failure: each mask, and each intp temporary
 # behind it, holds at most this many entries (512 KiB of intp) whenever
@@ -63,16 +66,86 @@ class Report:
 def canonical_dumps(obj: Any) -> str:
     """Serialize to the canonical JSON form used by every writer here.
 
-    Sorted keys, two-space indent, trailing newline.  Loading a file and
-    re-saving it must reproduce the bytes exactly, so all serialization
-    goes through this one function.
+    The bytes are exactly json.dumps(obj, sort_keys=True, indent=2)
+    followed by a newline: sorted keys, two-space indent. Loading a file
+    and re-saving it must reproduce the bytes exactly, so all
+    serialization goes through this one function. The value must be
+    acyclic.
+
+    json.dumps encodes in pure Python whenever indent is set, so here
+    dicts and lists are walked in Python and the rest is handed to the
+    C encoder: a non-empty list of plain ints (a table row) in one call
+    whose item separator carries the newline and indent, every other
+    leaf on its own. Keys are sorted on their original values and a
+    non-str key is written as json writes it.
     """
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    chunks: list[str] = []
+    _dump(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+_encode_leaf = json.JSONEncoder().encode
+
+
+@functools.lru_cache(maxsize=32)
+def _row_encoder(newline_indent: str) -> json.JSONEncoder:
+    return json.JSONEncoder(separators=("," + newline_indent, ": "))
+
+
+def _dump(obj: Any, nl: str, out: Callable[[str], Any]) -> None:
+    """Write obj's indented JSON through out; nl is the newline and the
+    indent of the line obj starts on."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, obj)) == {int}:
+            out("[" + inner + _row_encoder(inner).encode(obj)[1:-1] + nl + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out(sep)
+            sep = "," + inner
+            _dump(value, inner, out)
+        out(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if isinstance(key, (int, float)) or key is None:
+                key = _encode_leaf(key)
+            elif not isinstance(key, str):
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            out(sep + _encode_leaf(key) + ": ")
+            sep = "," + inner
+            _dump(value, inner, out)
+        out(nl + "}")
+    else:
+        out(_encode_leaf(obj))
+
+
+def as_int(value: Any, location: str) -> int:
+    """value as a Python int. A bool, or anything but a Python or numpy
+    integer, raises MalformedTablesError at location."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise MalformedTablesError(location, f"value {value!r} is not an integer")
 
 
 def as_int_matrix(rows: Any, name: str = "table") -> list[list[int]]:
-    """Coerce a nested sequence or an array to list-of-list-of-int,
-    rejecting junk."""
+    """Copy a nested sequence or an array to list-of-list-of-int.
+
+    A row that is not a sequence raises TypeError, and a cell that is
+    not an integer (a float, a bool, a string) MalformedTablesError at
+    the first one in row-major order. Each row's cell types are read
+    once; only a row with other integer types is converted cell by cell.
+    """
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     if not isinstance(rows, (list, tuple)):
@@ -81,8 +154,29 @@ def as_int_matrix(rows: Any, name: str = "table") -> list[list[int]]:
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):
             raise TypeError(f"{name} row {i} is not a sequence")
-        out.append([int(v) for v in row])
+        if set(map(type, row)) <= {int}:
+            out.append(list(row))
+        else:
+            out.append([as_int(v, f"{name}[{i}][{j}]") for j, v in enumerate(row)])
     return out
+
+
+def int_table(rows: list[list[int]], ncols: int, vrange: int):
+    """(array, fault) for rows of ints. array holds the rows before the
+    first one whose length is not ncols, as intp; fault is the first
+    fault in row-major order: (i, j) for a value outside [0, vrange),
+    else (i, None) for that row of the wrong length, else None."""
+    good = next((i for i, row in enumerate(rows) if len(row) != ncols), len(rows))
+    try:
+        arr = np.array(rows[:good], dtype=np.intp).reshape(good, ncols)
+    except OverflowError:  # a value beyond intp is out of range anyway
+        arr = None
+    if arr is None or not ((arr >= 0) & (arr < vrange)).all():
+        return arr, next(
+            (i, j) for i, row in enumerate(rows[:good])
+            for j, v in enumerate(row) if not 0 <= v < vrange
+        )
+    return arr, None if good == len(rows) else (good, None)
 
 
 def first_failure(

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import CheckResult, Report, as_int_matrix, first_failure, first_mismatch
+from ._util import (CheckResult, Report, as_int, as_int_matrix, first_failure,
+                    first_mismatch, int_table)
 from .errors import (
     AlgebraError,
     IndexOutOfRangeError,
@@ -152,35 +153,28 @@ class HypergroupOverGroup:
 
 
 def _table_array(name: str, rows, nrows: int, ncols: int, vrange: int) -> np.ndarray:
-    """rows as a new (nrows, ncols) intp array with values in [0, vrange);
-    the first fault in row-major order raises MalformedTablesError. An
-    integer array of that shape skips the row-by-row checks."""
+    """rows as a new (nrows, ncols) intp array with values in [0, vrange).
+    A cell that is not an integer raises MalformedTablesError at the
+    first one in row-major order, before any shape or range fault, which
+    then raises at the first in row-major order. An integer array of
+    that shape and range skips the row-by-row checks."""
     if (isinstance(rows, np.ndarray) and rows.shape == (nrows, ncols)
             and rows.dtype.kind in "iu"):
-        arr, ragged = rows.astype(np.intp), nrows
-    else:
-        rows = as_int_matrix(rows, name)
-        if len(rows) != nrows:
-            raise MalformedTablesError(name, f"expected {nrows} rows, got {len(rows)}")
-        ragged = next((i for i, row in enumerate(rows) if len(row) != ncols), nrows)
-        try:
-            arr = np.array(rows[:ragged], dtype=np.intp).reshape(ragged, ncols)
-        except OverflowError:  # a value beyond intp is out of range anyway
-            arr = None
-    if arr is None or not ((arr >= 0) & (arr < vrange)).all():
-        i, j, v = next(
-            (i, j, v) for i, row in enumerate(rows[:ragged])
-            for j, v in enumerate(row) if not 0 <= v < vrange
-        )
+        arr = rows.astype(np.intp)
+        if ((arr >= 0) & (arr < vrange)).all():
+            return arr
+    rows = as_int_matrix(rows, name)
+    if len(rows) != nrows:
+        raise MalformedTablesError(name, f"expected {nrows} rows, got {len(rows)}")
+    arr, fault = int_table(rows, ncols, vrange)
+    if fault is None:
+        return arr
+    i, j = fault
+    if j is None:
         raise MalformedTablesError(
-            f"{name}[{i}][{j}]", f"value {v} outside [0, {vrange})"
-        )
-    if ragged < nrows:
-        raise MalformedTablesError(
-            f"{name}[{ragged}]",
-            f"expected {ncols} columns, got {len(rows[ragged])}",
-        )
-    return arr
+            f"{name}[{i}]", f"expected {ncols} columns, got {len(rows[i])}")
+    raise MalformedTablesError(
+        f"{name}[{i}][{j}]", f"value {rows[i][j]} outside [0, {vrange})")
 
 
 def hypergroup_from_tables(
@@ -195,13 +189,13 @@ def hypergroup_from_tables(
 ) -> HypergroupOverGroup:
     """Shape- and range-validate tables; axioms are verify_axioms' job."""
     return HypergroupOverGroup(
-        m_size=int(m_size),
+        m_size=as_int(m_size, "m_size"),
         h=h,
         phi=phi,
         psi=psi,
         xi=xi,
         lam=lam,
-        o=int(o),
+        o=as_int(o, "o"),
         ambient=ambient,
     )
 

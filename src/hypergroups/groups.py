@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_int_matrix, first_failure
+from . import _util
+from ._util import as_int_matrix, first_failure, int_table
 from .errors import (
     IndexOutOfRangeError,
     InternalInconsistencyError,
@@ -127,53 +128,89 @@ def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
         raise NotClosedError(0, 0, -1, 0)
     if n > MAX_ORDER:
         raise SizeLimitExceededError(f"order {n} exceeds cap {MAX_ORDER}")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise NotClosedError(i, len(row), -1, n)
-        for j, v in enumerate(row):
-            if not 0 <= v < n:
-                raise NotClosedError(i, j, v, n)
+    t, fault = int_table(table, n, n)
+    if fault is not None:
+        i, j = fault
+        if j is None:
+            raise NotClosedError(i, len(table[i]), -1, n)
+        raise NotClosedError(i, j, table[i][j], n)
 
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x for x in range(n)) and all(
-            table[x][e] == x for x in range(n)
-        ):
-            identity = e
-            break
-    if identity is None:
+    elements = np.arange(n)
+    neutral = (t == elements).all(axis=1) & (t == elements[:, None]).all(axis=0)
+    if not neutral.any():
         raise NoIdentityError("no two-sided neutral element")
+    identity = int(neutral.argmax())
 
-    witness = first_nonassociative(np.asarray(table, dtype=np.intp))
+    witness = first_nonassociative(t)
     if witness is not None:
         raise NotAssociativeError(witness)
 
-    inverse = [-1] * n
-    for x in range(n):
-        for y in range(n):
-            if table[x][y] == identity and table[y][x] == identity:
-                inverse[x] = y
-                break
-        if inverse[x] < 0:
-            raise NoInverseError(x)
+    inverts = (t == identity) & (t.T == identity)
+    has_inverse = inverts.any(axis=1)
+    if not has_inverse.all():
+        raise NoInverseError(int(has_inverse.argmin()))
 
     return FiniteGroup(
         order=n,
         table=table,
         identity=identity,
-        inverse=inverse,
+        inverse=inverts.argmax(axis=1).tolist(),
         name=name if name is not None else f"G{n}",
     )
 
 
 def first_nonassociative(t: np.ndarray) -> tuple[int, int, int] | None:
     """The first (a, b, c) in scan order with (a*b)*c != a*(b*c) in the
-    square intp table t, scanned over blocks of a."""
+    square intp table t, scanned over blocks of a.
+
+    Light's associativity test: the c with (a*b)*c = a*(b*c) for all a
+    and b are closed under the product, so it is enough to test c in a
+    set S whose products reach every element. When the full n^3 scan
+    spans more than one block, S is chosen greedily (_right_generators)
+    and scanned first; only if that scan fails does the full scan run,
+    so the witness is still the first in scan order.
+    """
     n = len(t)
-    failure = first_failure((n, n, n), [
-        ("associative", lambda r: t.take(t[r], axis=0) != t[r].take(t, axis=1)),
-    ])
+
+    def scan(c):  # c selects the columns of t tested as the third factor
+        tc = t[:, c]
+        return first_failure((n, n, tc.shape[1]), [
+            ("associative", lambda r: tc.take(t[r], axis=0) != t[r].take(tc, axis=1)),
+        ])
+
+    if n ** 3 > _util.BLOCK_CELLS and scan(_right_generators(t)) is None:
+        return None
+    failure = scan(slice(None))
     return None if failure is None else failure[1]
+
+
+def _right_generators(t: np.ndarray) -> list[int]:
+    """A set S, taken greedily with the smallest element not yet reached
+    first, such that right multiplication by S, starting from S,
+    reaches every element."""
+    n = len(t)
+    reached = [False] * n
+    found: list[int] = []   # the reached elements, in the order reached
+    gens: list[int] = []
+    columns: list[list[int]] = []   # columns[k][x] = x * gens[k]
+    done: list[int] = []    # found[:done[k]] are multiplied by gens[k]
+    for s in range(n):
+        if reached[s]:
+            continue
+        gens.append(s)
+        columns.append(t[:, s].tolist())
+        done.append(0)
+        reached[s] = True
+        found.append(s)
+        while min(done) < len(found):
+            for k, column in enumerate(columns):
+                start, done[k] = done[k], len(found)
+                for x in found[start:]:
+                    y = column[x]
+                    if not reached[y]:
+                        reached[y] = True
+                        found.append(y)
+    return gens
 
 
 def trivial_group() -> FiniteGroup:

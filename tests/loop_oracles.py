@@ -14,7 +14,8 @@ from __future__ import annotations
 from itertools import product
 
 from hypergroups import (AlgebraError, FiniteField, InternalInconsistencyError,
-                         group_from_cayley_table, make_field)
+                         NoIdentityError, NoInverseError, NotAssociativeError,
+                         NotClosedError, group_from_cayley_table, make_field)
 from hypergroups import core
 from hypergroups.groups import first_nonassociative, right_cosets
 
@@ -140,6 +141,27 @@ def cayley_failure(table):
                    for y in range(n)):
             return True, x, identity
     return False, None, identity
+
+
+def cayley_error(table):
+    """The error group_from_cayley_table raises on a non-empty table, by
+    loops, or None for a group: closure row by row (a row's length
+    before its values), then what cayley_failure finds."""
+    n = len(table)
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return NotClosedError(i, len(row), -1, n)
+        for j, v in enumerate(row):
+            if not 0 <= v < n:
+                return NotClosedError(i, j, v, n)
+    failed, witness, identity = cayley_failure(table)
+    if not failed:
+        return None
+    if identity is None:
+        return NoIdentityError("no two-sided neutral element")
+    if isinstance(witness, tuple):
+        return NotAssociativeError(witness)
+    return NoInverseError(witness)
 
 
 def field_isomorphism(f1, f2):

@@ -170,7 +170,7 @@ class TestConstructVerify:
         bad.write_text(json.dumps(data))
         assert main(["hg", "verify", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("input error:") and "Traceback" not in err
+        assert err == "error: o: value 'x' is not an integer\n"
 
 
 class TestSolve:
@@ -448,6 +448,44 @@ class TestExtremeNumbers:
         assert proc.returncode == 2
         assert "exceeds bound 512" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestNonIntegerValues:
+    """A table cell, m_size or o must be an integer and not a bool: a
+    float is not truncated, true is not 1; the first such value exits 2."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["xi"][1].__setitem__(1, d["xi"][1][1] + 0.5),
+         "xi[1][1]: value 0.5 is not an integer"),
+        (lambda d: d["xi"][2].__setitem__(0, d["xi"][2][0] + 0.5),
+         "xi[2][0]: value 2.5 is not an integer"),
+        (lambda d: d["lam"][1].__setitem__(2, True),
+         "lam[1][2]: value True is not an integer"),
+        (lambda d: d.__setitem__("o", 0.0), "o: value 0.0 is not an integer"),
+        (lambda d: d.__setitem__("m_size", 3.0),
+         "m_size: value 3.0 is not an integer"),
+        (lambda d: d["h"]["table"][0].__setitem__(1, 1.0),
+         "table[0][1]: value 1.0 is not an integer"),
+    ])
+    def test_hypergroup_file(self, tmp_path, capsys, edit, message):
+        s3 = tmp_path / "s3.json"
+        assert run(["hg", "construct", "--group", "S3", "--subgroup", "1",
+                    "--transversal", "auto", "-o", str(s3)]) == 0
+        data = json.loads(s3.read_text())
+        assert (data["xi"][1][1], data["xi"][2][0], data["lam"][1][2]) == (0, 2, 1)
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["hg", "verify", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_group_file(self, tmp_path, capsys):
+        group = tmp_path / "g.json"
+        group.write_text('{"table": [[0, 1], [1, 0.0]]}')
+        assert run(["group", "info", str(group)]) == 2
+        assert capsys.readouterr().err == (
+            "error: table[1][1]: value 0.0 is not an integer\n")
 
 
 def _frozen_calls(tmp_path):

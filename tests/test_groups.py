@@ -8,7 +8,9 @@ trusted.
 """
 
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,7 @@ from hypergroups import (
     symmetric_group,
     trivial_group,
 )
+from hypergroups.groups import _right_generators, first_nonassociative
 
 import loop_oracles
 
@@ -120,6 +123,110 @@ def oracle_isomorphisms(g1, g2):
     return out
 
 
+@st.composite
+def relabelled_mutants(draw, table):
+    """table with its labels permuted, then one to three edits: a cell
+    set to a value in [-1, n], or a row cut short or made longer."""
+    n = len(table)
+    perm = draw(st.permutations(range(n)))
+    inv = [0] * n
+    for x, y in enumerate(perm):
+        inv[y] = x
+    out = [[perm[table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(0, n - 1))
+        edit = draw(st.sampled_from(["cell"] * 8 + ["short", "long"]))
+        if edit == "short":
+            out[a] = out[a][:-1]
+        elif edit == "long":
+            out[a] = out[a] + [0]
+        elif out[a]:
+            out[a][draw(st.integers(0, len(out[a]) - 1))] = draw(st.integers(-1, n))
+    return out
+
+
+def describe(exc):
+    """An exception as (type, args, witness), None as None."""
+    if exc is None:
+        return None
+    return type(exc), exc.args, getattr(exc, "witness", None)
+
+
+@st.composite
+def magmas(draw):
+    """Square tables: groups, groups with one cell changed, constant
+    tables, left and right projections, and random tables."""
+    kind = draw(st.sampled_from(["group", "mutant", "constant", "left",
+                                 "right", "random"]))
+    if kind in ("group", "mutant"):
+        spec = draw(st.sampled_from(["Z2", "Z5", "S3", "Q8", "Z2xZ4", "D4",
+                                     "Z3xS3", "Z2xZ2xZ2xZ2"]))
+        table = [row[:] for row in group_from_spec(spec).table]
+        n = len(table)
+        if kind == "mutant":
+            a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            table[a][b] = draw(st.integers(0, n - 1))
+        return table
+    n = draw(st.integers(1, 7))
+    if kind == "constant":
+        c = draw(st.integers(0, n - 1))
+        return [[c] * n for _ in range(n)]
+    if kind == "left":
+        return [[a] * n for a in range(n)]
+    if kind == "right":
+        return [list(range(n)) for _ in range(n)]
+    cell = st.integers(0, n - 1)
+    return [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n)]
+
+
+class TestFirstNonassociative:
+    """Light's test (scan c over a generating set first) must give the
+    loops' first witness. A small BLOCK_CELLS sends small tables down
+    the generating-set path; the default sends them to the full scan."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(table=magmas(), block=st.sampled_from([1, 7, 64, _util.BLOCK_CELLS]))
+    def test_matches_loop_oracle(self, table, block):
+        t = np.array(table, dtype=np.intp)
+        with mock.patch.object(_util, "BLOCK_CELLS", block):
+            got = first_nonassociative(t)
+        assert got == loop_oracles.associativity_witness(table)
+        assert got is None or all(type(i) is int for i in got)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(table=magmas())
+    def test_generating_set_is_greedy_and_reaches_everything(self, table):
+        # each generator is the smallest element that right products of
+        # the earlier ones miss, and the products of all reach every one
+        def reached(gens):
+            seen, todo = set(gens), list(gens)
+            while todo:
+                x = todo.pop()
+                for s in gens:
+                    if table[x][s] not in seen:
+                        seen.add(table[x][s])
+                        todo.append(table[x][s])
+            return seen
+
+        gens = _right_generators(np.array(table, dtype=np.intp))
+        n = len(table)
+        for k, s in enumerate(gens):
+            earlier = reached(gens[:k])
+            assert s == min(set(range(n)) - earlier)
+        assert reached(gens) == set(range(n))
+
+    @pytest.mark.parametrize("spec", ["Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "D8xZ16", "S5"])
+    def test_large_groups_pass_and_mutants_fail(self, spec):
+        # past one block, so the generating-set scan decides the groups;
+        # a changed cell sends the mutant to the full scan
+        table = [row[:] for row in group_from_spec(spec).table]
+        assert len(table) ** 3 > _util.BLOCK_CELLS
+        assert first_nonassociative(np.array(table, dtype=np.intp)) is None
+        table[37][91] = table[37][92]
+        assert (first_nonassociative(np.array(table, dtype=np.intp))
+                == loop_oracles.associativity_witness(table))
+
+
 # --------------------------------------------------------------------
 # table validation
 
@@ -174,6 +281,23 @@ class TestGroupFromCayleyTable:
         with pytest.raises(NotAssociativeError) as ei:
             group_from_cayley_table(table)
         assert ei.value.witness == expected
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(table=st.sampled_from(["Z5", "S3", "Q8", "Z2xZ4", "D4", "Z3xS3"])
+           .flatmap(lambda spec: relabelled_mutants(group_from_spec(spec).table)),
+           block=st.sampled_from([1, 7, 64, _util.BLOCK_CELLS]))
+    def test_errors_match_loop_oracle(self, table, block):
+        # any cell may change, so the identity can go, move or stay; a
+        # value may leave the range and a row may lose or gain a cell
+        expected = loop_oracles.cayley_error(table)
+        with mock.patch.object(_util, "BLOCK_CELLS", block):
+            try:
+                group_from_cayley_table(table)
+                got = None
+            except (NotClosedError, NoIdentityError, NotAssociativeError,
+                    NoInverseError) as exc:
+                got = exc
+        assert describe(got) == describe(expected)
 
     def test_no_identity(self):
         table = [[1, 1], [1, 1]]

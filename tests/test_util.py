@@ -6,9 +6,11 @@ the same prefix, and the checks at one index in listed order. Small
 block sizes force many blocks, so the block boundaries are exercised.
 first_mismatch, its 2-D table-against-table case, is compared with a
 double loop over a full table and over a broadcast row, column and
-scalar.
+scalar. canonical_dumps is compared with the json.dumps call whose bytes
+it promises, errors included.
 """
 
+import json
 from contextlib import contextmanager
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergroups import _util
-from hypergroups._util import first_failure, first_mismatch
+from hypergroups._util import canonical_dumps, first_failure, first_mismatch
 
 
 def loop_first_failure(shape, masks):
@@ -143,3 +145,68 @@ def test_witness_indices_are_python_ints():
     name, at = first_failure((3, 3), [("c", lambda r: mask[r])])
     assert (name, at) == ("c", (2, 1))
     assert all(type(i) is int for i in at)
+
+
+def dump_outcome(dump, value):
+    try:
+        return dump(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-(2 ** 200), 2 ** 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.sampled_from(['"\\/\b\f\n\r\t', "\x00\x1f\x7f", "\u00e9\u00fc\u00df",
+                     "\u2028\u2029", "\U0001f600", "\ud800", ""]),
+)
+key_kinds = st.sampled_from([
+    st.text(max_size=3), st.integers(-3, 3), st.floats(allow_nan=True),
+    st.booleans(), st.none(), st.one_of(st.integers(-3, 3), st.floats()),
+    st.one_of(st.text(max_size=2), st.integers(-3, 3)),  # unsortable mixes
+])
+
+
+def json_containers(children):
+    int_rows = st.lists(st.integers(), min_size=1, max_size=8)
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        int_rows, int_rows.map(tuple),
+        st.lists(st.one_of(st.integers(-2, 2), st.booleans()), max_size=6),
+        key_kinds.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+    )
+
+
+json_values = st.recursive(json_leaves, json_containers, max_leaves=30)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(value=json_values)
+def test_canonical_dumps_is_json_dumps(value):
+    assert dump_outcome(canonical_dumps, value) == dump_outcome(reference_dumps, value)
+
+
+def test_canonical_dumps_edge_values():
+    deep_list, deep_dict = [[0, 1]], {"k": [0, {"a": None}]}
+    for _ in range(150):
+        deep_list, deep_dict = [deep_list, 1], {"k": deep_dict, "j": [True, 2]}
+    values = [
+        [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [0], (5,), [True],
+        [1, True, 0, False], [1, 2.0], [[0, 1], [1, 0]], [1, None],
+        {1: "a", 2.5: "b", -1: "c"}, {True: 1, False: 0}, {None: [1]},
+        {float("nan"): 0}, {float("inf"): [1, 2], float("-inf"): 0},
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+        [2 ** 100, -(2 ** 100)], {"big": 10 ** 5000}, [10 ** 5000],
+        deep_list, deep_dict,
+        {(1, 2): 3}, {"a": 1, 2: "b"}, {1, 2}, [1, np.int64(2)], np.int64(3),
+        "\x00\u00e9\ud800\U0001f600",
+    ]
+    for value in values:
+        assert dump_outcome(canonical_dumps, value) == dump_outcome(reference_dumps, value), value
