@@ -141,19 +141,19 @@ def as_int(value: Any, location: str) -> int:
 def as_int_matrix(rows: Any, name: str = "table") -> list[list[int]]:
     """Copy a nested sequence or an array to list-of-list-of-int.
 
-    A row that is not a sequence raises TypeError, and a cell that is
-    not an integer (a float, a bool, a string) MalformedTablesError at
+    A table or row that is not a sequence, or a cell that is not an
+    integer (a float, a bool, a string), raises MalformedTablesError at
     the first one in row-major order. Each row's cell types are read
     once; only a row with other integer types is converted cell by cell.
     """
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     if not isinstance(rows, (list, tuple)):
-        raise TypeError(f"{name} must be a sequence of rows")
+        raise MalformedTablesError(name, "not a sequence of rows")
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):
-            raise TypeError(f"{name} row {i} is not a sequence")
+            raise MalformedTablesError(f"{name}[{i}]", "row is not a sequence")
         if set(map(type, row)) <= {int}:
             out.append(list(row))
         else:

@@ -51,11 +51,15 @@ class FiniteGroup:
         return self.table[i][j]
 
     def np_table(self) -> np.ndarray:
-        cached = getattr(self, "_np_table", None)
-        if cached is None:
-            cached = np.asarray(self.table, dtype=np.intp)
-            object.__setattr__(self, "_np_table", cached)
-        return cached
+        """The table as a read-only intp array, rebuilt whenever the list
+        table no longer equals the snapshot it was built from."""
+        snapshot, arr = getattr(self, "_np_table", (None, None))
+        if snapshot != self.table:
+            snapshot = [row[:] for row in self.table]
+            arr = np.asarray(snapshot, dtype=np.intp)
+            arr.flags.writeable = False
+            object.__setattr__(self, "_np_table", (snapshot, arr))
+        return arr
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -161,26 +165,29 @@ def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
 
 def first_nonassociative(t: np.ndarray) -> tuple[int, int, int] | None:
     """The first (a, b, c) in scan order with (a*b)*c != a*(b*c) in the
-    square intp table t, scanned over blocks of a.
-
-    Light's associativity test: the c with (a*b)*c = a*(b*c) for all a
-    and b are closed under the product, so it is enough to test c in a
-    set S whose products reach every element. When the full n^3 scan
-    spans more than one block, S is chosen greedily (_right_generators)
-    and scanned first; only if that scan fails does the full scan run,
-    so the witness is still the first in scan order.
-    """
-    n = len(t)
-
-    def scan(c):  # c selects the columns of t tested as the third factor
-        tc = t[:, c]
-        return first_failure((n, n, tc.shape[1]), [
-            ("associative", lambda r: tc.take(t[r], axis=0) != t[r].take(tc, axis=1)),
-        ])
-
-    if n ** 3 > _util.BLOCK_CELLS and scan(_right_generators(t)) is None:
+    square intp table t, scanned over blocks of a. Past one block,
+    light_associative decides first and the full scan runs only if it
+    fails, so the witness is still the first in scan order."""
+    if len(t) ** 3 > _util.BLOCK_CELLS and light_associative(t):
         return None
-    failure = scan(slice(None))
+    return _associativity_witness(t, slice(None))
+
+
+def light_associative(t: np.ndarray) -> bool:
+    """Whether the square intp table t is associative, by Light's test:
+    the c with (a*b)*c = a*(b*c) for all a and b are closed under the
+    product, so it is enough to test c in a set S whose products reach
+    every element, here chosen greedily by _right_generators."""
+    return _associativity_witness(t, _right_generators(t)) is None
+
+
+def _associativity_witness(t: np.ndarray, c) -> tuple[int, int, int] | None:
+    """The first failing (a, b, c) with c among the columns c selects."""
+    n = len(t)
+    tc = t[:, c]
+    failure = first_failure((n, n, tc.shape[1]), [
+        ("associative", lambda r: tc.take(t[r], axis=0) != t[r].take(tc, axis=1)),
+    ])
     return None if failure is None else failure[1]
 
 
@@ -635,8 +642,15 @@ def parse_cayley_text(text: str, name: str | None = None) -> FiniteGroup:
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
     if not rows:
         raise UnknownSpecError("empty Cayley-table text")
-    n = int(rows[0][0])
+    n = _int_token(rows[0][0])
     if len(rows) != n + 1:
         raise UnknownSpecError(f"expected {n} table rows, got {len(rows) - 1}")
-    table = [[int(v) for v in row] for row in rows[1:]]
+    table = [[_int_token(v) for v in row] for row in rows[1:]]
     return group_from_cayley_table(table, name=name)
+
+
+def _int_token(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise UnknownSpecError(f"token {token!r} is not an integer") from None

@@ -488,6 +488,34 @@ class TestNonIntegerValues:
             "error: table[1][1]: value 0.0 is not an integer\n")
 
 
+class TestMalformedRowsAndTokens:
+    """A row that is not a list and a text token that is not an integer
+    are data errors: exit 2 with a one-line message, no traceback."""
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("g.json", '{"table": [1, 2]}', "table[0]: row is not a sequence"),
+        ("g.json", '{"table": 7}', "table: not a sequence of rows"),
+        ("g.txt", "2\n0 1\n1 x\n", "token 'x' is not an integer"),
+        ("g.txt", "2.0\n0 1\n1 0\n", "token '2.0' is not an integer"),
+    ])
+    def test_group_file(self, tmp_path, capsys, name, text, message):
+        group = tmp_path / name
+        group.write_text(text)
+        assert run(["group", "info", str(group)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_hypergroup_file(self, z6_file, tmp_path):
+        data = json.loads(z6_file.read_text())
+        data["xi"][1] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypergroups.cli", "hg", "verify", str(bad)],
+            capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: xi[1]: row is not a sequence\n"
+
+
 def _frozen_calls(tmp_path):
     """{name: argv} of CLI calls whose exit code and stdout are frozen.
 

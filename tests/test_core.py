@@ -63,8 +63,9 @@ from hypergroups import (
     trivial_group,
     verify_axioms,
 )
-from hypergroups import _util
+from hypergroups import _util, core
 from hypergroups._util import canonical_dumps
+from hypergroups.groups import light_associative
 
 import loop_oracles
 
@@ -351,27 +352,39 @@ class TestVerifyAxioms:
     @pytest.mark.skipif(sys.platform == "win32", reason="needs resource")
     def test_memory_bounded_at_m_256(self):
         # whole-cube temporaries at |M| = 256 would take 128 MiB each
-        code = (
-            "import resource, sys\n"
-            "from hypergroups import (group_from_spec, standard_construction,\n"
-            "    subgroup_from_elements, verify_axioms)\n"
-            "g = group_from_spec('x'.join(['Z2'] * 8))\n"
-            "hg = standard_construction(g, subgroup_from_elements(g, [0]),\n"
-            "                           list(range(256)))\n"
-            "print(verify_axioms(hg).overall)\n"
-            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print(peak // 1024 if sys.platform == 'darwin' else peak)\n"
-        )
-        env = dict(os.environ)
-        src = str(Path(hypergroups.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        overall, peak_kib = proc.stdout.split()
-        assert overall == "True"
-        assert int(peak_kib) <= 128 * 1024
+        assert verify_z2_power_in_child(8, timeout=120) <= 128 * 1024
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs resource")
+    def test_memory_and_time_bounded_at_m_512(self):
+        # the cubic A4/A5 scans alone take seconds here; the product
+        # table on H x M decides them
+        assert verify_z2_power_in_child(9, timeout=60) <= 128 * 1024
+
+
+def verify_z2_power_in_child(k, timeout):
+    """Peak RSS in KiB of a fresh interpreter that checks that Z2^k over
+    the trivial subgroup passes verify_axioms, within timeout seconds."""
+    code = (
+        "import resource, sys\n"
+        "from hypergroups import (group_from_spec, standard_construction,\n"
+        "    subgroup_from_elements, verify_axioms)\n"
+        f"g = group_from_spec('x'.join(['Z2'] * {k}))\n"
+        "hg = standard_construction(g, subgroup_from_elements(g, [0]),\n"
+        f"                           list(range({2 ** k})))\n"
+        "print(verify_axioms(hg).overall)\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(peak // 1024 if sys.platform == 'darwin' else peak)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(hypergroups.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    overall, peak_kib = proc.stdout.split()
+    assert overall == "True"
+    return int(peak_kib)
 
 
 @st.composite
@@ -402,6 +415,114 @@ class TestVerifyAgainstLoops:
         with mock.patch.object(_util, "BLOCK_CELLS", block):
             report = verify_axioms(hg)
         assert results(report) == loop_oracles.verify_axioms(hg)
+
+
+@st.composite
+def shortcut_inputs(draw):
+    """A standard construction over |H| = 1, or |H| = 2 with |M| >= 5,
+    sometimes with one cell changed: anywhere, or in the column of the
+    identity of H, where it breaks phi(a, eps) = a or psi(a, eps) = eps."""
+    g = group_from_spec(draw(st.sampled_from(
+        ["Z4", "S3", "D4", "Q8", "Z2xZ4", "Z8", "D5", "Z12", "D6", "Z2xS3",
+         "Z2xD4", "Z16"])))
+    h = draw(st.sampled_from([h for h in enumerate_subgroups(g)
+                              if h.order == 1 or h.order == 2 <= g.order // 5]))
+    hg = standard_construction(
+        g, h, draw(st.sampled_from(sample_transversals(g, h, cap=4, seed=0))))
+    kind = draw(st.sampled_from(["none", "any", "identity column"]))
+    if kind != "none":
+        name = draw(st.sampled_from(
+            ["phi", "psi", "xi", "lam"] if kind == "any" else ["phi", "psi"]))
+        rows, cols = getattr(hg, name).shape
+        col = (draw(st.integers(0, cols - 1)) if kind == "any"
+               else hg.h.identity)
+        limit = hg.m_size if name in ("phi", "xi") else hg.h.order
+        hg = with_cell(hg, name, draw(st.integers(0, rows - 1)), col,
+                       draw(st.integers(0, limit - 1)))
+    return hg
+
+
+def fixes_units(hg):
+    """phi(a, eps) = a and psi(a, eps) = eps for every a."""
+    eps = hg.h.identity
+    return bool((hg.phi[:, eps] == np.arange(hg.m_size)).all()
+                and (hg.psi[:, eps] == eps).all())
+
+
+def product_table(hg):
+    return core._product_table(hg.phi, hg.psi, hg.xi, hg.lam,
+                               np.asarray(hg.h.table, dtype=np.intp))
+
+
+def scanned_axioms(hg):
+    """(report, the axioms verify_axioms ran a first_failure scan for,
+    whether it ran Light's test)."""
+    with mock.patch.object(core, "_axiom_result", wraps=core._axiom_result) as scan, \
+            mock.patch.object(core, "light_associative",
+                              wraps=light_associative) as light:
+        report = verify_axioms(hg)
+    return report, [c.args[0] for c in scan.call_args_list], light.called
+
+
+class TestProductShortcut:
+    """A4 and A5 are associativity, on triples from M, of the product
+    on H x M; once it passes Light's test the cubic scans are skipped."""
+
+    # BLOCK_CELLS = (|H||M|)^2 < |M|^3 takes the shortcut at these sizes
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(hg=shortcut_inputs())
+    def test_results_match_loops(self, hg):
+        m, hn = hg.m_size, hg.h.order
+        block = (hn * m) ** 2
+        assert m ** 3 > block
+        with mock.patch.object(_util, "BLOCK_CELLS", block):
+            report, _, light_ran = scanned_axioms(hg)
+        assert light_ran == fixes_units(hg)
+        assert results(report) == loop_oracles.verify_axioms(hg)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(hg=shortcut_inputs())
+    def test_light_pass_implies_a4_and_a5(self, hg):
+        if fixes_units(hg) and light_associative(product_table(hg)):
+            expect = loop_oracles.verify_axioms(hg)
+            assert expect["A4"][0] and expect["A5"][0]
+
+    def test_product_table_of_a_construction_is_the_group(self):
+        # (alpha, a) at alpha * |M| + a stands for alpha * a in G
+        for g, h, t in all_small_hypergroups(12):
+            hg = standard_construction(g, h, t)
+            gt = np.asarray(g.table)
+            elem = gt[np.asarray(h.elements)[:, None],
+                      np.asarray(t.reps)[None, :]].ravel()
+            assert (elem[product_table(hg)] == gt[elem[:, None], elem]).all()
+            assert light_associative(product_table(hg))
+
+    def test_z2_8_skips_the_cubic_scans(self):
+        g = group_from_spec("x".join(["Z2"] * 8))
+        hg = standard_construction(g, subgroup_from_elements(g, [0]),
+                                   list(range(256)))
+        report, scanned, light_ran = scanned_axioms(hg)
+        assert report.overall and light_ran
+        assert scanned == ["P2", "A1", "A2", "A3"]
+        # a changed cell fails Light's test, and the scans give the witness
+        mutant = with_cell(hg, "xi", 200, 7, int(hg.xi[200, 8]))
+        report, scanned, light_ran = scanned_axioms(mutant)
+        assert light_ran and scanned[-2:] == ["A4", "A5"]
+        with mock.patch.object(core, "light_associative", return_value=False):
+            assert results(report) == results(verify_axioms(mutant))
+        assert not report.checks["A4"].ok
+
+    def test_scans_run_past_the_table_budget(self):
+        # |H| = 5 and |M| = 64: the 320^2 product table exceeds
+        # max(BLOCK_CELLS, |M|^2), so A4 and A5 are scanned
+        g = group_from_spec("Z5x" + "x".join(["Z2"] * 6))
+        hg = standard_construction(
+            g, subgroup_from_elements(g, [0, 64, 128, 192, 256]), list(range(64)))
+        assert 64 ** 3 > _util.BLOCK_CELLS
+        assert (5 * 64) ** 2 > max(_util.BLOCK_CELLS, 64 ** 2)
+        report, scanned, light_ran = scanned_axioms(hg)
+        assert report.overall and not light_ran
+        assert scanned == ["P2", "A1", "A2", "A3", "A4", "A5"]
 
 
 # --------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from hypergroups import _util
 from hypergroups import (
+    MalformedTablesError,
     NoIdentityError,
     NoInverseError,
     NotAssociativeError,
@@ -43,12 +44,14 @@ from hypergroups import (
     quaternion_group,
     quotient_group,
     right_cosets,
+    standard_construction,
     subgroup_closure,
     subgroup_from_elements,
     symmetric_group,
     trivial_group,
 )
-from hypergroups.groups import _right_generators, first_nonassociative
+from hypergroups.groups import (_right_generators, first_nonassociative,
+                                light_associative)
 
 import loop_oracles
 
@@ -231,6 +234,51 @@ class TestFirstNonassociative:
 # table validation
 
 
+class TestLightAssociative:
+    @pytest.mark.parametrize("spec", ["Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "D8xZ16", "S4"])
+    def test_groups_pass_and_a_changed_cell_fails(self, spec):
+        table = [row[:] for row in group_from_spec(spec).table]
+        assert light_associative(np.array(table, dtype=np.intp))
+        table[5][11] = table[5][12]
+        assert not light_associative(np.array(table, dtype=np.intp))
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(table=magmas())
+    def test_equals_the_loop_verdict(self, table):
+        assert (light_associative(np.array(table, dtype=np.intp))
+                == (loop_oracles.associativity_witness(table) is None))
+
+
+class TestNpTable:
+    def test_read_only(self):
+        t = cyclic_group(4).np_table()
+        assert t.dtype == np.intp and not t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t[0, 0] = 1
+
+    def test_rebuilt_after_an_in_place_edit(self):
+        g = cyclic_group(4)
+        assert g.np_table()[1].tolist() == [1, 2, 3, 0]
+        row = g.table[1]
+        row[1], row[3] = row[3], row[1]
+        assert g.np_table()[1].tolist() == [1, 0, 3, 2]
+        assert g.np_table().tolist() == g.table
+
+    def test_construction_reads_a_table_edited_in_place(self):
+        # over the trivial subgroup, xi is the group table
+        g = cyclic_group(4)
+        h = subgroup_from_elements(g, [0])
+        assert standard_construction(g, h, [0, 1, 2, 3]).xi.tolist() == g.table
+        klein = group_from_spec("Z2xZ2")
+        g.table[:] = [row[:] for row in klein.table]
+        g.inverse[:] = klein.inverse
+        assert standard_construction(g, h, [0, 1, 2, 3]).xi.tolist() == klein.table
+
+    def test_unchanged_table_is_not_rebuilt(self):
+        g = cyclic_group(4)
+        assert g.np_table() is g.np_table()
+
+
 class TestGroupFromCayleyTable:
     def test_z4_accepted(self):
         table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
@@ -314,6 +362,17 @@ class TestGroupFromCayleyTable:
     def test_ragged_rejected(self):
         with pytest.raises(NotClosedError):
             group_from_cayley_table([[0, 1], [1]])
+
+    @pytest.mark.parametrize("table, location", [
+        ([1, 2], "table[0]"),
+        ([[0, 1], (1, 0), "10"], "table[2]"),
+        (5, "table"),
+        ("01", "table"),
+    ])
+    def test_rows_that_are_not_sequences(self, table, location):
+        with pytest.raises(MalformedTablesError) as ei:
+            group_from_cayley_table(table)
+        assert ei.value.location == location
 
     def test_order_cap(self):
         with pytest.raises(SizeLimitExceededError):
@@ -588,3 +647,13 @@ class TestSerialization:
     def test_cayley_text_validates(self):
         with pytest.raises(NotClosedError):
             parse_cayley_text("2\n0 1\n1 9\n")
+
+    @pytest.mark.parametrize("text, token", [
+        ("2\n0 1\n1 x", "x"),
+        ("2\n0 1.0\n1 0", "1.0"),
+        ("two\n0 1\n1 0", "two"),
+    ])
+    def test_cayley_text_names_a_bad_token(self, text, token):
+        with pytest.raises(UnknownSpecError,
+                           match=f"^token '{token}' is not an integer$"):
+            parse_cayley_text(text)
