@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import InternalInconsistencyError, SizeLimitExceededError
 from .groups import FiniteGroup, builtin_groups, element_orders, enumerate_subgroups
-from .morphisms import HgMorphism, _element_keys, find_isomorphism
+from .morphisms import HgMorphism, _element_keys, _find_isomorphism, find_isomorphism
 from .transversals import DEFAULT_SAMPLE_CAP, sample_transversals
 
 MAX_SWEEP_ORDER = 24
@@ -50,24 +50,30 @@ class CatalogEntry:
 class Catalog:
     """Entries deduplicated by isomorphism: find_isomorphism runs only
     against the class representatives sharing the entry's _invariant_key,
-    in class-id order, so a finer key only removes calls that would miss."""
+    in class-id order, so a finer key only removes calls that would miss.
+    The _element_keys of the entry and of each representative are
+    computed once and handed to the search."""
 
     entries: list[CatalogEntry] = field(default_factory=list)
     class_reps: list[HypergroupOverGroup] = field(default_factory=list)
     _buckets: dict = field(default_factory=dict, repr=False)
+    _rep_keys: list = field(default_factory=list, repr=False)  # _element_keys
 
     def insert(self, hg: HypergroupOverGroup, provenance: str) -> CatalogEntry:
-        key = _invariant_key(hg)
+        keys = _element_keys(hg)
+        key = _invariant_key(hg, keys)
         bucket = self._buckets.setdefault(key, [])
         flags = key[3], key[4]  # xi is a group, xi is commutative
         for class_id in bucket:
-            iso = find_isomorphism(hg, self.class_reps[class_id])
+            iso = _find_isomorphism(hg, self.class_reps[class_id],
+                                    keys1=keys, keys2=self._rep_keys[class_id])
             if iso is not None:
                 entry = CatalogEntry(hg, provenance, class_id, iso, *flags)
                 self.entries.append(entry)
                 return entry
         class_id = len(self.class_reps)
         self.class_reps.append(hg)
+        self._rep_keys.append(keys)
         bucket.append(class_id)
         entry = CatalogEntry(hg, provenance, class_id, None, *flags)
         self.entries.append(entry)
@@ -87,15 +93,16 @@ class Catalog:
         return len(self.class_reps)
 
 
-def _invariant_key(hg: HypergroupOverGroup) -> tuple:
+def _invariant_key(hg: HypergroupOverGroup, keys: list[tuple] | None = None) -> tuple:
     """Isomorphism-invariant bucket key for dedup.
 
     Sizes, H's element orders, whether xi is a group and commutative,
     the sorted _element_keys, whether psi and lam are trivial, and the
     sorted colours of M after at most three rounds of colour refinement
     (stopping once no colour class splits). Refinement starts from the
-    hashed _element_keys, with H coloured by element order, and
-    recolours a by its xi/lam row, xi/lam column and (phi, psi) action.
+    hashed _element_keys (keys, when the caller has them), with H
+    coloured by element order, and recolours a by its xi/lam row, xi/lam
+    column and (phi, psi) action.
     Only what an isomorphism carries along enters, so isomorphic
     hypergroups get equal keys; components are only added, so a coarser
     key's bucket can only split.
@@ -103,7 +110,8 @@ def _invariant_key(hg: HypergroupOverGroup) -> tuple:
     mr, hr = range(hg.m_size), range(hg.h.order)
     xi, lam, phi, psi = (t.tolist() for t in (hg.xi, hg.lam, hg.phi, hg.psi))
     hc = element_orders(hg.h)
-    keys = _element_keys(hg)
+    if keys is None:
+        keys = _element_keys(hg)
     c = [hash(k) for k in keys]
     n_colours = len(set(c))
     for _ in range(3):

@@ -22,6 +22,7 @@ hypergroup_to_json writes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,8 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _associativity_witness,
+    _right_generators,
     first_nonassociative,
     group_from_cayley_table,
     group_from_json,
@@ -277,16 +280,65 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
 
     Each cubic relation is one first_failure scan over blocks of leading
     a, which stops at the first failing block. Memory: besides the
-    tables, a block holds a few intp temporaries of at most
-    max(BLOCK_CELLS, |M|^2, |H|^2) cells each (512 KiB for |M|, |H| <=
-    256), so the peak grows with the square of the orders, not the cube.
+    tables, every temporary holds at most max(BLOCK_CELLS, |M|^2, |H|^2)
+    cells (512 KiB of intp for |M|, |H| <= 256): a block of a scan, the
+    (|H||M|)^2 product table below, which is built only within that
+    budget, and the generator walks, O(|M| + |H|) cells per generator.
 
-    A4 and A5 are the M- and H-parts of (x*y)*z = x*(y*z) for x, y, z in
-    M = {(eps, a)} under _product_table's product on H x M, once
-    phi[a][eps] = a and psi[a][eps] = eps for every a. When both hold,
-    the A4/A5 cube spans more than one block and the (|H||M|)^2 table
-    fits the budget above, a pass of Light's test on it passes A4 and A5
-    without their scans; otherwise the scans run and give the witnesses.
+    Generators only. When a cube spans more than one block and every
+    check before it passed, its relation is first scanned with the last
+    argument over a generating set only. A pass there is a pass, by the
+    closure arguments below; a failure runs the full scan, which gives
+    the witness. The arguments need H to be a group (ht associative with
+    identity eps; checked, else every relation is scanned in full). B is
+    _right_generators(ht): every element of H is a product b1*...*bk of
+    members of B, so a set that contains B and is closed under the
+    product is H. Write a^al = phi[a][al], p(a, al) = psi[a][al],
+    [a, b] = xi[a][b] and L(a, b) = lam[a][b].
+
+    A0 (in P2), be over B. If A0 holds at be and at ga for all a, al,
+    then a^(al*(be*ga)) = a^((al*be)*ga) = (a^(al*be))^ga
+    = ((a^al)^be)^ga = (a^al)^(be*ga), so it holds at be*ga.
+    A1, be over B, given A0. If A1 holds at be and at ga, then
+    p(a, (al*be)*ga) = p(a, al*be) p(a^(al*be), ga)
+    = p(a, al) p(a^al, be) p((a^al)^be, ga) = p(a, al) p(a^al, be*ga).
+    A2, al over B, given A0 and A1; then A3, al over B, given A2 too.
+    Let a' = a^p(b, al) and b' = b^al, so that a'^p(b', be)
+    = a^(p(b, al) p(b^al, be)) = a^p(b, al*be) and b'^be = b^(al*be).
+    If A2 holds at al and be, [a, b]^(al*be) = ([a, b]^al)^be
+    = [a', b']^be = [a'^p(b', be), b'^be]: A2 holds at al*be. If A3
+    holds at al and be, L(a, b) p([a, b], al*be)
+    = L(a, b) p([a, b], al) p([a, b]^al, be)
+    = p(a, p(b, al)) L(a', b') p([a', b'], be)
+    = p(a, p(b, al)) p(a', p(b', be)) L(a'^p(b', be), b'^be)
+    = p(a, p(b, al*be)) L(a^p(b, al*be), b^(al*be)): A3 holds at al*be.
+
+    A4 and A5, c over S. On H x M take the product (al, a)(be, b) =
+    (al p(a, be) L(a^be, b), [a^be, b]), the right action
+    (ga, c).be = (ga p(c, be), c^be) and d*(ga, c) = (d ga, c). Given
+    the unit conditions a^eps = a and p(a, eps) = eps:
+      (1) x(be, b) = (x.be)(eps, b), (d*x)y = d*(xy) and
+          (d*x).al = d*(x.al);
+      (2) (x.al).be = x.(al*be), by A0 and A1;
+      (3) x(be*w) = (x.be)w, by (1) and (2);
+      (4) A2 and A3 at (a, b, al) say ((eps, a)(eps, b)).al =
+          (eps, a)((eps, b).al), so (xw).al = x(w.al) by (1)-(3);
+      (5) A4 and A5 at (a, b, c) are the M- and H-parts of
+          ((eps, a)(eps, b))(eps, c) = (eps, a)((eps, b)(eps, c)).
+    Let Z be the set of z with (xy)z = x(yz) for all x, y in H x M.
+    Z is closed under the product (Light), under .al by (4), and under
+    d* by (3) and (4): (xy)(d*z) = ((xy).d)z = (x(y.d))z = x((y.d)z)
+    = x(y(d*z)). If A4 and A5 hold at (a, b, c) for all a, b, then
+    (eps, c) is in Z: for y = be*(eps, b), by (3), (5) and (1),
+    (xy)(eps, c) = ((x.be)(eps, b))(eps, c) = (x.be)((eps, b)(eps, c))
+    = x(y(eps, c)). So Z = H x Z_M, and by d*, .al and the product,
+    Z_M is closed under c -> c^al and (c, d) -> [c, d]. S is taken greedily, o last, so that the maps
+    x -> [x, s] for s in S and x -> x^be for be in B reach all of M
+    from S; then Z_M = M, the product is associative, and A4 and A5
+    hold everywhere by (5). On a field's image S = {1}. Where the
+    (|H||M|)^2 product table fits the budget above it is built instead,
+    and once the unit conditions hold Light's test on it decides A4 and
+    A5 (needing no other check to pass).
     """
     phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
     ht = np.asarray(hg.h.table, dtype=np.intp)
@@ -295,6 +347,24 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
     o = hg.o
     checks: dict[str, CheckResult] = {}
     marange = np.arange(m, dtype=np.intp)
+    # B, when some cube spans more than one block and H is a group
+    hgens = (_group_generators(ht, eps)
+             if m * max(m, hn) ** 2 > _util.BLOCK_CELLS else None)
+
+    def settle(shape, axioms, gens):
+        """checks[name] for each (name, mask_of, detail) in axioms, where
+        mask_of(cols) is the first_failure mask with the last index over
+        cols, all of them for None. Past one block, given gens and with
+        every check so far passing, one scan over gens decides first;
+        otherwise, or if it fails, each full scan gives the witness."""
+        if (gens is not None and math.prod(shape) > _util.BLOCK_CELLS
+                and all(c.ok for c in checks.values())
+                and first_failure(shape[:-1] + (len(gens),), [
+                    (name, mask_of(gens)) for name, mask_of, _ in axioms]) is None):
+            checks.update((name, CheckResult(True)) for name, _, _ in axioms)
+            return
+        for name, mask_of, detail in axioms:
+            checks[name] = _axiom_result(name, shape, mask_of(None), detail)
 
     # P1: left neutral first, then every column a permutation
     p1 = CheckResult(True)
@@ -321,6 +391,46 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
                 seen[v] = x
     checks["P1"] = p1
 
+    # Pair lookups T[i][j] read the flat table at i * ncols + j, with
+    # the row index tables premultiplied once (phi_m = phi * |M|), so a
+    # lookup costs one add and one take per block. Each mask reads the
+    # tables its last argument indexes at the columns cols only.
+    xif, lamf, htf = xi.ravel(), lam.ravel(), ht.ravel()
+    phi_m, psi_h, lam_h = phi * m, psi * hn, lam * hn
+
+    def a0(cols):
+        phi_c, ht_c = (phi, ht) if cols is None else (phi[:, cols], ht[:, cols])
+        return lambda r: phi_c.take(phi[r], axis=0) != phi[r].take(ht_c, axis=1)
+
+    def a1(cols):
+        psi_c, ht_c = (psi, ht) if cols is None else (psi[:, cols], ht[:, cols])
+        return lambda r: (psi[r].take(ht_c, axis=1)
+                          != htf.take(psi_h[r][:, :, None] + psi_c.take(phi[r], axis=0)))
+
+    def a2(cols):
+        phi_c, psi_c = (phi, psi) if cols is None else (phi[:, cols], psi[:, cols])
+        return lambda r: (phi_c.take(xi[r], axis=0)
+                          != xif.take(phi_m[r].take(psi_c, axis=1) + phi_c))
+
+    def a3(cols):
+        phi_c, psi_c = (phi, psi) if cols is None else (phi[:, cols], psi[:, cols])
+        return lambda r: (
+            htf.take(lam_h[r][:, :, None] + psi_c.take(xi[r], axis=0))
+            != htf.take(psi_h[r].take(psi_c, axis=1)
+                        + lamf.take(phi_m[r].take(psi_c, axis=1) + phi_c)))
+
+    def a4(cols):
+        xi_c, lam_c = (xi, lam) if cols is None else (xi[:, cols], lam[:, cols])
+        return lambda r: (xi_c.take(xi[r], axis=0)
+                          != xif.take(phi_m[r].take(lam_c, axis=1) + xi_c))
+
+    def a5(cols):
+        xi_c, lam_c = (xi, lam) if cols is None else (xi[:, cols], lam[:, cols])
+        return lambda r: (
+            htf.take(lam_h[r][:, :, None] + lam_c.take(xi[r], axis=0))
+            != htf.take(psi_h[r].take(lam_c, axis=1)
+                        + lamf.take(phi_m[r].take(lam_c, axis=1) + xi_c)))
+
     # P2: unit action, then A0
     unit_bad = np.flatnonzero(phi[:, eps] != marange)
     if len(unit_bad):
@@ -329,11 +439,10 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
             False, (a,), f"phi[{a}][{eps}] = {phi[a, eps]}, expected {a}"
         )
     else:
-        checks["P2"] = _axiom_result(
-            "P2", (m, hn, hn),
-            lambda r: phi.take(phi[r], axis=0) != phi[r].take(ht, axis=1),
+        settle((m, hn, hn), [(
+            "P2", a0,
             lambda w: "phi[phi[{0}][{1}]][{2}] != phi[{0}][{1}*{2}]".format(*w),
-        )
+        )], hgens)
 
     # P3: alpha -> psi[o][alpha] onto H
     image = set(psi[o].tolist())
@@ -350,52 +459,34 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
     def fails_at(axiom: str, names: str):
         return lambda w: f"{axiom} fails at ({names}) = {w}"
 
-    # Pair lookups T[i][j] read the flat table at i * ncols + j, with
-    # the row index tables premultiplied once (phi_m = phi * |M|), so a
-    # lookup costs one add and one take per block.
-    xif, lamf, htf = xi.ravel(), lam.ravel(), ht.ravel()
-    phi_m, psi_h, lam_h = phi * m, psi * hn, lam * hn
+    settle((m, hn, hn), [("A1", a1, fails_at("A1", "a, alpha, beta"))], hgens)
+    settle((m, m, hn), [("A2", a2, fails_at("A2", "a, b, alpha"))], hgens)
+    settle((m, m, hn), [("A3", a3, fails_at("A3", "a, b, alpha"))], hgens)
 
-    checks["A1"] = _axiom_result(
-        "A1", (m, hn, hn),
-        lambda r: psi[r].take(ht, axis=1)
-        != htf.take(psi_h[r][:, :, None] + psi.take(phi[r], axis=0)),
-        fails_at("A1", "a, alpha, beta"),
-    )
-    checks["A2"] = _axiom_result(
-        "A2", (m, m, hn),
-        lambda r: phi.take(xi[r], axis=0)
-        != xif.take(phi_m[r].take(psi, axis=1) + phi),
-        fails_at("A2", "a, b, alpha"),
-    )
-    checks["A3"] = _axiom_result(
-        "A3", (m, m, hn),
-        lambda r: htf.take(lam_h[r][:, :, None] + psi.take(xi[r], axis=0))
-        != htf.take(psi_h[r].take(psi, axis=1)
-                    + lamf.take(phi_m[r].take(psi, axis=1) + phi)),
-        fails_at("A3", "a, b, alpha"),
-    )
-    if (m ** 3 > _util.BLOCK_CELLS
-            and (hn * m) ** 2 <= max(_util.BLOCK_CELLS, m * m)
-            and not len(unit_bad) and (psi[:, eps] == eps).all()
-            and light_associative(_product_table(phi, psi, xi, lam, ht))):
-        checks.update(A4=CheckResult(True), A5=CheckResult(True))
-        return Report(checks, "axioms")
-    checks["A4"] = _axiom_result(
-        "A4", (m, m, m),
-        lambda r: xi.take(xi[r], axis=0)
-        != xif.take(phi_m[r].take(lam, axis=1) + xi),
-        fails_at("A4", "a, b, c"),
-    )
-    checks["A5"] = _axiom_result(
-        "A5", (m, m, m),
-        lambda r: htf.take(lam_h[r][:, :, None] + lam.take(xi[r], axis=0))
-        != htf.take(psi_h[r].take(lam, axis=1)
-                    + lamf.take(phi_m[r].take(lam, axis=1) + xi)),
-        fails_at("A5", "a, b, c"),
-    )
-
+    mgens = None
+    if (m ** 3 > _util.BLOCK_CELLS and not len(unit_bad)
+            and (psi[:, eps] == eps).all()):
+        if (hn * m) ** 2 <= max(_util.BLOCK_CELLS, m * m):
+            if light_associative(_product_table(phi, psi, xi, lam, ht)):
+                checks.update(A4=CheckResult(True), A5=CheckResult(True))
+                return Report(checks, "axioms")
+        elif hgens is not None and all(c.ok for c in checks.values()):
+            mgens = _right_generators(xi, [phi[:, be] for be in hgens],
+                                      order=[*range(o), *range(o + 1, m), o])
+    settle((m, m, m), [("A4", a4, fails_at("A4", "a, b, c")),
+                       ("A5", a5, fails_at("A5", "a, b, c"))], mgens)
     return Report(checks, "axioms")
+
+
+def _group_generators(ht: np.ndarray, eps: int) -> list[int] | None:
+    """_right_generators(ht), or None unless ht is associative with
+    identity eps."""
+    gens = _right_generators(ht)
+    ar = np.arange(len(ht))
+    if ((ht[eps] == ar).all() and (ht[:, eps] == ar).all()
+            and _associativity_witness(ht, gens) is None):
+        return gens
+    return None
 
 
 def _product_table(phi, psi, xi, lam, ht) -> np.ndarray:

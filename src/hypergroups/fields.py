@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
 from ._util import CheckResult, Report, first_failure
 from .errors import (
     InternalInconsistencyError,
@@ -22,7 +23,8 @@ from .errors import (
     SizeLimitExceededError,
     UnknownSpecError,
 )
-from .groups import FiniteGroup, element_orders
+from .groups import (FiniteGroup, _right_generators, element_orders,
+                     light_associative)
 
 MAX_FIELD_ORDER = 512
 MAX_PRIME = 97
@@ -284,6 +286,19 @@ def check_field_tables(
     add_associative over (a, b[, c]), mul_neutral and mul_zero over a,
     then mul_commutative, left_distributive, right_distributive and
     mul_associative over (a, b[, c]), and last mul_inverse.
+
+    Past one first_failure block, each group of cubic checks is first
+    run on generators only, and only a failure there runs the full
+    group, which gives the witness. Commutativity is checked in full,
+    associativity by Light's test
+    (light_associative). The distributive laws take their additive
+    argument over G, the _right_generators of add: once add is
+    associative (checked before), every element is a sum g1+...+gk of
+    members of G, and the arguments for which a law holds are closed
+    under +. For a(b+c) = ab+ac in c: if it holds at c and d, then
+    a(b+(c+d)) = a((b+c)+d) = a(b+c)+ad = ab+(ac+ad) = ab+a(c+d).
+    For (a+b)c = ac+bc in b: if it holds at b and d, then
+    (a+(b+d))c = ((a+b)+d)c = (a+b)c+dc = ac+(bc+dc) = ac+(b+d)c.
     """
     if zero == one:
         return False, "zero_equals_one", (zero,)
@@ -297,6 +312,10 @@ def check_field_tables(
     def add_at(x, y):  # A[x, y] for broadcastable index arrays
         return flat_add.take(x * n + y)
 
+    add_block = [
+        ("add_commutative", lambda r: A[r] != A.T[r]),
+        ("add_associative", lambda r: A[A[r]] != A[r].take(A, axis=1)),
+    ]
     mul_block = [
         ("left_distributive",
          lambda r: M[r].take(A, axis=1) != add_at(M[r][:, :, None], M[r][:, None, :])),
@@ -305,6 +324,33 @@ def check_field_tables(
     ]
     if require_commutative_mul:
         mul_block.insert(0, ("mul_commutative", lambda r: M[r] != M.T[r]))
+
+    def cubic(checks, pass_on_generators):
+        """first_failure of checks over (n, n, n); past one block it runs
+        only when pass_on_generators() is false."""
+        if n ** 3 > _util.BLOCK_CELLS and pass_on_generators():
+            return None
+        return first_failure((n, n, n), checks)
+
+    def mul_block_on_generators() -> bool:
+        """Whether mul_block passes with the distributive laws' additive
+        argument over G and associativity by Light's test."""
+        g = _right_generators(A)
+        A_g, M_g = A[:, g], M[:, g]
+        return (
+            first_failure((n, n), mul_block[:1] if require_commutative_mul else []) is None
+            and first_failure((n, n, len(g)), [(  # a(b+c) = ab+ac, c in G
+                "left_distributive",
+                lambda r: M[r].take(A_g, axis=1)
+                != add_at(M[r][:, :, None], M_g[r][:, None, :]),
+            )]) is None
+            and first_failure((n, len(g), n), [(  # (a+b)c = ac+bc, b in G
+                "right_distributive",
+                lambda r: M[A_g[r]] != add_at(M[r][:, None, :], M[g][None]),
+            )]) is None
+            and light_associative(M)
+        )
+
     failure = (
         first_failure((n,), [
             ("add_neutral", lambda r: (A[r, zero] != ar[r]) | (A[zero, r] != ar[r])),
@@ -312,15 +358,13 @@ def check_field_tables(
         or first_failure((n, n), [
             ("add_inverse", lambda r: ~(A[r] == zero).any(axis=1)),
         ])
-        or first_failure((n, n, n), [
-            ("add_commutative", lambda r: A[r] != A.T[r]),
-            ("add_associative", lambda r: A[A[r]] != A[r].take(A, axis=1)),
-        ])
+        or cubic(add_block, lambda: first_failure((n, n), add_block[:1]) is None
+                 and light_associative(A))
         or first_failure((n,), [
             ("mul_neutral", lambda r: (M[r, one] != ar[r]) | (M[one, r] != ar[r])),
             ("mul_zero", lambda r: (M[r, zero] != zero) | (M[zero, r] != zero)),
         ])
-        or first_failure((n, n, n), mul_block)
+        or cubic(mul_block, mul_block_on_generators)
         or first_failure((n, n), [
             ("mul_inverse", lambda r: (ar[r] != zero) & ~(M[r] == one).any(axis=1)),
         ])
@@ -346,20 +390,41 @@ def verify_field_axioms(f: FiniteField) -> Report:
     return Report(checks)
 
 
+def _unit_orders(f: FiniteField) -> list[int]:
+    """The multiplicative order of each nonzero element, element h + 1 at
+    index h, read from mul by walking the powers of all of them at once.
+    As with multiplicative_group, InternalInconsistencyError is raised
+    for a zero divisor among the nonzero elements, or when they are no
+    cyclic group: some powers never reach one, or no order is q - 1."""
+    n = f.q - 1
+    units = np.asarray(f.mul, dtype=np.intp)[1:, 1:].ravel() - 1
+    if (units < 0).any():
+        raise InternalInconsistencyError("zero divisor in the nonzero elements")
+    x = np.arange(n, dtype=np.intp)
+    power, orders = x, np.zeros(n, dtype=np.intp)
+    for k in range(1, n + 1):  # power = x^k
+        orders[(power == f.one - 1) & (orders == 0)] = k
+        power = units.take(power * n + x)
+    orders = orders.tolist()
+    if 0 in orders or n not in orders:
+        raise InternalInconsistencyError(f"{f.name}* is not cyclic")
+    return orders
+
+
 def field_isomorphism(f1: FiniteField, f2: FiniteField) -> list[int] | None:
     """An explicit field isomorphism as a mapping list, or None.
 
     Sends a multiplicative generator of f1 to each element of the same
     multiplicative order in f2 (ascending), extends multiplicatively,
     and keeps the first map that is also additive. Both must be fields:
-    multiplicative_group raises if either has zero divisors or a
-    multiplicative group that is not cyclic.
+    _unit_orders raises if either has zero divisors or a multiplicative
+    group that is not cyclic.
     """
     if f1.q != f2.q:
         return None
     n = f1.q - 1
-    # element h of a multiplicative group is field element h + 1
-    orders1, orders2 = (element_orders(multiplicative_group(f)) for f in (f1, f2))
+    # index h of the orders is field element h + 1
+    orders1, orders2 = _unit_orders(f1), _unit_orders(f2)
     g1 = orders1.index(n) + 1
     add1 = np.asarray(f1.add, dtype=np.intp)
     add2 = np.asarray(f2.add, dtype=np.intp)

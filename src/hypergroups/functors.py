@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
 from ._util import first_failure, first_mismatch
 from .core import HypergroupOverGroup, hypergroup_from_tables
 from .errors import (
@@ -37,7 +38,8 @@ from .fields import (
     make_field,
     multiplicative_group,
 )
-from .groups import FiniteGroup, group_from_cayley_table, trivial_group
+from .groups import (FiniteGroup, _right_generators, group_from_cayley_table,
+                     trivial_group)
 from .morphisms import HgMorphism
 
 VS_SIZE_BOUND = 512
@@ -232,6 +234,14 @@ def reconstruct_field(
     With require_abelian_h off, the final axiom check tests a division
     ring instead of a field (finite ones are fields anyway, so over this
     package's inputs the toggle only relabels the diagnostic).
+
+    PhiNotEndomorphism scans (alpha, a, b). Past one first_failure
+    block, b first runs over G, the _right_generators of xi, and only a
+    failure there runs the full scan for the witness. (M, xi) is a group
+    by then, so every b is a product g1...gk of members of G, and for
+    each t = t(alpha) the b with t(ab) = t(a)t(b) for all a are closed
+    under xi: if b and d are among them, t(a(bd)) = t((ab)d) = t(ab)t(d)
+    = (t(a)t(b))t(d) = t(a)(t(b)t(d)) = t(a)t(bd).
     """
     m = hg.m_size
     hn = hg.h.order
@@ -289,14 +299,24 @@ def reconstruct_field(
                 detail=f"H product at ({al}, {be}) is not commutative",
             )
 
-    # t(alpha) = phi(., alpha) must be an endomorphism of (M, xi)
+    # t(alpha) = phi(., alpha) must be an endomorphism of (M, xi); past
+    # one block b runs over the generators G first (see the docstring)
     t = np.ascontiguousarray(phi.T)
     flat_xi = xi.ravel().astype(np.int32)  # a compact copy keeps the gathers in cache
-    failure = first_failure((hn, m, m), [(
-        "PhiNotEndomorphism",  # t[al][xi[a][b]] != xi[t[al][a]][t[al][b]]
-        lambda r: t[r].take(xi, axis=1)
-        != flat_xi.take(t[r][:, :, None] * m + t[r][:, None, :]),
-    )])
+
+    def endomorphism_failure(g):
+        """The first (al, a, b) with b over the elements g selects."""
+        xi_g = xi[:, g]
+        return first_failure((hn, m, xi_g.shape[1]), [(
+            "PhiNotEndomorphism",  # t[al][xi[a][b]] != xi[t[al][a]][t[al][b]]
+            lambda r: t[r].take(xi_g, axis=1)
+            != flat_xi.take(t[r][:, :, None] * m + t[r][:, g][:, None, :]),
+        )])
+
+    failure = None
+    if hn * m * m <= _util.BLOCK_CELLS or endomorphism_failure(
+            _right_generators(xi)) is not None:
+        failure = endomorphism_failure(slice(None))
     if failure is not None:
         al, a, b = failure[1]
         return FieldReconstruction(

@@ -95,9 +95,12 @@ class Subgroup:
         return self.index_in[x] >= 0
 
     def as_group(self) -> FiniteGroup:
-        """The subgroup re-indexed as a standalone group on 0..|H|-1."""
-        cached = getattr(self, "_as_group", None)
-        if cached is None:
+        """The subgroup re-indexed as a standalone group on 0..|H|-1,
+        rebuilt whenever the parent's np_table() is a new array, that is
+        after an edit of the parent's table."""
+        key = self.parent.np_table()
+        cached_key, cached = getattr(self, "_as_group", (None, None))
+        if cached_key is not key:
             els = self.elements
             pt = self.parent.table
             table = [[self.index_in[pt[a][b]] for b in els] for a in els]
@@ -109,7 +112,7 @@ class Subgroup:
                 inverse=[self.index_in[self.parent.inverse[a]] for a in els],
                 name=name,
             )
-            object.__setattr__(self, "_as_group", cached)
+            object.__setattr__(self, "_as_group", (key, cached))
         return cached
 
 
@@ -191,17 +194,18 @@ def _associativity_witness(t: np.ndarray, c) -> tuple[int, int, int] | None:
     return None if failure is None else failure[1]
 
 
-def _right_generators(t: np.ndarray) -> list[int]:
-    """A set S, taken greedily with the smallest element not yet reached
-    first, such that right multiplication by S, starting from S,
-    reaches every element."""
+def _right_generators(t: np.ndarray, moves=(), order=None) -> list[int]:
+    """A set S, taken greedily with the first element of order (default
+    0, 1, ...) not yet reached, such that the maps x -> t[x][s] for s in
+    S and the maps x -> move[x] for move in moves, starting from S,
+    reach every element."""
     n = len(t)
     reached = [False] * n
     found: list[int] = []   # the reached elements, in the order reached
     gens: list[int] = []
-    columns: list[list[int]] = []   # columns[k][x] = x * gens[k]
-    done: list[int] = []    # found[:done[k]] are multiplied by gens[k]
-    for s in range(n):
+    columns = [move.tolist() for move in moves]   # columns[k][x]: map k at x
+    done = [0] * len(columns)   # found[:done[k]] went through map k
+    for s in range(n) if order is None else order:
         if reached[s]:
             continue
         gens.append(s)

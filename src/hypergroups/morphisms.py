@@ -163,6 +163,18 @@ def find_isomorphism(
     phi-orbit size and xi-column cycle type and propagating the forced
     images f1(phi[a][al]) and f1(xi[a][b]).
     """
+    return _find_isomorphism(hg, hg2, size_bound)
+
+
+def _find_isomorphism(
+    hg: HypergroupOverGroup,
+    hg2: HypergroupOverGroup,
+    size_bound: int = DEFAULT_ISO_SIZE_BOUND,
+    keys1: list[tuple] | None = None,
+    keys2: list[tuple] | None = None,
+) -> HgMorphism | None:
+    """find_isomorphism, taking the _element_keys of either side when
+    the caller already has them."""
     if hg.m_size != hg2.m_size or hg.h.order != hg2.h.order:
         return None
     if hg.m_size > size_bound:
@@ -171,8 +183,10 @@ def find_isomorphism(
         )
     m = hg.m_size
     hn = hg.h.order
-    keys1 = _element_keys(hg)
-    keys2 = _element_keys(hg2)
+    if keys1 is None:
+        keys1 = _element_keys(hg)
+    if keys2 is None:
+        keys2 = _element_keys(hg2)
     if sorted(keys1) != sorted(keys2):
         return None
     candidates = [

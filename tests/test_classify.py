@@ -10,6 +10,7 @@ import csv
 import hashlib
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from hypergroups import (
     verify_axioms,
     verify_morphism,
 )
+from hypergroups import classify, morphisms
 from hypergroups.classify import (
     Catalog,
     _invariant_key,
@@ -271,6 +273,19 @@ class TestInsertDirect:
         assert e1.iso_to_rep is None
         assert e2.iso_to_rep is not None
         assert verify_morphism(e2.iso_to_rep).ok
+
+    def test_element_keys_computed_once_per_entry(self):
+        # the search reuses the keys the bucket key was made from, and a
+        # representative's keys are kept, not recomputed for every call
+        with mock.patch.object(classify, "_element_keys",
+                               wraps=morphisms._element_keys) as keys, \
+                mock.patch.object(morphisms, "_element_keys") as search_keys, \
+                mock.patch.object(classify, "_find_isomorphism",
+                                  wraps=morphisms._find_isomorphism) as search:
+            cat = sweep_standard(8)
+        assert keys.call_count == len(cat.entries) == 701
+        assert search.call_count > len(cat.entries) - cat.n_classes
+        assert not search_keys.called
 
 
 @st.composite

@@ -10,9 +10,11 @@ oracles on every run.
 """
 
 import copy
+import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -31,6 +33,7 @@ from hypergroups import (
     AXIOM_NAMES,
     IDENTITY_NAMES,
     AlgebraError,
+    FiniteGroup,
     IndexOutOfRangeError,
     InternalInconsistencyError,
     MalformedTablesError,
@@ -46,6 +49,8 @@ from hypergroups import (
     cyclic_group,
     enumerate_subgroups,
     enumerate_transversals,
+    functor_field,
+    functor_vector_space,
     group_from_spec,
     hypergroup_from_json,
     hypergroup_from_tables,
@@ -54,6 +59,7 @@ from hypergroups import (
     is_group_quasigroup,
     is_normal,
     lemma_solve,
+    make_field,
     make_transversal,
     quasigroup_divide,
     sample_transversals,
@@ -65,6 +71,7 @@ from hypergroups import (
 )
 from hypergroups import _util, core
 from hypergroups._util import canonical_dumps
+from hypergroups.classify import _phi_candidates, _psi_candidates, _xi_candidates
 from hypergroups.groups import light_associative
 
 import loop_oracles
@@ -132,6 +139,78 @@ def with_cell(hg, name, i, j, v):
     table = getattr(hg, name).tolist()
     table[i][j] = v
     return replace(hg, **{name: table})
+
+
+def a3_links(hg):
+    """The A3 instances as links (c1, c2, t, s) between lam cells: A3 at
+    (a, b, al) says lam[c1] * t = s * lam[c2] for c1 = (a, b),
+    c2 = (a', phi[b][al]), a' = phi[a][psi[b][al]], t = psi[xi[a][b]][al]
+    and s = psi[a][psi[b][al]]; {cell: the links at it}."""
+    phi, psi, xi = hg.phi.tolist(), hg.psi.tolist(), hg.xi.tolist()
+    links = {}
+    for a, b, al in itertools.product(range(hg.m_size), range(hg.m_size),
+                                      range(hg.h.order)):
+        link = ((a, b), (phi[a][psi[b][al]], phi[b][al]),
+                psi[xi[a][b]][al], psi[a][psi[b][al]])
+        links.setdefault(link[0], []).append(link)
+        links.setdefault(link[1], []).append(link)
+    return links
+
+
+def a3_force(hg, links, lam, cell, value):
+    """Set lam[cell] = value and the unset (-1) cells A3 links to it, in
+    place; False when a link fails."""
+    ht, hinv = hg.h.table, hg.h.inverse
+    lam[cell[0]][cell[1]] = value
+    todo = [cell]
+    while todo:
+        for (a1, b1), (a2, b2), t, s in links.get(todo.pop(), ()):
+            v1, v2 = lam[a1][b1], lam[a2][b2]
+            if v1 >= 0 and v2 >= 0:
+                if ht[v1][t] != ht[s][v2]:
+                    return False
+            elif v1 >= 0:
+                lam[a2][b2] = ht[hinv[s]][ht[v1][t]]
+                todo.append((a2, b2))
+            else:
+                lam[a1][b1] = ht[ht[s][v2]][hinv[t]]
+                todo.append((a1, b1))
+    return True
+
+
+def a3_respecting_mutant(hg, cell, value):
+    """hg with lam[cell] = value and the cells A3 links to cell forced to
+    agree, so A3 still holds; None when the forcing meets a conflict."""
+    links = a3_links(hg)
+    lam = hg.lam.tolist()
+    component, todo = {cell}, [cell]
+    while todo:
+        for c1, c2, _, _ in links.get(todo.pop(), ()):
+            for c in (c1, c2):
+                if c not in component:
+                    component.add(c)
+                    todo.append(c)
+    for a, b in component:
+        lam[a][b] = -1
+    return replace(hg, lam=lam) if a3_force(hg, links, lam, cell, value) else None
+
+
+def every_a3_lam(hg):
+    """Every lam table with which hg satisfies A3."""
+    links = a3_links(hg)
+    cells = list(itertools.product(range(hg.m_size), repeat=2))
+
+    def search(lam):
+        cell = next((c for c in cells if lam[c[0]][c[1]] < 0), None)
+        if cell is None:
+            yield lam
+            return
+        for value in range(hg.h.order):
+            trial = [row[:] for row in lam]
+            if a3_force(hg, links, trial, cell, value):
+                yield from search(trial)
+
+    yield from search([[-1] * hg.m_size for _ in range(hg.m_size)])
 
 
 def z6_example():
@@ -417,6 +496,121 @@ class TestVerifyAgainstLoops:
         assert results(report) == loop_oracles.verify_axioms(hg)
 
 
+@functools.cache
+def subgroups_of(spec):
+    g = group_from_spec(spec)
+    return g, enumerate_subgroups(g)
+
+
+@st.composite
+def generator_scan_inputs(draw):
+    """A standard construction with |G| <= 24, or the image of GF(q) with
+    q <= 32 or of a vector space of at most 32 vectors, with one or two
+    cells changed (in phi, psi, xi, lam or the table of H), with two
+    cells of a column of xi off row o swapped, which keeps P1, or with
+    lam changed on one A3 component by a3_respecting_mutant, which keeps
+    P1-P3 and A0-A3 and mostly breaks A4 or A5."""
+    kind = draw(st.sampled_from(["standard", "standard", "field", "vector space"]))
+    if kind == "standard":
+        g, subgroups = subgroups_of(draw(st.sampled_from(
+            ["S3", "D4", "Q8", "Z2xZ4", "D5", "Z12", "D6", "Z2xS3", "Z2xD4",
+             "Z16", "Z3xS3", "Z2xQ8", "S4", "D8", "Z4xZ6"])))
+        h = draw(st.sampled_from(subgroups))
+        hg = standard_construction(g, h, draw(st.sampled_from(
+            sample_transversals(g, h, cap=3, seed=0))))
+    elif kind == "field":
+        hg = functor_field(make_field(draw(st.sampled_from(
+            [4, 5, 7, 8, 9, 11, 13, 16, 25, 32]))))
+    else:
+        q, dim = draw(st.sampled_from(
+            [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (5, 2)]))
+        hg = functor_vector_space(make_field(q), dim)
+    m, hn = hg.m_size, hg.h.order
+    mutation = draw(st.sampled_from(["none", "cells", "xi swap", "A3 component"]))
+    if mutation == "A3 component":
+        cell = (draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)))
+        return a3_respecting_mutant(hg, cell, draw(st.integers(0, hn - 1))) or hg
+    tables = {name: getattr(hg, name).tolist() for name in ("phi", "psi", "xi", "lam")}
+    if mutation == "xi swap" and m > 2:
+        xi, b = tables["xi"], draw(st.integers(0, m - 1))
+        x, y = draw(st.lists(st.sampled_from([x for x in range(m) if x != hg.o]),
+                             min_size=2, max_size=2, unique=True))
+        xi[x][b], xi[y][b] = xi[y][b], xi[x][b]
+    h_table = [row[:] for row in hg.h.table]
+    for _ in range(draw(st.integers(1, 2)) if mutation == "cells" else 0):
+        name = draw(st.sampled_from(["phi", "psi", "xi", "lam", "h"]))
+        table = h_table if name == "h" else tables[name]
+        row = draw(st.integers(0, len(table) - 1))
+        table[row][draw(st.integers(0, len(table[row]) - 1))] = draw(
+            st.integers(0, (m if name in ("phi", "xi") else hn) - 1))
+    h = FiniteGroup(order=hn, table=h_table, identity=hg.h.identity,
+                    inverse=list(hg.h.inverse), name="H")
+    return hypergroup_from_tables(m, h, o=hg.o, **tables)
+
+
+class TestGeneratorScans:
+    """Past one block each cubic relation is first scanned over
+    generators of its last argument; the report must not change."""
+
+    # blocks this small run the generator scans on every input here
+    @settings(max_examples=250, derandomize=True, deadline=None, database=None)
+    @given(hg=generator_scan_inputs(), block=st.sampled_from([1, 16, 256]))
+    def test_results_match_loops(self, hg, block):
+        with mock.patch.object(_util, "BLOCK_CELLS", block):
+            report = verify_axioms(hg)
+        assert results(report) == loop_oracles.verify_axioms(hg)
+
+    @pytest.mark.parametrize("image,n_gens", [
+        (lambda: functor_field(make_field(9)), 1),
+        (lambda: functor_vector_space(make_field(4), 2), 2),
+        (lambda: functor_vector_space(make_field(3), 3), 3),
+    ])
+    def test_generators_of_m(self, image, n_gens):
+        # the maps x -> [x, s] and x -> x^be reach M from S: one vector
+        # per dimension of a vector space, found greedily from 1
+        hg = image()
+        m = hg.m_size
+        with mock.patch.object(_util, "BLOCK_CELLS", 1):
+            scans = generator_scans(hg)
+        assert scans[-1] == (("A4", "A5"), (m, m, n_gens))
+
+    @pytest.mark.parametrize("m,spec", [(4, "E"), (2, "Z2"), (3, "Z2"), (2, "Z3")])
+    def test_every_small_table_passing_p1_to_a3(self, m, spec):
+        # o = 0, the xi, phi and psi of the abstract search, and every lam
+        # that A3 allows: the verdict of the generator scan (or over E,
+        # of Light's test on the product table) is the full scans'
+        h = group_from_spec(spec)
+        tables = fallbacks = 0
+        for xi in _xi_candidates(m):
+            for phi in _phi_candidates(h, m):
+                for psi in _psi_candidates(h, phi, m):
+                    base = hypergroup_from_tables(m, h, phi, psi, xi,
+                                                  [[h.identity] * m] * m, 0)
+                    if not verify_axioms(base).checks["A2"].ok:
+                        continue
+                    for lam in every_a3_lam(base):
+                        hg = replace(base, lam=lam)
+                        with mock.patch.object(_util, "BLOCK_CELLS", 1):
+                            got = results(verify_axioms(hg))
+                        assert got == loop_oracles.verify_axioms(hg)
+                        tables += 1
+                        fallbacks += not (got["A4"][0] and got["A5"][0])
+        assert tables > fallbacks > 0
+
+    def test_non_group_h_scans_in_full(self):
+        # the closure arguments need H to be a group
+        hg = functor_field(make_field(8))
+        table = [row[:] for row in hg.h.table]
+        table[3][4], table[3][5] = table[3][5], table[3][4]
+        h = FiniteGroup(order=7, table=table, identity=0,
+                        inverse=list(hg.h.inverse), name="H")
+        bad = replace(hg, h=h)
+        with mock.patch.object(_util, "BLOCK_CELLS", 1):
+            assert core._group_generators(np.asarray(table), 0) is None
+            assert generator_scans(bad) == []
+            assert results(verify_axioms(bad)) == loop_oracles.verify_axioms(bad)
+
+
 @st.composite
 def shortcut_inputs(draw):
     """A standard construction over |H| = 1, or |H| = 2 with |M| >= 5,
@@ -455,13 +649,25 @@ def product_table(hg):
 
 
 def scanned_axioms(hg):
-    """(report, the axioms verify_axioms ran a first_failure scan for,
-    whether it ran Light's test)."""
+    """(report, the axioms verify_axioms ran a full first_failure scan
+    for, whether it ran Light's test)."""
     with mock.patch.object(core, "_axiom_result", wraps=core._axiom_result) as scan, \
             mock.patch.object(core, "light_associative",
                               wraps=light_associative) as light:
         report = verify_axioms(hg)
     return report, [c.args[0] for c in scan.call_args_list], light.called
+
+
+def generator_scans(hg):
+    """(names, shape) of each scan verify_axioms ran with the last index
+    over generators only."""
+    with mock.patch.object(core, "first_failure", wraps=core.first_failure) as scan, \
+            mock.patch.object(core, "_axiom_result", wraps=core._axiom_result) as full:
+        verify_axioms(hg)
+    full_scans = {((c.args[0],), c.args[1]) for c in full.call_args_list}
+    scans = [(tuple(name for name, _ in c.args[1]), c.args[0])
+             for c in scan.call_args_list]
+    return [s for s in scans if s not in full_scans]
 
 
 class TestProductShortcut:
@@ -514,7 +720,9 @@ class TestProductShortcut:
 
     def test_scans_run_past_the_table_budget(self):
         # |H| = 5 and |M| = 64: the 320^2 product table exceeds
-        # max(BLOCK_CELLS, |M|^2), so A4 and A5 are scanned
+        # max(BLOCK_CELLS, |M|^2), so A4 and A5 are scanned with c over
+        # the generators S only; a mutant that fails there is scanned in
+        # full and gets the same report as without the generator scan
         g = group_from_spec("Z5x" + "x".join(["Z2"] * 6))
         hg = standard_construction(
             g, subgroup_from_elements(g, [0, 64, 128, 192, 256]), list(range(64)))
@@ -522,7 +730,27 @@ class TestProductShortcut:
         assert (5 * 64) ** 2 > max(_util.BLOCK_CELLS, 64 ** 2)
         report, scanned, light_ran = scanned_axioms(hg)
         assert report.overall and not light_ran
+        assert scanned == ["P2", "A1", "A2", "A3"]
+        assert [names for names, _ in generator_scans(hg)] == [("A4", "A5")]
+        mutant = a3_respecting_mutant(hg, (9, 17), 1)
+        report, scanned, _ = scanned_axioms(mutant)
         assert scanned == ["P2", "A1", "A2", "A3", "A4", "A5"]
+        assert not report.checks["A5"].ok
+        with mock.patch.object(core, "_group_generators", return_value=None):
+            assert results(report) == results(verify_axioms(mutant))
+
+    @pytest.mark.parametrize("q", [125, 128])
+    def test_field_images_scan_generators_only(self, q):
+        # no full A1-A5 scan runs on the benchmark's fields; S = {1}
+        hg = functor_field(make_field(q))
+        report, scanned, light_ran = scanned_axioms(hg)
+        assert report.overall and not light_ran and scanned == []
+        m, hn = q, q - 1
+        scans = generator_scans(hg)
+        assert [names for names, _ in scans] == [
+            ("P2",), ("A1",), ("A2",), ("A3",), ("A4", "A5")]
+        assert scans[-1][1] == (m, m, 1)
+        assert all(math.prod(shape) * 20 < m * hn * hn for _, shape in scans)
 
 
 # --------------------------------------------------------------------

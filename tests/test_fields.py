@@ -9,13 +9,17 @@ scan order.
 """
 
 import itertools
+import random
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergroups import _util
 from hypergroups import (
     InternalInconsistencyError,
     NotIrreducibleError,
@@ -392,6 +396,56 @@ class TestAgainstLoopOracles:
             loop_oracles.check_field_tables(add, mul, zero, one, commutative)
         )
 
+    # blocks this small run the generator scans on these small tables
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(tables=mutated_field_tables(), commutative=st.booleans(),
+           block=st.sampled_from([1, 8, 64]))
+    def test_generator_scans_match_loops(self, tables, commutative, block):
+        add, mul, zero, one = tables
+        with mock.patch.object(_util, "BLOCK_CELLS", block):
+            got = check_field_tables(add, mul, zero, one, commutative)
+        assert got == loop_oracles.check_field_tables(add, mul, zero, one, commutative)
+
+    @pytest.mark.parametrize("q", [4, 5, 8])
+    def test_every_single_mutation_with_generator_scans(self, q):
+        f = make_field(q)
+        for name, a, b, v in itertools.product(("add", "mul"), *[range(q)] * 3):
+            tables = {"add": [row[:] for row in f.add], "mul": [row[:] for row in f.mul]}
+            tables[name][a][b] = v
+            for commutative in (True, False):
+                with mock.patch.object(_util, "BLOCK_CELLS", 1):
+                    got = check_field_tables(tables["add"], tables["mul"], 0, 1, commutative)
+                assert got == loop_oracles.check_field_tables(
+                    tables["add"], tables["mul"], 0, 1, commutative)
+
+    def test_near_fields_and_a_non_associative_algebra(self):
+        # tables that fail one law only, so that the generator scan for
+        # that law is the one that must catch it
+        f = make_field(9)
+        squares = {f.mul[x][x] for x in range(9)}
+        cube = [f.mul[f.mul[a][a]][a] for a in range(9)]
+        # Dickson's near-field: a o b = ab for a square b, a^3 b otherwise
+        dickson = [[f.mul[a if b in squares else cube[a]][b] for b in range(9)]
+                   for a in range(9)]
+        opposite = [list(col) for col in zip(*dickson)]
+        # GF(2)^3 with basis 1, x, y and x^2 = y, y^2 = 0, xy = yx = x
+        basis = {(1, 1): 1, (1, 2): 2, (1, 4): 4, (2, 2): 4, (2, 4): 2, (4, 4): 0}
+        algebra = [[0] * 8 for _ in range(8)]
+        for a, b in itertools.product(range(8), repeat=2):
+            for i, j in itertools.product((1, 2, 4), repeat=2):
+                if a & i and b & j:
+                    algebra[a][b] ^= basis[min(i, j), max(i, j)]
+        xor = [[a ^ b for b in range(8)] for a in range(8)]
+        cases = [(f.add, dickson, False, "left_distributive"),
+                 (f.add, opposite, False, "right_distributive"),
+                 (xor, algebra, True, "mul_associative")]
+        for add, mul, commutative, law in cases:
+            expect = loop_oracles.check_field_tables(add, mul, 0, 1, commutative)
+            assert expect[1] == law
+            for block in (1, 8, _util.BLOCK_CELLS):
+                with mock.patch.object(_util, "BLOCK_CELLS", block):
+                    assert check_field_tables(add, mul, 0, 1, commutative) == expect
+
     @pytest.mark.parametrize("q", [4, 5])
     def test_every_single_mul_mutation_matches_loops(self, q):
         f = make_field(q)
@@ -416,6 +470,30 @@ class TestAgainstLoopOracles:
             f = make_extension_field(p, modulus)
             assert (f.add, f.mul) == loop_oracles.extension_tables(p, modulus)
             assert all(type(v) is int for row in f.mul for v in row)
+
+    @pytest.mark.parametrize("p,m", [(2, 5), (2, 6), (3, 4), (5, 3), (2, 7), (11, 2)])
+    def test_field_isomorphism_matches_loops_on_larger_fields(self, p, m):
+        # seeded moduli; the orders come from mul, not from a group
+        rng = random.Random(p * 100 + m)
+        moduli = [c for c in monic_polys_ascending(p, m) if oracle_irreducible(c, p)]
+        f1, f2 = (make_extension_field(p, rng.choice(moduli)) for _ in range(2))
+        assert field_isomorphism(f1, f2) == loop_oracles.field_isomorphism(f1, f2)
+
+    def test_field_isomorphism_rejects_non_fields(self):
+        gf5 = make_field(5)
+        zero_divisor = replace(gf5, mul=[row[:] for row in gf5.mul])
+        zero_divisor.mul[2][3] = zero_divisor.mul[3][2] = 0
+        # {1, 2, 3, 4} as the Klein group: no element of order 4
+        klein = replace(gf5, mul=[[0] * 5] + [[0] + [1 + ((a - 1) ^ (b - 1))
+                                                      for b in range(1, 5)]
+                                               for a in range(1, 5)])
+        never_one = replace(gf5, mul=[row[:] for row in gf5.mul])
+        never_one.mul[2][2] = 2  # the powers of 2 stay at 2
+        for bad, match in ((zero_divisor, "zero divisor"), (klein, "not cyclic"),
+                           (never_one, "not cyclic")):
+            for pair in ((bad, gf5), (gf5, bad)):
+                with pytest.raises(InternalInconsistencyError, match=match):
+                    field_isomorphism(*pair)
 
     def test_field_isomorphism_matches_loops(self):
         for q in (4, 8, 9, 16, 25, 27):

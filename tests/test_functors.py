@@ -7,6 +7,8 @@ order up to 9. Structural frozen values (which table equals which) come
 straight from the functor definitions.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,7 @@ from hypergroups import (
     verify_axioms,
     verify_morphism,
 )
+from hypergroups import _util
 from hypergroups.functors import RECONSTRUCTION_DIAGNOSTICS
 
 import loop_oracles
@@ -389,6 +392,36 @@ class TestReconstructionAgainstLoops:
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(hg=mutated_images(), abelian=st.booleans())
     def test_status_and_witness_match_loops(self, hg, abelian):
+        self.check(hg, abelian)
+
+    # blocks this small run the generator scans of PhiNotEndomorphism
+    # and of the field checks on these small images
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(hg=mutated_images(), abelian=st.booleans(), block=st.sampled_from([1, 8, 64]))
+    def test_generator_scans_match_loops(self, hg, abelian, block):
+        with mock.patch.object(_util, "BLOCK_CELLS", block):
+            self.check(hg, abelian)
+
+    def test_phi_column_additive_only_for_one_generator(self):
+        # on GF(8), t(a) = a except that x^2+x and x^2+x+1 swap: t(a+1) =
+        # t(a)+1 for every a, but t(x+x^2) != t(x)+t(x^2), so the scan
+        # over generators must take more b than 1
+        f = make_field(8)
+        hg = functor_field(f)
+        t = list(range(8))
+        t[6], t[7] = 7, 6
+        assert all(t[f.add[a][1]] == f.add[t[a]][1] for a in range(8))
+        phi = hg.phi.tolist()
+        for a in range(8):
+            phi[a][3] = t[a]
+        bad = hypergroup_from_tables(8, hg.h, phi, hg.psi, hg.xi, hg.lam, hg.o)
+        for block in (1, 64, _util.BLOCK_CELLS):
+            with mock.patch.object(_util, "BLOCK_CELLS", block):
+                self.check(bad, True)
+        assert reconstruct_field(bad).status == "PhiNotEndomorphism"
+
+    @staticmethod
+    def check(hg, abelian):
         r = reconstruct_field(hg, require_abelian_h=abelian)
         expected = loop_oracles.reconstruct_field(hg, require_abelian_h=abelian)
         assert (r.status, r.witness) == (expected["status"], expected["witness"])

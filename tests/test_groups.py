@@ -25,6 +25,7 @@ from hypergroups import (
     NotNormalError,
     NotSubgroupError,
     SizeLimitExceededError,
+    Subgroup,
     UnknownSpecError,
     builtin_groups,
     cyclic_group,
@@ -218,6 +219,34 @@ class TestFirstNonassociative:
             assert s == min(set(range(n)) - earlier)
         assert reached(gens) == set(range(n))
 
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(table=magmas(), data=st.data())
+    def test_generating_set_with_moves_and_an_order(self, table, data):
+        # with extra maps of the set and an order to pick from, each
+        # generator is the first element of the order that the maps and
+        # right products of the earlier generators miss
+        n = len(table)
+        maps = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n,
+                                           max_size=n), max_size=2))
+        order = data.draw(st.permutations(range(n)))
+
+        def reached(gens):
+            seen, todo = set(gens), list(gens)
+            while todo:
+                x = todo.pop()
+                for y in [table[x][s] for s in gens] + [f[x] for f in maps]:
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            return seen
+
+        gens = _right_generators(np.array(table, dtype=np.intp),
+                                 [np.array(f, dtype=np.intp) for f in maps], order)
+        for k, s in enumerate(gens):
+            earlier = reached(gens[:k])
+            assert s == next(x for x in order if x not in earlier)
+        assert reached(gens) == set(range(n))
+
     @pytest.mark.parametrize("spec", ["Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "D8xZ16", "S5"])
     def test_large_groups_pass_and_mutants_fail(self, spec):
         # past one block, so the generating-set scan decides the groups;
@@ -277,6 +306,20 @@ class TestNpTable:
     def test_unchanged_table_is_not_rebuilt(self):
         g = cyclic_group(4)
         assert g.np_table() is g.np_table()
+
+    def test_subgroup_as_group_follows_an_in_place_edit(self):
+        # H = {0, 1} of Z2xZ2; once the parent is Z4 in place, {0, 1} is
+        # no longer closed (1 * 1 = 2), and the standalone H must say so
+        g = group_from_spec("Z2xZ2")
+        h = subgroup_from_elements(g, [0, 1])
+        assert h.as_group().table == [[0, 1], [1, 0]]
+        assert h.as_group() is h.as_group()
+        z4 = cyclic_group(4)
+        g.table[:] = [row[:] for row in z4.table]
+        g.inverse[:] = z4.inverse
+        fresh = Subgroup(parent=g, elements=(0, 1)).as_group()
+        assert fresh.table == [[0, 1], [1, -1]]
+        assert (h.as_group().table, h.as_group().inverse) == (fresh.table, fresh.inverse)
 
 
 class TestGroupFromCayleyTable:
