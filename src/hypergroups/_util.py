@@ -215,6 +215,30 @@ def first_failure(
     return None
 
 
+def first_failure_on(
+    shape: tuple[int, ...],
+    checks: Sequence[tuple[str, Callable]],
+    gens: Callable[[], Sequence[int] | None],
+) -> tuple[str, tuple[int, ...]] | None:
+    """first_failure over shape of checks given as (name, mask_of), where
+    mask_of(cols) is the first_failure mask with the last index over the
+    columns cols only, all of them for None.
+
+    Past one block, if gens() gives a set G, the checks are first scanned
+    with the last index over G, and a pass there is a pass: the caller
+    proves that the last arguments at which every check holds are closed
+    under operations that reach all of them from G. Otherwise, or if
+    that scan fails, the full scan runs and gives the witness.
+    """
+    if math.prod(shape) > BLOCK_CELLS:
+        g = gens()
+        if g is not None and first_failure(
+                shape[:-1] + (len(g),),
+                [(name, mask_of(g)) for name, mask_of in checks]) is None:
+            return None
+    return first_failure(shape, [(name, mask_of(None)) for name, mask_of in checks])
+
+
 def first_mismatch(lhs: np.ndarray, rhs) -> tuple[int, int] | None:
     """The first (i, j) in row-major order with lhs[i, j] != rhs[i, j],
     rhs broadcast to the shape of the 2-D lhs; None if they agree."""

@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import InternalInconsistencyError, SizeLimitExceededError
 from .groups import FiniteGroup, builtin_groups, element_orders, enumerate_subgroups
-from .morphisms import HgMorphism, _element_keys, _find_isomorphism, find_isomorphism
+from .morphisms import HgMorphism, _element_keys, find_isomorphism
 from .transversals import DEFAULT_SAMPLE_CAP, sample_transversals
 
 MAX_SWEEP_ORDER = 24
@@ -65,8 +65,8 @@ class Catalog:
         bucket = self._buckets.setdefault(key, [])
         flags = key[3], key[4]  # xi is a group, xi is commutative
         for class_id in bucket:
-            iso = _find_isomorphism(hg, self.class_reps[class_id],
-                                    keys1=keys, keys2=self._rep_keys[class_id])
+            iso = find_isomorphism(hg, self.class_reps[class_id],
+                                   keys1=keys, keys2=self._rep_keys[class_id])
             if iso is not None:
                 entry = CatalogEntry(hg, provenance, class_id, iso, *flags)
                 self.entries.append(entry)
@@ -93,16 +93,16 @@ class Catalog:
         return len(self.class_reps)
 
 
-def _invariant_key(hg: HypergroupOverGroup, keys: list[tuple] | None = None) -> tuple:
+def _invariant_key(hg: HypergroupOverGroup, keys: list[tuple]) -> tuple:
     """Isomorphism-invariant bucket key for dedup.
 
     Sizes, H's element orders, whether xi is a group and commutative,
     the sorted _element_keys, whether psi and lam are trivial, and the
     sorted colours of M after at most three rounds of colour refinement
     (stopping once no colour class splits). Refinement starts from the
-    hashed _element_keys (keys, when the caller has them), with H
-    coloured by element order, and recolours a by its xi/lam row, xi/lam
-    column and (phi, psi) action.
+    hashed _element_keys of hg, given as keys, with H coloured by element
+    order, and recolours a by its xi/lam row, xi/lam column and
+    (phi, psi) action.
     Only what an isomorphism carries along enters, so isomorphic
     hypergroups get equal keys; components are only added, so a coarser
     key's bucket can only split.
@@ -110,8 +110,6 @@ def _invariant_key(hg: HypergroupOverGroup, keys: list[tuple] | None = None) -> 
     mr, hr = range(hg.m_size), range(hg.h.order)
     xi, lam, phi, psi = (t.tolist() for t in (hg.xi, hg.lam, hg.phi, hg.psi))
     hc = element_orders(hg.h)
-    if keys is None:
-        keys = _element_keys(hg)
     c = [hash(k) for k in keys]
     n_colours = len(set(c))
     for _ in range(3):

@@ -22,14 +22,13 @@ hypergroup_to_json writes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _util
 from ._util import (CheckResult, Report, as_int, as_int_matrix, first_failure,
-                    first_mismatch, int_table)
+                    first_failure_on, first_mismatch, int_table)
 from .errors import (
     AlgebraError,
     IndexOutOfRangeError,
@@ -256,14 +255,6 @@ def standard_construction(group: FiniteGroup, h: Subgroup, transversal) -> Hyper
     )
 
 
-def _axiom_result(name: str, shape: tuple[int, ...], mask_of, detail) -> CheckResult:
-    """The first failure of one axiom over shape, or a pass."""
-    failure = first_failure(shape, [(name, mask_of)])
-    if failure is None:
-        return CheckResult(True)
-    return CheckResult(False, failure[1], detail(failure[1]))
-
-
 def verify_axioms(hg: HypergroupOverGroup) -> Report:
     """Exhaustively check P1-P3 and A1-A5, recording the lexicographically
     first witness per axiom.
@@ -287,14 +278,15 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
 
     Generators only. When a cube spans more than one block and every
     check before it passed, its relation is first scanned with the last
-    argument over a generating set only. A pass there is a pass, by the
-    closure arguments below; a failure runs the full scan, which gives
-    the witness. The arguments need H to be a group (ht associative with
-    identity eps; checked, else every relation is scanned in full). B is
-    _right_generators(ht): every element of H is a product b1*...*bk of
-    members of B, so a set that contains B and is closed under the
-    product is H. Write a^al = phi[a][al], p(a, al) = psi[a][al],
-    [a, b] = xi[a][b] and L(a, b) = lam[a][b].
+    argument over a generating set only (first_failure_on). A pass there
+    is a pass, by the closure arguments below; a failure runs the full
+    scan, which gives the witness. The arguments need H to be a group:
+    ht associative, eps neutral and in every row, so that each element
+    has an inverse (checked, else every relation is scanned in full).
+    B is _right_generators(ht): every element of H is a product
+    b1*...*bk of members of B, so a set that contains B and is closed
+    under the product is H. Write a^al = phi[a][al], p(a, al) =
+    psi[a][al], [a, b] = xi[a][b] and L(a, b) = lam[a][b].
 
     A0 (in P2), be over B. If A0 holds at be and at ga for all a, al,
     then a^(al*(be*ga)) = a^((al*be)*ga) = (a^(al*be))^ga
@@ -331,14 +323,17 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
     = x(y(d*z)). If A4 and A5 hold at (a, b, c) for all a, b, then
     (eps, c) is in Z: for y = be*(eps, b), by (3), (5) and (1),
     (xy)(eps, c) = ((x.be)(eps, b))(eps, c) = (x.be)((eps, b)(eps, c))
-    = x(y(eps, c)). So Z = H x Z_M, and by d*, .al and the product,
-    Z_M is closed under c -> c^al and (c, d) -> [c, d]. S is taken greedily, o last, so that the maps
-    x -> [x, s] for s in S and x -> x^be for be in B reach all of M
-    from S; then Z_M = M, the product is associative, and A4 and A5
-    hold everywhere by (5). On a field's image S = {1}. Where the
-    (|H||M|)^2 product table fits the budget above it is built instead,
-    and once the unit conditions hold Light's test on it decides A4 and
-    A5 (needing no other check to pass).
+    = x(y(eps, c)). Let Z_M be the set of c with (eps, c) in Z. As d*
+    with d = ga^-1 takes (ga, c) to (eps, c), and with d = ga back,
+    Z = H x Z_M. So Z_M is closed under c -> c^al, since
+    (eps, c).al = (p(c, al), c^al) is in Z, and under (c, d) -> [c, d],
+    since (eps, c)(eps, d) = (L(c, d), [c, d]) is. S is taken greedily,
+    o last, so that the maps x -> [x, s] for s in S and x -> x^be for
+    be in B reach all of M from S; then Z_M = M, the product is
+    associative, and A4 and A5 hold everywhere by (5). On a field's
+    image S = {1}. Where the (|H||M|)^2 product table fits the budget
+    above it is built instead, and once the unit conditions hold Light's
+    test on it decides A4 and A5 (needing no other check to pass).
     """
     phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
     ht = np.asarray(hg.h.table, dtype=np.intp)
@@ -347,24 +342,29 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
     o = hg.o
     checks: dict[str, CheckResult] = {}
     marange = np.arange(m, dtype=np.intp)
-    # B, when some cube spans more than one block and H is a group
-    hgens = (_group_generators(ht, eps)
-             if m * max(m, hn) ** 2 > _util.BLOCK_CELLS else None)
+    found_b: list = []   # [B or None], found on first use
 
-    def settle(shape, axioms, gens):
-        """checks[name] for each (name, mask_of, detail) in axioms, where
-        mask_of(cols) is the first_failure mask with the last index over
-        cols, all of them for None. Past one block, given gens and with
-        every check so far passing, one scan over gens decides first;
-        otherwise, or if it fails, each full scan gives the witness."""
-        if (gens is not None and math.prod(shape) > _util.BLOCK_CELLS
-                and all(c.ok for c in checks.values())
-                and first_failure(shape[:-1] + (len(gens),), [
-                    (name, mask_of(gens)) for name, mask_of, _ in axioms]) is None):
-            checks.update((name, CheckResult(True)) for name, _, _ in axioms)
-            return
-        for name, mask_of, detail in axioms:
-            checks[name] = _axiom_result(name, shape, mask_of(None), detail)
+    def b_if_all_ok():
+        """B when H is a group and every check so far passed, else None:
+        each closure argument below needs both."""
+        if not all(c.ok for c in checks.values()):
+            return None
+        if not found_b:
+            found_b.append(_group_generators(ht, eps))
+        return found_b[0]
+
+    def settle(shape, axioms, gens, detail):
+        """checks[name] for each (name, mask_of) in axioms: one
+        first_failure_on scan of them all, then a full scan of each
+        axiom that its failure does not name; detail(name, witness)
+        describes a failure."""
+        failure = first_failure_on(shape, axioms, gens)
+        for name, mask_of in axioms:
+            own = failure
+            if own is not None and own[0] != name:
+                own = first_failure(shape, [(name, mask_of(None))])
+            checks[name] = (CheckResult(True) if own is None
+                            else CheckResult(False, own[1], detail(name, own[1])))
 
     # P1: left neutral first, then every column a permutation
     p1 = CheckResult(True)
@@ -439,10 +439,8 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
             False, (a,), f"phi[{a}][{eps}] = {phi[a, eps]}, expected {a}"
         )
     else:
-        settle((m, hn, hn), [(
-            "P2", a0,
-            lambda w: "phi[phi[{0}][{1}]][{2}] != phi[{0}][{1}*{2}]".format(*w),
-        )], hgens)
+        settle((m, hn, hn), [("P2", a0)], b_if_all_ok, lambda _, w:
+               "phi[phi[{0}][{1}]][{2}] != phi[{0}][{1}*{2}]".format(*w))
 
     # P3: alpha -> psi[o][alpha] onto H
     image = set(psi[o].tolist())
@@ -456,34 +454,41 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
         )
     )
 
-    def fails_at(axiom: str, names: str):
-        return lambda w: f"{axiom} fails at ({names}) = {w}"
+    def fails_at(names: str):
+        return lambda axiom, w: f"{axiom} fails at ({names}) = {w}"
 
-    settle((m, hn, hn), [("A1", a1, fails_at("A1", "a, alpha, beta"))], hgens)
-    settle((m, m, hn), [("A2", a2, fails_at("A2", "a, b, alpha"))], hgens)
-    settle((m, m, hn), [("A3", a3, fails_at("A3", "a, b, alpha"))], hgens)
+    settle((m, hn, hn), [("A1", a1)], b_if_all_ok, fails_at("a, alpha, beta"))
+    settle((m, m, hn), [("A2", a2)], b_if_all_ok, fails_at("a, b, alpha"))
+    settle((m, m, hn), [("A3", a3)], b_if_all_ok, fails_at("a, b, alpha"))
 
-    mgens = None
-    if (m ** 3 > _util.BLOCK_CELLS and not len(unit_bad)
-            and (psi[:, eps] == eps).all()):
-        if (hn * m) ** 2 <= max(_util.BLOCK_CELLS, m * m):
-            if light_associative(_product_table(phi, psi, xi, lam, ht)):
-                checks.update(A4=CheckResult(True), A5=CheckResult(True))
-                return Report(checks, "axioms")
-        elif hgens is not None and all(c.ok for c in checks.values()):
-            mgens = _right_generators(xi, [phi[:, be] for be in hgens],
-                                      order=[*range(o), *range(o + 1, m), o])
-    settle((m, m, m), [("A4", a4, fails_at("A4", "a, b, c")),
-                       ("A5", a5, fails_at("A5", "a, b, c"))], mgens)
+    def units_ok():
+        return not len(unit_bad) and bool((psi[:, eps] == eps).all())
+
+    table_fits = (hn * m) ** 2 <= max(_util.BLOCK_CELLS, m * m)
+    if (m ** 3 > _util.BLOCK_CELLS and table_fits and units_ok()
+            and light_associative(_product_table(phi, psi, xi, lam, ht))):
+        checks.update(A4=CheckResult(True), A5=CheckResult(True))
+        return Report(checks, "axioms")
+
+    def s_if_all_ok():
+        """S, past the product table's budget, when the unit conditions
+        hold and b_if_all_ok() gives B; else None."""
+        b = None if table_fits or not units_ok() else b_if_all_ok()
+        return None if b is None else _right_generators(
+            xi, [phi[:, be] for be in b], order=[*range(o), *range(o + 1, m), o])
+
+    settle((m, m, m), [("A4", a4), ("A5", a5)], s_if_all_ok, fails_at("a, b, c"))
     return Report(checks, "axioms")
 
 
 def _group_generators(ht: np.ndarray, eps: int) -> list[int] | None:
-    """_right_generators(ht), or None unless ht is associative with
-    identity eps."""
+    """_right_generators(ht), or None unless ht is a group with identity
+    eps: associative, eps neutral, and eps in every row (a right inverse
+    of each element)."""
     gens = _right_generators(ht)
     ar = np.arange(len(ht))
     if ((ht[eps] == ar).all() and (ht[:, eps] == ar).all()
+            and (ht == eps).any(axis=1).all()
             and _associativity_witness(ht, gens) is None):
         return gens
     return None

@@ -8,13 +8,13 @@ same table-driven representation for uniformity.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _util
-from ._util import CheckResult, Report, first_failure
+from ._util import CheckResult, Report, first_failure, first_failure_on
 from .errors import (
     InternalInconsistencyError,
     NotIrreducibleError,
@@ -23,8 +23,8 @@ from .errors import (
     SizeLimitExceededError,
     UnknownSpecError,
 )
-from .groups import (FiniteGroup, _right_generators, element_orders,
-                     light_associative)
+from .groups import (FiniteGroup, _associative_mask, _right_generators,
+                     element_orders)
 
 MAX_FIELD_ORDER = 512
 MAX_PRIME = 97
@@ -288,17 +288,22 @@ def check_field_tables(
     mul_associative over (a, b[, c]), and last mul_inverse.
 
     Past one first_failure block, each group of cubic checks is first
-    run on generators only, and only a failure there runs the full
-    group, which gives the witness. Commutativity is checked in full,
-    associativity by Light's test
-    (light_associative). The distributive laws take their additive
-    argument over G, the _right_generators of add: once add is
-    associative (checked before), every element is a sum g1+...+gk of
-    members of G, and the arguments for which a law holds are closed
-    under +. For a(b+c) = ab+ac in c: if it holds at c and d, then
-    a(b+(c+d)) = a((b+c)+d) = a(b+c)+ad = ab+(ac+ad) = ab+a(c+d).
-    For (a+b)c = ac+bc in b: if it holds at b and d, then
-    (a+(b+d))c = ((a+b)+d)c = (a+b)c+dc = ac+(bc+dc) = ac+(b+d)c.
+    scanned with c over G only, G the _right_generators of add
+    (first_failure_on), and only a failure there runs the full group,
+    which gives the witness. Commutativity is checked in full. Every
+    element is a sum g1+...+gk of members of G, so a set that contains
+    G and is closed under + is the whole of it; the earlier
+    checks give 0 + x = x, a0 = 0 and, before the mul group, that add is
+    commutative and associative. The add group: the c with (a+b)+c =
+    a+(b+c) for all a, b are closed under + (Light's test). In the mul
+    group, for all a, b, and c, d in the set:
+      a(b+c) = ab+ac: a(b+(c+d)) = a((b+c)+d) = a(b+c)+ad = ab+(ac+ad),
+        and at b = 0 this reads a(c+d) = ac+ad; so this law holds
+        everywhere, and the other two use it;
+      (a+b)c = ac+bc: (a+b)(c+d) = (a+b)c+(a+b)d = (ac+bc)+(ad+bd)
+        = (ac+ad)+(bc+bd) = a(c+d)+b(c+d);
+      (ab)c = a(bc): (ab)(c+d) = (ab)c+(ab)d = a(bc)+a(bd) = a(bc+bd)
+        = a(b(c+d)).
     """
     if zero == one:
         return False, "zero_equals_one", (zero,)
@@ -312,44 +317,27 @@ def check_field_tables(
     def add_at(x, y):  # A[x, y] for broadcastable index arrays
         return flat_add.take(x * n + y)
 
-    add_block = [
-        ("add_commutative", lambda r: A[r] != A.T[r]),
-        ("add_associative", lambda r: A[A[r]] != A[r].take(A, axis=1)),
-    ]
-    mul_block = [
-        ("left_distributive",
-         lambda r: M[r].take(A, axis=1) != add_at(M[r][:, :, None], M[r][:, None, :])),
-        ("right_distributive", lambda r: M[A[r]] != add_at(M[r][:, None, :], M)),
-        ("mul_associative", lambda r: M[M[r]] != M[r].take(M, axis=1)),
-    ]
+    def commutative(t):  # depth 2: the scan's c plays no part
+        return lambda cols: lambda r: t[r] != t.T[r]
+
+    def left_distributive(cols):  # a(b+c) = ab+ac
+        A_c, M_c = (A, M) if cols is None else (A[:, cols], M[:, cols])
+        return lambda r: M[r].take(A_c, axis=1) != add_at(M[r][:, :, None],
+                                                           M_c[r][:, None, :])
+
+    def right_distributive(cols):  # (a+b)c = ac+bc
+        M_c = M if cols is None else M[:, cols]
+        return lambda r: M_c.take(A[r], axis=0) != add_at(M_c[r][:, None, :], M_c)
+
+    add_block = [("add_commutative", commutative(A)),
+                 ("add_associative", _associative_mask(A))]
+    mul_block = [("left_distributive", left_distributive),
+                 ("right_distributive", right_distributive),
+                 ("mul_associative", _associative_mask(M))]
     if require_commutative_mul:
-        mul_block.insert(0, ("mul_commutative", lambda r: M[r] != M.T[r]))
-
-    def cubic(checks, pass_on_generators):
-        """first_failure of checks over (n, n, n); past one block it runs
-        only when pass_on_generators() is false."""
-        if n ** 3 > _util.BLOCK_CELLS and pass_on_generators():
-            return None
-        return first_failure((n, n, n), checks)
-
-    def mul_block_on_generators() -> bool:
-        """Whether mul_block passes with the distributive laws' additive
-        argument over G and associativity by Light's test."""
-        g = _right_generators(A)
-        A_g, M_g = A[:, g], M[:, g]
-        return (
-            first_failure((n, n), mul_block[:1] if require_commutative_mul else []) is None
-            and first_failure((n, n, len(g)), [(  # a(b+c) = ab+ac, c in G
-                "left_distributive",
-                lambda r: M[r].take(A_g, axis=1)
-                != add_at(M[r][:, :, None], M_g[r][:, None, :]),
-            )]) is None
-            and first_failure((n, len(g), n), [(  # (a+b)c = ac+bc, b in G
-                "right_distributive",
-                lambda r: M[A_g[r]] != add_at(M[r][:, None, :], M[g][None]),
-            )]) is None
-            and light_associative(M)
-        )
+        mul_block.insert(0, ("mul_commutative", commutative(M)))
+    add_gens = functools.cache(lambda: _right_generators(
+        A, order=[*range(zero), *range(zero + 1, n), zero]))  # zero is a sum
 
     failure = (
         first_failure((n,), [
@@ -358,13 +346,12 @@ def check_field_tables(
         or first_failure((n, n), [
             ("add_inverse", lambda r: ~(A[r] == zero).any(axis=1)),
         ])
-        or cubic(add_block, lambda: first_failure((n, n), add_block[:1]) is None
-                 and light_associative(A))
+        or first_failure_on((n, n, n), add_block, add_gens)
         or first_failure((n,), [
             ("mul_neutral", lambda r: (M[r, one] != ar[r]) | (M[one, r] != ar[r])),
             ("mul_zero", lambda r: (M[r, zero] != zero) | (M[zero, r] != zero)),
         ])
-        or cubic(mul_block, mul_block_on_generators)
+        or first_failure_on((n, n, n), mul_block, add_gens)
         or first_failure((n, n), [
             ("mul_inverse", lambda r: (ar[r] != zero) & ~(M[r] == one).any(axis=1)),
         ])

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _util
-from ._util import first_failure, first_mismatch
+from ._util import first_failure_on, first_mismatch
 from .core import HypergroupOverGroup, hypergroup_from_tables
 from .errors import (
     AlgebraError,
@@ -304,19 +303,13 @@ def reconstruct_field(
     t = np.ascontiguousarray(phi.T)
     flat_xi = xi.ravel().astype(np.int32)  # a compact copy keeps the gathers in cache
 
-    def endomorphism_failure(g):
-        """The first (al, a, b) with b over the elements g selects."""
-        xi_g = xi[:, g]
-        return first_failure((hn, m, xi_g.shape[1]), [(
-            "PhiNotEndomorphism",  # t[al][xi[a][b]] != xi[t[al][a]][t[al][b]]
-            lambda r: t[r].take(xi_g, axis=1)
-            != flat_xi.take(t[r][:, :, None] * m + t[r][:, g][:, None, :]),
-        )])
+    def endomorphism(cols):  # t[al][xi[a][b]] == xi[t[al][a]][t[al][b]]
+        xi_c, t_c = (xi, t) if cols is None else (xi[:, cols], t[:, cols])
+        return lambda r: (t[r].take(xi_c, axis=1)
+                          != flat_xi.take(t[r][:, :, None] * m + t_c[r][:, None, :]))
 
-    failure = None
-    if hn * m * m <= _util.BLOCK_CELLS or endomorphism_failure(
-            _right_generators(xi)) is not None:
-        failure = endomorphism_failure(slice(None))
+    failure = first_failure_on((hn, m, m), [("PhiNotEndomorphism", endomorphism)],
+                               lambda: _right_generators(xi))
     if failure is not None:
         al, a, b = failure[1]
         return FieldReconstruction(

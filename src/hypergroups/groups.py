@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _util
-from ._util import as_int_matrix, first_failure, int_table
+from ._util import as_int_matrix, first_failure, first_failure_on, int_table
 from .errors import (
     IndexOutOfRangeError,
     InternalInconsistencyError,
@@ -169,11 +168,13 @@ def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
 def first_nonassociative(t: np.ndarray) -> tuple[int, int, int] | None:
     """The first (a, b, c) in scan order with (a*b)*c != a*(b*c) in the
     square intp table t, scanned over blocks of a. Past one block,
-    light_associative decides first and the full scan runs only if it
-    fails, so the witness is still the first in scan order."""
-    if len(t) ** 3 > _util.BLOCK_CELLS and light_associative(t):
-        return None
-    return _associativity_witness(t, slice(None))
+    Light's test (light_associative) decides first and the full scan
+    runs only if it fails, so the witness is still the first in scan
+    order."""
+    n = len(t)
+    failure = first_failure_on((n, n, n), [("associative", _associative_mask(t))],
+                               lambda: _right_generators(t))
+    return None if failure is None else failure[1]
 
 
 def light_associative(t: np.ndarray) -> bool:
@@ -184,13 +185,20 @@ def light_associative(t: np.ndarray) -> bool:
     return _associativity_witness(t, _right_generators(t)) is None
 
 
-def _associativity_witness(t: np.ndarray, c) -> tuple[int, int, int] | None:
-    """The first failing (a, b, c) with c among the columns c selects."""
+def _associative_mask(t: np.ndarray):
+    """The first_failure_on mask_of of (a*b)*c == a*(b*c) in the square
+    intp table t, over (a, b, c)."""
+    def mask_of(cols):
+        tc = t if cols is None else t[:, cols]
+        return lambda r: tc.take(t[r], axis=0) != t[r].take(tc, axis=1)
+    return mask_of
+
+
+def _associativity_witness(t: np.ndarray, cols) -> tuple[int, int, int] | None:
+    """The first failing (a, b, c) with c among the columns cols."""
     n = len(t)
-    tc = t[:, c]
-    failure = first_failure((n, n, tc.shape[1]), [
-        ("associative", lambda r: tc.take(t[r], axis=0) != t[r].take(tc, axis=1)),
-    ])
+    failure = first_failure((n, n, len(cols)),
+                            [("associative", _associative_mask(t)(cols))])
     return None if failure is None else failure[1]
 
 

@@ -155,26 +155,19 @@ def find_isomorphism(
     hg: HypergroupOverGroup,
     hg2: HypergroupOverGroup,
     size_bound: int = DEFAULT_ISO_SIZE_BOUND,
+    *,
+    keys1: list[tuple] | None = None,
+    keys2: list[tuple] | None = None,
 ) -> HgMorphism | None:
     """First isomorphism (f0, f1) in search order, or None.
 
     Iterates group isomorphisms f0: H -> H' lexicographically; for each,
     backtracks over f1 with f1(o) = o' forced, pruning candidates by
     phi-orbit size and xi-column cycle type and propagating the forced
-    images f1(phi[a][al]) and f1(xi[a][b]).
+    images f1(phi[a][al]) and f1(xi[a][b]). keys1 and keys2, when given,
+    are the _element_keys of hg and hg2, which a caller that searches
+    many times can compute once.
     """
-    return _find_isomorphism(hg, hg2, size_bound)
-
-
-def _find_isomorphism(
-    hg: HypergroupOverGroup,
-    hg2: HypergroupOverGroup,
-    size_bound: int = DEFAULT_ISO_SIZE_BOUND,
-    keys1: list[tuple] | None = None,
-    keys2: list[tuple] | None = None,
-) -> HgMorphism | None:
-    """find_isomorphism, taking the _element_keys of either side when
-    the caller already has them."""
     if hg.m_size != hg2.m_size or hg.h.order != hg2.h.order:
         return None
     if hg.m_size > size_bound:

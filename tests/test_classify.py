@@ -280,8 +280,8 @@ class TestInsertDirect:
         with mock.patch.object(classify, "_element_keys",
                                wraps=morphisms._element_keys) as keys, \
                 mock.patch.object(morphisms, "_element_keys") as search_keys, \
-                mock.patch.object(classify, "_find_isomorphism",
-                                  wraps=morphisms._find_isomorphism) as search:
+                mock.patch.object(classify, "find_isomorphism",
+                                  wraps=morphisms.find_isomorphism) as search:
             cat = sweep_standard(8)
         assert keys.call_count == len(cat.entries) == 701
         assert search.call_count > len(cat.entries) - cat.n_classes
@@ -319,7 +319,8 @@ class TestInvariantKey:
     def test_equal_on_isomorphic_copies(self, case):
         hg, image, f0, f1 = case
         assert verify_morphism(HgMorphism(hg, image, f0, f1)).ok
-        assert _invariant_key(hg) == _invariant_key(image)
+        assert (_invariant_key(hg, morphisms._element_keys(hg))
+                == _invariant_key(image, morphisms._element_keys(image)))
         iso = find_isomorphism(hg, image)
         assert iso is not None and verify_morphism(iso).ok
 

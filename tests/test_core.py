@@ -610,6 +610,60 @@ class TestGeneratorScans:
             assert generator_scans(bad) == []
             assert results(verify_axioms(bad)) == loop_oracles.verify_axioms(bad)
 
+    def test_monoid_h_scans_in_full(self):
+        # H = {eps, e} with e absorbing is an associative monoid with
+        # identity but no group; on M = Z8 with trivial actions and lam
+        # eps exactly at (a, 0), a != 0, P1-P3 and A0-A4 hold and A5
+        # holds at c = 1 but fails at (1, 0, 0). S = {1} would miss it
+        m = 8
+        h = FiniteGroup(order=2, table=[[0, 1], [1, 1]], identity=0,
+                        inverse=[0, 1], name="H")
+        hg = hypergroup_from_tables(
+            m, h, phi=[[a, a] for a in range(m)], psi=[[0, 1]] * m,
+            xi=[[(a + b) % m for b in range(m)] for a in range(m)],
+            lam=[[0 if b == 0 and a else 1 for b in range(m)] for a in range(m)],
+            o=0)
+        assert core._group_generators(np.asarray(h.table), 0) is None
+        with mock.patch.object(_util, "BLOCK_CELLS", m * m):
+            assert (2 * m) ** 2 > _util.BLOCK_CELLS < m ** 3
+            got = results(verify_axioms(hg))
+            assert generator_scans(hg) == []
+        assert got == loop_oracles.verify_axioms(hg)
+        assert [name for name, (ok, _, _) in got.items() if not ok] == ["A5"]
+        assert got["A5"][1] == (1, 0, 0)
+
+    @pytest.mark.parametrize("spec,h,t,cell,axiom", [
+        # A2 holds on B = {0, 1} of H, not on the column 3 that breaks A0
+        ("Z2xZ4", [0, 2, 5, 7], [7, 1], ("phi", 0, 3, 1), "A2"),
+        ("Z2xZ4", [0, 1, 2, 3], [3, 4], ("phi", 1, 2, 0), "A3"),
+        ("Q8", [0, 1, 2, 3], [3, 4], ("phi", 0, 2, 1), "A4"),
+        ("Q8", [0, 1, 2, 3], [3, 4], ("psi", 1, 2, 0), "A5"),
+    ])
+    def test_reduced_scans_wait_for_earlier_checks(self, spec, h, t, cell, axiom):
+        # on each mutant the generator scan of axiom passes, but one of
+        # the checks its closure argument needs fails first, so only the
+        # full scan finds that axiom's failure
+        g = group_from_spec(spec)
+        hg = with_cell(standard_construction(g, subgroup_from_elements(g, h), t), *cell)
+        with mock.patch.object(_util, "BLOCK_CELLS", 1):
+            got = results(verify_axioms(hg))
+        assert got == loop_oracles.verify_axioms(hg)
+        assert not got[axiom][0]
+
+    def test_a1_scan_waits_for_a0(self):
+        # H = Z3 with B = {0, 1}; A1 holds at every beta in B, and fails
+        # only where A0 fails too
+        h = group_from_spec("Z3")
+        hg = hypergroup_from_tables(
+            3, h, phi=[[0, 0, 0], [1, 0, 2], [2, 0, 1]],
+            psi=[[0, 1, 2], [0, 0, 1], [0, 2, 0]],
+            xi=[[(a + b) % 3 for b in range(3)] for a in range(3)],
+            lam=[[0] * 3] * 3, o=0)
+        with mock.patch.object(_util, "BLOCK_CELLS", 1):
+            got = results(verify_axioms(hg))
+        assert got == loop_oracles.verify_axioms(hg)
+        assert not got["P2"][0] and got["A1"][:2] == (False, (1, 1, 2))
+
 
 @st.composite
 def shortcut_inputs(draw):
@@ -648,26 +702,40 @@ def product_table(hg):
                                np.asarray(hg.h.table, dtype=np.intp))
 
 
-def scanned_axioms(hg):
-    """(report, the axioms verify_axioms ran a full first_failure scan
-    for, whether it ran Light's test)."""
-    with mock.patch.object(core, "_axiom_result", wraps=core._axiom_result) as scan, \
+def cube(hg, name):
+    """The shape of the full scan of an axiom."""
+    m, hn = hg.m_size, hg.h.order
+    return {"P2": (m, hn, hn), "A1": (m, hn, hn),
+            "A2": (m, m, hn), "A3": (m, m, hn)}.get(name, (m, m, m))
+
+
+def axiom_scans(hg):
+    """(report, (names, shape) of each first_failure scan verify_axioms
+    ran, whether it ran Light's test)."""
+    scan = mock.Mock(wraps=_util.first_failure)
+    with mock.patch.object(_util, "first_failure", scan), \
+            mock.patch.object(core, "first_failure", scan), \
             mock.patch.object(core, "light_associative",
                               wraps=light_associative) as light:
         report = verify_axioms(hg)
-    return report, [c.args[0] for c in scan.call_args_list], light.called
+    return (report, [(tuple(name for name, _ in c.args[1]), c.args[0])
+                     for c in scan.call_args_list], light.called)
+
+
+def scanned_axioms(hg):
+    """(report, the axioms verify_axioms ran a full first_failure scan
+    for, whether it ran Light's test)."""
+    report, scans, light_ran = axiom_scans(hg)
+    full = [name for names, shape in scans if shape == cube(hg, names[0])
+            for name in names]
+    return report, list(dict.fromkeys(full)), light_ran
 
 
 def generator_scans(hg):
     """(names, shape) of each scan verify_axioms ran with the last index
     over generators only."""
-    with mock.patch.object(core, "first_failure", wraps=core.first_failure) as scan, \
-            mock.patch.object(core, "_axiom_result", wraps=core._axiom_result) as full:
-        verify_axioms(hg)
-    full_scans = {((c.args[0],), c.args[1]) for c in full.call_args_list}
-    scans = [(tuple(name for name, _ in c.args[1]), c.args[0])
-             for c in scan.call_args_list]
-    return [s for s in scans if s not in full_scans]
+    return [(names, shape) for names, shape in axiom_scans(hg)[1]
+            if shape != cube(hg, names[0])]
 
 
 class TestProductShortcut:
