@@ -225,9 +225,7 @@ def standard_construction(group: FiniteGroup, h: Subgroup, transversal) -> Hyper
     cos = np.asarray(t.decomposition.coset_of, dtype=np.intp)
     reps = np.asarray(t.reps, dtype=np.intp)
     hels = np.asarray(h.elements, dtype=np.intp)
-    hn = len(h.elements)
-    h_index = np.full(group.order, -1, dtype=np.intp)
-    h_index[hels] = np.arange(hn, dtype=np.intp)
+    h_index = np.asarray(h.index_in, dtype=np.intp)
 
     prod = gt[reps[:, None], hels[None, :]]        # a * alpha
     phi = cos[prod]
@@ -336,7 +334,7 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
     test on it decides A4 and A5 (needing no other check to pass).
     """
     phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
-    ht = np.asarray(hg.h.table, dtype=np.intp)
+    ht = hg.h.np_table()
     m, hn = hg.m_size, hg.h.order
     eps = hg.h.identity
     o = hg.o

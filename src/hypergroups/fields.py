@@ -257,8 +257,8 @@ def parse_field_spec(spec: str) -> FiniteField:
 def multiplicative_group(f: FiniteField) -> FiniteGroup:
     """F* on the q-1 nonzero elements; group index h is field index h+1."""
     n = f.q - 1
-    table = [[f.mul[i + 1][j + 1] - 1 for j in range(n)] for i in range(n)]
-    if any(v < 0 for row in table for v in row):
+    table = np.asarray(f.mul, dtype=np.intp)[1:, 1:] - 1
+    if (table < 0).any():
         raise InternalInconsistencyError("zero divisor in the nonzero elements")
     inverse = [f.mul_inverse(i + 1) - 1 for i in range(n)]
     group = FiniteGroup(

@@ -52,7 +52,7 @@ def functor_group(m_group: FiniteGroup) -> HypergroupOverGroup:
         h=trivial_group(),
         phi=[[a] for a in range(n)],
         psi=[[0] for _ in range(n)],
-        xi=[row[:] for row in m_group.table],
+        xi=m_group.np_table(),
         lam=[[0] * n for _ in range(n)],
         o=m_group.identity,
     )
@@ -246,7 +246,7 @@ def reconstruct_field(
     hn = hg.h.order
     eps = hg.h.identity
     phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
-    ht = np.asarray(hg.h.table, dtype=np.intp)
+    ht = hg.h.np_table()
 
     first = first_mismatch(psi, np.arange(hn))
     if first is not None:

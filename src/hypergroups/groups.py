@@ -5,6 +5,11 @@ property check is an exhaustive loop (or a numpy fancy-indexing pass).
 The product convention throughout the package is table[i][j] = "i then
 j"; for symmetric groups that means composition applies the left factor
 first: (s*t)(x) = t(s(x)).
+
+FiniteGroup, Subgroup and CosetDecomposition are frozen. A group's table
+is stored once, in two read-only forms made and checked at construction:
+a tuple of tuples for Python loops and an intp array for numpy kernels.
+A subgroup's index_in and as_group() are made with it; cosets are tuples.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_int_matrix, first_failure, first_failure_on, int_table
+from ._util import as_int, as_int_matrix, first_failure, first_failure_on, int_table
 from .errors import (
     IndexOutOfRangeError,
     InternalInconsistencyError,
+    MalformedTablesError,
     NoIdentityError,
     NoInverseError,
     NotAssociativeError,
@@ -38,53 +44,93 @@ DEFAULT_ENUM_BOUND = 24
 DEFAULT_ISO_BOUND = 128
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteGroup:
+    """A Cayley table, given as rows or as an integer array, kept as
+    table (tuples) and np_table() (a read-only intp array). __post_init__
+    checks shape and range only: order rows of order cells in [0, order),
+    else NotClosedError at the first bad cell as group_from_cayley_table
+    reports it, and identity and inverse in range, else
+    MalformedTablesError. Copy and pickle rebuild through it."""
+
     order: int
-    table: list[list[int]]
+    table: tuple[tuple[int, ...], ...]
     identity: int
-    inverse: list[int]
+    inverse: tuple[int, ...]
     name: str
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, arr = self.order, self.table
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"
+                and arr.shape == (n, n) and ((arr >= 0) & (arr < n)).all()):
+            arr = _closed_table(as_int_matrix(arr), n)
+        arr = arr.astype(np.intp)
+        arr.flags.writeable = False
+        identity = as_int(self.identity, "identity")
+        if not 0 <= identity < n:
+            raise MalformedTablesError("identity", f"value {identity} outside [0, {n})")
+        inverse = np.asarray(self.inverse)
+        if (inverse.shape != (n,) or inverse.dtype.kind not in "iu"
+                or not ((inverse >= 0) & (inverse < n)).all()):
+            raise MalformedTablesError("inverse", f"not {n} values in [0, {n})")
+        object.__setattr__(self, "table", tuple(map(tuple, arr.tolist())))
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverse", tuple(inverse.tolist()))
+        object.__setattr__(self, "_array", arr)
+
+    def __reduce__(self):
+        return (FiniteGroup, (self.order, self._array, self.identity,
+                              self.inverse, self.name))
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
     def np_table(self) -> np.ndarray:
-        """The table as a read-only intp array, rebuilt whenever the list
-        table no longer equals the snapshot it was built from."""
-        snapshot, arr = getattr(self, "_np_table", (None, None))
-        if snapshot != self.table:
-            snapshot = [row[:] for row in self.table]
-            arr = np.asarray(snapshot, dtype=np.intp)
-            arr.flags.writeable = False
-            object.__setattr__(self, "_np_table", (snapshot, arr))
-        return arr
+        """The table as a read-only intp array."""
+        return self._array
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(
-            t[i][j] == t[j][i]
-            for i in range(self.order)
-            for j in range(i + 1, self.order)
-        )
+        return bool((self._array == self._array.T).all())
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Subgroup:
+    """A subgroup of parent, as its elements. __post_init__ makes index_in
+    and as_group() once: an element outside the parent raises
+    IndexOutOfRangeError, and a set not closed NotClosedError."""
+
     parent: FiniteGroup
     elements: tuple[int, ...]
     # position of each parent element inside `elements`, -1 if absent
-    index_in: tuple[int, ...] = field(repr=False, default=())
+    index_in: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _group: FiniteGroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.index_in:
-            pos = [-1] * self.parent.order
-            for i, x in enumerate(self.elements):
-                pos[x] = i
-            self.index_in = tuple(pos)
+        parent = self.parent
+        els = tuple(self.elements)
+        bad = [x for x in els if not 0 <= x < parent.order]
+        if bad:
+            raise IndexOutOfRangeError(f"element {bad[0]} outside [0, {parent.order})")
+        hels = np.array(els, dtype=np.intp)
+        pos = np.full(parent.order, -1, dtype=np.intp)
+        pos[hels] = np.arange(len(els))
+        group = FiniteGroup(
+            order=len(els),
+            table=pos[parent.np_table()[hels[:, None], hels]],
+            identity=pos[parent.identity],
+            inverse=pos[np.asarray(parent.inverse, dtype=np.intp)[hels]],
+            name="{%s} <= %s" % (",".join(map(str, els)), parent.name),
+        )
+        object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "index_in", tuple(pos.tolist()))
+        object.__setattr__(self, "_group", group)
+
+    def __reduce__(self):
+        return (Subgroup, (self.parent, self.elements))
 
     @property
     def order(self) -> int:
@@ -94,32 +140,30 @@ class Subgroup:
         return self.index_in[x] >= 0
 
     def as_group(self) -> FiniteGroup:
-        """The subgroup re-indexed as a standalone group on 0..|H|-1,
-        rebuilt whenever the parent's np_table() is a new array, that is
-        after an edit of the parent's table."""
-        key = self.parent.np_table()
-        cached_key, cached = getattr(self, "_as_group", (None, None))
-        if cached_key is not key:
-            els = self.elements
-            pt = self.parent.table
-            table = [[self.index_in[pt[a][b]] for b in els] for a in els]
-            name = "{%s} <= %s" % (",".join(map(str, els)), self.parent.name)
-            cached = FiniteGroup(
-                order=len(els),
-                table=table,
-                identity=self.index_in[self.parent.identity],
-                inverse=[self.index_in[self.parent.inverse[a]] for a in els],
-                name=name,
-            )
-            object.__setattr__(self, "_as_group", (key, cached))
-        return cached
+        """The subgroup re-indexed as a standalone group on 0..|H|-1."""
+        return self._group
 
 
-@dataclass
+@dataclass(frozen=True)
 class CosetDecomposition:
     subgroup: Subgroup
-    cosets: list[list[int]]
-    coset_of: list[int]
+    cosets: tuple[tuple[int, ...], ...]
+    coset_of: tuple[int, ...]
+
+
+def _closed_table(rows: list[list[int]], n: int) -> np.ndarray:
+    """rows, lists of ints, as an (n, n) intp array. Other than n rows
+    raise MalformedTablesError; then the first row of another length, or
+    cell outside [0, n), in row-major order raises NotClosedError."""
+    if len(rows) != n:
+        raise MalformedTablesError("table", f"expected {n} rows, got {len(rows)}")
+    arr, fault = int_table(rows, n, n)
+    if fault is None:
+        return arr
+    i, j = fault
+    if j is None:
+        raise NotClosedError(i, len(rows[i]), -1, n)
+    raise NotClosedError(i, j, rows[i][j], n)
 
 
 def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
@@ -134,12 +178,7 @@ def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
         raise NotClosedError(0, 0, -1, 0)
     if n > MAX_ORDER:
         raise SizeLimitExceededError(f"order {n} exceeds cap {MAX_ORDER}")
-    t, fault = int_table(table, n, n)
-    if fault is not None:
-        i, j = fault
-        if j is None:
-            raise NotClosedError(i, len(table[i]), -1, n)
-        raise NotClosedError(i, j, table[i][j], n)
+    t = _closed_table(table, n)
 
     elements = np.arange(n)
     neutral = (t == elements).all(axis=1) & (t == elements[:, None]).all(axis=0)
@@ -158,9 +197,9 @@ def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
 
     return FiniteGroup(
         order=n,
-        table=table,
+        table=t,
         identity=identity,
-        inverse=inverts.argmax(axis=1).tolist(),
+        inverse=inverts.argmax(axis=1),
         name=name if name is not None else f"G{n}",
     )
 
@@ -241,9 +280,8 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise UnknownSpecError(f"Z{n} is not a group")
     if n > MAX_ORDER:
         raise SizeLimitExceededError(f"Z{n} exceeds order cap {MAX_ORDER}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    inverse = [(-i) % n for i in range(n)]
-    return FiniteGroup(n, table, 0, inverse, f"Z{n}")
+    x = np.arange(n)
+    return FiniteGroup(n, (x[:, None] + x) % n, 0, -x % n, f"Z{n}")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -252,20 +290,13 @@ def symmetric_group(n: int) -> FiniteGroup:
         raise UnknownSpecError(f"S{n} is not a group")
     if n > 5:
         raise SizeLimitExceededError("S_n supported only for n <= 5")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    table = [
-        [index[tuple(q[s] for s in p)] for q in perms]
-        for p in perms
-    ]
-    inverse = [0] * order
-    for i, p in enumerate(perms):
-        ip = [0] * n
-        for x, y in enumerate(p):
-            ip[y] = x
-        inverse[i] = index[tuple(ip)]
-    return FiniteGroup(order, table, 0, inverse, f"S{n}")
+    perms = np.array(sorted(itertools.permutations(range(n))))
+    # [p, q] holds q after p, found by its base-n code: the codes of the
+    # sorted perms are sorted
+    code = n ** np.arange(n - 1, -1, -1)
+    table = np.searchsorted(perms @ code, perms[np.arange(len(perms))[:, None],
+                                                perms[:, None, :]] @ code)
+    return FiniteGroup(len(perms), table, 0, (table == 0).argmax(axis=1), f"S{n}")
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -274,40 +305,23 @@ def dihedral_group(n: int) -> FiniteGroup:
         raise UnknownSpecError(f"D{n} is not a group")
     if n > 8:
         raise SizeLimitExceededError("D_n supported only for n <= 8")
-
-    def mul(x, y):
-        f1, a = divmod(x, n)
-        f2, b = divmod(y, n)
-        if f1 == 0 and f2 == 0:
-            return (a + b) % n
-        if f1 == 0 and f2 == 1:
-            return n + (b - a) % n
-        if f1 == 1 and f2 == 0:
-            return n + (a + b) % n
-        return (b - a) % n
-
-    order = 2 * n
-    table = [[mul(x, y) for y in range(order)] for x in range(order)]
-    g = group_from_cayley_table(table, name=f"D{n}")
-    return g
+    f, k = np.divmod(np.arange(2 * n), n)
+    # s^f1 r^a s^f2 r^b = s^(f1 + f2) r^((-1)^f2 a + b); each s r^k is its
+    # own inverse
+    table = (f[:, None] ^ f) * n + (k[:, None] * (1 - 2 * f) + k) % n
+    return FiniteGroup(2 * n, table, 0, np.where(f == 1, np.arange(2 * n), -k % n),
+                       f"D{n}")
 
 
 def quaternion_group() -> FiniteGroup:
     """Q8 on [1, -1, i, -i, j, -j, k, -k]; index = 2*letter + sign."""
-    # letter products: lp[l1][l2] = (sign, letter)
-    lp = [[(0, 0), (0, 1), (0, 2), (0, 3)],
-          [(0, 1), (1, 0), (0, 3), (1, 2)],
-          [(0, 2), (1, 3), (1, 0), (0, 1)],
-          [(0, 3), (0, 2), (1, 1), (1, 0)]]
-
-    def mul(x, y):
-        l1, s1 = divmod(x, 2)
-        l2, s2 = divmod(y, 2)
-        sc, l = lp[l1][l2]
-        return 2 * l + (s1 ^ s2 ^ sc)
-
-    table = [[mul(x, y) for y in range(8)] for x in range(8)]
-    return group_from_cayley_table(table, name="Q8")
+    # the product of letters l1 and l2 is letter l1 ^ l2 with this sign
+    minus = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    x = np.arange(8)
+    letter, sign = np.divmod(x, 2)
+    table = 2 * (letter[:, None] ^ letter) + (sign[:, None] ^ sign
+                                              ^ minus[letter[:, None], letter])
+    return FiniteGroup(8, table, 0, np.where(letter == 0, x, x ^ 1), "Q8")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -318,22 +332,12 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
             f"product order {order} exceeds cap {MAX_ORDER}"
         )
     nb = b.order
-    table = [[0] * order for _ in range(order)]
-    for x1 in range(a.order):
-        for y1 in range(b.order):
-            row = table[x1 * nb + y1]
-            arow = a.table[x1]
-            brow = b.table[y1]
-            for x2 in range(a.order):
-                ax = arow[x2] * nb
-                for y2 in range(b.order):
-                    row[x2 * nb + y2] = ax + brow[y2]
-    identity = a.identity * nb + b.identity
-    inverse = [0] * order
-    for x in range(a.order):
-        for y in range(b.order):
-            inverse[x * nb + y] = a.inverse[x] * nb + b.inverse[y]
-    return FiniteGroup(order, table, identity, inverse, f"{a.name}x{b.name}")
+    # cell ((x1, y1), (x2, y2)) at [x1, y1, x2, y2] before the reshape
+    table = (a.np_table()[:, None, :, None] * nb
+             + b.np_table()[None, :, None, :]).reshape(order, order)
+    inverse = (np.array(a.inverse)[:, None] * nb + b.inverse).ravel()
+    return FiniteGroup(order, table, a.identity * nb + b.identity, inverse,
+                       f"{a.name}x{b.name}")
 
 
 _FAMILY_RE = re.compile(r"^(E|Z(\d+)|S(\d+)|D(\d+)|Q8)$")
@@ -482,18 +486,19 @@ def right_cosets(group: FiniteGroup, h: Subgroup) -> CosetDecomposition:
     """Right cosets Ha; the coset of the identity comes first, the rest
     follow in order of their smallest element."""
     coset_of = [-1] * group.order
-    cosets: list[list[int]] = []
+    cosets: list[tuple[int, ...]] = []
     order: list[int] = [group.identity]
     order += [x for x in range(group.order) if x != group.identity]
     for a in order:
         if coset_of[a] >= 0:
             continue
-        members = sorted(group.table[x][a] for x in h.elements)
+        members = tuple(sorted(group.table[x][a] for x in h.elements))
         idx = len(cosets)
         cosets.append(members)
         for m in members:
             coset_of[m] = idx
-    return CosetDecomposition(subgroup=h, cosets=cosets, coset_of=coset_of)
+    return CosetDecomposition(subgroup=h, cosets=tuple(cosets),
+                              coset_of=tuple(coset_of))
 
 
 def quotient_group(group: FiniteGroup, h: Subgroup) -> FiniteGroup:
@@ -637,7 +642,7 @@ def group_isomorphism(g1: FiniteGroup, g2: FiniteGroup, bound: int = DEFAULT_ISO
 
 
 def group_to_json(group: FiniteGroup) -> dict:
-    return {"order": group.order, "table": group.table, "name": group.name}
+    return {"order": group.order, "table": group.np_table().tolist(), "name": group.name}
 
 
 def group_from_json(data: dict) -> FiniteGroup:

@@ -49,33 +49,25 @@ def _cosets(group: FiniteGroup, h: Subgroup) -> CosetDecomposition:
 
 def is_right_transversal(group: FiniteGroup, h: Subgroup, candidate) -> bool:
     """True iff candidate meets every right coset of H exactly once."""
-    members = list(candidate)
-    dec = _cosets(group, h)
-    if len(members) != len(dec.cosets):
-        return False
-    hits = [0] * len(dec.cosets)
-    for x in members:
-        if not 0 <= x < group.order:
-            return False
-        hits[dec.coset_of[x]] += 1
-    return all(c == 1 for c in hits)
+    return _meets_each_coset_once(_cosets(group, h), list(candidate))
+
+
+def _meets_each_coset_once(dec: CosetDecomposition, members: list) -> bool:
+    return (all(0 <= x < len(dec.coset_of) for x in members)
+            and sorted(dec.coset_of[x] for x in members) == list(range(len(dec.cosets))))
 
 
 def make_transversal(group: FiniteGroup, h: Subgroup, reps) -> Transversal:
     """Validate reps as a transversal and order them by coset index."""
     members = [int(x) for x in reps]
     dec = _cosets(group, h)
-    if not is_right_transversal(group, h, members):
+    if not _meets_each_coset_once(dec, members):
         raise NotATransversalError(
             f"{members} does not meet every right coset of "
             f"{{{','.join(map(str, h.elements))}}} exactly once"
         )
-    ordered = [0] * len(dec.cosets)
-    for x in members:
-        ordered[dec.coset_of[x]] = x
-    return Transversal(
-        group=group, subgroup=h, reps=tuple(ordered), decomposition=dec
-    )
+    return Transversal(group=group, subgroup=h, decomposition=dec,
+                       reps=tuple(sorted(members, key=dec.coset_of.__getitem__)))
 
 
 def transversal_count(group: FiniteGroup, h: Subgroup) -> int:
@@ -102,19 +94,22 @@ def enumerate_transversals(
 def transversal_at(group: FiniteGroup, h: Subgroup, index: int) -> Transversal:
     """The index-th transversal in enumeration order (mixed-radix decode,
     first coset most significant)."""
-    dec = _cosets(group, h)
+    return _transversal_at(group, h, _cosets(group, h), index)
+
+
+def _transversal_at(group: FiniteGroup, h: Subgroup, dec: CosetDecomposition,
+                    index: int) -> Transversal:
+    """transversal_at with the right cosets dec of h already made."""
     total = transversal_count(group, h)
     if not 0 <= index < total:
         raise NotATransversalError(f"transversal index {index} out of range")
     # decode big-endian: leftmost coset varies slowest
-    base = len(h.elements)
-    digits = []
-    for _ in dec.cosets:
-        index, d = divmod(index, base)
-        digits.append(d)
-    digits.reverse()
-    reps = tuple(dec.cosets[i][d] for i, d in enumerate(digits))
-    return Transversal(group=group, subgroup=h, reps=reps, decomposition=dec)
+    reps = []
+    for coset in reversed(dec.cosets):
+        index, d = divmod(index, len(h.elements))
+        reps.append(coset[d])
+    return Transversal(group=group, subgroup=h, reps=tuple(reversed(reps)),
+                       decomposition=dec)
 
 
 def sample_transversals(
@@ -135,7 +130,8 @@ def sample_transversals(
         picks = set()
         while len(picks) < cap:
             picks.add(rng.randrange(total))
-    return [transversal_at(group, h, i) for i in sorted(picks)]
+    dec = _cosets(group, h)
+    return [_transversal_at(group, h, dec, i) for i in sorted(picks)]
 
 
 def decompose(t: Transversal, x: int) -> Decomposition:

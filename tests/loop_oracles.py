@@ -3,10 +3,10 @@
 Each function here is the straightforward scan the library's numpy code
 must agree with: same check order, same first witness in scan order.
 They are slow (q^3 Python steps) and only tests import them. The last
-four are other routes to library answers kept as references: the group
-test on xi and the abstract lambda search without pruning, both earlier
-versions of library code, and two characterizations of a right
-transversal.
+five are other routes to library answers kept as references: the group
+test on xi, the abstract lambda search without pruning and the direct
+product's table, all earlier versions of library code, and two
+characterizations of a right transversal.
 """
 
 from __future__ import annotations
@@ -463,6 +463,27 @@ def lambda_candidates(h, xi, phi, psi, m):
             undo(trail)
 
     yield from search(0)
+
+
+def direct_product_table(a, b):
+    """(table, identity, inverse) of A x B with pair (x, y) at index
+    x*|B| + y, as lists, by loops."""
+    order, nb = a.order * b.order, b.order
+    table = [[0] * order for _ in range(order)]
+    for x1 in range(a.order):
+        for y1 in range(b.order):
+            row = table[x1 * nb + y1]
+            arow = a.table[x1]
+            brow = b.table[y1]
+            for x2 in range(a.order):
+                ax = arow[x2] * nb
+                for y2 in range(b.order):
+                    row[x2 * nb + y2] = ax + brow[y2]
+    inverse = [0] * order
+    for x in range(a.order):
+        for y in range(b.order):
+            inverse[x * nb + y] = a.inverse[x] * nb + b.inverse[y]
+    return table, a.identity * nb + b.identity, inverse
 
 
 def bijection_characterization(group, h, candidate):

@@ -536,7 +536,7 @@ def generator_scan_inputs(draw):
         x, y = draw(st.lists(st.sampled_from([x for x in range(m) if x != hg.o]),
                              min_size=2, max_size=2, unique=True))
         xi[x][b], xi[y][b] = xi[y][b], xi[x][b]
-    h_table = [row[:] for row in hg.h.table]
+    h_table = [list(row) for row in hg.h.table]
     for _ in range(draw(st.integers(1, 2)) if mutation == "cells" else 0):
         name = draw(st.sampled_from(["phi", "psi", "xi", "lam", "h"]))
         table = h_table if name == "h" else tables[name]
@@ -600,7 +600,7 @@ class TestGeneratorScans:
     def test_non_group_h_scans_in_full(self):
         # the closure arguments need H to be a group
         hg = functor_field(make_field(8))
-        table = [row[:] for row in hg.h.table]
+        table = [list(row) for row in hg.h.table]
         table[3][4], table[3][5] = table[3][5], table[3][4]
         h = FiniteGroup(order=7, table=table, identity=0,
                         inverse=list(hg.h.inverse), name="H")

@@ -280,6 +280,21 @@ class TestMultiplicativeGroup:
             for j in range(3):
                 assert g.table[i][j] == f.mul[i + 1][j + 1] - 1
 
+    def test_tables_match_loops_up_to_128(self):
+        # the definition as loops, for every field order up to 128 that
+        # the prime-field cap admits
+        for q in range(2, 129):
+            try:
+                f = make_field(q)
+            except (NotPrimeError, SizeLimitExceededError):
+                continue
+            n = q - 1
+            g = multiplicative_group(f)
+            table = [[f.mul[i + 1][j + 1] - 1 for j in range(n)] for i in range(n)]
+            assert [list(row) for row in g.table] == table
+            assert g.np_table().tolist() == table
+            assert list(g.inverse) == [f.mul_inverse(i + 1) - 1 for i in range(n)]
+
 
 class TestFieldIsomorphism:
     def test_same_field(self):

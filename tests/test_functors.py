@@ -364,7 +364,7 @@ def mutated_images(draw):
     m, hn = hg.m_size, hg.h.order
     tables = {name: getattr(hg, name).tolist()
               for name in ("phi", "psi", "xi", "lam")}
-    h_table = [row[:] for row in hg.h.table]
+    h_table = [list(row) for row in hg.h.table]
     mutation = draw(st.sampled_from(["none", "entry", "column"]))
     if mutation == "entry":
         name = draw(st.sampled_from(["phi", "psi", "xi", "lam", "h"]))

@@ -7,7 +7,10 @@ so the frozen literals below are re-derived on every run rather than
 trusted.
 """
 
+import copy
+import dataclasses
 import itertools
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,8 @@ from hypothesis import strategies as st
 
 from hypergroups import _util
 from hypergroups import (
+    FiniteGroup,
+    IndexOutOfRangeError,
     MalformedTablesError,
     NoIdentityError,
     NoInverseError,
@@ -165,7 +170,7 @@ def magmas(draw):
     if kind in ("group", "mutant"):
         spec = draw(st.sampled_from(["Z2", "Z5", "S3", "Q8", "Z2xZ4", "D4",
                                      "Z3xS3", "Z2xZ2xZ2xZ2"]))
-        table = [row[:] for row in group_from_spec(spec).table]
+        table = [list(row) for row in group_from_spec(spec).table]
         n = len(table)
         if kind == "mutant":
             a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -251,7 +256,7 @@ class TestFirstNonassociative:
     def test_large_groups_pass_and_mutants_fail(self, spec):
         # past one block, so the generating-set scan decides the groups;
         # a changed cell sends the mutant to the full scan
-        table = [row[:] for row in group_from_spec(spec).table]
+        table = [list(row) for row in group_from_spec(spec).table]
         assert len(table) ** 3 > _util.BLOCK_CELLS
         assert first_nonassociative(np.array(table, dtype=np.intp)) is None
         table[37][91] = table[37][92]
@@ -266,7 +271,7 @@ class TestFirstNonassociative:
 class TestLightAssociative:
     @pytest.mark.parametrize("spec", ["Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "D8xZ16", "S4"])
     def test_groups_pass_and_a_changed_cell_fails(self, spec):
-        table = [row[:] for row in group_from_spec(spec).table]
+        table = [list(row) for row in group_from_spec(spec).table]
         assert light_associative(np.array(table, dtype=np.intp))
         table[5][11] = table[5][12]
         assert not light_associative(np.array(table, dtype=np.intp))
@@ -285,41 +290,160 @@ class TestNpTable:
         with pytest.raises(ValueError, match="read-only"):
             t[0, 0] = 1
 
-    def test_rebuilt_after_an_in_place_edit(self):
+    def test_cells_refuse_writes(self):
         g = cyclic_group(4)
-        assert g.np_table()[1].tolist() == [1, 2, 3, 0]
-        row = g.table[1]
-        row[1], row[3] = row[3], row[1]
-        assert g.np_table()[1].tolist() == [1, 0, 3, 2]
-        assert g.np_table().tolist() == g.table
+        with pytest.raises(TypeError):
+            g.table[1][1] = 3
+        with pytest.raises(TypeError):
+            g.table[1] = (1, 0, 3, 2)
+        with pytest.raises(TypeError):
+            g.inverse[1] = 1
+        h = subgroup_from_elements(g, [0, 2])
+        dec = right_cosets(g, h)
+        for cells in (h.elements, h.index_in, dec.cosets, dec.cosets[0],
+                      dec.coset_of):
+            with pytest.raises(TypeError):
+                cells[0] = 1
+        assert g.np_table().tolist() == [list(row) for row in g.table]
 
-    def test_construction_reads_a_table_edited_in_place(self):
+    def test_attributes_refuse_writes(self):
         # over the trivial subgroup, xi is the group table
         g = cyclic_group(4)
         h = subgroup_from_elements(g, [0])
-        assert standard_construction(g, h, [0, 1, 2, 3]).xi.tolist() == g.table
+        dec = right_cosets(g, h)
         klein = group_from_spec("Z2xZ2")
-        g.table[:] = [row[:] for row in klein.table]
-        g.inverse[:] = klein.inverse
-        assert standard_construction(g, h, [0, 1, 2, 3]).xi.tolist() == klein.table
+        for obj, name, value in ((g, "table", klein.table), (g, "inverse", klein.inverse),
+                                 (g, "order", 2), (g, "_array", klein.np_table()),
+                                 (h, "parent", klein), (h, "elements", (0, 1)),
+                                 (h, "index_in", (0, 1, -1, -1)), (h, "_group", klein),
+                                 (dec, "cosets", ((0,),)), (dec, "coset_of", (0,))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        xi = standard_construction(g, h, [0, 1, 2, 3]).xi
+        assert xi.tolist() == [list(row) for row in g.table]
+        assert (xi == g.np_table()).all()
 
     def test_unchanged_table_is_not_rebuilt(self):
         g = cyclic_group(4)
         assert g.np_table() is g.np_table()
+        assert g.np_table().tolist() == [list(row) for row in g.table]
 
-    def test_subgroup_as_group_follows_an_in_place_edit(self):
-        # H = {0, 1} of Z2xZ2; once the parent is Z4 in place, {0, 1} is
-        # no longer closed (1 * 1 = 2), and the standalone H must say so
+    def test_subgroup_as_group_is_made_once(self):
         g = group_from_spec("Z2xZ2")
         h = subgroup_from_elements(g, [0, 1])
-        assert h.as_group().table == [[0, 1], [1, 0]]
         assert h.as_group() is h.as_group()
-        z4 = cyclic_group(4)
-        g.table[:] = [row[:] for row in z4.table]
-        g.inverse[:] = z4.inverse
-        fresh = Subgroup(parent=g, elements=(0, 1)).as_group()
-        assert fresh.table == [[0, 1], [1, -1]]
-        assert (h.as_group().table, h.as_group().inverse) == (fresh.table, fresh.inverse)
+        assert h.as_group().table == ((0, 1), (1, 0))
+        assert h.as_group().inverse == (0, 1)
+        assert not h.as_group().np_table().flags.writeable
+
+
+class TestFiniteGroupChecks:
+    """The constructor checks shape and range, not the group axioms."""
+
+    def test_an_out_of_range_cell_is_refused(self):
+        # it used to reach verify_axioms, which raised a bare IndexError
+        table = [[0, 1], [1, 5]]
+        with pytest.raises(NotClosedError) as ei:
+            FiniteGroup(2, table, 0, [0, 1], "H")
+        with pytest.raises(NotClosedError) as expected:
+            group_from_cayley_table(table)
+        assert describe(ei.value) == describe(expected.value)
+        with pytest.raises(NotClosedError) as ei:
+            FiniteGroup(2, np.array(table), 0, [0, 1], "H")
+        assert describe(ei.value) == describe(expected.value)
+
+    def test_a_subgroup_not_closed_is_refused(self):
+        # {0, 1} in Z4: 1 + 1 = 2 is outside, and its -1 cell used to
+        # wrap in numpy indexing, so standard_construction built a
+        # hypergroup without complaint
+        with pytest.raises(NotClosedError) as ei:
+            Subgroup(parent=cyclic_group(4), elements=(0, 1)).as_group()
+        assert ei.value.witness == (1, 1, -1)
+        with pytest.raises(IndexOutOfRangeError):
+            Subgroup(parent=cyclic_group(4), elements=(0, 4))
+
+    @pytest.mark.parametrize("order, table, identity, inverse, error, where", [
+        (2, [[0, 1]], 0, [0, 1], MalformedTablesError, "table"),
+        (2, [[0, 1], [1]], 0, [0, 1], NotClosedError, (1, 1, -1)),
+        (2, np.zeros((2, 3), dtype=int), 0, [0, 1], NotClosedError, (0, 3, -1)),
+        (2, [[0, 1], [1, -1]], 0, [0, 1], NotClosedError, (1, 1, -1)),
+        (2, [[0, 1], [1, 0.0]], 0, [0, 1], MalformedTablesError, "table[1][1]"),
+        (2, np.array([[0, 1], [1, 0]]) * 1.0, 0, [0, 1], MalformedTablesError,
+         "table[0][0]"),
+        (2, [[0, 1], [1, 0]], 2, [0, 1], MalformedTablesError, "identity"),
+        (2, [[0, 1], [1, 0]], True, [0, 1], MalformedTablesError, "identity"),
+        (2, [[0, 1], [1, 0]], 0, [0, 2], MalformedTablesError, "inverse"),
+        (2, [[0, 1], [1, 0]], 0, [0], MalformedTablesError, "inverse"),
+        (2, [[0, 1], [1, 0]], 0, [0.0, 1.0], MalformedTablesError, "inverse"),
+    ])
+    def test_faults(self, order, table, identity, inverse, error, where):
+        with pytest.raises(error) as ei:
+            FiniteGroup(order, table, identity, inverse, "H")
+        assert (ei.value.location if error is MalformedTablesError
+                else ei.value.witness) == where
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(table=st.sampled_from(["Z5", "S3", "Q8", "Z2xZ4"])
+           .flatmap(lambda spec: relabelled_mutants(group_from_spec(spec).table)))
+    def test_range_faults_match_group_from_cayley_table(self, table):
+        # in-range tables are kept whatever their axioms; a range or
+        # length fault is the one group_from_cayley_table reports
+        n = len(table)
+        expected = loop_oracles.cayley_error(table)
+        try:
+            g = FiniteGroup(n, table, 0, list(range(n)), "H")
+        except NotClosedError as exc:
+            assert describe(exc) == describe(expected)
+        else:
+            assert not isinstance(expected, NotClosedError)
+            assert [list(row) for row in g.table] == table
+            assert g.np_table().tolist() == table
+
+    def test_a_non_group_in_range_is_kept(self):
+        g = FiniteGroup(2, [[0, 1], [1, 1]], 0, [0, 1], "H")
+        assert g.table == ((0, 1), (1, 1)) and g.inverse == (0, 1)
+
+
+class TestCopyAndPickle:
+    """Copies rebuild through the constructors, so they stay checked,
+    read-only and frozen."""
+
+    @staticmethod
+    def copies(obj):
+        return [copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+
+    def test_group_subgroup_and_cosets(self):
+        g = group_from_spec("Z2xS3")
+        h = subgroup_closure(g, [3])
+        dec = right_cosets(g, h)
+        for g2 in self.copies(g):
+            assert g2 == g and g2.table == g.table and g2.inverse == g.inverse
+            assert not g2.np_table().flags.writeable
+            assert g2.np_table().tolist() == g.np_table().tolist()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g2.table = ()
+        for h2 in self.copies(h):
+            assert h2 == h and h2.index_in == h.index_in
+            assert h2.as_group() == h.as_group()
+            assert not h2.as_group().np_table().flags.writeable
+            assert not h2.parent.np_table().flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                h2.elements = (0,)
+        for dec2 in self.copies(dec):
+            assert dec2 == dec
+            assert not dec2.subgroup.parent.np_table().flags.writeable
+            with pytest.raises(TypeError):
+                dec2.cosets[0][0] = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                dec2.coset_of = ()
+
+    def test_unpickling_checks_the_table(self):
+        g = cyclic_group(3)
+        cls, args = g.__reduce__()
+        bad = np.array(args[1])
+        bad[2, 2] = 3
+        with pytest.raises(NotClosedError):
+            cls(args[0], bad, *args[2:])
 
 
 class TestGroupFromCayleyTable:
@@ -348,7 +472,7 @@ class TestGroupFromCayleyTable:
            data=st.data())
     def test_mutated_tables_give_loop_witness(self, spec, data):
         # row and column 0 stay, so 0 stays the identity
-        table = [row[:] for row in group_from_spec(spec).table]
+        table = [list(row) for row in group_from_spec(spec).table]
         n = len(table)
         for _ in range(data.draw(st.integers(1, 3))):
             a, b = (data.draw(st.integers(1, n - 1)) for _ in range(2))
@@ -364,7 +488,7 @@ class TestGroupFromCayleyTable:
     def test_associativity_witness_past_the_first_block(self, monkeypatch):
         # one leading element per block: the witness (1, ., .) of a
         # mutated Z2^5 lies in the second block
-        table = [row[:] for row in group_from_spec("Z2xZ2xZ2xZ2xZ2").table]
+        table = [list(row) for row in group_from_spec("Z2xZ2xZ2xZ2xZ2").table]
         monkeypatch.setattr(_util, "BLOCK_CELLS", len(table) ** 2)
         table[21][5] = table[21][6]
         expected = loop_oracles.associativity_witness(table)
@@ -494,6 +618,17 @@ class TestFamilies:
                     for j2 in range(3):
                         lhs = g.table[i1 * 3 + j1][i2 * 3 + j2]
                         assert lhs == ((i1 + i2) % 2) * 3 + (j1 + j2) % 3
+
+    @pytest.mark.parametrize("spec_a, spec_b", [
+        ("E", "Z3"), ("Z2", "Z3"), ("S3", "Z4"), ("Q8", "D4"), ("Z2xZ2", "S3"),
+        ("D8", "Z16"), ("Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2"), ("Z7", "E")])
+    def test_direct_product_matches_loops(self, spec_a, spec_b):
+        a, b = group_from_spec(spec_a), group_from_spec(spec_b)
+        table, identity, inverse = loop_oracles.direct_product_table(a, b)
+        g = direct_product(a, b)
+        assert [list(row) for row in g.table] == table
+        assert (g.identity, list(g.inverse)) == (identity, inverse)
+        assert g.np_table().tolist() == table
 
     def test_trivial_group(self):
         g = trivial_group()

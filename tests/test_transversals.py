@@ -9,6 +9,7 @@ lookup.
 import itertools
 import random
 import sys
+from unittest import mock
 
 import pytest
 
@@ -32,6 +33,7 @@ from hypergroups import (
     transversal_at,
     transversal_count,
 )
+from hypergroups import transversals
 
 import loop_oracles
 
@@ -181,6 +183,25 @@ class TestEnumeration:
         assert [t.reps for t in sample_transversals(g, h, cap=10, seed=3)] == [
             transversal_at(g, h, i).reps for i in picks
         ]
+
+    @pytest.mark.parametrize("spec, cap", [("D8", 7), ("Z2xQ8", 7), ("Z256", 3)])
+    def test_sampling_makes_the_cosets_once(self, spec, cap):
+        # every draw shares one coset decomposition, and the draws are
+        # those of transversal_at, which makes its own
+        g = group_from_spec(spec)
+        subgroups = (enumerate_subgroups(g) if g.order <= 24
+                     else [subgroup_from_elements(g, [0, 128])])
+        for h in subgroups:
+            with mock.patch.object(transversals, "right_cosets",
+                                   wraps=transversals.right_cosets) as spy:
+                drawn = sample_transversals(g, h, cap=cap, seed=1)
+            assert spy.call_count == 1
+            assert all(t.decomposition is drawn[0].decomposition for t in drawn)
+            total = transversal_count(g, h)
+            if cap < total <= sys.maxsize:
+                picks = sorted(random.Random(1).sample(range(total), cap))
+                assert [t.reps for t in drawn] == [
+                    transversal_at(g, h, i).reps for i in picks]
 
     def test_make_transversal_reorders_and_validates(self):
         g = cyclic_group(6)
