@@ -35,7 +35,9 @@ from .core import (
     lemma_solve,
     quasigroup_divide,
     standard_construction,
+    standard_constructions,
     verify_axioms,
+    verify_axioms_batch,
 )
 from .errors import (
     AlgebraError,

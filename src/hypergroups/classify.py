@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,11 +24,13 @@ from .core import (
     hypergroup_from_tables,
     hypergroup_to_json,
     is_group_quasigroup,
-    standard_construction,
+    standard_constructions,
     verify_axioms,
+    verify_axioms_batch,
 )
 from .errors import InternalInconsistencyError, SizeLimitExceededError
-from .groups import FiniteGroup, builtin_groups, element_orders, enumerate_subgroups
+from .groups import (FiniteGroup, builtin_groups, element_orders, enumerate_subgroups,
+                     group_isomorphisms)
 from .morphisms import HgMorphism, _element_keys, find_isomorphism
 from .transversals import DEFAULT_SAMPLE_CAP, sample_transversals
 
@@ -46,27 +49,73 @@ class CatalogEntry:
     xi_commutative: bool
 
 
+class _Isomorphisms:
+    """The isomorphisms group_isomorphisms(h1, h2) yields, in its order,
+    listed only as far as iteration has reached, so that every search
+    between the same two H tables shares one backtracking run. An
+    exception from the run propagates and drops it, so it is never taken
+    for the end of the list: the next iteration starts a new run and
+    skips the isomorphisms already listed."""
+
+    def __init__(self, h1: FiniteGroup, h2: FiniteGroup):
+        self._groups = (h1, h2)
+        self._found: list[list[int]] = []
+        self._run = None   # the run that yields the rest, once started
+        self._done = False
+
+    def __iter__(self) -> Iterator[list[int]]:
+        found = self._found
+        i = 0
+        while True:
+            if i == len(found):
+                if self._done:
+                    return
+                if self._run is None:
+                    self._run = itertools.islice(group_isomorphisms(*self._groups), i, None)
+                try:
+                    found.append(next(self._run))
+                except StopIteration:
+                    self._done = True
+                    return
+                except BaseException:
+                    self._run = None
+                    raise
+            yield found[i]
+            i += 1
+
+
 @dataclass
 class Catalog:
     """Entries deduplicated by isomorphism: find_isomorphism runs only
     against the class representatives sharing the entry's _invariant_key,
     in class-id order, so a finer key only removes calls that would miss.
     The _element_keys of the entry and of each representative are
-    computed once and handed to the search."""
+    computed once and handed to the search, and so are the isomorphisms
+    between the entry's H and the representative's, listed lazily once
+    per pair of H tables (an _Isomorphisms)."""
 
     entries: list[CatalogEntry] = field(default_factory=list)
     class_reps: list[HypergroupOverGroup] = field(default_factory=list)
     _buckets: dict = field(default_factory=dict, repr=False)
     _rep_keys: list = field(default_factory=list, repr=False)  # _element_keys
+    _h_ids: dict = field(default_factory=dict, repr=False)  # (H table, identity) -> id
+    _rep_h: list = field(default_factory=list, repr=False)  # H id of each rep
+    _h_isos: dict = field(default_factory=dict, repr=False)  # (H id, H id) -> _Isomorphisms
 
     def insert(self, hg: HypergroupOverGroup, provenance: str) -> CatalogEntry:
         keys = _element_keys(hg)
         key = _invariant_key(hg, keys)
         bucket = self._buckets.setdefault(key, [])
         flags = key[3], key[4]  # xi is a group, xi is commutative
+        h_id = self._h_ids.setdefault((hg.h.table, hg.h.identity), len(self._h_ids))
         for class_id in bucket:
-            iso = find_isomorphism(hg, self.class_reps[class_id],
-                                   keys1=keys, keys2=self._rep_keys[class_id])
+            rep = self.class_reps[class_id]
+            pair = (h_id, self._rep_h[class_id])
+            f0s = self._h_isos.get(pair)
+            if f0s is None:
+                f0s = self._h_isos[pair] = _Isomorphisms(hg.h, rep.h)
+            iso = find_isomorphism(hg, rep, keys1=keys,
+                                   keys2=self._rep_keys[class_id], f0s=f0s)
             if iso is not None:
                 entry = CatalogEntry(hg, provenance, class_id, iso, *flags)
                 self.entries.append(entry)
@@ -74,6 +123,7 @@ class Catalog:
         class_id = len(self.class_reps)
         self.class_reps.append(hg)
         self._rep_keys.append(keys)
+        self._rep_h.append(h_id)
         bucket.append(class_id)
         entry = CatalogEntry(hg, provenance, class_id, None, *flags)
         self.entries.append(entry)
@@ -141,7 +191,10 @@ def sweep_standard(
     seed: int = 0,
 ) -> Catalog:
     """Construct and classify every (builtin G, subgroup, transversal)
-    triple up to the order bound, sampling transversals past the cap."""
+    triple up to the order bound, sampling transversals past the cap.
+    The transversals of each (G, H) are built by one
+    standard_constructions call and checked by one verify_axioms_batch
+    call, then inserted in order."""
     if max_group_order > MAX_SWEEP_ORDER:
         raise SizeLimitExceededError(
             f"standard sweep capped at order {MAX_SWEEP_ORDER}"
@@ -149,9 +202,9 @@ def sweep_standard(
     catalog = Catalog()
     for group in builtin_groups(max_group_order):
         for h in enumerate_subgroups(group):
-            for t in sample_transversals(group, h, cap=transversal_cap, seed=seed):
-                hg = standard_construction(group, h, t)
-                report = verify_axioms(hg)
+            ts = sample_transversals(group, h, cap=transversal_cap, seed=seed)
+            hgs = standard_constructions(group, h, ts)
+            for t, hg, report in zip(ts, hgs, verify_axioms_batch(hgs)):
                 if not report.overall:
                     raise InternalInconsistencyError(
                         f"standard construction failed axioms "

@@ -10,6 +10,7 @@ morphism failure, missing isomorphism, reconstruction diagnostic),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -396,10 +397,16 @@ _HG_DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), made once per process: parsing leaves a parser as
+    it was."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     cfg = CliConfig(subcommand=args.cmd, format=args.format,

@@ -39,6 +39,7 @@ from .errors import (
     NoSolutionError,
     NotATransversalError,
     NotNormalError,
+    ShapeMismatchError,
 )
 from .groups import (
     FiniteGroup,
@@ -165,7 +166,9 @@ def _table_array(name: str, rows, nrows: int, ncols: int, vrange: int) -> np.nda
     if (isinstance(rows, np.ndarray) and rows.shape == (nrows, ncols)
             and rows.dtype.kind in "iu"):
         arr = rows.astype(np.intp)
-        if ((arr >= 0) & (arr < vrange)).all():
+        # read as unsigned, a negative value is past 2^63: one compare
+        # checks both bounds
+        if (arr.view(np.uintp) < vrange).all():
             return arr
     rows = as_int_matrix(rows, name)
     if len(rows) != nrows:
@@ -205,52 +208,75 @@ def hypergroup_from_tables(
 
 
 def standard_construction(group: FiniteGroup, h: Subgroup, transversal) -> HypergroupOverGroup:
-    """Build the hypergroup of a triple (G, H, M).
+    """Build the hypergroup of a triple (G, H, M): standard_constructions
+    with the one transversal M, given as a Transversal or its reps."""
+    return standard_constructions(group, h, [transversal])[0]
+
+
+def standard_constructions(group: FiniteGroup, h: Subgroup, transversals) -> list[HypergroupOverGroup]:
+    """The hypergroups of the triples (G, H, M), one for each M in
+    transversals (Transversals or reps), in order.
 
     phi/psi tabulate the factorization of a*alpha, lam/xi the one of
     a*b; o is the M-index of the identity-coset representative, which
-    is 0 because reps are ordered with that coset first.
+    is 0 because reps are ordered with that coset first. Every
+    transversal of (G, H) indexes the same right cosets, so the tables
+    of many are one gather with a leading axis over the transversals,
+    made for as many at a time as keep each temporary within
+    BLOCK_CELLS cells (at least one).
     """
-    if isinstance(transversal, Transversal):
-        t = transversal
-        if t.subgroup.elements != h.elements or t.group.table != group.table:
-            raise NotATransversalError(
-                "transversal was built for a different (group, subgroup) pair"
-            )
-    else:
-        t = make_transversal(group, h, transversal)
+    ts = []
+    for t in transversals:
+        if isinstance(t, Transversal):
+            if ((t.subgroup is not h and t.subgroup.elements != h.elements)
+                    or (t.group is not group and t.group.table != group.table)):
+                raise NotATransversalError(
+                    "transversal was built for a different (group, subgroup) pair"
+                )
+        else:
+            t = make_transversal(group, h, t)
+        ts.append(t)
+    if not ts:
+        return []
+    dec = ts[0].decomposition
+    if any(t.decomposition is not dec and t.decomposition.coset_of != dec.coset_of
+           for t in ts):
+        raise NotATransversalError("transversals index different right cosets")
 
-    gt = group.np_table()
-    ginv = np.asarray(group.inverse, dtype=np.intp)
-    cos = np.asarray(t.decomposition.coset_of, dtype=np.intp)
-    reps = np.asarray(t.reps, dtype=np.intp)
-    hels = np.asarray(h.elements, dtype=np.intp)
-    h_index = np.asarray(h.index_in, dtype=np.intp)
+    gt, n = group.np_table(), group.order
+    cos = dec.np_coset_of()
+    hels, h_index = h.np_elements(), h.np_index_in()
+    m, hn = len(ts[0].reps), h.order
+    step = max(1, _util.BLOCK_CELLS // (m * max(m, hn, n)))
+    out = []
+    for lo in range(0, len(ts), step):
+        batch = ts[lo:lo + step]
+        reps = np.array([t.reps for t in batch], dtype=np.intp)     # (k, m)
+        # h_part[i * n + x]: the H-index of alpha in x = alpha * a, with a
+        # the rep of x's coset in item i; -1 for an h-part outside H
+        h_part = h_index.take(gt[np.arange(n), group.np_inverse().take(reps)[:, cos]])
+        prod = gt[reps[:, :, None], hels]                # a * alpha
+        prod2 = gt[reps[:, :, None], reps[:, None, :]]  # a * b
+        if len(batch) > 1:   # one item, as in standard_construction, needs no shift
+            shift = np.arange(0, len(batch) * n, n)[:, None, None]
+            at, at2 = prod + shift, prod2 + shift
+        else:
+            at, at2 = prod, prod2
+        phi, psi = cos.take(prod), h_part.take(at)
+        xi, lam = cos.take(prod2), h_part.take(at2)
 
-    prod = gt[reps[:, None], hels[None, :]]        # a * alpha
-    phi = cos[prod]
-    psi = h_index[gt[prod, ginv[reps[phi]]]]
-
-    prod2 = gt[reps[:, None], reps[None, :]]       # a * b
-    xi = cos[prod2]
-    lam = h_index[gt[prod2, ginv[reps[xi]]]]
-
-    if (psi < 0).any() or (lam < 0).any():
-        raise InternalInconsistencyError(
-            "factorization produced an h-part outside the subgroup"
-        )
-
-    ambient = Ambient(group=group, subgroup=h, transversal=t)
-    return HypergroupOverGroup(
-        m_size=len(t.reps),
-        h=h.as_group(),
-        phi=phi,
-        psi=psi,
-        xi=xi,
-        lam=lam,
-        o=0,
-        ambient=ambient,
-    )
+        for i, t in enumerate(batch):
+            # an h-part outside H is index -1 in psi or lam, which the
+            # constructor's range check refuses
+            try:
+                out.append(HypergroupOverGroup(
+                    m, h.as_group(), phi[i], psi[i], xi[i], lam[i], 0,
+                    ambient=Ambient(group=group, subgroup=h, transversal=t)))
+            except MalformedTablesError:
+                raise InternalInconsistencyError(
+                    "factorization produced an h-part outside the subgroup"
+                ) from None
+    return out
 
 
 def verify_axioms(hg: HypergroupOverGroup) -> Report:
@@ -479,6 +505,87 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
     return Report(checks, "axioms")
 
 
+def verify_axioms_batch(hgs) -> list[Report]:
+    """[verify_axioms(hg) for hg in hgs], for hypergroups that share
+    m_size, o and H (its table and identity), else ShapeMismatchError.
+
+    P1, P2 (the unit action and A0), P3 and A1-A5 are evaluated in full,
+    in the table forms of verify_axioms, on the tables of as many
+    hypergroups at a time as keep the largest temporary within
+    BLOCK_CELLS cells, stacked along a leading axis. A hypergroup that
+    passes them all gets the all-pass Report; one that fails any is run
+    through verify_axioms, which finds its witnesses. When one
+    hypergroup's temporaries alone exceed BLOCK_CELLS, each is run
+    through verify_axioms, whose blocked and generator scans are made
+    for that size.
+    """
+    hgs = list(hgs)
+    if not hgs:
+        return []
+    first = hgs[0]
+    m, h, o = first.m_size, first.h, first.o
+    if any(hg.m_size != m or hg.o != o or (hg.h is not h and (
+            hg.h.table != h.table or hg.h.identity != h.identity)) for hg in hgs):
+        raise ShapeMismatchError("a batch must share |M|, o and the H table")
+    hn = h.order
+    step = _util.BLOCK_CELLS // max(m * m * m, m * m * hn, m * hn * hn)
+    if step == 0:
+        return [verify_axioms(hg) for hg in hgs]
+    ok = np.concatenate([_passes_all(hgs[lo:lo + step], h, o)
+                         for lo in range(0, len(hgs), step)]).tolist()
+    return [Report({name: CheckResult(True) for name in AXIOM_NAMES}, "axioms")
+            if good else verify_axioms(hg) for hg, good in zip(hgs, ok)]
+
+
+def _passes_all(hgs: list[HypergroupOverGroup], h: FiniteGroup, o: int) -> np.ndarray:
+    """For each of hgs, whether it passes every check of verify_axioms,
+    evaluated in full on the tables stacked along a leading axis i.
+
+    Row r of item i's table is row i*|M| + r of the stacked one, so a
+    lookup T[x][y] reads the flat stack at (i*|M| + x)*ncols + y; the
+    tables that index rows are shifted and premultiplied once."""
+    k, m, hn, eps = len(hgs), hgs[0].m_size, h.order, h.identity
+    phi, psi, xi, lam = (np.stack([getattr(hg, name) for hg in hgs])
+                         for name in ("phi", "psi", "xi", "lam"))
+    ht = h.np_table()
+    htf, xif, lamf = ht.ravel(), xi.ravel(), lam.ravel()
+    rows = np.arange(0, k * m, m)[:, None, None]        # i*|M|
+    phi_r, xi_r = phi + rows, xi + rows                  # stacked rows
+    phi_m = phi_r.ravel() * m                            # (i*|M| + x)*|M|
+    psi_h, lam_h = psi * hn, lam * hn
+    by_row = [t.reshape(k * m, -1) for t in (phi, psi, xi, lam)]
+    ar = np.arange(m)
+    a_h = ((rows[..., None] + ar[:, None, None]) * hn)  # (i*|M| + a)*|H|
+    bad = [
+        (xi[:, o] != ar).any(axis=1),                                   # P1
+        (np.sort(xi, axis=1) != ar[:, None]).any(axis=(1, 2)),
+        (phi[:, :, eps] != ar).any(axis=1),                             # P2
+        (by_row[0].take(phi_r, axis=0) != phi[:, :, ht]).any(axis=(1, 2, 3)),
+        (np.sort(psi[:, o], axis=1) != np.arange(hn)).any(axis=1),      # P3
+        (psi[:, :, ht] != htf.take(psi_h[..., None]                     # A1
+                                   + by_row[1].take(phi_r, axis=0))).any(axis=(1, 2, 3)),
+    ]
+    at = a_h + psi[:, None]             # (i, a, b, al): phi[a][psi[b][al]], as a flat index
+    q = phi_m.take(at)
+    bad += [
+        (by_row[0].take(xi_r, axis=0)                                   # A2
+         != xif.take(q + phi[:, None])).any(axis=(1, 2, 3)),
+        (htf.take(lam_h[..., None] + by_row[1].take(xi_r, axis=0))      # A3
+         != htf.take(psi_h.ravel().take(at)
+                     + lamf.take(q + phi[:, None]))).any(axis=(1, 2, 3)),
+    ]
+    at = a_h + lam[:, None]             # (i, a, b, c): phi[a][lam[b][c]], as a flat index
+    q = phi_m.take(at)
+    bad += [
+        (by_row[2].take(xi_r, axis=0)                                   # A4
+         != xif.take(q + xi[:, None])).any(axis=(1, 2, 3)),
+        (htf.take(lam_h[..., None] + by_row[3].take(xi_r, axis=0))      # A5
+         != htf.take(psi_h.ravel().take(at)
+                     + lamf.take(q + xi[:, None]))).any(axis=(1, 2, 3)),
+    ]
+    return ~np.logical_or.reduce(bad)
+
+
 def _group_generators(ht: np.ndarray, eps: int) -> list[int] | None:
     """_right_generators(ht), or None unless ht is a group with identity
     eps: associative, eps neutral, and eps in every row (a right inverse
@@ -641,7 +748,13 @@ def check_normal_case(
     the quotient G/H, and all transversals give pairwise isomorphic
     (M, xi). Transversals beyond the cap are sampled with the seed. Each
     check keeps its first failure; info names the group, the subgroup
-    and the number of transversals checked."""
+    and the number of transversals checked.
+
+    quotient_group indexes the cosets as xi does, so for normal H each
+    xi is the quotient's table itself, which one array comparison over
+    all the constructions shows. Only an xi that differs is validated
+    with group_from_cayley_table and compared with group_isomorphism.
+    """
     if not is_normal(h):
         raise NotNormalError(msg=f"{{{','.join(map(str, h.elements))}}} is not normal in {group.name}")
     quotient = quotient_group(group, h)
@@ -653,28 +766,46 @@ def check_normal_case(
         if checks[name].ok:
             checks[name] = CheckResult(False, witness, detail)
 
-    first_xi_group: FiniteGroup | None = None
     transversals = sample_transversals(group, h, cap=transversal_cap, seed=seed)
-    for tidx, t in enumerate(transversals):
-        hg = standard_construction(group, h, t)
+    hgs = standard_constructions(group, h, transversals)
+    marange = np.arange(group.order // h.order, dtype=np.intp)[:, None]
+    if hgs:
+        phi_ok = (np.stack([hg.phi for hg in hgs]) == marange).all(axis=(1, 2)).tolist()
+        is_quotient = (np.stack([hg.xi for hg in hgs])
+                       == quotient.np_table()).all(axis=(1, 2)).tolist()
+    # the first (M, xi) that is a group, and whether it is isomorphic to
+    # the quotient (so the quotient is isomorphic to it)
+    first: tuple[FiniteGroup, bool] | None = None
+    for tidx, (t, hg) in enumerate(zip(transversals, hgs)):
         reps = list(t.reps)
-        w = first_mismatch(hg.phi, np.arange(hg.m_size, dtype=np.intp)[:, None])
-        if w is not None:
+        if not phi_ok[tidx]:
+            w = first_mismatch(hg.phi, marange)
             fail_once("phi_trivial", (tidx,) + w,
                       f"phi[{w[0]}][{w[1]}] != {w[0]} for transversal {reps}")
-        try:
-            xi_group = group_from_cayley_table(hg.xi)
-        except AlgebraError as exc:
-            fail_once("xi_is_group", (tidx,),
-                      f"(M, xi) not a group for transversal {reps}: {exc}")
+        if is_quotient[tidx]:
+            xi_group, to_quotient = quotient, True
+        else:
+            try:
+                xi_group = group_from_cayley_table(hg.xi)
+            except AlgebraError as exc:
+                fail_once("xi_is_group", (tidx,),
+                          f"(M, xi) not a group for transversal {reps}: {exc}")
+                continue
+            to_quotient = group_isomorphism(xi_group, quotient) is not None
+            if not to_quotient:
+                fail_once("isomorphic_to_quotient", (tidx,),
+                          f"(M, xi) of transversal {reps} is not isomorphic to "
+                          f"{quotient.name}")
+        if first is None:
+            first = (xi_group, to_quotient)
             continue
-        if group_isomorphism(xi_group, quotient) is None:
-            fail_once("isomorphic_to_quotient", (tidx,),
-                      f"(M, xi) of transversal {reps} is not isomorphic to "
-                      f"{quotient.name}")
-        if first_xi_group is None:
-            first_xi_group = xi_group
-        elif group_isomorphism(xi_group, first_xi_group) is None:
+        if first[0] is quotient:
+            to_first = to_quotient
+        elif xi_group is quotient:
+            to_first = first[1]
+        else:
+            to_first = group_isomorphism(xi_group, first[0]) is not None
+        if not to_first:
             fail_once("transversals_pairwise_isomorphic", (tidx,),
                       f"(M, xi) of transversal {reps} is not isomorphic to "
                       f"the first transversal's")

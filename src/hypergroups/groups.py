@@ -10,6 +10,9 @@ FiniteGroup, Subgroup and CosetDecomposition are frozen. A group's table
 is stored once, in two read-only forms made and checked at construction:
 a tuple of tuples for Python loops and an intp array for numpy kernels.
 A subgroup's index_in and as_group() are made with it; cosets are tuples.
+Each tuple that numpy code reads (a group's inverses, a subgroup's
+elements and index_in, a decomposition's coset_of) is also held once as a
+read-only intp array, behind an np_ method.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ DEFAULT_ISO_BOUND = 128
 @dataclass(frozen=True)
 class FiniteGroup:
     """A Cayley table, given as rows or as an integer array, kept as
-    table (tuples) and np_table() (a read-only intp array). __post_init__
+    table (tuples) and np_table() (a read-only intp array), and the
+    inverses as inverse and np_inverse(). __post_init__
     checks shape and range only: order rows of order cells in [0, order),
     else NotClosedError at the first bad cell as group_from_cayley_table
     reports it, and identity and inverse in range, else
@@ -59,6 +63,7 @@ class FiniteGroup:
     inverse: tuple[int, ...]
     name: str
     _array: np.ndarray = field(init=False, repr=False, compare=False)
+    _inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, arr = self.order, self.table
@@ -78,6 +83,7 @@ class FiniteGroup:
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse.tolist()))
         object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "_inverse", _read_only(inverse))
 
     def __reduce__(self):
         return (FiniteGroup, (self.order, self._array, self.identity,
@@ -90,6 +96,10 @@ class FiniteGroup:
         """The table as a read-only intp array."""
         return self._array
 
+    def np_inverse(self) -> np.ndarray:
+        """inverse as a read-only intp array."""
+        return self._inverse
+
     def is_abelian(self) -> bool:
         return bool((self._array == self._array.T).all())
 
@@ -99,15 +109,18 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of parent, as its elements. __post_init__ makes index_in
-    and as_group() once: an element outside the parent raises
-    IndexOutOfRangeError, and a set not closed NotClosedError."""
+    """A subgroup of parent, as its elements. __post_init__ makes index_in,
+    as_group() and the arrays np_elements() and np_index_in() once: an
+    element outside the parent raises IndexOutOfRangeError, and a set not
+    closed NotClosedError."""
 
     parent: FiniteGroup
     elements: tuple[int, ...]
     # position of each parent element inside `elements`, -1 if absent
     index_in: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _group: FiniteGroup = field(init=False, repr=False, compare=False)
+    _elements: np.ndarray = field(init=False, repr=False, compare=False)
+    _index_in: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parent = self.parent
@@ -122,12 +135,14 @@ class Subgroup:
             order=len(els),
             table=pos[parent.np_table()[hels[:, None], hels]],
             identity=pos[parent.identity],
-            inverse=pos[np.asarray(parent.inverse, dtype=np.intp)[hels]],
+            inverse=pos[parent.np_inverse()[hels]],
             name="{%s} <= %s" % (",".join(map(str, els)), parent.name),
         )
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "index_in", tuple(pos.tolist()))
         object.__setattr__(self, "_group", group)
+        object.__setattr__(self, "_elements", _read_only(hels))
+        object.__setattr__(self, "_index_in", _read_only(pos))
 
     def __reduce__(self):
         return (Subgroup, (self.parent, self.elements))
@@ -143,12 +158,41 @@ class Subgroup:
         """The subgroup re-indexed as a standalone group on 0..|H|-1."""
         return self._group
 
+    def np_elements(self) -> np.ndarray:
+        """elements as a read-only intp array."""
+        return self._elements
+
+    def np_index_in(self) -> np.ndarray:
+        """index_in as a read-only intp array."""
+        return self._index_in
+
 
 @dataclass(frozen=True)
 class CosetDecomposition:
+    """Right cosets as tuples, and coset_of, the coset index of each
+    parent element, also as the read-only intp array np_coset_of()."""
+
     subgroup: Subgroup
     cosets: tuple[tuple[int, ...], ...]
     coset_of: tuple[int, ...]
+    _coset_of: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_coset_of", _read_only(self.coset_of))
+
+    def __reduce__(self):
+        return (CosetDecomposition, (self.subgroup, self.cosets, self.coset_of))
+
+    def np_coset_of(self) -> np.ndarray:
+        """coset_of as a read-only intp array."""
+        return self._coset_of
+
+
+def _read_only(values) -> np.ndarray:
+    """values as a new read-only intp array."""
+    arr = np.array(values, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
 
 
 def _closed_table(rows: list[list[int]], n: int) -> np.ndarray:
@@ -335,7 +379,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     # cell ((x1, y1), (x2, y2)) at [x1, y1, x2, y2] before the reshape
     table = (a.np_table()[:, None, :, None] * nb
              + b.np_table()[None, :, None, :]).reshape(order, order)
-    inverse = (np.array(a.inverse)[:, None] * nb + b.inverse).ravel()
+    inverse = (a.np_inverse()[:, None] * nb + b.np_inverse()).ravel()
     return FiniteGroup(order, table, a.identity * nb + b.identity, inverse,
                        f"{a.name}x{b.name}")
 

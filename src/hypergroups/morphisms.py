@@ -14,6 +14,7 @@ the package-wide "left factor first" convention.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import HypergroupOverGroup
@@ -158,6 +159,7 @@ def find_isomorphism(
     *,
     keys1: list[tuple] | None = None,
     keys2: list[tuple] | None = None,
+    f0s: Iterable[list[int]] | None = None,
 ) -> HgMorphism | None:
     """First isomorphism (f0, f1) in search order, or None.
 
@@ -165,8 +167,9 @@ def find_isomorphism(
     backtracks over f1 with f1(o) = o' forced, pruning candidates by
     phi-orbit size and xi-column cycle type and propagating the forced
     images f1(phi[a][al]) and f1(xi[a][b]). keys1 and keys2, when given,
-    are the _element_keys of hg and hg2, which a caller that searches
-    many times can compute once.
+    are the _element_keys of hg and hg2, and f0s what
+    group_isomorphisms(hg.h, hg2.h) yields, in its order, which a caller
+    that searches many times can compute once.
     """
     if hg.m_size != hg2.m_size or hg.h.order != hg2.h.order:
         return None
@@ -189,7 +192,9 @@ def find_isomorphism(
     phi1, psi1, xi1, lam1 = tables1
     phi2, psi2, xi2, lam2 = tables2
 
-    for f0 in group_isomorphisms(hg.h, hg2.h):
+    if f0s is None:
+        f0s = group_isomorphisms(hg.h, hg2.h)
+    for f0 in f0s:
         f1 = [-1] * m
         used = [False] * m
 

@@ -3,21 +3,27 @@
 Each function here is the straightforward scan the library's numpy code
 must agree with: same check order, same first witness in scan order.
 They are slow (q^3 Python steps) and only tests import them. The last
-five are other routes to library answers kept as references: the group
-test on xi, the abstract lambda search without pruning and the direct
-product's table, all earlier versions of library code, and two
-characterizations of a right transversal.
+six are other routes to library answers kept as references: the group
+test on xi, the abstract lambda search without pruning, the direct
+product's table and the normal case checked one transversal at a time,
+all earlier versions of library code, and two characterizations of a
+right transversal.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
 from hypergroups import (AlgebraError, FiniteField, InternalInconsistencyError,
                          NoIdentityError, NoInverseError, NotAssociativeError,
                          NotClosedError, group_from_cayley_table, make_field)
 from hypergroups import core
-from hypergroups.groups import first_nonassociative, right_cosets
+from hypergroups._util import CheckResult, Report, first_mismatch
+from hypergroups.groups import (first_nonassociative, group_isomorphism, quotient_group,
+                                right_cosets)
+from hypergroups.transversals import sample_transversals
 
 
 def check_field_tables(add, mul, zero, one, require_commutative_mul=True):
@@ -484,6 +490,49 @@ def direct_product_table(a, b):
         for y in range(b.order):
             inverse[x * nb + y] = a.inverse[x] * nb + b.inverse[y]
     return table, a.identity * nb + b.identity, inverse
+
+
+def check_normal_case(group, h, transversal_cap=10_000, seed=0):
+    """core.check_normal_case for a normal h, one transversal at a time:
+    each xi validated by group_from_cayley_table and compared with the
+    quotient and the first transversal's by group_isomorphism."""
+    quotient = quotient_group(group, h)
+    checks = {name: CheckResult(True) for name in (
+        "phi_trivial", "xi_is_group", "isomorphic_to_quotient",
+        "transversals_pairwise_isomorphic")}
+
+    def fail_once(name, witness, detail):
+        if checks[name].ok:
+            checks[name] = CheckResult(False, witness, detail)
+
+    first_xi_group = None
+    transversals = sample_transversals(group, h, cap=transversal_cap, seed=seed)
+    for tidx, t in enumerate(transversals):
+        hg = core.standard_construction(group, h, t)
+        reps = list(t.reps)
+        w = first_mismatch(hg.phi, np.arange(hg.m_size, dtype=np.intp)[:, None])
+        if w is not None:
+            fail_once("phi_trivial", (tidx,) + w,
+                      f"phi[{w[0]}][{w[1]}] != {w[0]} for transversal {reps}")
+        try:
+            xi_group = group_from_cayley_table(hg.xi)
+        except AlgebraError as exc:
+            fail_once("xi_is_group", (tidx,),
+                      f"(M, xi) not a group for transversal {reps}: {exc}")
+            continue
+        if group_isomorphism(xi_group, quotient) is None:
+            fail_once("isomorphic_to_quotient", (tidx,),
+                      f"(M, xi) of transversal {reps} is not isomorphic to "
+                      f"{quotient.name}")
+        if first_xi_group is None:
+            first_xi_group = xi_group
+        elif group_isomorphism(xi_group, first_xi_group) is None:
+            fail_once("transversals_pairwise_isomorphic", (tidx,),
+                      f"(M, xi) of transversal {reps} is not isomorphic to "
+                      f"the first transversal's")
+    info = {"group": group.name, "subgroup": list(h.elements),
+            "transversals_checked": len(transversals)}
+    return Report(checks, info=info)
 
 
 def bijection_characterization(group, h, candidate):

@@ -7,8 +7,10 @@ produce the identical partition.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
+import itertools
 import json
 from unittest import mock
 
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from hypergroups import (
     HgMorphism,
+    InternalInconsistencyError,
     SizeLimitExceededError,
     builtin_groups,
     enumerate_subgroups,
@@ -286,6 +289,84 @@ class TestInsertDirect:
         assert keys.call_count == len(cat.entries) == 701
         assert search.call_count > len(cat.entries) - cat.n_classes
         assert not search_keys.called
+
+    def test_certificates_equal_fresh_searches(self):
+        # the shared H-isomorphism lists hand every search the f0s, in
+        # the order, that a search of its own would walk
+        for cat in (sweep_standard(12), sweep_standard(16, 4, 5)):
+            for entry in cat.entries:
+                if entry.iso_to_rep is None:
+                    continue
+                fresh = find_isomorphism(entry.hypergroup, cat.class_reps[entry.class_id])
+                assert (entry.iso_to_rep.f0, entry.iso_to_rep.f1) == (fresh.f0, fresh.f1)
+
+    def test_h_isomorphisms_searched_once_per_pair(self):
+        with mock.patch.object(classify, "group_isomorphisms",
+                               wraps=classify.group_isomorphisms) as runs:
+            cat = sweep_standard(8)
+        pairs = [(run.args[0].table, run.args[1].table) for run in runs.call_args_list]
+        assert len(pairs) == len(set(pairs)) == len(cat._h_isos)
+        assert len(pairs) < len(cat.entries) - cat.n_classes
+
+
+    def test_a_failing_construction_stops_the_sweep(self):
+        # the batch reports the first failing entry as the sweep always did
+        real = classify.standard_constructions
+        seen = []
+
+        def broken(g, h, ts):
+            hgs = real(g, h, ts)
+            if g.name == "D4" and len(hgs) > 5 and not seen:
+                xi = hgs[5].xi.tolist()
+                xi[1][1] = (xi[1][1] + 1) % hgs[5].m_size
+                hgs[5] = dataclasses.replace(hgs[5], xi=xi)
+                seen.append((h, ts[5], verify_axioms(hgs[5]).failing()))
+            return hgs
+
+        with mock.patch.object(classify, "standard_constructions", broken), \
+                pytest.raises(InternalInconsistencyError) as ei:
+            sweep_standard(8)
+        h, t, failing = seen[0]
+        assert str(ei.value) == (f"standard construction failed axioms {failing} for "
+                                 f"G=D4, H={list(h.elements)}, M={list(t.reps)}")
+
+class TestIsomorphismList:
+    def test_listed_lazily_in_order(self):
+        h = group_from_spec("Z2xZ2xZ2xZ2")   # |Aut| = 20,160
+        isos = classify._Isomorphisms(h, h)
+        first = list(itertools.islice(isos, 3))
+        assert first == list(itertools.islice(group_isomorphisms(h, h), 3))
+        assert len(isos._found) == 3
+        assert list(itertools.islice(isos, 5))[:3] == first
+        assert len(isos._found) == 5
+        h = group_from_spec("S3")
+        assert list(classify._Isomorphisms(h, h)) == list(group_isomorphisms(h, h))
+
+    def test_a_raising_run_raises_on_every_walk(self):
+        def runs(h1, h2):
+            yield [0, 1]
+            yield [1, 0]
+            raise SizeLimitExceededError("run cut short")
+
+        isos = classify._Isomorphisms(None, None)
+        with mock.patch.object(classify, "group_isomorphisms", runs):
+            for _ in range(3):
+                walked = []
+                with pytest.raises(SizeLimitExceededError):
+                    for f0 in isos:
+                        walked.append(f0)
+                assert walked == [[0, 1], [1, 0]]
+
+    def test_catalog_insert_keeps_raising(self):
+        # |H| = 256 is past group_isomorphisms' bound
+        h = group_from_spec("x".join(["Z2"] * 8))
+        hg = hypergroup_from_tables(1, h, [[0] * 256], [list(range(256))], [[0]],
+                                    [[0]], 0)
+        cat = Catalog()
+        cat.insert(hg, "first")
+        for _ in range(3):
+            with pytest.raises(SizeLimitExceededError):
+                cat.insert(hg, "again")
 
 
 @st.composite

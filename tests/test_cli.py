@@ -15,6 +15,7 @@ import subprocess
 import sys
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -347,6 +348,25 @@ class TestExitCodesAndDeterminism:
         monkeypatch.setattr(climod, "verify_axioms", boom)
         assert run(["hg", "verify", str(z6_file)]) == 3
         assert "internal inconsistency" in capsys.readouterr().err
+
+    def test_parser_built_once_per_process(self, capsys):
+        # run() reuses one parser; its answers are those of a new
+        # build_parser() each time, for --help, usage errors and commands
+        import hypergroups.cli as climod
+
+        argvs = [["--help"], ["hg", "--help"], [], ["frobnicate"],
+                 ["classify", "--max-order", "x"], ["group", "info", "Z6"],
+                 ["--format", "json", "group", "subgroups", "S3"]]
+        fresh = []
+        for argv in argvs:
+            climod._parser.cache_clear()
+            fresh.append((run(argv), capsys.readouterr()))
+        with mock.patch.object(climod, "build_parser", wraps=climod.build_parser) as built:
+            climod._parser.cache_clear()
+            for _ in range(2):
+                assert [(run(argv), capsys.readouterr()) for argv in argvs] == fresh
+        assert built.call_count == 1
+        assert climod.build_parser() is not climod.build_parser()
 
     def test_repeat_invocations_byte_identical(self, capsys):
         run(["--format", "json", "classify", "--max-order", "4"])

@@ -19,6 +19,8 @@ import os
 import pickle
 import subprocess
 import sys
+import types
+import zlib
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -42,6 +44,7 @@ from hypergroups import (
     NoSolutionError,
     NotATransversalError,
     NotNormalError,
+    ShapeMismatchError,
     builtin_groups,
     check_derived_identities,
     check_normal_case,
@@ -62,17 +65,20 @@ from hypergroups import (
     make_field,
     make_transversal,
     quasigroup_divide,
+    quotient_group,
     sample_transversals,
     standard_construction,
+    standard_constructions,
     subgroup_from_elements,
     symmetric_group,
     trivial_group,
     verify_axioms,
+    verify_axioms_batch,
 )
 from hypergroups import _util, core
 from hypergroups._util import canonical_dumps
 from hypergroups.classify import _phi_candidates, _psi_candidates, _xi_candidates
-from hypergroups.groups import light_associative
+from hypergroups.groups import CosetDecomposition, light_associative
 
 import loop_oracles
 
@@ -500,6 +506,210 @@ class TestVerifyAgainstLoops:
 def subgroups_of(spec):
     g = group_from_spec(spec)
     return g, enumerate_subgroups(g)
+
+
+# --------------------------------------------------------------------
+# batches per (G, H)
+
+
+class TestStandardConstructions:
+    @pytest.mark.parametrize("block", [_util.BLOCK_CELLS, 64])
+    def test_equal_one_at_a_time(self, block):
+        # at block 64 every (G, H) with |M| > 1 is built in several chunks
+        with mock.patch.object(_util, "BLOCK_CELLS", block):
+            for g in builtin_groups(12):
+                for h in enumerate_subgroups(g):
+                    ts = sample_transversals(g, h)
+                    singles = [standard_construction(g, h, t) for t in ts]
+                    for k in (0, 1, len(ts)):
+                        assert standard_constructions(g, h, ts[:k]) == singles[:k]
+
+    def test_reps_and_transversals_mix(self):
+        g = cyclic_group(6)
+        h = subgroup_from_elements(g, [0, 3])
+        t = make_transversal(g, h, [0, 1, 2])
+        assert (standard_constructions(g, h, [t, [3, 4, 2], (0, 1, 5)])
+                == [standard_construction(g, h, r) for r in (t, [3, 4, 2], [0, 1, 5])])
+
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_a_foreign_transversal_at_any_position(self, position):
+        g = cyclic_group(6)
+        h = subgroup_from_elements(g, [0, 3])
+        ts = sample_transversals(g, h)[:3]
+        foreign = make_transversal(symmetric_group(3), subgroup_from_elements(
+            symmetric_group(3), [0, 1]), [0, 2, 4])
+        with pytest.raises(NotATransversalError):
+            standard_constructions(g, h, ts[:position] + [foreign] + ts[position:])
+        with pytest.raises(NotATransversalError):
+            standard_constructions(g, h, ts[:position] + [[0, 3, 1]] + ts[position:])
+        dec = ts[0].decomposition
+        other_cosets = replace(ts[0], decomposition=CosetDecomposition(
+            h, dec.cosets, tuple((c + 1) % 3 for c in dec.coset_of)))
+        with pytest.raises(NotATransversalError):
+            standard_constructions(g, h, ts[:position] + [other_cosets] + ts[position:])
+
+    def test_an_h_part_outside_h(self):
+        # Z6 with every element declared its own inverse: 1 * 1 = 2 is
+        # taken for the h-part of 1, and 2 is not in {0, 3}
+        z6 = cyclic_group(6)
+        g = FiniteGroup(6, z6.table, 0, list(range(6)), "Z6'")
+        h = subgroup_from_elements(g, [0, 3])
+        for call in (lambda: standard_construction(g, h, [0, 1, 2]),
+                     lambda: standard_constructions(g, h, sample_transversals(g, h))):
+            with pytest.raises(InternalInconsistencyError,
+                               match="h-part outside the subgroup"):
+                call()
+
+
+@st.composite
+def batch_inputs(draw):
+    """The standard constructions of some transversals of one (G, H),
+    one of them with one cell of phi, psi, xi or lam changed."""
+    g, subgroups = subgroups_of(draw(st.sampled_from(
+        ["Z4", "Z2xZ2", "Z6", "S3", "D4", "Q8", "Z2xZ4", "Z8", "D6", "Z12"])))
+    h = draw(st.sampled_from(subgroups))
+    ts = sample_transversals(g, h, cap=draw(st.integers(1, 12)),
+                             seed=draw(st.integers(0, 3)))
+    hgs = standard_constructions(g, h, ts)
+    i = draw(st.integers(0, len(hgs) - 1))
+    name = draw(st.sampled_from(TABLES))
+    rows, cols = getattr(hgs[i], name).shape
+    limit = hgs[i].m_size if name in ("phi", "xi") else hgs[i].h.order
+    hgs[i] = with_cell(hgs[i], name, draw(st.integers(0, rows - 1)),
+                       draw(st.integers(0, cols - 1)), draw(st.integers(0, limit - 1)))
+    return hgs
+
+
+class TestVerifyAxiomsBatch:
+    # at 16 and 256 cells the chunks of small |M| split the batch; at 1
+    # (and past |M| = 6 at 256) every item goes through verify_axioms
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(hgs=batch_inputs(), block=st.sampled_from([1, 16, 256]))
+    def test_reports_match_one_at_a_time(self, hgs, block):
+        expected = [verify_axioms(hg).to_dict() for hg in hgs]
+        with mock.patch.object(_util, "BLOCK_CELLS", block):
+            reports = verify_axioms_batch(hgs)
+        assert [report.to_dict() for report in reports] == expected
+        for hg, report in zip(hgs, reports):
+            assert results(report) == loop_oracles.verify_axioms(hg)
+
+    def test_verify_axioms_runs_on_failures_only(self):
+        g = group_from_spec("D4")
+        h = subgroup_from_elements(g, [0, 4])
+        hgs = standard_constructions(g, h, sample_transversals(g, h))
+        hgs[3] = with_cell(hgs[3], "lam", 1, 2, 1 - hgs[3].lam[1, 2])
+        hgs[9] = with_cell(hgs[9], "xi", 0, 1, 0)
+        with mock.patch.object(core, "verify_axioms", wraps=core.verify_axioms) as spy:
+            reports = verify_axioms_batch(hgs)
+        assert [call.args[0] for call in spy.call_args_list] == [hgs[3], hgs[9]]
+        assert [i for i, r in enumerate(reports) if not r.overall] == [3, 9]
+        assert reports[0].to_dict() == verify_axioms(hgs[0]).to_dict()
+        assert reports[0] is not reports[1]
+        assert reports[0].checks["P1"] is not reports[1].checks["P1"]
+
+    def test_items_past_the_block_go_one_at_a_time(self):
+        g = group_from_spec("Z2xZ2xZ2")
+        h = subgroup_from_elements(g, [0])
+        hgs = standard_constructions(g, h, sample_transversals(g, h)) * 3
+        with mock.patch.object(_util, "BLOCK_CELLS", 8 ** 3 - 1), \
+                mock.patch.object(core, "verify_axioms", wraps=core.verify_axioms) as spy:
+            reports = verify_axioms_batch(hgs)
+        assert spy.call_count == 3 and all(r.overall for r in reports)
+
+    def test_empty_and_mixed_batches(self):
+        assert verify_axioms_batch([]) == []
+        g = group_from_spec("S3")
+        subgroups = enumerate_subgroups(g)
+        by_order = {h.order: standard_constructions(g, h, sample_transversals(g, h))
+                    for h in subgroups}
+        with pytest.raises(ShapeMismatchError):
+            verify_axioms_batch(by_order[2][:1] + by_order[3][:1])
+        hg = by_order[2][0]
+        with pytest.raises(ShapeMismatchError):
+            verify_axioms_batch([hg, replace(hg, o=1)])
+        other_h = FiniteGroup(2, hg.h.table, 1, [0, 1], "H")
+        with pytest.raises(ShapeMismatchError):
+            verify_axioms_batch([hg, replace(hg, h=other_h)])
+
+
+def normal_pairs(max_order):
+    return [(g, h) for g in builtin_groups(max_order)
+            for h in enumerate_subgroups(g) if is_normal(h)]
+
+
+def mutated_constructions(pattern):
+    """standard_constructions with each hypergroup changed as the entry
+    of pattern that the CRC of its transversal's reps picks says, the
+    same in a batch as alone: "phi" sets phi[|M|-1][0] to 0, "relabel"
+    swaps the labels 1 and 2 of xi (a group, the quotient's table unless
+    that swap is an automorphism), "cyclic" puts the table of Z_|M| in
+    xi, and "break" moves xi[|M|-1][|M|-1] on by one (no longer a
+    group); None leaves it."""
+    real = core.standard_constructions
+
+    def mutate(hg, how):
+        m, xi = hg.m_size, hg.xi
+        if how == "phi" and m > 1:
+            return with_cell(hg, "phi", m - 1, 0, 0)
+        if how == "relabel" and m > 2:
+            p = np.arange(m)
+            p[[1, 2]] = [2, 1]
+            return replace(hg, xi=p[xi[p][:, p]])
+        if how == "cyclic":
+            return replace(hg, xi=(np.arange(m)[:, None] + np.arange(m)) % m)
+        if how == "break" and m > 1:
+            return with_cell(hg, "xi", m - 1, m - 1, (xi[m - 1, m - 1] + 1) % m)
+        return hg
+
+    def constructions(*args):
+        return [mutate(hg, pattern[zlib.crc32(repr(hg.ambient.m_to_parent).encode())
+                                   % len(pattern)])
+                for hg in real(*args)]
+    return constructions
+
+
+class TestNormalCaseBatch:
+    @pytest.mark.parametrize("spec", [g.name for g in builtin_groups(16)])
+    def test_reports_match_one_at_a_time(self, spec):
+        for g, h in normal_pairs(16):
+            if g.name == spec:
+                assert (check_normal_case(g, h).to_dict()
+                        == loop_oracles.check_normal_case(g, h).to_dict())
+
+    @pytest.mark.parametrize("pattern", [
+        ("relabel", None, "cyclic", "break", "phi"),
+        ("cyclic", None),
+        ("break", "relabel", None),
+        (None, "break", "cyclic"),
+        ("relabel",),
+    ])
+    def test_failures_match_one_at_a_time(self, pattern):
+        # the oracle builds through standard_construction, which reads
+        # the patched standard_constructions too
+        with mock.patch.object(core, "standard_constructions",
+                               mutated_constructions(pattern)):
+            for g, h in normal_pairs(8):
+                assert (check_normal_case(g, h, transversal_cap=12, seed=2).to_dict()
+                        == loop_oracles.check_normal_case(
+                            g, h, transversal_cap=12, seed=2).to_dict()), (g, h)
+
+    def test_group_checks_run_on_mismatches_only(self):
+        g = group_from_spec("Z8")
+        h = subgroup_from_elements(g, [0, 4])
+        with mock.patch.object(core, "group_from_cayley_table",
+                               wraps=core.group_from_cayley_table) as validated, \
+                mock.patch.object(core, "group_isomorphism",
+                                  wraps=core.group_isomorphism) as compared:
+            assert check_normal_case(g, h).overall
+            assert validated.call_count == compared.call_count == 0
+            # Z4 with 1 and 2 swapped: a group, not the quotient's table
+            with mock.patch.object(core, "standard_constructions",
+                                   mutated_constructions(("relabel",))):
+                report = check_normal_case(g, h)
+        n = report.info["transversals_checked"]
+        assert report.overall and validated.call_count == n
+        # each xi against the quotient, and each after the first against it
+        assert compared.call_count == 2 * n - 1
 
 
 @st.composite
@@ -1011,19 +1221,27 @@ TABLES = ("phi", "psi", "xi", "lam")
 def broken_normal_case(g, h):
     """check_normal_case with every check made to fail: phi edited in
     each construction, every second xi group refused, and no group
-    isomorphism found."""
+    isomorphism found. The quotient is replaced by a stand-in with its
+    name whose table no xi equals, so every transversal takes the path
+    that validates its xi as a group."""
     calls = itertools.count()
 
     def edited(*args):
-        hg = standard_construction(*args)
-        return with_cell(hg, "phi", hg.m_size - 1, 0, 0)
+        return [with_cell(hg, "phi", hg.m_size - 1, 0, 0)
+                for hg in standard_constructions(*args)]
 
     def every_second(table):
         if next(calls) % 2:
             raise AlgebraError("refused")
         return hypergroups.group_from_cayley_table(table)
 
-    with mock.patch.object(hypergroups.core, "standard_construction", edited), \
+    def unmatched_quotient(group, h):
+        q = quotient_group(group, h)
+        return types.SimpleNamespace(name=q.name,
+                                     np_table=lambda: np.full(q.np_table().shape, -1))
+
+    with mock.patch.object(hypergroups.core, "standard_constructions", edited), \
+            mock.patch.object(hypergroups.core, "quotient_group", unmatched_quotient), \
             mock.patch.object(hypergroups.core, "group_from_cayley_table",
                               every_second), \
             mock.patch.object(hypergroups.core, "group_isomorphism",

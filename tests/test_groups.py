@@ -437,6 +437,22 @@ class TestCopyAndPickle:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 dec2.coset_of = ()
 
+    def test_arrays_held_once(self):
+        # each tuple that numpy code reads is also a read-only intp
+        # array, the same object on every call, and copies rebuild it
+        g = group_from_spec("Z2xS3")
+        h = subgroup_closure(g, [3])
+        dec = right_cosets(g, h)
+        for obj, pairs in ((g, [("inverse", "np_inverse")]),
+                           (h, [("elements", "np_elements"), ("index_in", "np_index_in")]),
+                           (dec, [("coset_of", "np_coset_of")])):
+            for copied in [obj] + self.copies(obj):
+                for name, method in pairs:
+                    arr = getattr(copied, method)()
+                    assert arr is getattr(copied, method)()
+                    assert arr.dtype == np.intp and not arr.flags.writeable
+                    assert tuple(arr.tolist()) == getattr(obj, name)
+
     def test_unpickling_checks_the_table(self):
         g = cyclic_group(3)
         cls, args = g.__reduce__()
