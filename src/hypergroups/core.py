@@ -22,7 +22,9 @@ hypergroup_to_json writes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -293,10 +295,14 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
       A5: ht[lam[a][b]][lam[xi[a][b]][c]]
           == ht[psi[a][lam[b][c]]][lam[phi[a][lam[b][c]]][xi[b][c]]]
 
-    Each cubic relation is one first_failure scan over blocks of leading
-    a, which stops at the first failing block. Memory: besides the
-    tables, every temporary holds at most max(BLOCK_CELLS, |M|^2, |H|^2)
-    cells (512 KiB of intp for |M|, |H| <= 256): a block of a scan, the
+    _Relations writes each check once, as a mask. Where hg's relation
+    cubes fit one BLOCK_CELLS block, every mask is evaluated in full, as
+    by verify_axioms_batch, and a witness is the first True cell of its
+    mask in row-major order. Past it each cubic relation is one
+    first_failure scan over blocks of leading a, which stops at the
+    first failing block. Memory: besides the tables, every temporary
+    holds at most max(BLOCK_CELLS, |M|^2, |H|^2) cells (512 KiB of intp
+    for |M|, |H| <= 256): a full evaluation, a block of a scan, the
     (|H||M|)^2 product table below, which is built only within that
     budget, and the generator walks, O(|M| + |H|) cells per generator.
 
@@ -359,231 +365,224 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
     above it is built instead, and once the unit conditions hold Light's
     test on it decides A4 and A5 (needing no other check to pass).
     """
-    phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
-    ht = hg.h.np_table()
-    m, hn = hg.m_size, hg.h.order
-    eps = hg.h.identity
-    o = hg.o
-    checks: dict[str, CheckResult] = {}
-    marange = np.arange(m, dtype=np.intp)
-    found_b: list = []   # [B or None], found on first use
-
-    def b_if_all_ok():
-        """B when H is a group and every check so far passed, else None:
-        each closure argument below needs both."""
-        if not all(c.ok for c in checks.values()):
-            return None
-        if not found_b:
-            found_b.append(_group_generators(ht, eps))
-        return found_b[0]
-
-    def settle(shape, axioms, gens, detail):
-        """checks[name] for each (name, mask_of) in axioms: one
-        first_failure_on scan of them all, then a full scan of each
-        axiom that its failure does not name; detail(name, witness)
-        describes a failure."""
-        failure = first_failure_on(shape, axioms, gens)
-        for name, mask_of in axioms:
-            own = failure
-            if own is not None and own[0] != name:
-                own = first_failure(shape, [(name, mask_of(None))])
-            checks[name] = (CheckResult(True) if own is None
-                            else CheckResult(False, own[1], detail(name, own[1])))
-
-    # P1: left neutral first, then every column a permutation
-    p1 = CheckResult(True)
-    neutral_bad = np.flatnonzero(xi[o] != marange)
-    if len(neutral_bad):
-        a = int(neutral_bad[0])
-        p1 = CheckResult(
-            False, (o, a), f"xi[{o}][{a}] = {xi[o, a]}, expected {a}"
-        )
-    else:
-        col_ok = (np.sort(xi, axis=0) == marange[:, None]).all(axis=0)
-        bad_cols = np.flatnonzero(~col_ok)
-        if len(bad_cols):
-            a = int(bad_cols[0])
-            seen: dict[int, int] = {}
-            for x, v in enumerate(xi[:, a].tolist()):
-                if v in seen:
-                    p1 = CheckResult(
-                        False,
-                        (seen[v], x, a),
-                        f"xi[{seen[v]}][{a}] = xi[{x}][{a}] = {v}",
-                    )
-                    break
-                seen[v] = x
-    checks["P1"] = p1
-
-    # Pair lookups T[i][j] read the flat table at i * ncols + j, with
-    # the row index tables premultiplied once (phi_m = phi * |M|), so a
-    # lookup costs one add and one take per block. Each mask reads the
-    # tables its last argument indexes at the columns cols only.
-    xif, lamf, htf = xi.ravel(), lam.ravel(), ht.ravel()
-    phi_m, psi_h, lam_h = phi * m, psi * hn, lam * hn
-
-    def a0(cols):
-        phi_c, ht_c = (phi, ht) if cols is None else (phi[:, cols], ht[:, cols])
-        return lambda r: phi_c.take(phi[r], axis=0) != phi[r].take(ht_c, axis=1)
-
-    def a1(cols):
-        psi_c, ht_c = (psi, ht) if cols is None else (psi[:, cols], ht[:, cols])
-        return lambda r: (psi[r].take(ht_c, axis=1)
-                          != htf.take(psi_h[r][:, :, None] + psi_c.take(phi[r], axis=0)))
-
-    def a2(cols):
-        phi_c, psi_c = (phi, psi) if cols is None else (phi[:, cols], psi[:, cols])
-        return lambda r: (phi_c.take(xi[r], axis=0)
-                          != xif.take(phi_m[r].take(psi_c, axis=1) + phi_c))
-
-    def a3(cols):
-        phi_c, psi_c = (phi, psi) if cols is None else (phi[:, cols], psi[:, cols])
-        return lambda r: (
-            htf.take(lam_h[r][:, :, None] + psi_c.take(xi[r], axis=0))
-            != htf.take(psi_h[r].take(psi_c, axis=1)
-                        + lamf.take(phi_m[r].take(psi_c, axis=1) + phi_c)))
-
-    def a4(cols):
-        xi_c, lam_c = (xi, lam) if cols is None else (xi[:, cols], lam[:, cols])
-        return lambda r: (xi_c.take(xi[r], axis=0)
-                          != xif.take(phi_m[r].take(lam_c, axis=1) + xi_c))
-
-    def a5(cols):
-        xi_c, lam_c = (xi, lam) if cols is None else (xi[:, cols], lam[:, cols])
-        return lambda r: (
-            htf.take(lam_h[r][:, :, None] + lam_c.take(xi[r], axis=0))
-            != htf.take(psi_h[r].take(lam_c, axis=1)
-                        + lamf.take(phi_m[r].take(lam_c, axis=1) + xi_c)))
-
-    # P2: unit action, then A0
-    unit_bad = np.flatnonzero(phi[:, eps] != marange)
-    if len(unit_bad):
-        a = int(unit_bad[0])
-        checks["P2"] = CheckResult(
-            False, (a,), f"phi[{a}][{eps}] = {phi[a, eps]}, expected {a}"
-        )
-    else:
-        settle((m, hn, hn), [("P2", a0)], b_if_all_ok, lambda _, w:
-               "phi[phi[{0}][{1}]][{2}] != phi[{0}][{1}*{2}]".format(*w))
-
-    # P3: alpha -> psi[o][alpha] onto H
-    image = set(psi[o].tolist())
-    missing = [b for b in range(hn) if b not in image]
-    checks["P3"] = (
-        CheckResult(True)
-        if not missing
-        else CheckResult(
-            False, (missing[0],),
-            f"{missing[0]} not in the image of psi[{o}]",
-        )
-    )
-
-    def fails_at(names: str):
-        return lambda axiom, w: f"{axiom} fails at ({names}) = {w}"
-
-    settle((m, hn, hn), [("A1", a1)], b_if_all_ok, fails_at("a, alpha, beta"))
-    settle((m, m, hn), [("A2", a2)], b_if_all_ok, fails_at("a, b, alpha"))
-    settle((m, m, hn), [("A3", a3)], b_if_all_ok, fails_at("a, b, alpha"))
-
-    def units_ok():
-        return not len(unit_bad) and bool((psi[:, eps] == eps).all())
-
-    table_fits = (hn * m) ** 2 <= max(_util.BLOCK_CELLS, m * m)
-    if (m ** 3 > _util.BLOCK_CELLS and table_fits and units_ok()
-            and light_associative(_product_table(phi, psi, xi, lam, ht))):
-        checks.update(A4=CheckResult(True), A5=CheckResult(True))
-        return Report(checks, "axioms")
-
-    def s_if_all_ok():
-        """S, past the product table's budget, when the unit conditions
-        hold and b_if_all_ok() gives B; else None."""
-        b = None if table_fits or not units_ok() else b_if_all_ok()
-        return None if b is None else _right_generators(
-            xi, [phi[:, be] for be in b], order=[*range(o), *range(o + 1, m), o])
-
-    settle((m, m, m), [("A4", a4), ("A5", a5)], s_if_all_ok, fails_at("a, b, c"))
-    return Report(checks, "axioms")
+    return verify_axioms_batch([hg])[0]
 
 
 def verify_axioms_batch(hgs) -> list[Report]:
     """[verify_axioms(hg) for hg in hgs], for hypergroups that share
     m_size, o and H (its table and identity), else ShapeMismatchError.
-
-    P1, P2 (the unit action and A0), P3 and A1-A5 are evaluated in full,
-    in the table forms of verify_axioms, on the tables of as many
-    hypergroups at a time as keep the largest temporary within
-    BLOCK_CELLS cells, stacked along a leading axis. A hypergroup that
-    passes them all gets the all-pass Report; one that fails any is run
-    through verify_axioms, which finds its witnesses. When one
-    hypergroup's temporaries alone exceed BLOCK_CELLS, each is run
-    through verify_axioms, whose blocked and generator scans are made
-    for that size.
-    """
+    Where one hypergroup's relation cubes fit one BLOCK_CELLS block, as
+    many as fit together are evaluated in full on their stacked tables;
+    past it each is scanned on its own, as verify_axioms does."""
     hgs = list(hgs)
     if not hgs:
         return []
-    first = hgs[0]
-    m, h, o = first.m_size, first.h, first.o
+    m, h, o = hgs[0].m_size, hgs[0].h, hgs[0].o
     if any(hg.m_size != m or hg.o != o or (hg.h is not h and (
             hg.h.table != h.table or hg.h.identity != h.identity)) for hg in hgs):
         raise ShapeMismatchError("a batch must share |M|, o and the H table")
-    hn = h.order
-    step = _util.BLOCK_CELLS // max(m * m * m, m * m * hn, m * hn * hn)
-    if step == 0:
-        return [verify_axioms(hg) for hg in hgs]
-    ok = np.concatenate([_passes_all(hgs[lo:lo + step], h, o)
-                         for lo in range(0, len(hgs), step)]).tolist()
-    return [Report({name: CheckResult(True) for name in AXIOM_NAMES}, "axioms")
-            if good else verify_axioms(hg) for hg, good in zip(hgs, ok)]
+    step = _items_per_block(m, h.order)
+    if not step:
+        return [_scan_axioms(hg) for hg in hgs]
+    chunks = [hgs[lo:lo + step] for lo in range(0, len(hgs), step)]
+    return [r for chunk in chunks for r in map(_report, chunk, _failures(_Relations(chunk)))]
 
 
-def _passes_all(hgs: list[HypergroupOverGroup], h: FiniteGroup, o: int) -> np.ndarray:
-    """For each of hgs, whether it passes every check of verify_axioms,
-    evaluated in full on the tables stacked along a leading axis i.
+def _items_per_block(m: int, hn: int) -> int:
+    """How many hypergroups' relation cubes (|M|^3, |M|^2|H|, |M||H|^2
+    cells) fit one BLOCK_CELLS block; 0: one alone does not, so scan."""
+    return _util.BLOCK_CELLS // max(m * m * m, m * m * hn, m * hn * hn)
 
-    Row r of item i's table is row i*|M| + r of the stacked one, so a
-    lookup T[x][y] reads the flat stack at (i*|M| + x)*ncols + y; the
-    tables that index rows are shifted and premultiplied once."""
-    k, m, hn, eps = len(hgs), hgs[0].m_size, h.order, h.identity
-    phi, psi, xi, lam = (np.stack([getattr(hg, name) for hg in hgs])
-                         for name in ("phi", "psi", "xi", "lam"))
-    ht = h.np_table()
-    htf, xif, lamf = ht.ravel(), xi.ravel(), lam.ravel()
-    rows = np.arange(0, k * m, m)[:, None, None]        # i*|M|
-    phi_r, xi_r = phi + rows, xi + rows                  # stacked rows
-    phi_m = phi_r.ravel() * m                            # (i*|M| + x)*|M|
-    psi_h, lam_h = psi * hn, lam * hn
-    by_row = [t.reshape(k * m, -1) for t in (phi, psi, xi, lam)]
-    ar = np.arange(m)
-    a_h = ((rows[..., None] + ar[:, None, None]) * hn)  # (i*|M| + a)*|H|
-    bad = [
-        (xi[:, o] != ar).any(axis=1),                                   # P1
-        (np.sort(xi, axis=1) != ar[:, None]).any(axis=(1, 2)),
-        (phi[:, :, eps] != ar).any(axis=1),                             # P2
-        (by_row[0].take(phi_r, axis=0) != phi[:, :, ht]).any(axis=(1, 2, 3)),
-        (np.sort(psi[:, o], axis=1) != np.arange(hn)).any(axis=1),      # P3
-        (psi[:, :, ht] != htf.take(psi_h[..., None]                     # A1
-                                   + by_row[1].take(phi_r, axis=0))).any(axis=(1, 2, 3)),
-    ]
-    at = a_h + psi[:, None]             # (i, a, b, al): phi[a][psi[b][al]], as a flat index
-    q = phi_m.take(at)
-    bad += [
-        (by_row[0].take(xi_r, axis=0)                                   # A2
-         != xif.take(q + phi[:, None])).any(axis=(1, 2, 3)),
-        (htf.take(lam_h[..., None] + by_row[1].take(xi_r, axis=0))      # A3
-         != htf.take(psi_h.ravel().take(at)
-                     + lamf.take(q + phi[:, None]))).any(axis=(1, 2, 3)),
-    ]
-    at = a_h + lam[:, None]             # (i, a, b, c): phi[a][lam[b][c]], as a flat index
-    q = phi_m.take(at)
-    bad += [
-        (by_row[2].take(xi_r, axis=0)                                   # A4
-         != xif.take(q + xi[:, None])).any(axis=(1, 2, 3)),
-        (htf.take(lam_h[..., None] + by_row[3].take(xi_r, axis=0))      # A5
-         != htf.take(psi_h.ravel().take(at)
-                     + lamf.take(q + xi[:, None]))).any(axis=(1, 2, 3)),
-    ]
-    return ~np.logical_or.reduce(bad)
+
+class _Relations:
+    """The checks of verify_axioms as masks, True where a check fails, on
+    the tables of k hypergroups that share |M|, H and o, stacked along a
+    leading axis; checks names the method of each, in report order (P2
+    is A0, which decides P2 once the unit action holds). A0-A5 are
+    (k, |rows|, d2, |cols|) over the loop nest: the first argument at the
+    rows of a block, the last at the columns of the tables it indexes,
+    h_cols of phi, psi and ht (A0-A3) or m_cols of xi and lam (A4, A5).
+    Suffixes: _a at those rows, _c at those columns, _cr that by stacked
+    row, _c4 that with an axis for a. Row x of item i is row i*|M| + x of
+    the stack, so T[x][y] is the flat stack at (i*|M| + x)*ncols + y; the
+    tables whose values index rows are shifted (phi_r, xi_r) and
+    premultiplied (phi_m, psi_h, lam_h, a_h) once.
+    """
+
+    checks = {"neutral": "neutral", "columns": "columns", "unit": "unit", "P2": "a0",
+              "image": "image", "A1": "a1", "A2": "a2", "A3": "a3", "A4": "a4", "A5": "a5"}
+
+    def __init__(self, hgs: list[HypergroupOverGroup]):
+        first = hgs[0]
+        k, m, hn = len(hgs), first.m_size, first.h.order
+        self.o, self.eps, self.ht = first.o, first.h.identity, first.h.np_table()
+        self.phi, self.psi, self.xi, self.lam = (
+            np.stack([getattr(hg, name) for hg in hgs]) if k > 1 else getattr(first, name)[None]
+            for name in ("phi", "psi", "xi", "lam"))
+        shift = np.arange(0, k * m, m)[:, None, None]   # i*|M|, for more than one item
+        self.phi_r, self.xi_r = (t + shift if k > 1 else t for t in (self.phi, self.xi))
+        self.phi_m = self.phi_r.ravel() * m       # (i*|M| + phi[a][al])*|M|
+        self.psi_h, self.lam_h = self.psi * hn, self.lam * hn
+        self.a_h = np.arange(0, k * m * hn, hn).reshape(k, m, 1, 1)   # (i*|M| + a)*|H|
+        self.htf, self.xif, self.lamf, self.psi_hf = (
+            self.ht.ravel(), self.xi.ravel(), self.lam.ravel(), self.psi_h.ravel())
+        self.restrict()
+
+    def restrict(self, rows=slice(None), h_cols=slice(None), m_cols=slice(None)) -> _Relations:
+        """Set the _a and _c tables at rows, h_cols and m_cols (all at
+        first; a scan restricts a copy per block); self."""
+        self.phi_a, self.psi_a, self.phi_ra, self.xi_ra, self.a_ha = (
+            self.phi[:, rows], self.psi[:, rows], self.phi_r[:, rows], self.xi_r[:, rows],
+            self.a_h[:, rows])
+        self.psi_ha, self.lam_ha = self.psi_h[:, rows, :, None], self.lam_h[:, rows, :, None]
+        self.ht_c = self.ht[:, h_cols]
+        # a list of columns gives strided copies, which slow every gather after
+        c = [np.ascontiguousarray(t) for t in (self.phi[..., h_cols], self.psi[..., h_cols],
+                                               self.xi[..., m_cols], self.lam[..., m_cols])]
+        self.phi_cr, self.psi_cr, self.xi_cr, self.lam_cr = (t.reshape(-1, t.shape[2]) for t in c)
+        self.phi_c4, self.psi_c4, self.xi_c4, self.lam_c4 = (t[:, None] for t in c)
+        self._at = {}
+        return self
+
+    def neutral(self) -> np.ndarray:
+        return self.xi[:, self.o] != np.arange(self.xi.shape[1])
+
+    def columns(self) -> np.ndarray:
+        return (np.sort(self.xi, axis=1) != np.arange(self.xi.shape[1])[:, None]).any(axis=1)
+
+    def unit(self) -> np.ndarray:
+        return self.phi[:, :, self.eps] != np.arange(self.phi.shape[1])
+
+    def image(self) -> np.ndarray:
+        return (self.psi[:, self.o, :, None] != np.arange(len(self.ht))).all(axis=1)
+
+    def a0(self) -> np.ndarray:
+        return self.phi_cr.take(self.phi_ra, axis=0) != self.phi_a.take(self.ht_c, axis=2)
+
+    def a1(self) -> np.ndarray:
+        return (self.psi_a.take(self.ht_c, axis=2)
+                != self.htf.take(self.psi_ha + self.psi_cr.take(self.phi_ra, axis=0)))
+
+    def a2(self) -> np.ndarray:
+        return (self.phi_cr.take(self.xi_ra, axis=0)
+                != self.xif.take(self._at_q(self.psi_c4)[1] + self.phi_c4))
+
+    def a3(self) -> np.ndarray:
+        at, phi_at = self._at_q(self.psi_c4)
+        return (self.htf.take(self.lam_ha + self.psi_cr.take(self.xi_ra, axis=0))
+                != self.htf.take(self.psi_hf.take(at) + self.lamf.take(phi_at + self.phi_c4)))
+
+    def a4(self) -> np.ndarray:
+        return (self.xi_cr.take(self.xi_ra, axis=0)
+                != self.xif.take(self._at_q(self.lam_c4)[1] + self.xi_c4))
+
+    def a5(self) -> np.ndarray:
+        at, phi_at = self._at_q(self.lam_c4)
+        return (self.htf.take(self.lam_ha + self.lam_cr.take(self.xi_ra, axis=0))
+                != self.htf.take(self.psi_hf.take(at) + self.lamf.take(phi_at + self.xi_c4)))
+
+    def _at_q(self, q_c4):
+        """(at, phi[a][q[b][y]] * |M|), at the flat index of row a, column
+        q[b][y]: made once for A2 and A3 (q = psi), A4 and A5 (q = lam)."""
+        if id(q_c4) not in self._at:
+            at = self.a_ha + q_c4
+            self._at[id(q_c4)] = at, self.phi_m.take(at)
+        return self._at[id(q_c4)]
+
+
+def _failures(rel: _Relations, names=tuple(_Relations.checks)) -> list[dict]:
+    """For each item of rel, {name: the index of the first True cell of
+    its mask in row-major order} over the checks of names that fail."""
+    found: list[dict] = [{} for _ in range(len(rel.xi))]
+    for name in names:
+        mask = getattr(rel, rel.checks[name])()
+        if np.count_nonzero(mask):   # far cheaper than any() on small masks
+            for i in np.flatnonzero(mask.reshape(len(mask), -1).any(axis=1)).tolist():
+                found[i][name] = tuple(np.argwhere(mask[i])[0].tolist())
+    return found
+
+
+def _scan_axioms(hg: HypergroupOverGroup) -> Report:
+    """verify_axioms past one block: the checks linear in |M| and |H| in
+    full, each cubic relation by blocked scans, over generators where
+    the closure arguments allow, and A4 and A5 by Light's test where the
+    product table fits."""
+    rel = _Relations([hg])
+    phi, xi, ht, eps, o, m, hn = hg.phi, hg.xi, rel.ht, hg.h.identity, hg.o, hg.m_size, hg.h.order
+    found = _failures(rel, ("neutral", "columns", "unit", "image"))[0]
+    group_gens = cache(lambda: _group_generators(ht, eps))
+
+    def b_if_all_ok():
+        """B when H is a group and every check so far passed, else None:
+        each closure argument below needs both."""
+        return None if found else group_gens()
+
+    def settle(shape, names, gens, last="h_cols"):
+        """found[name] for each relation of names, whose last argument
+        runs over the columns restrict calls last: one first_failure_on
+        scan of them all, then a full scan of each its failure misses."""
+        axioms = [(name, lambda cols, of=rel.checks[name]: lambda r: getattr(
+            copy.copy(rel).restrict(r, **{last: slice(None) if cols is None else cols}), of)()[0])
+            for name in names]
+        failure = first_failure_on(shape, axioms, gens)
+        for name, mask_of in axioms:
+            own = failure
+            if own is not None and own[0] != name:
+                own = first_failure(shape, [(name, mask_of(None))])
+            if own is not None:
+                found[name] = own[1]
+
+    if "unit" not in found:
+        settle((m, hn, hn), ["P2"], b_if_all_ok)
+    for name, shape in (("A1", (m, hn, hn)), ("A2", (m, m, hn)), ("A3", (m, m, hn))):
+        settle(shape, [name], b_if_all_ok)
+
+    units_ok = "unit" not in found and bool((hg.psi[:, eps] == eps).all())
+    table_fits = (hn * m) ** 2 <= max(_util.BLOCK_CELLS, m * m)
+    if (m ** 3 > _util.BLOCK_CELLS and table_fits and units_ok
+            and light_associative(_product_table(phi, hg.psi, xi, hg.lam, ht))):
+        return _report(hg, found)
+
+    def s_if_all_ok():
+        """S, past the product table's budget, when the unit conditions
+        hold and b_if_all_ok() gives B; else None."""
+        b = None if table_fits or not units_ok else b_if_all_ok()
+        return None if b is None else _right_generators(
+            xi, [phi[:, be] for be in b], order=[*range(o), *range(o + 1, m), o])
+
+    settle((m, m, m), ["A4", "A5"], s_if_all_ok, "m_cols")
+    return _report(hg, found)
+
+
+def _report(hg: HypergroupOverGroup, found: dict) -> Report:
+    """The Report of verify_axioms on hg, from the first failing index of
+    each failed check's mask by its name in _Relations.checks."""
+    xi, phi, o, eps = hg.xi, hg.phi, hg.o, hg.h.identity
+    checks = {name: CheckResult(True) for name in AXIOM_NAMES}
+    if "neutral" in found:
+        a, = found["neutral"]
+        checks["P1"] = CheckResult(False, (o, a), f"xi[{o}][{a}] = {xi[o, a]}, expected {a}")
+    elif "columns" in found:
+        a, = found["columns"]
+        col = xi[:, a].tolist()   # its first repeated value, at rows y < x
+        x = next(x for x, v in enumerate(col) if v in col[:x])
+        y = col.index(col[x])
+        checks["P1"] = CheckResult(False, (y, x, a), f"xi[{y}][{a}] = xi[{x}][{a}] = {col[x]}")
+    if "unit" in found:
+        a, = found["unit"]
+        checks["P2"] = CheckResult(False, (a,), f"phi[{a}][{eps}] = {phi[a, eps]}, expected {a}")
+    elif "P2" in found:
+        checks["P2"] = CheckResult(False, found["P2"], "phi[phi[{0}][{1}]][{2}] != "
+                                   "phi[{0}][{1}*{2}]".format(*found["P2"]))
+    if "image" in found:
+        b, = found["image"]
+        checks["P3"] = CheckResult(False, (b,), f"{b} not in the image of psi[{o}]")
+    for name, args in (("A1", "a, alpha, beta"), ("A2", "a, b, alpha"),
+                       ("A3", "a, b, alpha"), ("A4", "a, b, c"), ("A5", "a, b, c")):
+        if name in found:
+            w = found[name]
+            checks[name] = CheckResult(False, w, f"{name} fails at ({args}) = {w}")
+    return Report(checks, "axioms")
 
 
 def _group_generators(ht: np.ndarray, eps: int) -> list[int] | None:
@@ -731,7 +730,7 @@ def is_group_quasigroup(hg: HypergroupOverGroup) -> bool:
         return False
     if (np.sort(np.vstack((xi, xi.T)), axis=1) == np.arange(hg.m_size)).all():
         return True  # every row and every column is a permutation
-    if verify_axioms(hg).checks["P1"].ok:
+    if not _failures(_Relations([hg]), ("neutral", "columns"))[0]:  # P1 holds
         raise InternalInconsistencyError(
             "xi is associative and P1 holds but (M, xi) is not a group"
         )

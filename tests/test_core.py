@@ -593,7 +593,9 @@ class TestVerifyAxiomsBatch:
         for hg, report in zip(hgs, reports):
             assert results(report) == loop_oracles.verify_axioms(hg)
 
-    def test_verify_axioms_runs_on_failures_only(self):
+    def test_failures_take_witnesses_from_their_masks(self):
+        # items within the block never re-enter verify_axioms: a failing
+        # item's witnesses come from its own masks
         g = group_from_spec("D4")
         h = subgroup_from_elements(g, [0, 4])
         hgs = standard_constructions(g, h, sample_transversals(g, h))
@@ -601,8 +603,10 @@ class TestVerifyAxiomsBatch:
         hgs[9] = with_cell(hgs[9], "xi", 0, 1, 0)
         with mock.patch.object(core, "verify_axioms", wraps=core.verify_axioms) as spy:
             reports = verify_axioms_batch(hgs)
-        assert [call.args[0] for call in spy.call_args_list] == [hgs[3], hgs[9]]
+        assert spy.call_count == 0
         assert [i for i, r in enumerate(reports) if not r.overall] == [3, 9]
+        for i in (3, 9):
+            assert results(reports[i]) == loop_oracles.verify_axioms(hgs[i])
         assert reports[0].to_dict() == verify_axioms(hgs[0]).to_dict()
         assert reports[0] is not reports[1]
         assert reports[0].checks["P1"] is not reports[1].checks["P1"]
@@ -612,9 +616,35 @@ class TestVerifyAxiomsBatch:
         h = subgroup_from_elements(g, [0])
         hgs = standard_constructions(g, h, sample_transversals(g, h)) * 3
         with mock.patch.object(_util, "BLOCK_CELLS", 8 ** 3 - 1), \
-                mock.patch.object(core, "verify_axioms", wraps=core.verify_axioms) as spy:
+                mock.patch.object(core, "_scan_axioms", wraps=core._scan_axioms) as scan, \
+                mock.patch.object(core, "_failures", wraps=core._failures) as full:
             reports = verify_axioms_batch(hgs)
-        assert spy.call_count == 3 and all(r.overall for r in reports)
+        assert [call.args[0] for call in scan.call_args_list] == hgs
+        # only the checks linear in |M| and |H| are evaluated in full
+        assert {tuple(call.args[1]) for call in full.call_args_list} == {
+            ("neutral", "columns", "unit", "image")}
+        assert all(r.overall for r in reports)
+
+    def test_block_splitting_the_cubes(self):
+        # |M| = 3 over |H| = 4 at 27 cells: the |M|^3 cube fits the block,
+        # the |M||H|^2 one does not, so both entry points scan
+        g = group_from_spec("D6")
+        h = subgroup_from_elements(g, [0, 3, 6, 9])
+        hg = standard_construction(g, h, sample_transversals(g, h, cap=1)[0])
+        hgs = [hg] + [with_cell(hg, name, i, j, v) for name in TABLES
+                      for i, j in np.ndindex(getattr(hg, name).shape)
+                      for v in range(4 if name in ("psi", "lam") else 3)
+                      if v != getattr(hg, name)[i, j]]
+        with mock.patch.object(_util, "BLOCK_CELLS", 27):
+            assert 3 ** 3 == _util.BLOCK_CELLS < 3 * 4 * 4
+            assert core._items_per_block(3, 4) == 0
+            singles = [verify_axioms(x) for x in hgs]
+            batch = verify_axioms_batch(hgs)
+        expected = [loop_oracles.verify_axioms(x) for x in hgs]
+        assert expected[0] == {name: (True, None, "") for name in AXIOM_NAMES}
+        assert sum(all(ok for ok, _, _ in e.values()) for e in expected) < len(hgs) // 2
+        assert [results(r) for r in singles] == expected
+        assert [results(r) for r in batch] == expected
 
     def test_empty_and_mixed_batches(self):
         assert verify_axioms_batch([]) == []
@@ -1252,9 +1282,9 @@ def broken_normal_case(g, h):
 def report_dumps(kind, spec):
     """canonical_dumps of the to_dict() of every report in one case:
     check_normal_case on each normal subgroup of the group, capped,
-    uncapped and broken, or check_derived_identities on the first four
-    transversals of each subgroup, unedited and with cell (|M|-1, 0) of
-    each table set to 0."""
+    uncapped and broken, or check_derived_identities ("identities") or
+    verify_axioms ("axioms") on the first four transversals of each
+    subgroup, unedited and with cell (|M|-1, 0) of each table set to 0."""
     g = group_from_spec(spec)
     if kind == "normal":
         dicts = [report.to_dict()
@@ -1263,22 +1293,25 @@ def report_dumps(kind, spec):
                                 check_normal_case(g, h, seed=1),
                                 broken_normal_case(g, h))]
     else:
+        check = check_derived_identities if kind == "identities" else verify_axioms
         dicts = []
         for h in enumerate_subgroups(g):
             for t in enumerate_transversals(g, h, limit=4):
                 hg = standard_construction(g, h, t)
-                dicts.append(check_derived_identities(hg).to_dict())
-                dicts += [
-                    check_derived_identities(
-                        with_cell(hg, name, hg.m_size - 1, 0, 0)).to_dict()
-                    for name in TABLES
-                ]
+                dicts.append(check(hg).to_dict())
+                dicts += [check(with_cell(hg, name, hg.m_size - 1, 0, 0)).to_dict()
+                          for name in TABLES]
     return canonical_dumps(dicts)
 
 
 # sha256 of report_dumps, taken before the named-check report classes
-# were merged into one Report
+# were merged into one Report; the "axioms" ones before the batch and
+# single axiom checks were merged into one set of masks
 FROZEN_REPORTS = {
+    ("axioms", "S3"):
+        "154a60ac53563c6c0d3491869f9f21c8007f92bc05bf56c153ccb3702bb24931",
+    ("axioms", "D4"):
+        "8c889368dc6156e61d213acf9a3b1c7fd2032ab69ae8d3f84c883901d9d97365",
     ("identities", "S3"):
         "8ed2a1dd0a2890eb1318a8e025758253c82980847d9c15db6338f51bb640e709",
     ("identities", "D4"):
