@@ -91,6 +91,7 @@ from .groups import (
     CosetDecomposition,
     FiniteGroup,
     Subgroup,
+    automorphisms,
     builtin_groups,
     cyclic_group,
     dihedral_group,

@@ -3,8 +3,10 @@
 Two sources feed the same catalog type: sweep_standard runs the
 standard construction over builtin groups, subgroups and transversals;
 enumerate_abstract searches the defining axioms directly over tables
-at tiny sizes. Entries are deduplicated by isomorphism with stored
-certificates, so "same class" claims stay machine-checkable.
+at tiny sizes. Entries are deduplicated by isomorphism, the sweep's by
+an orbit key of the ambient group's automorphisms and the abstract
+ones by search, and every entry carries a certificate onto its class
+representative, so "same class" claims stay machine-checkable.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import canonical_dumps
+from ._util import BLOCK_CELLS, canonical_dumps
 from .core import (
     HypergroupOverGroup,
     hypergroup_from_tables,
@@ -29,8 +31,8 @@ from .core import (
     verify_axioms_batch,
 )
 from .errors import InternalInconsistencyError, SizeLimitExceededError
-from .groups import (FiniteGroup, builtin_groups, element_orders, enumerate_subgroups,
-                     group_isomorphisms)
+from .groups import (FiniteGroup, Subgroup, automorphisms, builtin_groups, element_orders,
+                     enumerate_subgroups, group_isomorphism, group_isomorphisms)
 from .morphisms import HgMorphism, _element_keys, find_isomorphism
 from .transversals import DEFAULT_SAMPLE_CAP, sample_transversals
 
@@ -41,12 +43,31 @@ MAX_ABSTRACT_H = 3
 
 @dataclass
 class CatalogEntry:
+    """One catalogued hypergroup and its class. An entry made with _rep,
+    the representative of its class, finds iso_to_rep on first read."""
+
     hypergroup: HypergroupOverGroup
     provenance: str
     class_id: int
-    iso_to_rep: HgMorphism | None  # None for the representative itself
+    _iso: HgMorphism | None  # iso_to_rep, once known
     xi_is_group: bool
     xi_commutative: bool
+    _rep: HypergroupOverGroup | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def iso_to_rep(self) -> HgMorphism | None:
+        """An isomorphism onto the class representative, None for the
+        representative itself; for an entry made with _rep, the
+        find_isomorphism(hypergroup, _rep) certificate, searched once."""
+        if self._rep is not None:
+            iso = find_isomorphism(self.hypergroup, self._rep)
+            if iso is None:
+                raise InternalInconsistencyError(
+                    f"{self.provenance} shares the orbit key of class "
+                    f"{self.class_id} but is not isomorphic to its representative"
+                )
+            self._iso, self._rep = iso, None
+        return self._iso
 
 
 class _Isomorphisms:
@@ -86,13 +107,22 @@ class _Isomorphisms:
 
 @dataclass
 class Catalog:
-    """Entries deduplicated by isomorphism: find_isomorphism runs only
-    against the class representatives sharing the entry's _invariant_key,
-    in class-id order, so a finer key only removes calls that would miss.
-    The _element_keys of the entry and of each representative are
-    computed once and handed to the search, and so are the isomorphisms
-    between the entry's H and the representative's, listed lazily once
-    per pair of H tables (an _Isomorphisms)."""
+    """Entries deduplicated by isomorphism, by one of two paths; a
+    catalog takes all its entries by one of them.
+
+    insert searches: find_isomorphism runs only against the class
+    representatives sharing the entry's _invariant_key, in class-id
+    order, so a finer key only removes calls that would miss. The
+    _element_keys of the entry and of each representative are computed
+    once and handed to the search, and so are the isomorphisms between
+    the entry's H and the representative's, listed lazily once per pair
+    of H tables (an _Isomorphisms).
+
+    insert_keyed takes the class from a complete isomorphism invariant
+    (sweep_standard's orbit keys) and searches nothing: the first entry
+    of a key represents its class, and the others find their
+    certificates when iso_to_rep is first read.
+    """
 
     entries: list[CatalogEntry] = field(default_factory=list)
     class_reps: list[HypergroupOverGroup] = field(default_factory=list)
@@ -101,6 +131,7 @@ class Catalog:
     _h_ids: dict = field(default_factory=dict, repr=False)  # (H table, identity) -> id
     _rep_h: list = field(default_factory=list, repr=False)  # H id of each rep
     _h_isos: dict = field(default_factory=dict, repr=False)  # (H id, H id) -> _Isomorphisms
+    _keyed: dict = field(default_factory=dict, repr=False)  # key -> (class id, flags)
 
     def insert(self, hg: HypergroupOverGroup, provenance: str) -> CatalogEntry:
         keys = _element_keys(hg)
@@ -129,6 +160,22 @@ class Catalog:
         self.entries.append(entry)
         return entry
 
+    def insert_keyed(self, hg: HypergroupOverGroup, provenance: str, key) -> CatalogEntry:
+        """Insert hg into the class of key, a value that two hypergroups
+        share exactly when they are isomorphic. xi_is_group and
+        xi_commutative are isomorphism invariants, computed once per
+        class."""
+        known = self._keyed.get(key)
+        if known is None:
+            known = self._keyed[key] = (len(self.class_reps), _xi_flags(hg))
+            self.class_reps.append(hg)
+            rep = None
+        else:
+            rep = self.class_reps[known[0]]
+        entry = CatalogEntry(hg, provenance, known[0], None, *known[1], rep)
+        self.entries.append(entry)
+        return entry
+
     def stats(self) -> dict[tuple, int]:
         """Entry counts keyed by (|M|, |H|, xi is a group, xi commutative)."""
         out: dict[tuple, int] = {}
@@ -141,6 +188,11 @@ class Catalog:
     @property
     def n_classes(self) -> int:
         return len(self.class_reps)
+
+
+def _xi_flags(hg: HypergroupOverGroup) -> tuple[bool, bool]:
+    """Whether xi is a group, and whether it is commutative."""
+    return is_group_quasigroup(hg), bool((hg.xi == hg.xi.T).all())
 
 
 def _invariant_key(hg: HypergroupOverGroup, keys: list[tuple]) -> tuple:
@@ -176,8 +228,7 @@ def _invariant_key(hg: HypergroupOverGroup, keys: list[tuple]) -> tuple:
         hg.m_size,
         hg.h.order,
         tuple(sorted(hc)),
-        is_group_quasigroup(hg),
-        bool((hg.xi == hg.xi.T).all()),
+        *_xi_flags(hg),
         tuple(sorted(keys)),
         bool((hg.psi == np.arange(hg.h.order)).all()),
         bool((hg.lam == hg.h.identity).all()),
@@ -194,17 +245,48 @@ def sweep_standard(
     triple up to the order bound, sampling transversals past the cap.
     The transversals of each (G, H) are built by one
     standard_constructions call and checked by one verify_axioms_batch
-    call, then inserted in order."""
+    call, then inserted in order by orbit key (Catalog.insert_keyed), so
+    the sweep runs no isomorphism search.
+
+    The key rests on this: the hypergroups of (G, H, T) and (G', H', T')
+    are isomorphic iff some group isomorphism F : G -> G' has F(H) = H'
+    and F(T) = T' as sets.
+    - Given F, it maps the factorization a*al = psi(a, al)*phi(a, al),
+      and a*b = lam(a, b)*xi(a, b), with its H part in H' and its T part
+      in T', so by the uniqueness of the factorization in G' its
+      restrictions (f0, f1) to H and T commute with phi, psi, xi and lam:
+      a hypergroup isomorphism.
+    - Given an isomorphism (f0, f1), let F(al*a) = f0(al)*f1(a) for al in
+      H and a in T, a bijection by the unique H x M factorization of G and
+      G'. It is a homomorphism because the product of G, written on
+      H x M, is (al, a)(be, b) = (al*psi(a, be)*lam(a^be, b), xi(a^be, b))
+      with a^be = phi(a, be), built from the group law of H and the four
+      tables, which (f0, f1) carries over. F(T) = F(eps*T) = f1(T) = T'.
+      P1 makes o the only left neutral of xi, so f1(o) = o', and as o is
+      in H, F(H) = F(H*o) = f0(H)*o' = H'.
+    So the classes over the groups isomorphic to G0, the first builtin
+    of their order isomorphic to G, are the Aut(G0)-orbits on pairs
+    (H, T), once each G is mapped onto G0 by one isomorphism. The key of
+    (G, H, T) is (G0's name, the least bitmask of F(H), the least bitmask
+    of F(T) over the F that reach that least H), with F ranging over the
+    isomorphisms G -> G0: a function of the orbit, and equal keys give
+    one orbit. The first entry of a key represents its class, as the
+    first entry found isomorphic to none before it did with the search,
+    so class ids, representatives and exports are unchanged.
+    """
     if max_group_order > MAX_SWEEP_ORDER:
         raise SizeLimitExceededError(
             f"standard sweep capped at order {MAX_SWEEP_ORDER}"
         )
     catalog = Catalog()
+    bases: dict[int, list] = {}
     for group in builtin_groups(max_group_order):
+        base, maps = _canonical_isomorphisms(group, bases)
         for h in enumerate_subgroups(group):
             ts = sample_transversals(group, h, cap=transversal_cap, seed=seed)
             hgs = standard_constructions(group, h, ts)
-            for t, hg, report in zip(ts, hgs, verify_axioms_batch(hgs)):
+            keys = _orbit_keys(maps, h, ts)
+            for t, hg, report, key in zip(ts, hgs, verify_axioms_batch(hgs), keys):
                 if not report.overall:
                     raise InternalInconsistencyError(
                         f"standard construction failed axioms "
@@ -216,8 +298,50 @@ def sweep_standard(
                     ",".join(map(str, h.elements)),
                     ",".join(map(str, t.reps)),
                 )
-                catalog.insert(hg, provenance)
+                catalog.insert_keyed(hg, provenance, (base, *key))
     return catalog
+
+
+# _BIT[x] = 1 << x: a subset of a group of order <= MAX_SWEEP_ORDER as a
+# uint32 bitmask
+_BIT = 1 << np.arange(MAX_SWEEP_ORDER, dtype=np.uint32)
+
+
+def _canonical_isomorphisms(group: FiniteGroup, bases: dict[int, list]) -> tuple[str, np.ndarray]:
+    """The name of G0, the first of bases isomorphic to group, and every
+    isomorphism group -> G0 as a row of a uint8 array. bases maps an
+    order to its canonical groups so far, each with its automorphisms;
+    group joins them when none is isomorphic to it."""
+    known = bases.setdefault(group.order, [])
+    for base, auts in known:
+        to_base = group_isomorphism(group, base)
+        if to_base is not None:
+            return base.name, auts[:, to_base]
+    auts = automorphisms(group)
+    known.append((group, auts))
+    return group.name, auts
+
+
+def _orbit_keys(maps: np.ndarray, h: Subgroup, ts) -> list[tuple[int, int]]:
+    """The (H, T) part of the orbit key (sweep_standard) of each
+    transversal T of h: the least mask of F(H) over the rows F of maps,
+    and the least mask of F(T) over the rows that reach it. Masks are
+    ORed one element at a time, for as many T at a time as keep each
+    temporary within BLOCK_CELLS cells."""
+    h_masks = np.zeros(len(maps), dtype=np.uint32)
+    for x in h.elements:
+        h_masks |= _BIT[maps[:, x]]
+    h_key = h_masks.min()
+    stab = maps[h_masks == h_key]
+    reps = np.array([t.reps for t in ts], dtype=np.intp)
+    step = max(1, BLOCK_CELLS // len(stab))
+    t_keys = []
+    for lo in range(0, len(reps), step):
+        t_masks = np.zeros((len(stab), len(reps[lo:lo + step])), dtype=np.uint32)
+        for column in reps[lo:lo + step].T:
+            t_masks |= _BIT[stab[:, column]]
+        t_keys.append(t_masks.min(axis=0))
+    return [(int(h_key), t_key) for t_key in np.concatenate(t_keys).tolist()]
 
 
 def _xi_candidates(m: int):

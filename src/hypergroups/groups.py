@@ -448,19 +448,27 @@ def subgroup_closure(group: FiniteGroup, generators) -> Subgroup:
             raise IndexOutOfRangeError(
                 f"generator {g} outside [0, {group.order})"
             )
-    members = {group.identity}
-    frontier = [group.identity]
-    gens = gens or []
-    # closure under product by generators; inverses come for free in a
-    # finite group since <S> = set of words in S
+    return _subgroup_of_mask(group, _closure_mask(group, gens))
+
+
+def _closure_mask(group: FiniteGroup, gens: list[int]) -> int:
+    """<gens> as a bitmask over the elements: the closure of the identity
+    under right multiplication by gens, which in a finite group is the
+    subgroup they generate (inverses are positive powers)."""
+    t, e = group.table, group.identity
+    mask, frontier = 1 << e, [e]
     while frontier:
         x = frontier.pop()
-        for g in gens:
-            for y in (group.table[x][g], group.table[g][x]):
-                if y not in members:
-                    members.add(y)
-                    frontier.append(y)
-    return Subgroup(parent=group, elements=tuple(sorted(members)))
+        for y in map(t[x].__getitem__, gens):
+            if not mask >> y & 1:
+                mask |= 1 << y
+                frontier.append(y)
+    return mask
+
+
+def _subgroup_of_mask(group: FiniteGroup, mask: int) -> Subgroup:
+    return Subgroup(parent=group, elements=tuple(x for x in range(group.order)
+                                                 if mask >> x & 1))
 
 
 def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
@@ -484,42 +492,34 @@ def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
 def enumerate_subgroups(group: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> list[Subgroup]:
     """All subgroups, each once, sorted by size then lexicographically.
 
-    BFS over closures: every subgroup arises by adjoining one element at
-    a time, so extending each known subgroup by each outside element
-    reaches all of them.
+    Every subgroup is the join of the cyclic subgroups of its elements,
+    so joining each subgroup found with each cyclic subgroup it does not
+    contain, from the trivial one on, reaches all of them. Subgroups are
+    bitmasks over the elements, and a join is the _closure_mask of the
+    generators met on the way.
     """
     if group.order > bound:
         raise SizeLimitExceededError(
             f"subgroup enumeration capped at order {bound}"
         )
-    trivial = frozenset({group.identity})
-    seen = {trivial}
+    cyclic: dict[int, int] = {}   # mask -> a generator
+    for x in range(group.order):
+        cyclic.setdefault(_closure_mask(group, [x]), x)
+    trivial = 1 << group.identity
+    found = {trivial: []}   # mask -> generators
     frontier = [trivial]
     while frontier:
-        current = frontier.pop()
-        for x in range(group.order):
-            if x in current:
-                continue
-            closure = _close(group, current | {x})
-            if closure not in seen:
-                seen.add(closure)
-                frontier.append(closure)
-    out = [Subgroup(parent=group, elements=tuple(sorted(s))) for s in seen]
+        k = frontier.pop()
+        for c, x in cyclic.items():
+            if c & ~k:
+                gens = found[k] + [x]
+                j = _closure_mask(group, gens)
+                if j not in found:
+                    found[j] = gens
+                    frontier.append(j)
+    out = [_subgroup_of_mask(group, mask) for mask in found]
     out.sort(key=lambda h: (len(h.elements), h.elements))
     return out
-
-
-def _close(group: FiniteGroup, seed: frozenset[int]) -> frozenset[int]:
-    members = set(seed)
-    frontier = list(seed)
-    while frontier:
-        x = frontier.pop()
-        for y in tuple(members):
-            for z in (group.table[x][y], group.table[y][x]):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
-    return frozenset(members)
 
 
 def is_normal(subgroup: Subgroup) -> bool:
@@ -683,6 +683,55 @@ def group_isomorphism(g1: FiniteGroup, g2: FiniteGroup, bound: int = DEFAULT_ISO
     for f in group_isomorphisms(g1, g2, bound=bound):
         return f
     return None
+
+
+def automorphisms(group: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> np.ndarray:
+    """Every automorphism of group, one per row of a read-only uint8
+    array of shape (|Aut(G)|, n) in lexicographic row order, the order
+    group_isomorphisms(group, group) yields them in.
+
+    Built one greedy right generator s_1, s_2, ... (_right_generators)
+    at a time. The rows of level i are the injective homomorphisms from
+    K_i = <s_1, ..., s_i> into G: every row of level i - 1, extended by
+    each image of s_i of the same element order, is carried along a
+    spanning tree of K_i's right Cayley graph from the identity by
+    f(x * s) = f(x) * f(s). A row stays if the other edges of the graph
+    agree and no element but the identity maps to the identity. Every
+    element of K_i is a word in the generators, so a map with
+    f(x * s) = f(x) * f(s) on every edge is a homomorphism; with a
+    trivial kernel it is injective, and at the last level, where K_i is
+    G, bijective.
+    """
+    n = group.order
+    if n > bound:
+        raise SizeLimitExceededError(f"automorphism listing capped at order {bound}")
+    t, e = group.table, group.identity
+    tn = group.np_table()
+    orders = np.array(element_orders(group))
+    gens: list[int] = []
+    f = np.full((n, 1), e, dtype=np.uint8)   # f[x, row]: the image of x
+    for s in _right_generators(tn):
+        gens.append(s)
+        images = np.flatnonzero(orders == orders[s])
+        f = np.repeat(f, len(images), axis=1)
+        f[s] = np.tile(images, f.shape[1] // len(images))
+        reached, keep = [e], np.ones(f.shape[1], dtype=bool)
+        seen = {e}
+        for x in reached:
+            for g in gens:
+                z = t[x][g]
+                image = tn[f[x], f[g]]
+                if z in seen:
+                    keep &= f[z] == image
+                else:
+                    seen.add(z)
+                    reached.append(z)
+                    f[z] = image
+                    keep &= image != e
+        f = f[:, keep]
+    rows = np.ascontiguousarray(f.T[np.lexsort(f[::-1])])
+    rows.flags.writeable = False
+    return rows
 
 
 def group_to_json(group: FiniteGroup) -> dict:

@@ -3,15 +3,17 @@
 Each function here is the straightforward scan the library's numpy code
 must agree with: same check order, same first witness in scan order.
 They are slow (q^3 Python steps) and only tests import them. The last
-six are other routes to library answers kept as references: the group
+eight are other routes to library answers kept as references: the group
 test on xi, the abstract lambda search without pruning, the direct
-product's table and the normal case checked one transversal at a time,
-all earlier versions of library code, and two characterizations of a
-right transversal.
+product's table, the normal case checked one transversal at a time and
+the subgroup BFS over frozensets, all earlier versions of library code,
+Aut(G) by the isomorphism search, and two characterizations of a right
+transversal.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 
 import numpy as np
@@ -21,8 +23,8 @@ from hypergroups import (AlgebraError, FiniteField, InternalInconsistencyError,
                          NotClosedError, group_from_cayley_table, make_field)
 from hypergroups import core
 from hypergroups._util import CheckResult, Report, first_mismatch
-from hypergroups.groups import (first_nonassociative, group_isomorphism, quotient_group,
-                                right_cosets)
+from hypergroups.groups import (Subgroup, first_nonassociative, group_isomorphism,
+                                group_isomorphisms, quotient_group, right_cosets)
 from hypergroups.transversals import sample_transversals
 
 
@@ -533,6 +535,46 @@ def check_normal_case(group, h, transversal_cap=10_000, seed=0):
     info = {"group": group.name, "subgroup": list(h.elements),
             "transversals_checked": len(transversals)}
     return Report(checks, info=info)
+
+
+def enumerate_subgroups(group):
+    """groups.enumerate_subgroups by BFS over closures: every subgroup
+    arises by adjoining one element at a time, so extending each known
+    subgroup by each outside element reaches all of them."""
+    def close(seed):
+        members = set(seed)
+        frontier = list(seed)
+        while frontier:
+            x = frontier.pop()
+            for y in tuple(members):
+                for z in (group.table[x][y], group.table[y][x]):
+                    if z not in members:
+                        members.add(z)
+                        frontier.append(z)
+        return frozenset(members)
+
+    trivial = frozenset({group.identity})
+    seen = {trivial}
+    frontier = [trivial]
+    while frontier:
+        current = frontier.pop()
+        for x in range(group.order):
+            if x in current:
+                continue
+            closure = close(current | {x})
+            if closure not in seen:
+                seen.add(closure)
+                frontier.append(closure)
+    out = [Subgroup(parent=group, elements=tuple(sorted(s))) for s in seen]
+    out.sort(key=lambda h: (len(h.elements), h.elements))
+    return out
+
+
+@functools.cache
+def automorphisms(group):
+    """Aut(group) as group_isomorphisms(group, group) lists it, as a tuple
+    of tuples, searched once per group for every test that needs it."""
+    return tuple(map(tuple, group_isomorphisms(group, group)))
 
 
 def bijection_characterization(group, h, candidate):

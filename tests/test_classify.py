@@ -12,8 +12,13 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +31,15 @@ from hypergroups import (
     enumerate_subgroups,
     find_isomorphism,
     group_from_spec,
+    group_isomorphism,
     group_isomorphisms,
     hypergroup_from_json,
     hypergroup_from_tables,
+    make_transversal,
+    right_cosets,
     sample_transversals,
     standard_construction,
+    subgroup_from_elements,
     verify_axioms,
     verify_morphism,
 )
@@ -71,6 +80,11 @@ def oracle_partition(hypergroups):
 class TestCatalogDedup:
     def test_matches_oracle_on_sweep4(self):
         cat = sweep_standard(4)
+        hgs = [e.hypergroup for e in cat.entries]
+        assert [e.class_id for e in cat.entries] == oracle_partition(hgs)
+
+    def test_matches_oracle_on_a_seeded_sample(self):
+        cat = sweep_standard(12, transversal_cap=3, seed=7)
         hgs = [e.hypergroup for e in cat.entries]
         assert [e.class_id for e in cat.entries] == oracle_partition(hgs)
 
@@ -285,10 +299,27 @@ class TestInsertDirect:
                 mock.patch.object(morphisms, "_element_keys") as search_keys, \
                 mock.patch.object(classify, "find_isomorphism",
                                   wraps=morphisms.find_isomorphism) as search:
-            cat = sweep_standard(8)
-        assert keys.call_count == len(cat.entries) == 701
+            cat = enumerate_abstract(3, group_from_spec("Z3"))
+        assert keys.call_count == len(cat.entries) == 27
         assert search.call_count > len(cat.entries) - cat.n_classes
         assert not search_keys.called
+
+    def test_sweep_searches_only_when_a_certificate_is_read(self):
+        with mock.patch.object(classify, "find_isomorphism",
+                               wraps=morphisms.find_isomorphism) as search, \
+                mock.patch.object(classify, "group_isomorphisms") as h_isos:
+            cat = sweep_standard(8)
+            assert not search.called
+            entry = next(e for e in cat.entries
+                         if e.hypergroup is not cat.class_reps[e.class_id])
+            iso = entry.iso_to_rep
+            assert entry.iso_to_rep is iso
+            assert search.call_count == 1
+            assert search.call_args.args == (entry.hypergroup,
+                                             cat.class_reps[entry.class_id])
+        assert not h_isos.called
+        assert all(e.iso_to_rep is None for e in cat.entries
+                   if e.hypergroup is cat.class_reps[e.class_id])
 
     def test_certificates_equal_fresh_searches(self):
         # the shared H-isomorphism lists hand every search the f0s, in
@@ -303,11 +334,10 @@ class TestInsertDirect:
     def test_h_isomorphisms_searched_once_per_pair(self):
         with mock.patch.object(classify, "group_isomorphisms",
                                wraps=classify.group_isomorphisms) as runs:
-            cat = sweep_standard(8)
+            cat = enumerate_abstract(3, group_from_spec("Z3"))
         pairs = [(run.args[0].table, run.args[1].table) for run in runs.call_args_list]
         assert len(pairs) == len(set(pairs)) == len(cat._h_isos)
         assert len(pairs) < len(cat.entries) - cat.n_classes
-
 
     def test_a_failing_construction_stops_the_sweep(self):
         # the batch reports the first failing entry as the sweep always did
@@ -329,6 +359,97 @@ class TestInsertDirect:
         h, t, failing = seen[0]
         assert str(ei.value) == (f"standard construction failed axioms {failing} for "
                                  f"G=D4, H={list(h.elements)}, M={list(t.reps)}")
+
+def burnside_classes(max_order):
+    """The classes of an exhaustive sweep_standard(max_order), counted by
+    Burnside's lemma with no catalog: they are the Aut(G)-orbits on pairs
+    (H, T), summed over the builtin G up to isomorphism, and the orbits
+    of one G number the mean over sigma in Aut(G), here listed by
+    group_isomorphisms, of the pairs sigma fixes. sigma fixes (H, T) iff
+    sigma(H) = H and sigma(T) = T. sigma then permutes the right cosets
+    of H, and a fixed T takes, on each cycle of cosets, some x of its
+    first coset with sigma^k(x) = x, k the cycle's length, and the
+    images of x on the rest. All the sigma fixing H are walked at once,
+    for j = 1, ..., m, as sigma^j on G and on the m cosets."""
+    total = 0
+    seen = []
+    for g in builtin_groups(max_order):
+        if any(group_isomorphism(g, other) is not None for other in seen):
+            continue
+        seen.append(g)
+        auts = np.array(loop_oracles.automorphisms(g), dtype=np.uint8)
+        fixed = 0
+        for h in enumerate_subgroups(g):
+            inside = np.zeros(g.order, dtype=bool)
+            inside[list(h.elements)] = True
+            sigma = auts[inside[auts[:, list(h.elements)]].all(axis=1)]
+            dec = right_cosets(g, h)
+            cosets, m = np.array(dec.cosets), len(dec.cosets)
+            perm = np.array(dec.coset_of, dtype=np.uint8)[sigma[:, cosets[:, 0]]]
+            counts = np.zeros(perm.shape, dtype=np.uint8)
+            closed = np.zeros(perm.shape, dtype=bool)
+            least = perm
+            power, perm_power = sigma, perm
+            for _ in range(m):
+                closes = (perm_power == np.arange(m)) & ~closed
+                counts[closes] = (power[:, cosets] == cosets).sum(axis=2, dtype=np.uint8)[closes]
+                closed |= closes
+                least = np.minimum(least, perm_power)
+                power = np.take_along_axis(sigma, power, axis=1)
+                perm_power = np.take_along_axis(perm, perm_power, axis=1)
+            assert closed.all()
+            fixed += int(np.where(least == np.arange(m), counts, 1)
+                         .prod(axis=1, dtype=np.int64).sum())
+        assert fixed % len(auts) == 0
+        total += fixed // len(auts)
+    return total
+
+
+class TestOrbitKeys:
+    def test_burnside_count_equals_the_sweep(self):
+        # the order-16 catalog holds 42,136 hypergroups; a child process
+        # builds them, so that this one stays small for the tests that
+        # read the peak memory of the children they start
+        code = ("from hypergroups.classify import sweep_standard\n"
+                "print([sweep_standard(n).n_classes for n in (8, 12, 16)])\n")
+        env = dict(os.environ)
+        src = str(Path(classify.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        swept = json.loads(proc.stdout)
+        assert [burnside_classes(n) for n in (8, 12, 16)] == swept == [137, 457, 1543]
+
+    def test_isomorphic_builtins_share_a_class(self):
+        # Z2xZ12 comes first by name, so it is Z4xZ6's canonical builtin
+        g12, g6 = group_from_spec("Z2xZ12"), group_from_spec("Z4xZ6")
+        bases = {}
+        name12, maps12 = classify._canonical_isomorphisms(g12, bases)
+        name6, maps6 = classify._canonical_isomorphisms(g6, bases)
+        assert name12 == name6 == "Z2xZ12" and len(bases[24]) == 1
+        f = group_isomorphism(g6, g12)
+        h6 = next(h for h in enumerate_subgroups(g6) if h.order == 4)
+        ts6 = sample_transversals(g6, h6, cap=3, seed=2)
+        h12 = subgroup_from_elements(g12, [f[x] for x in h6.elements])
+        ts12 = [make_transversal(g12, h12, [f[x] for x in t.reps]) for t in ts6]
+        keys = ([(name12, *k) for k in classify._orbit_keys(maps12, h12, ts12)]
+                + [(name6, *k) for k in classify._orbit_keys(maps6, h6, ts6)])
+        hgs = ([standard_construction(g12, h12, t) for t in ts12]
+               + [standard_construction(g6, h6, t) for t in ts6])
+        cat = Catalog()
+        entries = [cat.insert_keyed(hg, str(i), key)
+                   for i, (hg, key) in enumerate(zip(hgs, keys))]
+        for e12, e6 in zip(entries[:3], entries[3:]):
+            assert e6.class_id == e12.class_id
+            iso = e6.iso_to_rep
+            assert iso.source is e6.hypergroup
+            assert iso.target is cat.class_reps[e6.class_id]
+            assert verify_morphism(iso).ok
+        # equal keys exactly where an isomorphism exists
+        for a, b in itertools.combinations(range(6), 2):
+            assert (keys[a] == keys[b]) == (find_isomorphism(hgs[a], hgs[b]) is not None)
+
 
 class TestIsomorphismList:
     def test_listed_lazily_in_order(self):

@@ -32,6 +32,7 @@ from hypergroups import (
     SizeLimitExceededError,
     Subgroup,
     UnknownSpecError,
+    automorphisms,
     builtin_groups,
     cyclic_group,
     dihedral_group,
@@ -130,6 +131,16 @@ def oracle_isomorphisms(g1, g2):
         ):
             out.append(list(f))
     return out
+
+
+def relabelled(group, perm):
+    """group with each element x renamed perm[x]."""
+    n = group.order
+    inv = [0] * n
+    for x, y in enumerate(perm):
+        inv[y] = x
+    return group_from_cayley_table(
+        [[perm[group.table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)])
 
 
 @st.composite
@@ -705,6 +716,17 @@ class TestSubgroups:
         assert got == oracle_subgroups(g)
         assert len(got) == 6  # {e}, three order-2, one order-3, S3
 
+    @pytest.mark.parametrize("g", builtin_groups(24), ids=lambda g: g.name)
+    def test_enumerate_matches_closure_bfs(self, g):
+        assert ([h.elements for h in enumerate_subgroups(g)]
+                == [h.elements for h in loop_oracles.enumerate_subgroups(g)])
+
+    def test_enumerate_with_the_identity_elsewhere(self):
+        g = relabelled(group_from_spec("D4"), [5, 2, 7, 0, 3, 6, 1, 4])
+        assert g.identity == 5
+        assert ([h.elements for h in enumerate_subgroups(g)]
+                == [h.elements for h in loop_oracles.enumerate_subgroups(g)])
+
     def test_lagrange(self):
         for spec in ("Z12", "D4", "Q8", "S3"):
             g = group_from_spec(spec)
@@ -812,6 +834,21 @@ class TestIsomorphisms:
                                            group_from_spec("S3")))) == 6
         assert len(list(group_isomorphisms(group_from_spec("Z2xZ2"),
                                            group_from_spec("Z2xZ2")))) == 6
+
+    @pytest.mark.parametrize("g", builtin_groups(16), ids=lambda g: g.name)
+    def test_automorphisms_equal_the_search(self, g):
+        auts = automorphisms(g)
+        assert auts.dtype == np.uint8 and not auts.flags.writeable
+        assert auts.tolist() == list(map(list, loop_oracles.automorphisms(g)))
+
+    def test_automorphisms_with_the_identity_elsewhere(self):
+        g = relabelled(group_from_spec("Z2xS3"), [4, 9, 0, 11, 2, 7, 1, 10, 3, 6, 8, 5])
+        assert g.identity == 4
+        assert automorphisms(g).tolist() == list(group_isomorphisms(g, g))
+
+    def test_automorphisms_size_cap(self):
+        with pytest.raises(SizeLimitExceededError):
+            automorphisms(cyclic_group(25))
 
     def test_size_cap(self):
         big = cyclic_group(256)
