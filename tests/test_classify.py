@@ -550,3 +550,58 @@ class TestFrozenOutputs:
         assert len(entries) == 701
         assert hashlib.sha256(json.dumps(certificates).encode()).hexdigest() == (
             "63ffb0495dc6e3f6622be7d9bb8c877453ae6263a92930863ea8c6f01cd4df56")
+
+
+def certificate_digest(catalog):
+    """sha256 of each entry's [class_id, [f0, f1]], None for a representative."""
+    certificates = [
+        [e.class_id,
+         None if e.iso_to_rep is None else [e.iso_to_rep.f0, e.iso_to_rep.f1]]
+        for e in catalog.entries
+    ]
+    return hashlib.sha256(json.dumps(certificates).encode()).hexdigest()
+
+
+class TestFrozenAbstractOutputs:
+    """Digests of the abstract catalogs, frozen so that a change of how
+    abstract entries are classified cannot change a byte of the CSV, an
+    export, a certificate or a universality match."""
+
+    @pytest.mark.parametrize("m,spec,csv_sha256,certificates_sha256", [
+        (1, "Z3", "876349b5248409a84fd265e036fa2c77b14973a8843c55420dab7b85d949f9a3",
+         "32f193bbf0a11b8168c48286af84d55c8dc046724982754096437797305b056d"),
+        (2, "Z2", "e57dcc958f4f91c19bdf90119b607b3ce159c9d92d84c256024bace43668f9c0",
+         "b5fcd37698e0796bcf094df4dafb0c5b5dfdafe55682b689031cfe510b86a048"),
+        (2, "Z3", "fe81a7473c76765e419c5209a6b3d2f5beccec3d114f93badbcc1d61cadf38e4",
+         "4d7b2090d101d856bd16115f832d57b77826297d8b9b244b7e884d2fe9339a8d"),
+        (3, "Z2", "47deb5510605fb9c3cb59234917ebea871a2d6905a80131cb9865737f847f262",
+         "a0532d382149f1bfd336236fbb0835761beb2f9c62fa11bd009d166bcd584a5a"),
+        (3, "Z3", "1e72e50aa78c07a8ee1bf4715b731ca9c9679ebc85f512f635ddd282c1db0c28",
+         "70f30570c8125667ea85bdb8717d72ee71c6a4f9c9525136ba0f3e23afde84c4"),
+    ])
+    def test_csv_and_certificates(self, m, spec, csv_sha256, certificates_sha256):
+        cat = enumerate_abstract(m, group_from_spec(spec))
+        assert hashlib.sha256(catalog_csv(cat).encode()).hexdigest() == csv_sha256
+        assert certificate_digest(cat) == certificates_sha256
+
+    def test_export_tree(self, tmp_path):
+        out = tmp_path / "out"
+        export_catalog(enumerate_abstract(3, group_from_spec("Z3")), out)
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == (
+            "f8e01e0a3eaac2a8c163dc3a6def9e8d428549e8ecb1bd213bad6e7708ec58a9")
+
+    def test_universality_matches(self):
+        rep = universality_probe(enumerate_abstract(3, group_from_spec("Z2")),
+                                 sweep_standard(6))
+        standard = [22, 23, 36, 34, 35, 37, 39, 38, 24, 25, 26, 27]
+        assert rep.to_dict() == {"all_matched": True, "matches": [
+            {"abstract_class": i, "matched": True, "standard_class": s}
+            for i, s in enumerate(standard)]}
+        rep = universality_probe(enumerate_abstract(2, group_from_spec("Z2")),
+                                 sweep_standard(2))
+        assert rep.to_dict() == {"all_matched": False, "matches": [
+            {"abstract_class": i, "matched": False, "standard_class": None}
+            for i in range(4)]}
