@@ -3,10 +3,13 @@
 Two sources feed the same catalog type: sweep_standard runs the
 standard construction over builtin groups, subgroups and transversals;
 enumerate_abstract searches the defining axioms directly over tables
-at tiny sizes. Entries are deduplicated by isomorphism, the sweep's by
-an orbit key of the ambient group's automorphisms and the abstract
-ones by search, and every entry carries a certificate onto its class
-representative, so "same class" claims stay machine-checkable.
+at tiny sizes. Both file an entry under the orbit key of its ambient
+group under the automorphisms: a standard construction's (G, H, T)
+itself, an abstract hypergroup's the group its tables define on H x M
+(_ambient). Equal keys mean isomorphic hypergroups, so no entry is
+deduplicated by search, and every entry carries a certificate onto its
+class representative, searched on first read, so "same class" claims
+stay machine-checkable.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +25,7 @@ import numpy as np
 from ._util import BLOCK_CELLS, canonical_dumps
 from .core import (
     HypergroupOverGroup,
+    _product_table,
     hypergroup_from_tables,
     hypergroup_to_json,
     is_group_quasigroup,
@@ -30,10 +33,10 @@ from .core import (
     verify_axioms,
     verify_axioms_batch,
 )
-from .errors import InternalInconsistencyError, SizeLimitExceededError
-from .groups import (FiniteGroup, Subgroup, automorphisms, builtin_groups, element_orders,
-                     enumerate_subgroups, group_isomorphism, group_isomorphisms)
-from .morphisms import HgMorphism, _element_keys, find_isomorphism
+from .errors import AlgebraError, InternalInconsistencyError, SizeLimitExceededError
+from .groups import (FiniteGroup, automorphisms, builtin_groups, element_orders,
+                     enumerate_subgroups, group_from_cayley_table, group_isomorphism)
+from .morphisms import HgMorphism, find_isomorphism
 from .transversals import DEFAULT_SAMPLE_CAP, sample_transversals
 
 MAX_SWEEP_ORDER = 24
@@ -43,16 +46,17 @@ MAX_ABSTRACT_H = 3
 
 @dataclass
 class CatalogEntry:
-    """One catalogued hypergroup and its class. An entry made with _rep,
-    the representative of its class, finds iso_to_rep on first read."""
+    """One catalogued hypergroup and its class. An entry other than the
+    representative of its class, made with _rep, finds iso_to_rep on
+    first read."""
 
     hypergroup: HypergroupOverGroup
     provenance: str
     class_id: int
-    _iso: HgMorphism | None  # iso_to_rep, once known
     xi_is_group: bool
     xi_commutative: bool
     _rep: HypergroupOverGroup | None = field(default=None, repr=False, compare=False)
+    _iso: HgMorphism | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def iso_to_rep(self) -> HgMorphism | None:
@@ -70,109 +74,32 @@ class CatalogEntry:
         return self._iso
 
 
-class _Isomorphisms:
-    """The isomorphisms group_isomorphisms(h1, h2) yields, in its order,
-    listed only as far as iteration has reached, so that every search
-    between the same two H tables shares one backtracking run. An
-    exception from the run propagates and drops it, so it is never taken
-    for the end of the list: the next iteration starts a new run and
-    skips the isomorphisms already listed."""
-
-    def __init__(self, h1: FiniteGroup, h2: FiniteGroup):
-        self._groups = (h1, h2)
-        self._found: list[list[int]] = []
-        self._run = None   # the run that yields the rest, once started
-        self._done = False
-
-    def __iter__(self) -> Iterator[list[int]]:
-        found = self._found
-        i = 0
-        while True:
-            if i == len(found):
-                if self._done:
-                    return
-                if self._run is None:
-                    self._run = itertools.islice(group_isomorphisms(*self._groups), i, None)
-                try:
-                    found.append(next(self._run))
-                except StopIteration:
-                    self._done = True
-                    return
-                except BaseException:
-                    self._run = None
-                    raise
-            yield found[i]
-            i += 1
-
-
 @dataclass
 class Catalog:
-    """Entries deduplicated by isomorphism, by one of two paths; a
-    catalog takes all its entries by one of them.
-
-    insert searches: find_isomorphism runs only against the class
-    representatives sharing the entry's _invariant_key, in class-id
-    order, so a finer key only removes calls that would miss. The
-    _element_keys of the entry and of each representative are computed
-    once and handed to the search, and so are the isomorphisms between
-    the entry's H and the representative's, listed lazily once per pair
-    of H tables (an _Isomorphisms).
-
-    insert_keyed takes the class from a complete isomorphism invariant
-    (sweep_standard's orbit keys) and searches nothing: the first entry
-    of a key represents its class, and the others find their
-    certificates when iso_to_rep is first read.
+    """Entries sorted into isomorphism classes by a key, a value that two
+    hypergroups share exactly when they are isomorphic (the orbit keys
+    of sweep_standard and enumerate_abstract). insert searches nothing:
+    the first entry of a key represents its class, and the others find
+    their certificates when iso_to_rep is first read. Each class's key
+    is kept, in class-id order, for universality_probe.
     """
 
     entries: list[CatalogEntry] = field(default_factory=list)
     class_reps: list[HypergroupOverGroup] = field(default_factory=list)
-    _buckets: dict = field(default_factory=dict, repr=False)
-    _rep_keys: list = field(default_factory=list, repr=False)  # _element_keys
-    _h_ids: dict = field(default_factory=dict, repr=False)  # (H table, identity) -> id
-    _rep_h: list = field(default_factory=list, repr=False)  # H id of each rep
-    _h_isos: dict = field(default_factory=dict, repr=False)  # (H id, H id) -> _Isomorphisms
-    _keyed: dict = field(default_factory=dict, repr=False)  # key -> (class id, flags)
+    _classes: dict = field(default_factory=dict, repr=False)  # key -> (class id, flags)
 
-    def insert(self, hg: HypergroupOverGroup, provenance: str) -> CatalogEntry:
-        keys = _element_keys(hg)
-        key = _invariant_key(hg, keys)
-        bucket = self._buckets.setdefault(key, [])
-        flags = key[3], key[4]  # xi is a group, xi is commutative
-        h_id = self._h_ids.setdefault((hg.h.table, hg.h.identity), len(self._h_ids))
-        for class_id in bucket:
-            rep = self.class_reps[class_id]
-            pair = (h_id, self._rep_h[class_id])
-            f0s = self._h_isos.get(pair)
-            if f0s is None:
-                f0s = self._h_isos[pair] = _Isomorphisms(hg.h, rep.h)
-            iso = find_isomorphism(hg, rep, keys1=keys,
-                                   keys2=self._rep_keys[class_id], f0s=f0s)
-            if iso is not None:
-                entry = CatalogEntry(hg, provenance, class_id, iso, *flags)
-                self.entries.append(entry)
-                return entry
-        class_id = len(self.class_reps)
-        self.class_reps.append(hg)
-        self._rep_keys.append(keys)
-        self._rep_h.append(h_id)
-        bucket.append(class_id)
-        entry = CatalogEntry(hg, provenance, class_id, None, *flags)
-        self.entries.append(entry)
-        return entry
-
-    def insert_keyed(self, hg: HypergroupOverGroup, provenance: str, key) -> CatalogEntry:
-        """Insert hg into the class of key, a value that two hypergroups
-        share exactly when they are isomorphic. xi_is_group and
+    def insert(self, hg: HypergroupOverGroup, provenance: str, key) -> CatalogEntry:
+        """Insert hg into the class of key. xi_is_group and
         xi_commutative are isomorphism invariants, computed once per
         class."""
-        known = self._keyed.get(key)
+        known = self._classes.get(key)
         if known is None:
-            known = self._keyed[key] = (len(self.class_reps), _xi_flags(hg))
+            known = self._classes[key] = (len(self.class_reps), _xi_flags(hg))
             self.class_reps.append(hg)
             rep = None
         else:
             rep = self.class_reps[known[0]]
-        entry = CatalogEntry(hg, provenance, known[0], None, *known[1], rep)
+        entry = CatalogEntry(hg, provenance, known[0], *known[1], rep)
         self.entries.append(entry)
         return entry
 
@@ -195,47 +122,6 @@ def _xi_flags(hg: HypergroupOverGroup) -> tuple[bool, bool]:
     return is_group_quasigroup(hg), bool((hg.xi == hg.xi.T).all())
 
 
-def _invariant_key(hg: HypergroupOverGroup, keys: list[tuple]) -> tuple:
-    """Isomorphism-invariant bucket key for dedup.
-
-    Sizes, H's element orders, whether xi is a group and commutative,
-    the sorted _element_keys, whether psi and lam are trivial, and the
-    sorted colours of M after at most three rounds of colour refinement
-    (stopping once no colour class splits). Refinement starts from the
-    hashed _element_keys of hg, given as keys, with H coloured by element
-    order, and recolours a by its xi/lam row, xi/lam column and
-    (phi, psi) action.
-    Only what an isomorphism carries along enters, so isomorphic
-    hypergroups get equal keys; components are only added, so a coarser
-    key's bucket can only split.
-    """
-    mr, hr = range(hg.m_size), range(hg.h.order)
-    xi, lam, phi, psi = (t.tolist() for t in (hg.xi, hg.lam, hg.phi, hg.psi))
-    hc = element_orders(hg.h)
-    c = [hash(k) for k in keys]
-    n_colours = len(set(c))
-    for _ in range(3):
-        c = [hash((
-            c[a],
-            tuple(sorted((c[xi[a][b]], c[b], hc[lam[a][b]]) for b in mr)),
-            tuple(sorted((c[xi[b][a]], c[b], hc[lam[b][a]]) for b in mr)),
-            tuple(sorted((c[phi[a][al]], hc[al], hc[psi[a][al]]) for al in hr)),
-        )) for a in mr]
-        if len(set(c)) == n_colours:
-            break
-        n_colours = len(set(c))
-    return (
-        hg.m_size,
-        hg.h.order,
-        tuple(sorted(hc)),
-        *_xi_flags(hg),
-        tuple(sorted(keys)),
-        bool((hg.psi == np.arange(hg.h.order)).all()),
-        bool((hg.lam == hg.h.identity).all()),
-        tuple(sorted(c)),
-    )
-
-
 def sweep_standard(
     max_group_order: int,
     transversal_cap: int = DEFAULT_SAMPLE_CAP,
@@ -245,8 +131,8 @@ def sweep_standard(
     triple up to the order bound, sampling transversals past the cap.
     The transversals of each (G, H) are built by one
     standard_constructions call and checked by one verify_axioms_batch
-    call, then inserted in order by orbit key (Catalog.insert_keyed), so
-    the sweep runs no isomorphism search.
+    call, then inserted in order by orbit key (Catalog.insert), so the
+    sweep runs no isomorphism search.
 
     The key rests on this: the hypergroups of (G, H, T) and (G', H', T')
     are isomorphic iff some group isomorphism F : G -> G' has F(H) = H'
@@ -271,21 +157,23 @@ def sweep_standard(
     of F(T) over the F that reach that least H), with F ranging over the
     isomorphisms G -> G0: a function of the orbit, and equal keys give
     one orbit. The first entry of a key represents its class, as the
-    first entry found isomorphic to none before it did with the search,
-    so class ids, representatives and exports are unchanged.
+    first entry isomorphic to none before it would in a search, so class
+    ids, representatives and exports are those a search gives.
     """
     if max_group_order > MAX_SWEEP_ORDER:
         raise SizeLimitExceededError(
             f"standard sweep capped at order {MAX_SWEEP_ORDER}"
         )
     catalog = Catalog()
-    bases: dict[int, list] = {}
-    for group in builtin_groups(max_group_order):
-        base, maps = _canonical_isomorphisms(group, bases)
+    builtins = builtin_groups(max_group_order)
+    canonical = _canonical_bases(builtins)
+    for group in builtins:
+        base, maps = canonical(group)
         for h in enumerate_subgroups(group):
             ts = sample_transversals(group, h, cap=transversal_cap, seed=seed)
             hgs = standard_constructions(group, h, ts)
-            keys = _orbit_keys(maps, h, ts)
+            reps = np.array([t.reps for t in ts], dtype=np.intp)
+            keys = _orbit_keys(maps, h.elements, reps)
             for t, hg, report, key in zip(ts, hgs, verify_axioms_batch(hgs), keys):
                 if not report.overall:
                     raise InternalInconsistencyError(
@@ -298,8 +186,85 @@ def sweep_standard(
                     ",".join(map(str, h.elements)),
                     ",".join(map(str, t.reps)),
                 )
-                catalog.insert_keyed(hg, provenance, (base, *key))
+                catalog.insert(hg, provenance, (base, *key))
     return catalog
+
+
+def _ambient(hg: HypergroupOverGroup, provenance: str) -> tuple[FiniteGroup, list[int], np.ndarray]:
+    """The converse of the standard construction: the group A that hg's
+    tables define on H x M, with (al, a) at index al*|M| + a and the
+    product (al, a)(be, b) = (al*psi(a, be)*lam(a^be, b), xi(a^be, b))
+    (core._product_table); the elements of H_A = {(al, o)}; and
+    T_A = {(eps, a)} in the order of a, as a (1, |M|) reps array. The
+    table is checked to be a group: InternalInconsistencyError, naming
+    provenance, reports one that is not, as hg passed verify_axioms.
+
+    enumerate_abstract files hg under the orbit key (sweep_standard) of
+    (A, H_A, T_A), and two hypergroups get equal keys iff they are
+    isomorphic, the standard constructions among them included.
+    - iso => equal key. An isomorphism (f0, f1) : hg -> hg' carries the
+      four tables, and the product above is built from them and the
+      group law of H, so F(al, a) = (f0 al, f1 a) is a group isomorphism
+      A -> A'. f0(eps) = eps', and f1(o) = o' as P1 makes o the only left
+      neutral of xi, so F(H_A) = H_A' and F(T_A) = T_A'. The isomorphisms
+      A -> G0 are those A' -> G0 composed with F, so the keys are equal.
+    - equal key => iso. Equal keys give isomorphisms F : A -> G0 and
+      F' : A' -> G0 with F(H_A) = F'(H_A') and F(T_A) = F'(T_A'), so by
+      sweep_standard's proof the standard constructions S of
+      (A, H_A, T_A) and S' of (A', H_A', T_A') are isomorphic. So it is
+      enough that hg is isomorphic to S. Take the notation (1)-(4) of
+      verify_axioms' A4 and A5 argument. A's identity is e = (th, o) for
+      some th: the M-part of e(eps, b) = (eps, b) says that e's M-part
+      is a left neutral of xi, and P1 allows only o. By (4),
+      x.be = (xe).be = x(e.be), so j(be) = e.be = (th*psi(o, be), o^be)
+      is a homomorphism H -> A by (2). o^be = o: A2 at a = o reads
+      xi(o^psi(b, al), b^al) = b^al, so o^psi(b, al) = o by P1, and
+      psi(o, .) is onto H by P3, so a bijection. So j is injective, and
+      j(H) = H_A. By (1), x(be, b) = (x.be)(eps, b), whence
+        (be, b) = j(be) (eps, b),
+        (eps, a) j(be) = (psi(a, be), a^be) = j(psi(a, be)) (eps, a^be),
+        (eps, a)(eps, b) = (lam(a, b), xi(a, b)) = j(lam(a, b)) (eps, xi(a, b)).
+      The first says that the right cosets of H_A are the fibres H x {a},
+      each holding one (eps, a), so T_A is a right transversal; the
+      other two, that f0 = j and f1(a) = (eps, a), read in S's labels
+      (H_A's index and the right coset order), take hg's tables to S's.
+      The isomorphism follows the coset order, not the identity
+      labelling, and f0 is j, not the identity.
+    """
+    m, hn = hg.m_size, hg.h.order
+    try:
+        group = group_from_cayley_table(
+            _product_table(hg.phi, hg.psi, hg.xi, hg.lam, hg.h.np_table()))
+    except AlgebraError as exc:
+        raise InternalInconsistencyError(
+            f"{provenance} passes verify_axioms but its product table is not "
+            f"a group: {exc}") from None
+    return (group, [al * m + hg.o for al in range(hn)],
+            np.arange(hg.h.identity * m, hg.h.identity * m + m)[None])
+
+
+def _canonical_bases(builtins: tuple[FiniteGroup, ...]):
+    """The function taking a group to (G0's name, maps): G0 is the first
+    group of builtins of its order isomorphic to it, and maps holds every
+    isomorphism group -> G0 as a row of a uint8 array, the automorphisms
+    of G0 after the first isomorphism group_isomorphism finds (after
+    none for G0 itself). Aut(G0) is listed when the first group is
+    mapped onto G0, and kept."""
+    auts: dict[str, np.ndarray] = {}
+
+    def canonical(group: FiniteGroup) -> tuple[str, np.ndarray]:
+        for base in builtins:
+            if base.order != group.order:
+                continue
+            to_base = slice(None) if base is group else group_isomorphism(group, base)
+            if to_base is not None:
+                if base.name not in auts:
+                    auts[base.name] = automorphisms(base)
+                return base.name, auts[base.name][:, to_base]
+        raise InternalInconsistencyError(
+            f"no builtin group of order {group.order} is isomorphic to {group.name}")
+
+    return canonical
 
 
 # _BIT[x] = 1 << x: a subset of a group of order <= MAX_SWEEP_ORDER as a
@@ -307,33 +272,18 @@ def sweep_standard(
 _BIT = 1 << np.arange(MAX_SWEEP_ORDER, dtype=np.uint32)
 
 
-def _canonical_isomorphisms(group: FiniteGroup, bases: dict[int, list]) -> tuple[str, np.ndarray]:
-    """The name of G0, the first of bases isomorphic to group, and every
-    isomorphism group -> G0 as a row of a uint8 array. bases maps an
-    order to its canonical groups so far, each with its automorphisms;
-    group joins them when none is isomorphic to it."""
-    known = bases.setdefault(group.order, [])
-    for base, auts in known:
-        to_base = group_isomorphism(group, base)
-        if to_base is not None:
-            return base.name, auts[:, to_base]
-    auts = automorphisms(group)
-    known.append((group, auts))
-    return group.name, auts
-
-
-def _orbit_keys(maps: np.ndarray, h: Subgroup, ts) -> list[tuple[int, int]]:
-    """The (H, T) part of the orbit key (sweep_standard) of each
-    transversal T of h: the least mask of F(H) over the rows F of maps,
-    and the least mask of F(T) over the rows that reach it. Masks are
-    ORed one element at a time, for as many T at a time as keep each
-    temporary within BLOCK_CELLS cells."""
+def _orbit_keys(maps: np.ndarray, h_elements, reps: np.ndarray) -> list[tuple[int, int]]:
+    """The (H, T) part of the orbit key (sweep_standard) of each row T of
+    reps, a (k, |M|) array of transversals of the subgroup H given by
+    its elements: the least mask of F(H) over the rows F of maps, and the
+    least mask of F(T) over the rows that reach it. Masks are ORed one
+    element at a time, for as many T at a time as keep each temporary
+    within BLOCK_CELLS cells."""
     h_masks = np.zeros(len(maps), dtype=np.uint32)
-    for x in h.elements:
+    for x in h_elements:
         h_masks |= _BIT[maps[:, x]]
     h_key = h_masks.min()
     stab = maps[h_masks == h_key]
-    reps = np.array([t.reps for t in ts], dtype=np.intp)
     step = max(1, BLOCK_CELLS // len(stab))
     t_keys = []
     for lo in range(0, len(reps), step):
@@ -521,7 +471,14 @@ def enumerate_abstract(m_size: int, h: FiniteGroup) -> Catalog:
     (transport the structure along the transposition swapping 0 and o),
     so the restriction loses no classes. Candidates are generated
     axiom-by-axiom and a final verify_axioms pass is the authority on
-    what enters the catalog.
+    what enters the catalog. Each entry is inserted under the orbit key
+    (G0's name, least F(H) mask, least F(T) mask) of its ambient group
+    (_ambient, which holds the proof that equal keys mean isomorphic
+    hypergroups), with G0 the first builtin isomorphic to it: every
+    group of order m_size*|H| <= 9 is a builtin. So no isomorphism is
+    searched; the first entry of a key represents its class, as the
+    first entry isomorphic to none before it, and the others find their
+    certificates when iso_to_rep is first read.
     """
     if m_size > MAX_ABSTRACT_M or m_size < 1:
         raise SizeLimitExceededError(
@@ -532,6 +489,7 @@ def enumerate_abstract(m_size: int, h: FiniteGroup) -> Catalog:
             f"abstract enumeration capped at |H| <= {MAX_ABSTRACT_H}"
         )
     catalog = Catalog()
+    canonical = _canonical_bases(builtin_groups(m_size * h.order))
     count = 0
     for xi in _xi_candidates(m_size):
         for phi in _phi_candidates(h, m_size):
@@ -544,7 +502,10 @@ def enumerate_abstract(m_size: int, h: FiniteGroup) -> Catalog:
                         continue
                     provenance = f"abstract:m{m_size}:H={h.name}:#{count}"
                     count += 1
-                    catalog.insert(hg, provenance)
+                    group, h_elements, reps = _ambient(hg, provenance)
+                    base, maps = canonical(group)
+                    key = _orbit_keys(maps, h_elements, reps)[0]
+                    catalog.insert(hg, provenance, (base, *key))
     return catalog
 
 
@@ -567,26 +528,14 @@ def universality_probe(
     catalog_abstract: Catalog, catalog_standard: Catalog
 ) -> UniversalityReport:
     """For each abstract class, report whether some standard-constructed
-    class is isomorphic to it. Unmatched classes are listed, not treated
-    as errors."""
+    class is isomorphic to it: the one filed under the same orbit key,
+    as equal keys mean isomorphic hypergroups (see _ambient). Unmatched
+    classes are listed, not treated as errors."""
     matches = []
-    for abstract_id, rep in enumerate(catalog_abstract.class_reps):
-        found = None
-        for std_id, std_rep in enumerate(catalog_standard.class_reps):
-            if (
-                std_rep.m_size == rep.m_size
-                and std_rep.h.order == rep.h.order
-                and find_isomorphism(rep, std_rep) is not None
-            ):
-                found = std_id
-                break
-        matches.append(
-            {
-                "abstract_class": abstract_id,
-                "matched": found is not None,
-                "standard_class": found,
-            }
-        )
+    for abstract_id, key in enumerate(catalog_abstract._classes):
+        std_id = catalog_standard._classes.get(key, (None,))[0]
+        matches.append({"abstract_class": abstract_id, "matched": std_id is not None,
+                        "standard_class": std_id})
     return UniversalityReport(matches=matches)
 
 

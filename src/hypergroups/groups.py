@@ -17,6 +17,7 @@ read-only intp array, behind an np_ method.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -416,12 +417,14 @@ def group_from_spec(spec: str) -> FiniteGroup:
     return g
 
 
-def builtin_groups(max_order: int) -> list[FiniteGroup]:
+@functools.cache
+def builtin_groups(max_order: int) -> tuple[FiniteGroup, ...]:
     """The deterministic family list used by the classification sweeps.
 
     Covers E, all cyclic groups, the non-cyclic abelian groups in
     invariant-factor form, the dihedral groups, Q8, and S3/S4, up to
-    max_order. Sorted by (order, name).
+    max_order. Sorted by (order, name). Built once per max_order: the
+    tuple and its groups are immutable, so every call shares them.
     """
     specs = ["E"]
     specs += [f"Z{n}" for n in range(2, max_order + 1)]
@@ -437,8 +440,7 @@ def builtin_groups(max_order: int) -> list[FiniteGroup]:
         g = group_from_spec(s)
         if g.order <= max_order:
             out.append(g)
-    out.sort(key=lambda g: (g.order, g.name))
-    return out
+    return tuple(sorted(out, key=lambda g: (g.order, g.name)))
 
 
 def subgroup_closure(group: FiniteGroup, generators) -> Subgroup:

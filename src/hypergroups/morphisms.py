@@ -14,7 +14,6 @@ the package-wide "left factor first" convention.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import HypergroupOverGroup
@@ -156,20 +155,15 @@ def find_isomorphism(
     hg: HypergroupOverGroup,
     hg2: HypergroupOverGroup,
     size_bound: int = DEFAULT_ISO_SIZE_BOUND,
-    *,
-    keys1: list[tuple] | None = None,
-    keys2: list[tuple] | None = None,
-    f0s: Iterable[list[int]] | None = None,
 ) -> HgMorphism | None:
     """First isomorphism (f0, f1) in search order, or None.
 
     Iterates group isomorphisms f0: H -> H' lexicographically; for each,
     backtracks over f1 with f1(o) = o' forced, pruning candidates by
     phi-orbit size and xi-column cycle type and propagating the forced
-    images f1(phi[a][al]) and f1(xi[a][b]). keys1 and keys2, when given,
-    are the _element_keys of hg and hg2, and f0s what
-    group_isomorphisms(hg.h, hg2.h) yields, in its order, which a caller
-    that searches many times can compute once.
+    images f1(phi[a][al]) and f1(xi[a][b]). The catalogs classify by
+    orbit keys, without it; it makes their certificates (iso_to_rep) and
+    answers `hg iso`.
     """
     if hg.m_size != hg2.m_size or hg.h.order != hg2.h.order:
         return None
@@ -179,10 +173,7 @@ def find_isomorphism(
         )
     m = hg.m_size
     hn = hg.h.order
-    if keys1 is None:
-        keys1 = _element_keys(hg)
-    if keys2 is None:
-        keys2 = _element_keys(hg2)
+    keys1, keys2 = _element_keys(hg), _element_keys(hg2)
     if sorted(keys1) != sorted(keys2):
         return None
     candidates = [
@@ -192,9 +183,7 @@ def find_isomorphism(
     phi1, psi1, xi1, lam1 = tables1
     phi2, psi2, xi2, lam2 = tables2
 
-    if f0s is None:
-        f0s = group_isomorphisms(hg.h, hg2.h)
-    for f0 in f0s:
+    for f0 in group_isomorphisms(hg.h, hg2.h):
         f1 = [-1] * m
         used = [False] * m
 

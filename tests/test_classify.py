@@ -2,8 +2,9 @@
 catalog dedup, universality probes, CSV/JSON export.
 
 The dedup oracle below partitions a list of hypergroups by pairwise
-isomorphism search with no invariant prefilter; Catalog.insert must
-produce the identical partition.
+isomorphism search with no invariant prefilter; the orbit keys of both
+sweep_standard and enumerate_abstract must produce the identical
+partition.
 """
 
 import csv
@@ -46,7 +47,6 @@ from hypergroups import (
 from hypergroups import classify, morphisms
 from hypergroups.classify import (
     Catalog,
-    _invariant_key,
     _lambda_candidates,
     _phi_candidates,
     _psi_candidates,
@@ -89,9 +89,10 @@ class TestCatalogDedup:
         assert [e.class_id for e in cat.entries] == oracle_partition(hgs)
 
     def test_matches_oracle_on_abstract(self):
-        cat = enumerate_abstract(3, group_from_spec("Z2"))
-        hgs = [e.hypergroup for e in cat.entries]
-        assert [e.class_id for e in cat.entries] == oracle_partition(hgs)
+        for m, spec in ((3, "Z2"), (2, "Z3"), (3, "Z3")):
+            cat = enumerate_abstract(m, group_from_spec(spec))
+            hgs = [e.hypergroup for e in cat.entries]
+            assert [e.class_id for e in cat.entries] == oracle_partition(hgs), (m, spec)
 
     def test_certificates_verify(self):
         cat = sweep_standard(6)
@@ -275,6 +276,26 @@ class TestExport:
             assert name.read_bytes() == (tmp_path / "b" / name.name).read_bytes()
 
 
+def searches_only_when_a_certificate_is_read(build):
+    """build() makes a catalog with no isomorphism search, and reading one
+    entry's iso_to_rep runs exactly one, between it and its representative."""
+    with mock.patch.object(classify, "find_isomorphism",
+                           wraps=morphisms.find_isomorphism) as search, \
+            mock.patch.object(morphisms, "group_isomorphisms",
+                              wraps=morphisms.group_isomorphisms) as h_isos:
+        cat = build()
+        assert not search.called and not h_isos.called
+        entry = next(e for e in cat.entries
+                     if e.hypergroup is not cat.class_reps[e.class_id])
+        iso = entry.iso_to_rep
+        assert entry.iso_to_rep is iso
+        assert search.call_count == 1
+        assert search.call_args.args == (entry.hypergroup,
+                                         cat.class_reps[entry.class_id])
+    assert all(e.iso_to_rep is None for e in cat.entries
+               if e.hypergroup is cat.class_reps[e.class_id])
+
+
 class TestInsertDirect:
     def test_duplicate_goes_to_same_class(self):
         from hypergroups import cyclic_group, subgroup_from_elements
@@ -284,60 +305,31 @@ class TestInsertDirect:
         h = subgroup_from_elements(g, [0, 3])
         ts = enumerate_transversals(g, h)
         cat = Catalog()
-        e1 = cat.insert(standard_construction(g, h, ts[0]), "p1")
-        e2 = cat.insert(standard_construction(g, h, ts[0]), "p2")
+        e1 = cat.insert(standard_construction(g, h, ts[0]), "p1", "key")
+        e2 = cat.insert(standard_construction(g, h, ts[0]), "p2", "key")
         assert e1.class_id == e2.class_id == 0
+        assert cat.n_classes == 1
         assert e1.iso_to_rep is None
         assert e2.iso_to_rep is not None
         assert verify_morphism(e2.iso_to_rep).ok
 
-    def test_element_keys_computed_once_per_entry(self):
-        # the search reuses the keys the bucket key was made from, and a
-        # representative's keys are kept, not recomputed for every call
-        with mock.patch.object(classify, "_element_keys",
-                               wraps=morphisms._element_keys) as keys, \
-                mock.patch.object(morphisms, "_element_keys") as search_keys, \
-                mock.patch.object(classify, "find_isomorphism",
-                                  wraps=morphisms.find_isomorphism) as search:
-            cat = enumerate_abstract(3, group_from_spec("Z3"))
-        assert keys.call_count == len(cat.entries) == 27
-        assert search.call_count > len(cat.entries) - cat.n_classes
-        assert not search_keys.called
-
     def test_sweep_searches_only_when_a_certificate_is_read(self):
-        with mock.patch.object(classify, "find_isomorphism",
-                               wraps=morphisms.find_isomorphism) as search, \
-                mock.patch.object(classify, "group_isomorphisms") as h_isos:
-            cat = sweep_standard(8)
-            assert not search.called
-            entry = next(e for e in cat.entries
-                         if e.hypergroup is not cat.class_reps[e.class_id])
-            iso = entry.iso_to_rep
-            assert entry.iso_to_rep is iso
-            assert search.call_count == 1
-            assert search.call_args.args == (entry.hypergroup,
-                                             cat.class_reps[entry.class_id])
-        assert not h_isos.called
-        assert all(e.iso_to_rep is None for e in cat.entries
-                   if e.hypergroup is cat.class_reps[e.class_id])
+        searches_only_when_a_certificate_is_read(lambda: sweep_standard(8))
+
+    def test_abstract_searches_only_when_a_certificate_is_read(self):
+        searches_only_when_a_certificate_is_read(
+            lambda: enumerate_abstract(3, group_from_spec("Z3")))
 
     def test_certificates_equal_fresh_searches(self):
-        # the shared H-isomorphism lists hand every search the f0s, in
-        # the order, that a search of its own would walk
-        for cat in (sweep_standard(12), sweep_standard(16, 4, 5)):
+        # a certificate found on first read is the one a search of its
+        # own finds, in either kind of catalog
+        for cat in (sweep_standard(12), sweep_standard(16, 4, 5),
+                    enumerate_abstract(3, group_from_spec("Z3"))):
             for entry in cat.entries:
                 if entry.iso_to_rep is None:
                     continue
                 fresh = find_isomorphism(entry.hypergroup, cat.class_reps[entry.class_id])
                 assert (entry.iso_to_rep.f0, entry.iso_to_rep.f1) == (fresh.f0, fresh.f1)
-
-    def test_h_isomorphisms_searched_once_per_pair(self):
-        with mock.patch.object(classify, "group_isomorphisms",
-                               wraps=classify.group_isomorphisms) as runs:
-            cat = enumerate_abstract(3, group_from_spec("Z3"))
-        pairs = [(run.args[0].table, run.args[1].table) for run in runs.call_args_list]
-        assert len(pairs) == len(set(pairs)) == len(cat._h_isos)
-        assert len(pairs) < len(cat.entries) - cat.n_classes
 
     def test_a_failing_construction_stops_the_sweep(self):
         # the batch reports the first failing entry as the sweep always did
@@ -424,21 +416,27 @@ class TestOrbitKeys:
     def test_isomorphic_builtins_share_a_class(self):
         # Z2xZ12 comes first by name, so it is Z4xZ6's canonical builtin
         g12, g6 = group_from_spec("Z2xZ12"), group_from_spec("Z4xZ6")
-        bases = {}
-        name12, maps12 = classify._canonical_isomorphisms(g12, bases)
-        name6, maps6 = classify._canonical_isomorphisms(g6, bases)
-        assert name12 == name6 == "Z2xZ12" and len(bases[24]) == 1
+        with mock.patch.object(classify, "automorphisms",
+                               wraps=classify.automorphisms) as auts:
+            canonical = classify._canonical_bases(builtin_groups(24))
+            name12, maps12 = canonical(g12)
+            name6, maps6 = canonical(g6)
+        assert name12 == name6 == "Z2xZ12"
+        # Aut is listed once, and only for the group mapped onto
+        assert [call.args[0].name for call in auts.call_args_list] == ["Z2xZ12"]
         f = group_isomorphism(g6, g12)
         h6 = next(h for h in enumerate_subgroups(g6) if h.order == 4)
         ts6 = sample_transversals(g6, h6, cap=3, seed=2)
         h12 = subgroup_from_elements(g12, [f[x] for x in h6.elements])
         ts12 = [make_transversal(g12, h12, [f[x] for x in t.reps]) for t in ts6]
-        keys = ([(name12, *k) for k in classify._orbit_keys(maps12, h12, ts12)]
-                + [(name6, *k) for k in classify._orbit_keys(maps6, h6, ts6)])
+        keys = ([(name12, *k) for k in classify._orbit_keys(
+                    maps12, h12.elements, np.array([t.reps for t in ts12]))]
+                + [(name6, *k) for k in classify._orbit_keys(
+                    maps6, h6.elements, np.array([t.reps for t in ts6]))])
         hgs = ([standard_construction(g12, h12, t) for t in ts12]
                + [standard_construction(g6, h6, t) for t in ts6])
         cat = Catalog()
-        entries = [cat.insert_keyed(hg, str(i), key)
+        entries = [cat.insert(hg, str(i), key)
                    for i, (hg, key) in enumerate(zip(hgs, keys))]
         for e12, e6 in zip(entries[:3], entries[3:]):
             assert e6.class_id == e12.class_id
@@ -449,45 +447,6 @@ class TestOrbitKeys:
         # equal keys exactly where an isomorphism exists
         for a, b in itertools.combinations(range(6), 2):
             assert (keys[a] == keys[b]) == (find_isomorphism(hgs[a], hgs[b]) is not None)
-
-
-class TestIsomorphismList:
-    def test_listed_lazily_in_order(self):
-        h = group_from_spec("Z2xZ2xZ2xZ2")   # |Aut| = 20,160
-        isos = classify._Isomorphisms(h, h)
-        first = list(itertools.islice(isos, 3))
-        assert first == list(itertools.islice(group_isomorphisms(h, h), 3))
-        assert len(isos._found) == 3
-        assert list(itertools.islice(isos, 5))[:3] == first
-        assert len(isos._found) == 5
-        h = group_from_spec("S3")
-        assert list(classify._Isomorphisms(h, h)) == list(group_isomorphisms(h, h))
-
-    def test_a_raising_run_raises_on_every_walk(self):
-        def runs(h1, h2):
-            yield [0, 1]
-            yield [1, 0]
-            raise SizeLimitExceededError("run cut short")
-
-        isos = classify._Isomorphisms(None, None)
-        with mock.patch.object(classify, "group_isomorphisms", runs):
-            for _ in range(3):
-                walked = []
-                with pytest.raises(SizeLimitExceededError):
-                    for f0 in isos:
-                        walked.append(f0)
-                assert walked == [[0, 1], [1, 0]]
-
-    def test_catalog_insert_keeps_raising(self):
-        # |H| = 256 is past group_isomorphisms' bound
-        h = group_from_spec("x".join(["Z2"] * 8))
-        hg = hypergroup_from_tables(1, h, [[0] * 256], [list(range(256))], [[0]],
-                                    [[0]], 0)
-        cat = Catalog()
-        cat.insert(hg, "first")
-        for _ in range(3):
-            with pytest.raises(SizeLimitExceededError):
-                cat.insert(hg, "again")
 
 
 @st.composite
@@ -512,19 +471,60 @@ def transported(draw):
             xi[f1[a]][f1[b]] = f1[hg.xi[a][b]]
             lam[f1[a]][f1[b]] = f0[hg.lam[a][b]]
     image = hypergroup_from_tables(m, hg.h, phi, psi, xi, lam, f1[hg.o])
-    return hg, image, list(f0), list(f1)
+    return (g, h, t), hg, image, list(f0), list(f1)
+
+
+def abstract_key(hg, canonical):
+    """The orbit key enumerate_abstract files hg under."""
+    group, h_elements, reps = classify._ambient(hg, "test")
+    base, maps = canonical(group)
+    return (base, *classify._orbit_keys(maps, h_elements, reps)[0])
 
 
 class TestInvariantKey:
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(case=transported())
     def test_equal_on_isomorphic_copies(self, case):
-        hg, image, f0, f1 = case
+        # the abstract orbit key of a transported copy, whose o need not
+        # be 0, equals the original's, and both equal the sweep's key of
+        # the triple the original was built from
+        (g, h, t), hg, image, f0, f1 = case
         assert verify_morphism(HgMorphism(hg, image, f0, f1)).ok
-        assert (_invariant_key(hg, morphisms._element_keys(hg))
-                == _invariant_key(image, morphisms._element_keys(image)))
+        canonical = classify._canonical_bases(builtin_groups(12))
+        key = abstract_key(hg, canonical)
+        assert abstract_key(image, canonical) == key
+        base, maps = canonical(g)
+        assert key == (base, *classify._orbit_keys(maps, h.elements,
+                                                   np.array([t.reps]))[0])
         iso = find_isomorphism(hg, image)
         assert iso is not None and verify_morphism(iso).ok
+
+
+class TestAmbient:
+    @pytest.mark.parametrize("m,spec", [(m, spec) for m in (1, 2, 3)
+                                        for spec in ("E", "Z2", "Z3")])
+    def test_every_small_entry_is_its_ambient_construction(self, m, spec):
+        # the product table is a group, H_A a subgroup and T_A a right
+        # transversal of it, and the standard construction of
+        # (A, H_A, T_A) is isomorphic to the entry
+        for entry in enumerate_abstract(m, group_from_spec(spec)).entries:
+            hg = entry.hypergroup
+            group, h_elements, reps = classify._ambient(hg, entry.provenance)
+            assert group.order == m * hg.h.order
+            rebuilt = standard_construction(
+                group, subgroup_from_elements(group, h_elements), reps[0].tolist())
+            iso = find_isomorphism(hg, rebuilt)
+            assert iso is not None and verify_morphism(iso).ok, entry.provenance
+
+    def test_a_product_that_is_no_group_raises(self):
+        def no_group(phi, psi, xi, lam, ht):
+            return np.zeros((len(ht) * len(xi),) * 2, dtype=np.intp)
+
+        with mock.patch.object(classify, "_product_table", no_group), \
+                pytest.raises(InternalInconsistencyError) as ei:
+            enumerate_abstract(2, group_from_spec("Z2"))
+        assert str(ei.value).startswith(
+            "abstract:m2:H=Z2:#0 passes verify_axioms but its product table is not a group")
 
 
 class TestFrozenOutputs:

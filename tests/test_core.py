@@ -445,10 +445,41 @@ class TestVerifyAxioms:
         # table on H x M decides them
         assert verify_z2_power_in_child(9, timeout=60) <= 128 * 1024
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM")
+    def test_child_peak_excludes_the_starting_process(self):
+        # the helper runs under a process that first touches 200 MiB: the
+        # peak it reports is the child's alone, not that high-water mark
+        code = (
+            "import resource, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+            "ballast = bytearray(b'\\x01') * (200 * 2**20)\n"
+            "from test_core import verify_z2_power_in_child\n"
+            "print(verify_z2_power_in_child(4, timeout=60))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        child_kib, own_kib = map(int, proc.stdout.split())
+        assert own_kib >= 200 * 1024
+        assert child_kib <= 128 * 1024
+
+
+def child_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(hypergroups.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
 
 def verify_z2_power_in_child(k, timeout):
     """Peak RSS in KiB of a fresh interpreter that checks that Z2^k over
-    the trivial subgroup passes verify_axioms, within timeout seconds."""
+    the trivial subgroup passes verify_axioms, within timeout seconds.
+    On Linux that is the child's VmHWM: its ru_maxrss starts from the
+    high-water mark of the process that started it, which survives fork
+    and exec. Elsewhere it is ru_maxrss."""
     code = (
         "import resource, sys\n"
         "from hypergroups import (group_from_spec, standard_construction,\n"
@@ -457,14 +488,14 @@ def verify_z2_power_in_child(k, timeout):
         "hg = standard_construction(g, subgroup_from_elements(g, [0]),\n"
         f"                           list(range({2 ** k})))\n"
         "print(verify_axioms(hg).overall)\n"
-        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(peak // 1024 if sys.platform == 'darwin' else peak)\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        print(status.read().split('VmHWM:')[1].split()[0])\n"
+        "else:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    print(peak // 1024 if sys.platform == 'darwin' else peak)\n"
     )
-    env = dict(os.environ)
-    src = str(Path(hypergroups.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     overall, peak_kib = proc.stdout.split()
