@@ -625,3 +625,59 @@ class TestFrozenCliOutputs:
         code = run(argv)
         out = capsys.readouterr().out
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == FROZEN_CLI[name]
+
+
+# (exit code, sha256) of each call of the field pipeline, in this order,
+# taken while the field tables were built from a product cube as lists;
+# functor_file hashes the file that "functor field -o" writes (its
+# stdout is empty), every other call hashes stdout
+FROZEN_FIELD_PIPELINE = {
+    "GF(125;x^3+3x+2)": {
+        "field_text": (0, "9c99f6118a1e08d229cd47d89ea5e7969eaaa25a18ed2c618b35918eab2c8941"),
+        "field_json": (0, "d01f5f66c66a08337ded0aeb820438dbaddb2348a941099fffb2d2d5399f7b78"),
+        "functor_file": (0, "8b46077cc74cd417b9ca7df401e5905a34fe58d21bb8a89918dde1b98fe4dc0d"),
+        "verify_json": (0, "139bb864f7c85cd5bf3f8c2e086510ee3be9a42b9c935a34d768666c3a0a9627"),
+        "reconstruct_text": (0, "64aada7450655406833eb7dc7aca7dff9a4b4782b39ae15f932162d58884be85"),
+        "reconstruct_json": (0, "37ad44ea3419b8ec9c5d0577dffd053a2847329a22dc9dce0c8b5e8164e45329"),
+    },
+    "GF(128;x^7+x+1)": {
+        "field_text": (0, "a6c73d920b29697b860f4510a01061edb70e7602cdca8611f7b30401af1fddb0"),
+        "field_json": (0, "d01f5f66c66a08337ded0aeb820438dbaddb2348a941099fffb2d2d5399f7b78"),
+        "functor_file": (0, "018fc631462232a5c8b72665ddad9dea7ed61bb20acac1a8ea03bb5981a8a6cc"),
+        "verify_json": (0, "139bb864f7c85cd5bf3f8c2e086510ee3be9a42b9c935a34d768666c3a0a9627"),
+        "reconstruct_text": (0, "312273271f734bc9c20af7820ce11d4f9460dfc833601121863e568c6b09b03a"),
+        "reconstruct_json": (0, "0325e44d84d741d64e2f4ce1b3e73a4fb5455e8ed63034562177776c487d016c"),
+    },
+    "GF(256)": {
+        "field_text": (0, "e90a8049862ebaf241d3d16dfa1b0e6c040b48f539bb7b71f581d7e753af729d"),
+        "field_json": (0, "d01f5f66c66a08337ded0aeb820438dbaddb2348a941099fffb2d2d5399f7b78"),
+        "functor_file": (0, "1d01058c6d5483c6831d7b5eb9b9c7ac26f2c6e7ee729f4fc2bf6f1695c8bf61"),
+        "verify_json": (0, "139bb864f7c85cd5bf3f8c2e086510ee3be9a42b9c935a34d768666c3a0a9627"),
+        "reconstruct_text": (0, "f18a64944d5013b28e66a95980f1992b7cfd7f71d4f7874678253a6625fddc15"),
+        "reconstruct_json": (0, "d6f332319991b0379470dbeedcb860b1534e18897497c44c398f647c98b2f4ab"),
+    },
+}
+
+
+class TestFrozenFieldPipeline:
+    @pytest.mark.parametrize("spec", sorted(FROZEN_FIELD_PIPELINE))
+    def test_exit_codes_and_digests(self, spec, tmp_path, capsys):
+        path = tmp_path / "ff.json"
+        calls = {
+            "field_text": ["field", spec],
+            "field_json": ["--format", "json", "field", spec],
+            "functor_file": ["functor", "field", spec, "-o", str(path)],
+            "verify_json": ["--format", "json", "hg", "verify", str(path)],
+            "reconstruct_text": ["reconstruct-field", str(path)],
+            "reconstruct_json": ["--format", "json", "reconstruct-field", str(path)],
+        }
+        got = {}
+        for name, argv in calls.items():
+            capsys.readouterr()
+            code = run(argv)
+            out = capsys.readouterr().out.encode()
+            if name == "functor_file":
+                assert out == b""
+                out = path.read_bytes()
+            got[name] = (code, hashlib.sha256(out).hexdigest())
+        assert got == FROZEN_FIELD_PIPELINE[spec]
