@@ -76,8 +76,11 @@ def canonical_dumps(obj: Any) -> str:
     dicts and lists are walked in Python and the rest is handed to the
     C encoder: a non-empty list of plain ints (a table row) in one call
     whose item separator carries the newline and indent, every other
-    leaf on its own. Keys are sorted on their original values and a
-    non-str key is written as json writes it.
+    leaf on its own. A list of such rows whose values all lie in
+    [0, 2^16) (a table) is written in one join instead, each cell's text
+    read from a list of str(0), ..., str(max) made for that table. Keys
+    are sorted on their original values and a non-str key is written as
+    json writes it.
     """
     chunks: list[str] = []
     _dump(obj, "\n", chunks.append)
@@ -104,6 +107,18 @@ def _dump(obj: Any, nl: str, out: Callable[[str], Any]) -> None:
         if set(map(type, obj)) == {int}:
             out("[" + inner + _row_encoder(inner).encode(obj)[1:-1] + nl + "]")
             return
+        if all(type(row) in (list, tuple) and row and set(map(type, row)) == {int}
+               for row in obj) and min(map(min, obj)) >= 0:
+            top = max(map(max, obj))
+            if top < 1 << 16:
+                tokens = list(map(str, range(top + 1)))
+                cells, deeper = ("," + inner + "  ").join, inner + "  "
+                out("[" + inner)
+                out(("," + inner).join([
+                    "[" + deeper + cells([tokens[v] for v in row]) + inner + "]"
+                    for row in obj]))
+                out(nl + "]")
+                return
         sep = "[" + inner
         for value in obj:
             out(sep)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,35 +24,61 @@ from .errors import (
     UnknownSpecError,
 )
 from .groups import (FiniteGroup, _associative_mask, _right_generators,
-                     element_orders)
+                     _square_table, element_orders)
 
 MAX_FIELD_ORDER = 512
 MAX_PRIME = 97
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteField:
+    """GF(q) as tables: add and mul, given as rows or as integer arrays,
+    are kept as tuple rows and as read-only intp arrays (np_add() and
+    np_mul()), made and checked once at construction: q rows of q cells
+    in [0, q), else the error FiniteGroup raises for its table. Copy and
+    pickle rebuild through the constructor."""
+
     p: int
     m: int
     modulus: list[int]  # ascending coefficients, length m+1, monic
     q: int
-    add: list[list[int]]
-    mul: list[list[int]]
+    add: tuple[tuple[int, ...], ...]
+    mul: tuple[tuple[int, ...], ...]
     zero: int
     one: int
     name: str
+    _add: np.ndarray = field(init=False, repr=False, compare=False)
+    _mul: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("add", "mul"):
+            arr = _square_table(getattr(self, name), self.q, name)
+            object.__setattr__(self, name, tuple(map(tuple, arr.tolist())))
+            object.__setattr__(self, "_" + name, arr)
+
+    def __reduce__(self):
+        return (FiniteField, (self.p, self.m, self.modulus, self.q, self._add,
+                              self._mul, self.zero, self.one, self.name))
+
+    def np_add(self) -> np.ndarray:
+        """add as a read-only intp array."""
+        return self._add
+
+    def np_mul(self) -> np.ndarray:
+        """mul as a read-only intp array."""
+        return self._mul
 
     def neg(self, a: int) -> int:
-        for b in range(self.q):
-            if self.add[a][b] == self.zero:
-                return b
-        raise InternalInconsistencyError(f"no additive inverse for {a}")
+        hits = np.flatnonzero(self._add[a] == self.zero)
+        if not len(hits):
+            raise InternalInconsistencyError(f"no additive inverse for {a}")
+        return int(hits[0])
 
     def mul_inverse(self, a: int) -> int:
-        for b in range(self.q):
-            if self.mul[a][b] == self.one:
-                return b
-        raise InternalInconsistencyError(f"no multiplicative inverse for {a}")
+        hits = np.flatnonzero(self._mul[a] == self.one)
+        if not len(hits):
+            raise InternalInconsistencyError(f"no multiplicative inverse for {a}")
+        return int(hits[0])
 
     def __repr__(self) -> str:
         return f"FiniteField({self.name})"
@@ -129,15 +155,25 @@ def make_prime_field(p: int) -> FiniteField:
         raise NotPrimeError(f"{p} is not prime")
     if p > MAX_PRIME:
         raise SizeLimitExceededError(f"prime fields capped at p <= {MAX_PRIME}")
-    add = [[(i + j) % p for j in range(p)] for i in range(p)]
-    mul = [[(i * j) % p for j in range(p)] for i in range(p)]
+    x = np.arange(p)
     return FiniteField(
-        p=p, m=1, modulus=[0, 1], q=p, add=add, mul=mul,
-        zero=0, one=1 % p, name=f"GF({p})",
+        p=p, m=1, modulus=[0, 1], q=p, add=(x[:, None] + x) % p,
+        mul=x[:, None] * x % p, zero=0, one=1 % p, name=f"GF({p})",
     )
 
 
 def make_extension_field(p: int, modulus) -> FiniteField:
+    """GF(p^m) as GF(p)[x] / (modulus), from exp/log tables.
+
+    Addition is digitwise, one (q, q) pass per digit. For
+    multiplication, each g = 2, 3, ... in turn gives the matrix of the
+    GF(p)-linear map y -> yg (row j: the digits of x^j g), applied to
+    every element at once, and the powers 1, g, g^2, ... are walked until
+    they return to 1; the first g whose walk takes q - 1 steps is
+    primitive, and its walk is exp (exp[k] = g^k) with log its inverse.
+    Then ab = exp[(log a + log b) mod (q - 1)] for nonzero a, b (R. Lidl
+    and H. Niederreiter, Finite Fields, ch. 9).
+    """
     if not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     modulus = [int(c) % p for c in modulus]
@@ -158,18 +194,28 @@ def make_extension_field(p: int, modulus) -> FiniteField:
         raise NotIrreducibleError(factor)
     weights = p ** np.arange(m)
     digits = np.arange(q)[:, None] // weights % p   # digits[i, j]: x^j in i
-    add = ((digits[:, None, :] + digits[None, :, :]) % p * weights).sum(axis=-1)
-    # prod[i, k, d]: coefficient of x^d in (element i) * (element k)
-    prod = np.zeros((q, q, 2 * m - 1), dtype=np.intp)
+    add = np.zeros((q, q), dtype=np.intp)
     for j in range(m):
-        prod[:, :, j:j + m] += digits[:, None, j, None] * digits[None, :, :]
-    # reduce from the top; the modulus is monic so no inverse is needed
+        add += (digits[:, None, j] + digits[None, :, j]) % p * weights[j]
     low = np.array(modulus[:m])
-    for d in range(2 * m - 2, m - 1, -1):
-        prod[:, :, d - m:d] -= prod[:, :, d, None] % p * low
-    mul = (prod[:, :, :m] % p * weights).sum(axis=-1)
+    for g in range(2, q):
+        rows = [digits[g]]   # rows[j]: the digits of x^j g
+        for _ in range(m - 1):   # times x: shift up, and x^m = -low
+            y = rows[-1]
+            rows.append((np.concatenate(([0], y[:-1])) - y[-1] * low) % p)
+        times_g = (digits @ np.array(rows) % p @ weights).tolist()
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(times_g[exp[-1]])
+        if exp.count(1) == 1:   # no power below q - 1 is one
+            break
+    exp = np.array(exp)
+    log = np.zeros(q, dtype=np.intp)
+    log[exp] = np.arange(q - 1)
+    mul = np.zeros((q, q), dtype=np.intp)
+    mul[1:, 1:] = exp[(log[1:, None] + log[1:]) % (q - 1)]
     return FiniteField(
-        p=p, m=m, modulus=modulus, q=q, add=add.tolist(), mul=mul.tolist(),
+        p=p, m=m, modulus=modulus, q=q, add=add, mul=mul,
         zero=0, one=1, name=f"GF({q};{format_poly(modulus)})",
     )
 
@@ -257,10 +303,15 @@ def parse_field_spec(spec: str) -> FiniteField:
 def multiplicative_group(f: FiniteField) -> FiniteGroup:
     """F* on the q-1 nonzero elements; group index h is field index h+1."""
     n = f.q - 1
-    table = np.asarray(f.mul, dtype=np.intp)[1:, 1:] - 1
+    table = f.np_mul()[1:, 1:] - 1
     if (table < 0).any():
         raise InternalInconsistencyError("zero divisor in the nonzero elements")
-    inverse = [f.mul_inverse(i + 1) - 1 for i in range(n)]
+    is_one = f.np_mul()[1:] == f.one   # rows of the nonzero elements
+    has_inverse = is_one.any(axis=1)
+    if not has_inverse.all():
+        raise InternalInconsistencyError(
+            f"no multiplicative inverse for {int(has_inverse.argmin()) + 1}")
+    inverse = is_one.argmax(axis=1) - 1
     group = FiniteGroup(
         order=n, table=table, identity=f.one - 1, inverse=inverse,
         name=f"{f.name}*",
@@ -367,7 +418,7 @@ def verify_field_axioms(f: FiniteField) -> Report:
     the nonzero elements under multiplication. A failing field_axioms
     has the witness (failing check, *indices); a failing
     multiplicative_cyclic has (reason,)."""
-    ok, what, witness = check_field_tables(f.add, f.mul, f.zero, f.one)
+    ok, what, witness = check_field_tables(f.np_add(), f.np_mul(), f.zero, f.one)
     checks = {"field_axioms": CheckResult(ok, None if ok else (what, *witness))}
     try:
         multiplicative_group(f)  # raises unless F* is cyclic of order q - 1
@@ -384,7 +435,7 @@ def _unit_orders(f: FiniteField) -> list[int]:
     for a zero divisor among the nonzero elements, or when they are no
     cyclic group: some powers never reach one, or no order is q - 1."""
     n = f.q - 1
-    units = np.asarray(f.mul, dtype=np.intp)[1:, 1:].ravel() - 1
+    units = f.np_mul()[1:, 1:].ravel() - 1
     if (units < 0).any():
         raise InternalInconsistencyError("zero divisor in the nonzero elements")
     x = np.arange(n, dtype=np.intp)
@@ -406,6 +457,12 @@ def field_isomorphism(f1: FiniteField, f2: FiniteField) -> list[int] | None:
     and keeps the first map that is also additive. Both must be fields:
     _unit_orders raises if either has zero divisors or a multiplicative
     group that is not cyclic.
+
+    A map is first tested at b = 1 only, and only a pass there runs the
+    test over all (a, b), so the answer is the one the full test gives.
+    Between fields a pass at b = 1 is a pass: for b != 0 the map f is
+    multiplicative, so f(a + b) = f(b) f(a/b + 1) = f(b) (f(a/b) + 1)
+    = f(a) + f(b).
     """
     if f1.q != f2.q:
         return None
@@ -413,8 +470,7 @@ def field_isomorphism(f1: FiniteField, f2: FiniteField) -> list[int] | None:
     # index h of the orders is field element h + 1
     orders1, orders2 = _unit_orders(f1), _unit_orders(f2)
     g1 = orders1.index(n) + 1
-    add1 = np.asarray(f1.add, dtype=np.intp)
-    add2 = np.asarray(f2.add, dtype=np.intp)
+    add1, add2 = f1.np_add(), f2.np_add()
     for cand in (h + 1 for h, k in enumerate(orders2) if k == n):
         mapping = [f2.zero] * f1.q
         mapping[f1.one] = f2.one
@@ -425,6 +481,7 @@ def field_isomorphism(f1: FiniteField, f2: FiniteField) -> list[int] | None:
             image = f2.mul[image][cand]
             mapping[x] = image
         image_of = np.asarray(mapping, dtype=np.intp)
-        if (image_of[add1] == add2[image_of[:, None], image_of[None, :]]).all():
+        if ((image_of[add1[:, f1.one]] == add2[image_of, f2.one]).all()
+                and (image_of[add1] == add2[image_of[:, None], image_of]).all()):
             return mapping
     return None

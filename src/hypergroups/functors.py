@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
 from ._util import first_failure_on, first_mismatch
 from .core import HypergroupOverGroup, hypergroup_from_tables
 from .errors import (
@@ -145,12 +146,10 @@ def functor_field(f: FiniteField) -> HypergroupOverGroup:
     """A field as a hypergroup over its multiplicative group."""
     h = multiplicative_group(f)
     q = f.q
-    phi = [[f.mul[a][al + 1] for al in range(q - 1)] for a in range(q)]
-    psi = [list(range(q - 1)) for _ in range(q)]
-    xi = [row[:] for row in f.add]
-    lam = [[h.identity] * q for _ in range(q)]
     return hypergroup_from_tables(
-        m_size=q, h=h, phi=phi, psi=psi, xi=xi, lam=lam, o=f.zero
+        m_size=q, h=h, phi=f.np_mul()[:, 1:],
+        psi=np.broadcast_to(np.arange(q - 1), (q, q - 1)), xi=f.np_add(),
+        lam=np.full((q, q), h.identity), o=f.zero,
     )
 
 
@@ -241,6 +240,19 @@ def reconstruct_field(
     each t = t(alpha) the b with t(ab) = t(a)t(b) for all a are closed
     under xi: if b and d are among them, t(a(bd)) = t((ab)d) = t(ab)t(d)
     = (t(a)t(b))t(d) = t(a)(t(b)t(d)) = t(a)t(bd).
+
+    NotAdditivelyClosed compares sums on the columns G only. By then
+    every row of k is an endomorphism of the abelian group (M, xi): each
+    t(alpha) passed PhiNotEndomorphism, and zeta is constant at o, the
+    neutral element of xi. The rows are pairwise distinct, by
+    TNotInjective and the zero check. Two endomorphisms that agree on G
+    agree on every product of members of G, which is every element, so
+    they are equal. Hence the restriction k|G is injective, and as the
+    pointwise sum k[i] + k[j] of two endomorphisms of an abelian group is
+    one too, it is a row k[l] of k iff its restriction to G is k[l]|G.
+    The failing (i, j) and the matched l are the ones a comparison of
+    whole rows gives, so the witness, the first failure in row-major
+    order, is too; the whole sum is built only for its detail.
     """
     m = hg.m_size
     hn = hg.h.order
@@ -308,8 +320,9 @@ def reconstruct_field(
         return lambda r: (t[r].take(xi_c, axis=1)
                           != flat_xi.take(t[r][:, :, None] * m + t_c[r][:, None, :]))
 
+    gens = _right_generators(xi)
     failure = first_failure_on((hn, m, m), [("PhiNotEndomorphism", endomorphism)],
-                               lambda: _right_generators(xi))
+                               lambda: gens)
     if failure is not None:
         al, a, b = failure[1]
         return FieldReconstruction(
@@ -343,29 +356,33 @@ def reconstruct_field(
     k_endos = k.tolist()
     nk = len(k)
 
-    # each row of k as one opaque value, so sums are looked up by sorting
-    row_of = np.dtype((np.void, m * k.itemsize))
-    k_rows = k.view(row_of).ravel()
+    # sums of rows of k, matched on the generator columns only (see the
+    # docstring), each restriction as one opaque value
+    k_gens = np.ascontiguousarray(k[:, gens])
+    row_of = np.dtype((np.void, len(gens) * k.itemsize))
+    k_rows = k_gens.view(row_of).ravel()
     order = np.argsort(k_rows)
     sorted_rows = k_rows[order]
     add = np.empty((nk, nk), dtype=np.intp)
-    for i in range(nk):
-        sums = flat_xi.take(k[i] * m + k)   # sums[j] = k[i] + k[j], pointwise
-        sum_rows = sums.view(row_of).ravel()
+    step = max(1, _util.BLOCK_CELLS // (nk * len(gens)))
+    for lo in range(0, nk, step):
+        # sums[i, j] = (k[lo + i] + k[j]) restricted to the generators
+        sums = flat_xi.take(k_gens[lo:lo + step, None, :] * m + k_gens)
+        sum_rows = sums.view(row_of).reshape(len(sums), nk)
         pos = np.minimum(np.searchsorted(sorted_rows, sum_rows), nk - 1)
         missing = np.flatnonzero(sorted_rows[pos] != sum_rows)
         if len(missing):
-            j = int(missing[0])
+            i, j = divmod(lo * nk + int(missing[0]), nk)
             return FieldReconstruction(
                 status="NotAdditivelyClosed",
                 witness=(i, j),
                 detail=(
-                    f"k[{i}] + k[{j}] is the endomorphism {sums[j].tolist()}, "
-                    f"not in k"
+                    f"k[{i}] + k[{j}] is the endomorphism "
+                    f"{flat_xi.take(k[i] * m + k[j]).tolist()}, not in k"
                 ),
                 k_endomorphisms=k_endos,
             )
-        add[i] = order[pos]
+        add[lo:lo + step] = order[pos]
     mul = np.zeros((nk, nk), dtype=np.intp)
     mul[1:, 1:] = 1 + ht
     add_table = add.tolist()
@@ -399,7 +416,7 @@ def reconstruct_field(
         )
     candidate = FiniteField(
         p=canonical.p, m=canonical.m, modulus=canonical.modulus, q=nk,
-        add=add_table, mul=mul_table, zero=0, one=one,
+        add=add, mul=mul, zero=0, one=one,
         name=f"k({nk})",
     )
     iso = field_isomorphism(candidate, canonical)

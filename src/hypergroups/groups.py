@@ -67,12 +67,8 @@ class FiniteGroup:
     _inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, arr = self.order, self.table
-        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"
-                and arr.shape == (n, n) and ((arr >= 0) & (arr < n)).all()):
-            arr = _closed_table(as_int_matrix(arr), n)
-        arr = arr.astype(np.intp)
-        arr.flags.writeable = False
+        n = self.order
+        arr = _square_table(self.table, n)
         identity = as_int(self.identity, "identity")
         if not 0 <= identity < n:
             raise MalformedTablesError("identity", f"value {identity} outside [0, {n})")
@@ -196,12 +192,28 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
-def _closed_table(rows: list[list[int]], n: int) -> np.ndarray:
-    """rows, lists of ints, as an (n, n) intp array. Other than n rows
-    raise MalformedTablesError; then the first row of another length, or
-    cell outside [0, n), in row-major order raises NotClosedError."""
+def _int_rows(table, name: str = "table"):
+    """table itself if it is a 2-D integer array, else as_int_matrix(table)."""
+    if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iu":
+        return table
+    return as_int_matrix(table, name)
+
+
+def _closed_table(rows, n: int) -> np.ndarray:
+    """rows, lists of ints or a 2-D integer array, as a new (n, n) intp
+    array. Other than n rows raise MalformedTablesError; then the first
+    row of another length, or cell outside [0, n), in row-major order
+    raises NotClosedError."""
     if len(rows) != n:
         raise MalformedTablesError("table", f"expected {n} rows, got {len(rows)}")
+    if isinstance(rows, np.ndarray):
+        if rows.shape[1] != n:
+            raise NotClosedError(0, rows.shape[1], -1, n)
+        bad = (rows < 0) | (rows >= n)
+        if not bad.any():
+            return rows.astype(np.intp)
+        i, j = divmod(int(bad.argmax()), n)
+        raise NotClosedError(i, j, int(rows[i, j]), n)
     arr, fault = int_table(rows, n, n)
     if fault is None:
         return arr
@@ -211,13 +223,21 @@ def _closed_table(rows: list[list[int]], n: int) -> np.ndarray:
     raise NotClosedError(i, j, rows[i][j], n)
 
 
+def _square_table(table, n: int, name: str = "table") -> np.ndarray:
+    """table, rows or a 2-D integer array, as a new read-only (n, n) intp
+    array, checked as _closed_table checks it."""
+    arr = _closed_table(_int_rows(table, name), n)
+    arr.flags.writeable = False
+    return arr
+
+
 def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
     """Validate a Cayley table and build a FiniteGroup.
 
     Check order matters: closure, then identity, then associativity,
     then inverses, each reported with its first witness in scan order.
     """
-    table = as_int_matrix(table)
+    table = _int_rows(table)
     n = len(table)
     if n == 0:
         raise NotClosedError(0, 0, -1, 0)

@@ -3,18 +3,22 @@ axiom checking, isomorphism.
 
 The irreducibility oracle here factors polynomials by exhaustive trial
 multiplication of lower-degree monics, independent of the library's
-long-division route. Frozen moduli below were derived by hand and are
-re-checked against that oracle and against the documented least-first
-scan order.
+long-division route, and sympy's irreducibility test is a second one.
+Frozen moduli below were derived by hand and are re-checked against
+that oracle and against the documented least-first scan order.
 """
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 import signal
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +26,8 @@ from hypothesis import strategies as st
 from hypergroups import _util
 from hypergroups import (
     InternalInconsistencyError,
+    MalformedTablesError,
+    NotClosedError,
     NotIrreducibleError,
     NotMonicError,
     NotPrimeError,
@@ -39,6 +45,7 @@ from hypergroups import (
     parse_poly,
     verify_field_axioms,
 )
+from hypergroups.fields import _irreducibility_witness
 
 import loop_oracles
 
@@ -130,6 +137,75 @@ class TestPrimeFields:
                 assert f.mul[a][f.mul_inverse(a)] == 1
 
 
+class TestFrozenField:
+    """A field's tables are tuple rows plus read-only intp arrays, made and
+    checked once; edits make a new field through the constructor."""
+
+    @pytest.mark.parametrize("q", [2, 4, 9, 25])
+    def test_two_forms_of_one_table(self, q):
+        f = make_field(q)
+        for rows, arr in ((f.add, f.np_add()), (f.mul, f.np_mul())):
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            assert arr.dtype == np.intp and arr.shape == (q, q)
+            assert arr.tolist() == [list(row) for row in rows]
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.one = 0
+        assert replace(f, add=np.array(f.add)) == f
+
+    def test_arrays_are_copies(self):
+        f = make_field(5)
+        mul = np.array(f.mul)
+        g = replace(f, mul=mul)
+        mul[2, 3] = 0
+        assert g.mul[2][3] == f.mul[2][3] and g.np_mul()[2, 3] == f.mul[2][3]
+
+    @pytest.mark.parametrize("edit, error, text", [
+        (lambda mul: mul[1].__setitem__(2, 5), NotClosedError,
+         "table[1][2] = 5 is outside [0, 5)"),
+        (lambda mul: mul[3].pop(), NotClosedError, "table[3][4] = -1 is outside [0, 5)"),
+        (lambda mul: mul.pop(), MalformedTablesError, "table: expected 5 rows, got 4"),
+        (lambda mul: mul[0].__setitem__(0, 0.5), MalformedTablesError,
+         "mul[0][0]: value 0.5 is not an integer"),
+    ])
+    def test_tables_are_checked(self, edit, error, text):
+        gf5 = make_field(5)
+        mul = [list(row) for row in gf5.mul]
+        edit(mul)
+        with pytest.raises(error) as ei:
+            replace(gf5, mul=mul)
+        assert str(ei.value) == text
+
+    def test_an_array_out_of_range_is_refused(self):
+        gf5 = make_field(5)
+        mul = np.array(gf5.mul)
+        mul[1, 2] = 5
+        with pytest.raises(NotClosedError) as ei:
+            replace(gf5, mul=mul)
+        assert str(ei.value) == "table[1][2] = 5 is outside [0, 5)"
+
+    def test_copy_and_pickle_rebuild(self):
+        f = make_field(8)
+        for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and g.name == f.name
+            assert not g.np_add().flags.writeable and not g.np_mul().flags.writeable
+
+    def test_inverse_errors_keep_their_texts(self):
+        gf5 = make_field(5)
+        mul = [list(row) for row in gf5.mul]
+        mul[3][2] = 3   # row 3 keeps no 1: 3*2 was 1
+        f = replace(gf5, mul=mul)
+        with pytest.raises(InternalInconsistencyError, match="^no multiplicative inverse for 3$"):
+            f.mul_inverse(3)
+        with pytest.raises(InternalInconsistencyError, match="^no multiplicative inverse for 3$"):
+            multiplicative_group(f)
+        add = [list(row) for row in gf5.add]
+        add[4][1] = 4   # row 4 keeps no 0
+        with pytest.raises(InternalInconsistencyError, match="^no additive inverse for 4$"):
+            replace(gf5, add=add).neg(4)
+
+
 # --------------------------------------------------------------------
 # extension fields and moduli
 
@@ -161,6 +237,33 @@ class TestExtensionFields:
                 if cand == poly:
                     break
                 assert not oracle_irreducible(cand, p), (q, cand)
+
+    def test_irreducibility_matches_sympy(self):
+        # every monic polynomial of degree m over GF(p) with p^m <= 128
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        checked = 0
+        for p in sympy.primerange(2, 129):
+            m = 1
+            while p ** m <= 128:
+                for coeffs in monic_polys_ascending(p, m):
+                    expected = sympy.Poly(coeffs[::-1], x, modulus=p).is_irreducible
+                    assert (_irreducibility_witness(coeffs, p) is None) == expected, (p, coeffs)
+                    checked += 1
+                m += 1
+        assert checked == 2409
+
+    def test_default_moduli_are_the_first_sympy_irreducibles(self):
+        # every prime power q = p^m <= 512, in the encoding order
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for p in sympy.primerange(2, 513):
+            m = 1
+            while p ** m <= 512:
+                first = next(c for c in monic_polys_ascending(p, m)
+                             if sympy.Poly(c[::-1], x, modulus=p).is_irreducible)
+                assert default_modulus(p, m) == first, (p, m)
+                m += 1
 
     def test_reducible_rejected_with_factor_witness(self):
         # x^2+1 = (x+1)^2 over GF(2)
@@ -196,8 +299,10 @@ class TestExtensionFields:
         assert rep.overall, (q, rep.checks)
 
     def test_non_field_gives_a_report(self):
-        f = make_field(9)
-        f.mul[2][3], f.mul[2][4] = f.mul[2][4], f.mul[2][3]
+        gf9 = make_field(9)
+        mul = [list(row) for row in gf9.mul]
+        mul[2][3], mul[2][4] = mul[2][4], mul[2][3]
+        f = replace(gf9, mul=mul)
         with time_limit(10):
             rep = verify_field_axioms(f)
             with pytest.raises(InternalInconsistencyError, match="never reach"):
@@ -227,7 +332,7 @@ class TestCheckFieldTables:
 
     def test_symmetric_mul_mutation_gives_distributivity_witness(self):
         f = make_field(5)
-        mul = [row[:] for row in f.mul]
+        mul = [list(row) for row in f.mul]
         mul[2][3] = mul[3][2] = 2  # keeps commutativity
         ok, what, witness = check_field_tables(f.add, mul, f.zero, f.one)
         assert not ok
@@ -390,7 +495,7 @@ def mutated_field_tables(draw):
         mul = [[(i * j) % q for j in range(q)] for i in range(q)]
     else:
         f = make_field(q)
-        add, mul = [row[:] for row in f.add], [row[:] for row in f.mul]
+        add, mul = [list(row) for row in f.add], [list(row) for row in f.mul]
     cell = st.one_of(st.integers(min(2, q - 1), q - 1), st.integers(0, q - 1))
     for _ in range(draw(st.integers(0, 3))):
         table = draw(st.sampled_from([add, mul]))
@@ -425,7 +530,7 @@ class TestAgainstLoopOracles:
     def test_every_single_mutation_with_generator_scans(self, q):
         f = make_field(q)
         for name, a, b, v in itertools.product(("add", "mul"), *[range(q)] * 3):
-            tables = {"add": [row[:] for row in f.add], "mul": [row[:] for row in f.mul]}
+            tables = {"add": [list(row) for row in f.add], "mul": [list(row) for row in f.mul]}
             tables[name][a][b] = v
             for commutative in (True, False):
                 with mock.patch.object(_util, "BLOCK_CELLS", 1):
@@ -465,7 +570,7 @@ class TestAgainstLoopOracles:
     def test_every_single_mul_mutation_matches_loops(self, q):
         f = make_field(q)
         for a, b, v in itertools.product(range(q), repeat=3):
-            mul = [row[:] for row in f.mul]
+            mul = [list(row) for row in f.mul]
             mul[a][b] = v
             for commutative in (True, False):
                 assert check_field_tables(f.add, mul, 0, 1, commutative) == (
@@ -483,7 +588,8 @@ class TestAgainstLoopOracles:
         picks = {0, len(irreducible) // 2, len(irreducible) - 1}
         for modulus in (irreducible[i] for i in sorted(picks)):
             f = make_extension_field(p, modulus)
-            assert (f.add, f.mul) == loop_oracles.extension_tables(p, modulus)
+            assert ([list(row) for row in f.add], [list(row) for row in f.mul]) == (
+                loop_oracles.extension_tables(p, modulus))
             assert all(type(v) is int for row in f.mul for v in row)
 
     @pytest.mark.parametrize("p,m", [(2, 5), (2, 6), (3, 4), (5, 3), (2, 7), (11, 2)])
@@ -496,14 +602,16 @@ class TestAgainstLoopOracles:
 
     def test_field_isomorphism_rejects_non_fields(self):
         gf5 = make_field(5)
-        zero_divisor = replace(gf5, mul=[row[:] for row in gf5.mul])
-        zero_divisor.mul[2][3] = zero_divisor.mul[3][2] = 0
+        mul = [list(row) for row in gf5.mul]
+        mul[2][3] = mul[3][2] = 0
+        zero_divisor = replace(gf5, mul=mul)
         # {1, 2, 3, 4} as the Klein group: no element of order 4
         klein = replace(gf5, mul=[[0] * 5] + [[0] + [1 + ((a - 1) ^ (b - 1))
                                                       for b in range(1, 5)]
                                                for a in range(1, 5)])
-        never_one = replace(gf5, mul=[row[:] for row in gf5.mul])
-        never_one.mul[2][2] = 2  # the powers of 2 stay at 2
+        mul = [list(row) for row in gf5.mul]
+        mul[2][2] = 2  # the powers of 2 stay at 2
+        never_one = replace(gf5, mul=mul)
         for bad, match in ((zero_divisor, "zero divisor"), (klein, "not cyclic"),
                            (never_one, "not cyclic")):
             for pair in ((bad, gf5), (gf5, bad)):

@@ -7,6 +7,7 @@ order up to 9. Structural frozen values (which table equals which) come
 straight from the functor definitions.
 """
 
+import itertools
 from unittest import mock
 
 import pytest
@@ -149,7 +150,7 @@ class TestFunctorField:
         f = make_field(q)
         hg = functor_field(f)
         assert verify_axioms(hg).overall
-        assert hg.xi.tolist() == f.add
+        assert hg.xi.tolist() == [list(row) for row in f.add]
         assert hg.o == f.zero
         assert hg.h.order == q - 1
         # phi is multiplication by the nonzero elements
@@ -419,6 +420,28 @@ class TestReconstructionAgainstLoops:
             with mock.patch.object(_util, "BLOCK_CELLS", block):
                 self.check(bad, True)
         assert reconstruct_field(bad).status == "PhiNotEndomorphism"
+
+    @pytest.mark.parametrize("q", [4, 8, 9])
+    def test_every_column_swapped_for_an_endomorphism(self, q):
+        # t(alpha) becomes a -> c a^(p^s), an endomorphism of (M, xi), so
+        # each image reaches the sums of k, matched on the generator
+        # columns, and many are not closed under them; one-row blocks
+        # split those sums across blocks
+        f = make_field(q)
+        hg = functor_field(f)
+        statuses, frob, x_to_power = set(), frobenius(f), list(range(q))
+        for _ in range(f.m):
+            for al, c in itertools.product(range(q - 1), range(q)):
+                phi = hg.phi.tolist()
+                for a in range(q):
+                    phi[a][al] = f.mul[x_to_power[a]][c]
+                bad = hypergroup_from_tables(q, hg.h, phi, hg.psi, hg.xi, hg.lam, hg.o)
+                for block in (1, _util.BLOCK_CELLS):
+                    with mock.patch.object(_util, "BLOCK_CELLS", block):
+                        self.check(bad, True)
+                statuses.add(reconstruct_field(bad).status)
+            x_to_power = [frob[x] for x in x_to_power]
+        assert {"ok", "NotAdditivelyClosed"} <= statuses
 
     @staticmethod
     def check(hg, abelian):

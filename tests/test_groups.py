@@ -7,6 +7,7 @@ so the frozen literals below are re-derived on every run rather than
 trusted.
 """
 
+import contextlib
 import copy
 import dataclasses
 import itertools
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from hypergroups import _util
 from hypergroups import (
+    AlgebraError,
     FiniteGroup,
     IndexOutOfRangeError,
     MalformedTablesError,
@@ -567,6 +569,34 @@ class TestGroupFromCayleyTable:
         with pytest.raises(MalformedTablesError) as ei:
             group_from_cayley_table(table)
         assert ei.value.location == location
+
+    @pytest.mark.parametrize("table, dtype", [
+        ([[0, 1, 0], [1, 0, 1]], np.int64),              # wrong shape: 2 rows of 3
+        ([[0, 1], [1, 0], [0, 1]], np.int64),            # wrong shape: 3 rows of 2
+        ([[], []], np.int64),                            # wrong shape: empty rows
+        ([[0, 1], [1, 2]], np.int64),                    # a cell out of range
+        ([[0, 1], [1, 2]], np.uint8),
+        ([[0, 1], [-1, 0]], np.int32),                   # a negative cell
+        ([[0, 1], [1, 2 ** 63]], np.uint64),             # a cell past intp
+        ([[1, 1], [1, 1]], np.int64),                    # no identity
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], np.int64),   # non-associative
+        ([[0, 0], [0, 1]], np.int64),                    # no inverse
+        ([[0, 1], [1, 0]], np.uint8),                    # a group
+    ])
+    def test_an_array_is_validated_as_its_rows(self, table, dtype):
+        arr = np.array(table, dtype=dtype).reshape(len(table), -1)
+        outcomes = []
+        for value in (arr.tolist(), arr):
+            try:
+                # an integer array is read as it is, never converted to rows
+                with mock.patch("hypergroups.groups.as_int_matrix",
+                                side_effect=AssertionError("converted to rows")
+                                ) if value is arr else contextlib.nullcontext():
+                    g = group_from_cayley_table(value)
+                outcomes.append((g.table, g.identity, g.inverse))
+            except AlgebraError as exc:
+                outcomes.append((type(exc), str(exc), getattr(exc, "witness", None)))
+        assert outcomes[0] == outcomes[1]
 
     def test_order_cap(self):
         with pytest.raises(SizeLimitExceededError):

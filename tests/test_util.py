@@ -193,6 +193,45 @@ def test_canonical_dumps_is_json_dumps(value):
     assert dump_outcome(canonical_dumps, value) == dump_outcome(reference_dumps, value)
 
 
+@st.composite
+def json_tables(draw):
+    """A list of rows, mostly non-empty lists of ints in one range: small
+    ones, which are written from a token list, or negatives or ints past
+    2^16 or 2^63, which are not. Now and then a row is a tuple, empty,
+    of another length, or holds a bool, a float or None."""
+    cell = draw(st.sampled_from([
+        st.integers(0, 9), st.integers(0, 2 ** 16 - 1), st.integers(-3, 3),
+        st.integers(2 ** 16 - 2, 2 ** 16 + 2), st.integers(2 ** 63 - 2, 2 ** 63 + 2),
+        st.integers(-(2 ** 70), 2 ** 70),
+    ]))
+    width = draw(st.integers(1, 5))
+    odd_cells = st.one_of(st.booleans(), st.floats(allow_nan=False), st.none())
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = draw(st.lists(cell, min_size=width, max_size=width))
+        kind = draw(st.sampled_from(["list"] * 6 + ["tuple", "empty", "ragged", "odd"]))
+        if kind == "tuple":
+            row = tuple(row)
+        elif kind == "empty":
+            row = []
+        elif kind == "ragged":
+            row = row + draw(st.lists(cell, min_size=1, max_size=2))
+        elif kind == "odd":
+            row[draw(st.integers(0, width - 1))] = draw(odd_cells)
+        rows.append(row)
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(value=st.recursive(
+    json_tables(),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(st.text(max_size=2), children, max_size=3)),
+    max_leaves=6))
+def test_canonical_dumps_on_tables(value):
+    assert canonical_dumps(value) == reference_dumps(value)
+
+
 def test_canonical_dumps_edge_values():
     deep_list, deep_dict = [[0, 1]], {"k": [0, {"a": None}]}
     for _ in range(150):
