@@ -4,6 +4,13 @@ Element i encodes the polynomial whose coefficients are the base-p
 digits of i (coefficient of x^j = j-th digit), so elements sort by
 coefficient tuple with zero first and one second. Prime fields use the
 same table-driven representation for uniformity.
+
+Extension fields are built from exp/log tables: addition digitwise, and
+multiplication as exp[(log a + log b) mod (q - 1)] from the powers of
+the first primitive element. A FiniteField is frozen, and keeps each
+table twice, made and checked once at construction: as tuple rows for
+Python loops and as a read-only intp array (np_add(), np_mul()) for
+numpy code.
 """
 
 from __future__ import annotations
@@ -165,12 +172,13 @@ def make_prime_field(p: int) -> FiniteField:
 def make_extension_field(p: int, modulus) -> FiniteField:
     """GF(p^m) as GF(p)[x] / (modulus), from exp/log tables.
 
-    Addition is digitwise, one (q, q) pass per digit. For
+    Addition is digitwise: the table of digits 0..j is the sum table of
+    digit j, times p^j, spread over that of digits 0..j-1. For
     multiplication, each g = 2, 3, ... in turn gives the matrix of the
     GF(p)-linear map y -> yg (row j: the digits of x^j g), applied to
-    every element at once, and the powers 1, g, g^2, ... are walked until
-    they return to 1; the first g whose walk takes q - 1 steps is
-    primitive, and its walk is exp (exp[k] = g^k) with log its inverse.
+    every element at once, and the powers g^0, ..., g^(q-2) are walked;
+    the first g with no 1 among g^1, ..., g^(q-2) is primitive, and its
+    walk is exp (exp[k] = g^k) with log its inverse.
     Then ab = exp[(log a + log b) mod (q - 1)] for nonzero a, b (R. Lidl
     and H. Niederreiter, Finite Fields, ch. 9).
     """
@@ -194,9 +202,11 @@ def make_extension_field(p: int, modulus) -> FiniteField:
         raise NotIrreducibleError(factor)
     weights = p ** np.arange(m)
     digits = np.arange(q)[:, None] // weights % p   # digits[i, j]: x^j in i
-    add = np.zeros((q, q), dtype=np.intp)
-    for j in range(m):
-        add += (digits[:, None, j] + digits[None, :, j]) % p * weights[j]
+    z = np.arange(p)
+    add = np.zeros((1, 1), dtype=np.intp)   # the sums on no digits
+    for j in range(m):   # digit j above the table of digits 0..j-1
+        top = (z[:, None] + z) % p * p ** j
+        add = (top[:, None, :, None] + add[None, :, None, :]).reshape(p ** (j + 1), -1)
     low = np.array(modulus[:m])
     for g in range(2, q):
         rows = [digits[g]]   # rows[j]: the digits of x^j g
