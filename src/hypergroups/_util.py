@@ -153,13 +153,15 @@ def as_int(value: Any, location: str) -> int:
     raise MalformedTablesError(location, f"value {value!r} is not an integer")
 
 
-def as_int_matrix(rows: Any, name: str = "table") -> list[list[int]]:
-    """Copy a nested sequence or an array to list-of-list-of-int.
+def as_int_matrix(rows: Any, name: str = "table") -> list[Sequence[int]]:
+    """A nested sequence or an array as a list of rows of Python ints.
 
     A table or row that is not a sequence, or a cell that is not an
     integer (a float, a bool, a string), raises MalformedTablesError at
     the first one in row-major order. Each row's cell types are read
-    once; only a row with other integer types is converted cell by cell.
+    once. A row of Python ints is returned as it is, not copied, so
+    callers only read the rows; a row with other integer types is
+    converted cell by cell.
     """
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
@@ -170,13 +172,13 @@ def as_int_matrix(rows: Any, name: str = "table") -> list[list[int]]:
         if not isinstance(row, (list, tuple)):
             raise MalformedTablesError(f"{name}[{i}]", "row is not a sequence")
         if set(map(type, row)) <= {int}:
-            out.append(list(row))
+            out.append(row)
         else:
             out.append([as_int(v, f"{name}[{i}][{j}]") for j, v in enumerate(row)])
     return out
 
 
-def int_table(rows: list[list[int]], ncols: int, vrange: int):
+def int_table(rows: list[Sequence[int]], ncols: int, vrange: int):
     """(array, fault) for rows of ints. array holds the rows before the
     first one whose length is not ncols, as intp; fault is the first
     fault in row-major order: (i, j) for a value outside [0, vrange),

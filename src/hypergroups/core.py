@@ -15,16 +15,19 @@ the unique H x M factorization.
 H-indices in psi/lam refer to a standalone copy of H on 0..|H|-1, so
 abstract hypergroups (loaded or enumerated, no ambient group) use the
 same representation as constructed ones. The four tables are stored
-only as read-only intp arrays, shape- and range-checked once when a
-HypergroupOverGroup is made; lists appear only in the JSON form that
-hypergroup_to_json writes.
+only as read-only intp arrays; lists appear only in the JSON form that
+hypergroup_to_json writes. Every public way to make a
+HypergroupOverGroup shape- and range-checks each of its tables.
+standard_constructions checks a whole batch at once instead: its coset
+indices (every cell of phi and xi) once per call, and its stacked psi
+and lam once per gather.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -111,12 +114,15 @@ class HypergroupOverGroup:
     _table_array: rows of the right length, values in [0, |M|) for phi
     and xi and in [0, |H|) for psi and lam, and o in [0, |M|). A fault
     raises MalformedTablesError, whether the hypergroup comes from
-    hypergroup_from_tables, standard_construction or
-    dataclasses.replace. A table cannot be written in place, so no
-    check or derived value can go stale; a changed hypergroup is a new
-    one, made with dataclasses.replace. Equality compares values; copy
-    and pickle rebuild through the constructor, so copies are checked
-    and read-only too.
+    hypergroup_from_tables, the constructor or dataclasses.replace.
+    standard_constructions makes its items through _prechecked instead:
+    it checks the coset indices once per call and the gathered psi and
+    lam once per batch, and each item owns copies of its rows of the
+    batch. A table cannot be written in place, so no check or derived
+    value can go stale; a changed hypergroup is a new one, made with
+    dataclasses.replace. Equality compares values; copy and pickle
+    rebuild through the constructor, so copies are checked and
+    read-only too.
     """
 
     m_size: int
@@ -137,6 +143,18 @@ class HypergroupOverGroup:
             setattr(self, name, table)
         if not 0 <= self.o < m:
             raise MalformedTablesError("o", f"value {self.o} outside [0, {m})")
+
+    @classmethod
+    def _prechecked(cls, m_size, h, phi, psi, xi, lam, o, ambient) -> HypergroupOverGroup:
+        """A hypergroup on tables its caller checked: new intp arrays of
+        the right shapes and ranges that nothing else holds, made
+        read-only here; skips __post_init__."""
+        for table in (phi, psi, xi, lam):
+            table.flags.writeable = False
+        hg = object.__new__(cls)
+        hg.__dict__.update(m_size=m_size, h=h, phi=phi, psi=psi, xi=xi, lam=lam, o=o,
+                           ambient=ambient)
+        return hg
 
     def __reduce__(self):
         return (HypergroupOverGroup, (self.m_size, self.h, self.phi, self.psi,
@@ -186,6 +204,15 @@ def _table_array(name: str, rows, nrows: int, ncols: int, vrange: int) -> np.nda
         f"{name}[{i}][{j}]", f"value {rows[i][j]} outside [0, {vrange})")
 
 
+@lru_cache(maxsize=256)
+def _arange(n: int, step: int = 1, shape: tuple[int, ...] = (-1,)) -> np.ndarray:
+    """np.arange(0, n * step, step).reshape(shape), read-only, made once
+    per set of arguments."""
+    arr = np.arange(0, n * step, step).reshape(shape)
+    arr.flags.writeable = False
+    return arr
+
+
 def hypergroup_from_tables(
     m_size: int,
     h: FiniteGroup,
@@ -225,7 +252,11 @@ def standard_constructions(group: FiniteGroup, h: Subgroup, transversals) -> lis
     transversal of (G, H) indexes the same right cosets, so the tables
     of many are one gather with a leading axis over the transversals,
     made for as many at a time as keep each temporary within
-    BLOCK_CELLS cells (at least one).
+    BLOCK_CELLS cells (at least one). The tables are range-checked on
+    the batch, not per item: the coset indices, which are every cell of
+    phi and xi, once per call, and the stacked psi and lam once per
+    gather, where an h-part outside H is -1. Either fault raises
+    InternalInconsistencyError. Each item owns copies of its tables.
     """
     ts = []
     for t in transversals:
@@ -248,36 +279,42 @@ def standard_constructions(group: FiniteGroup, h: Subgroup, transversals) -> lis
     gt, n = group.np_table(), group.order
     cos = dec.np_coset_of()
     hels, h_index = h.np_elements(), h.np_index_in()
-    m, hn = len(ts[0].reps), h.order
+    m, hn, h_group = len(ts[0].reps), h.order, h.as_group()
+    # every cell of phi and xi is a coset index, so one check of cos
+    # covers them all; read as unsigned, a negative value is past 2^63
+    if cos.view(np.uintp).max() >= m:
+        raise InternalInconsistencyError(
+            f"the right cosets have an index outside [0, {m})")
     step = max(1, _util.BLOCK_CELLS // (m * max(m, hn, n)))
     out = []
     for lo in range(0, len(ts), step):
         batch = ts[lo:lo + step]
+        k = len(batch)
         reps = np.array([t.reps for t in batch], dtype=np.intp)     # (k, m)
+        rows = gt.take(reps, axis=0)                                # a * x
         # h_part[i * n + x]: the H-index of alpha in x = alpha * a, with a
         # the rep of x's coset in item i; -1 for an h-part outside H
-        h_part = h_index.take(gt[np.arange(n), group.np_inverse().take(reps)[:, cos]])
-        prod = gt[reps[:, :, None], hels]                # a * alpha
-        prod2 = gt[reps[:, :, None], reps[:, None, :]]  # a * b
-        if len(batch) > 1:   # one item, as in standard_construction, needs no shift
-            shift = np.arange(0, len(batch) * n, n)[:, None, None]
+        h_part = h_index.take(gt.ravel().take(
+            _arange(n, n) + group.np_inverse().take(reps).take(cos, axis=1)))
+        prod = rows.take(hels, axis=2)                    # a * alpha
+        # a * b, at rows[i, a, reps[i, b]]
+        prod2 = rows.take(reps[0], axis=2) if k == 1 else rows.ravel().take(
+            _arange(k * m, n, (k, m, 1)) + reps[:, None, :])
+        if k > 1:   # one item, as in standard_construction, needs no shift
+            shift = _arange(k, n, (k, 1, 1))
             at, at2 = prod + shift, prod2 + shift
         else:
             at, at2 = prod, prod2
         phi, psi = cos.take(prod), h_part.take(at)
         xi, lam = cos.take(prod2), h_part.take(at2)
-
-        for i, t in enumerate(batch):
-            # an h-part outside H is index -1 in psi or lam, which the
-            # constructor's range check refuses
-            try:
-                out.append(HypergroupOverGroup(
-                    m, h.as_group(), phi[i], psi[i], xi[i], lam[i], 0,
-                    ambient=Ambient(group=group, subgroup=h, transversal=t)))
-            except MalformedTablesError:
-                raise InternalInconsistencyError(
-                    "factorization produced an h-part outside the subgroup"
-                ) from None
+        if min(psi.min(), lam.min()) < 0:
+            raise InternalInconsistencyError(
+                "factorization produced an h-part outside the subgroup")
+        # each item gets copies, not views that would pin the stack
+        out += [HypergroupOverGroup._prechecked(
+                    m, h_group, phi[i].copy(), psi[i].copy(), xi[i].copy(), lam[i].copy(), 0,
+                    Ambient(group=group, subgroup=h, transversal=t))
+                for i, t in enumerate(batch)]
     return out
 
 
@@ -365,7 +402,9 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
     above it is built instead, and once the unit conditions hold Light's
     test on it decides A4 and A5 (needing no other check to pass).
     """
-    return verify_axioms_batch([hg])[0]
+    if not _items_per_block(hg.m_size, hg.h.order):
+        return _scan_axioms(hg)
+    return _report(hg, _failures(_Relations([hg]))[0])
 
 
 def verify_axioms_batch(hgs) -> list[Report]:
@@ -397,7 +436,7 @@ def _items_per_block(m: int, hn: int) -> int:
 class _Relations:
     """The checks of verify_axioms as masks, True where a check fails, on
     the tables of k hypergroups that share |M|, H and o, stacked along a
-    leading axis; checks names the method of each, in report order (P2
+    leading axis; checks maps each name to its method, in report order (P2
     is A0, which decides P2 once the unit action holds). A0-A5 are
     (k, |rows|, d2, |cols|) over the loop nest: the first argument at the
     rows of a block, the last at the columns of the tables it indexes,
@@ -406,55 +445,69 @@ class _Relations:
     row, _c4 that with an axis for a. Row x of item i is row i*|M| + x of
     the stack, so T[x][y] is the flat stack at (i*|M| + x)*ncols + y; the
     tables whose values index rows are shifted (phi_r, xi_r) and
-    premultiplied (phi_m, psi_h, lam_h, a_h) once.
+    premultiplied (phi_m, psi_h, lam_h, a_h) once. A new _Relations is at
+    every row and column, the whole tables; restrict gives a scan's block.
     """
-
-    checks = {"neutral": "neutral", "columns": "columns", "unit": "unit", "P2": "a0",
-              "image": "image", "A1": "a1", "A2": "a2", "A3": "a3", "A4": "a4", "A5": "a5"}
 
     def __init__(self, hgs: list[HypergroupOverGroup]):
         first = hgs[0]
         k, m, hn = len(hgs), first.m_size, first.h.order
         self.o, self.eps, self.ht = first.o, first.h.identity, first.h.np_table()
-        self.phi, self.psi, self.xi, self.lam = (
-            np.stack([getattr(hg, name) for hg in hgs]) if k > 1 else getattr(first, name)[None]
-            for name in ("phi", "psi", "xi", "lam"))
-        shift = np.arange(0, k * m, m)[:, None, None]   # i*|M|, for more than one item
-        self.phi_r, self.xi_r = (t + shift if k > 1 else t for t in (self.phi, self.xi))
-        self.phi_m = self.phi_r.ravel() * m       # (i*|M| + phi[a][al])*|M|
-        self.psi_h, self.lam_h = self.psi * hn, self.lam * hn
-        self.a_h = np.arange(0, k * m * hn, hn).reshape(k, m, 1, 1)   # (i*|M| + a)*|H|
+        self.m_range, self.h_range = _arange(m), _arange(hn)
+        if k == 1:   # one item needs no stack and no shift
+            phi, psi, xi, lam = first.phi[None], first.psi[None], first.xi[None], first.lam[None]
+            phi_r, xi_r = phi, xi
+            self.phi_cr, self.psi_cr, self.xi_cr, self.lam_cr = (
+                first.phi, first.psi, first.xi, first.lam)
+        else:
+            phi, psi, xi, lam = (np.stack([getattr(hg, name) for hg in hgs])
+                                 for name in ("phi", "psi", "xi", "lam"))
+            shift = _arange(k, m, (k, 1, 1))   # i*|M|
+            phi_r, xi_r = phi + shift, xi + shift
+            self.phi_cr, self.psi_cr = phi.reshape(-1, hn), psi.reshape(-1, hn)
+            self.xi_cr, self.lam_cr = xi.reshape(-1, m), lam.reshape(-1, m)
+        self.phi, self.psi, self.xi, self.lam, self.phi_r, self.xi_r = phi, psi, xi, lam, phi_r, xi_r
+        self.phi_m = phi_r.ravel() * m       # (i*|M| + phi[a][al])*|M|
+        self.psi_h, self.lam_h = psi * hn, lam * hn
+        self.a_h = _arange(k * m, hn, (k, m, 1, 1))   # (i*|M| + a)*|H|
         self.htf, self.xif, self.lamf, self.psi_hf = (
-            self.ht.ravel(), self.xi.ravel(), self.lam.ravel(), self.psi_h.ravel())
-        self.restrict()
+            self.ht.ravel(), xi.ravel(), lam.ravel(), self.psi_h.ravel())
+        # the other _a and _c tables, at every row and column
+        self.phi_a, self.psi_a, self.phi_ra, self.xi_ra, self.a_ha = phi, psi, phi_r, xi_r, self.a_h
+        self.psi_ha, self.lam_ha = self.psi_h[..., None], self.lam_h[..., None]
+        self.ht_c = self.ht
+        self.phi_c4, self.psi_c4, self.xi_c4, self.lam_c4 = (
+            phi[:, None], psi[:, None], xi[:, None], lam[:, None])
+        self._at = None, None
 
     def restrict(self, rows=slice(None), h_cols=slice(None), m_cols=slice(None)) -> _Relations:
-        """Set the _a and _c tables at rows, h_cols and m_cols (all at
-        first; a scan restricts a copy per block); self."""
-        self.phi_a, self.psi_a, self.phi_ra, self.xi_ra, self.a_ha = (
+        """A copy with the _a and _c tables at rows, h_cols and m_cols."""
+        rel = copy.copy(self)
+        rel.phi_a, rel.psi_a, rel.phi_ra, rel.xi_ra, rel.a_ha = (
             self.phi[:, rows], self.psi[:, rows], self.phi_r[:, rows], self.xi_r[:, rows],
             self.a_h[:, rows])
-        self.psi_ha, self.lam_ha = self.psi_h[:, rows, :, None], self.lam_h[:, rows, :, None]
-        self.ht_c = self.ht[:, h_cols]
+        rel.psi_ha, rel.lam_ha = self.psi_h[:, rows, :, None], self.lam_h[:, rows, :, None]
+        rel.ht_c = self.ht[:, h_cols]
         # a list of columns gives strided copies, which slow every gather after
         c = [np.ascontiguousarray(t) for t in (self.phi[..., h_cols], self.psi[..., h_cols],
                                                self.xi[..., m_cols], self.lam[..., m_cols])]
-        self.phi_cr, self.psi_cr, self.xi_cr, self.lam_cr = (t.reshape(-1, t.shape[2]) for t in c)
-        self.phi_c4, self.psi_c4, self.xi_c4, self.lam_c4 = (t[:, None] for t in c)
-        self._at = {}
-        return self
+        rel.phi_cr, rel.psi_cr, rel.xi_cr, rel.lam_cr = (t.reshape(-1, t.shape[2]) for t in c)
+        rel.phi_c4, rel.psi_c4, rel.xi_c4, rel.lam_c4 = (t[:, None] for t in c)
+        rel._at = None, None
+        return rel
 
     def neutral(self) -> np.ndarray:
-        return self.xi[:, self.o] != np.arange(self.xi.shape[1])
+        return self.xi[:, self.o] != self.m_range
 
     def columns(self) -> np.ndarray:
-        return (np.sort(self.xi, axis=1) != np.arange(self.xi.shape[1])[:, None]).any(axis=1)
+        # (k, a, x): column a of xi, sorted, against 0..|M|-1
+        return np.sort(self.xi, axis=1).transpose(0, 2, 1) != self.m_range
 
     def unit(self) -> np.ndarray:
-        return self.phi[:, :, self.eps] != np.arange(self.phi.shape[1])
+        return self.phi[:, :, self.eps] != self.m_range
 
     def image(self) -> np.ndarray:
-        return (self.psi[:, self.o, :, None] != np.arange(len(self.ht))).all(axis=1)
+        return (self.psi[:, self.o, :, None] != self.h_range).all(axis=1)
 
     def a0(self) -> np.ndarray:
         return self.phi_cr.take(self.phi_ra, axis=0) != self.phi_a.take(self.ht_c, axis=2)
@@ -465,38 +518,45 @@ class _Relations:
 
     def a2(self) -> np.ndarray:
         return (self.phi_cr.take(self.xi_ra, axis=0)
-                != self.xif.take(self._at_q(self.psi_c4)[1] + self.phi_c4))
+                != self.xif.take(self._at_q(self.psi_c4, self.phi_c4)[1]))
 
     def a3(self) -> np.ndarray:
-        at, phi_at = self._at_q(self.psi_c4)
+        at, cell = self._at_q(self.psi_c4, self.phi_c4)
         return (self.htf.take(self.lam_ha + self.psi_cr.take(self.xi_ra, axis=0))
-                != self.htf.take(self.psi_hf.take(at) + self.lamf.take(phi_at + self.phi_c4)))
+                != self.htf.take(self.psi_hf.take(at) + self.lamf.take(cell)))
 
     def a4(self) -> np.ndarray:
         return (self.xi_cr.take(self.xi_ra, axis=0)
-                != self.xif.take(self._at_q(self.lam_c4)[1] + self.xi_c4))
+                != self.xif.take(self._at_q(self.lam_c4, self.xi_c4)[1]))
 
     def a5(self) -> np.ndarray:
-        at, phi_at = self._at_q(self.lam_c4)
+        at, cell = self._at_q(self.lam_c4, self.xi_c4)
         return (self.htf.take(self.lam_ha + self.lam_cr.take(self.xi_ra, axis=0))
-                != self.htf.take(self.psi_hf.take(at) + self.lamf.take(phi_at + self.xi_c4)))
+                != self.htf.take(self.psi_hf.take(at) + self.lamf.take(cell)))
 
-    def _at_q(self, q_c4):
-        """(at, phi[a][q[b][y]] * |M|), at the flat index of row a, column
-        q[b][y]: made once for A2 and A3 (q = psi), A4 and A5 (q = lam)."""
-        if id(q_c4) not in self._at:
+    def _at_q(self, q_c4, r_c4):
+        """(at, cell): at the flat index of row a, column q[b][y], and cell
+        that of row phi[a][q[b][y]], column r[b][y], for q, r = psi, phi
+        (A2, A3) or lam, xi (A4, A5); kept for the last q, as A2 and A3
+        run one after the other, then A4 and A5."""
+        if self._at[0] is not q_c4:
             at = self.a_ha + q_c4
-            self._at[id(q_c4)] = at, self.phi_m.take(at)
-        return self._at[id(q_c4)]
+            self._at = q_c4, (at, self.phi_m.take(at) + r_c4)
+        return self._at[1]
+
+    checks = {"neutral": neutral, "columns": columns, "unit": unit, "P2": a0, "image": image,
+              "A1": a1, "A2": a2, "A3": a3, "A4": a4, "A5": a5}
 
 
 def _failures(rel: _Relations, names=tuple(_Relations.checks)) -> list[dict]:
     """For each item of rel, {name: the index of the first True cell of
-    its mask in row-major order} over the checks of names that fail."""
+    its mask in row-major order} over the checks of names that fail.
+    Every mask is made first; one count over them all finds the common
+    case of no failure."""
+    masks = [rel.checks[name](rel) for name in names]
     found: list[dict] = [{} for _ in range(len(rel.xi))]
-    for name in names:
-        mask = getattr(rel, rel.checks[name])()
-        if np.count_nonzero(mask):   # far cheaper than any() on small masks
+    if np.count_nonzero(np.concatenate([mask.ravel() for mask in masks])):
+        for name, mask in zip(names, masks):
             for i in np.flatnonzero(mask.reshape(len(mask), -1).any(axis=1)).tolist():
                 found[i][name] = tuple(np.argwhere(mask[i])[0].tolist())
     return found
@@ -521,8 +581,8 @@ def _scan_axioms(hg: HypergroupOverGroup) -> Report:
         """found[name] for each relation of names, whose last argument
         runs over the columns restrict calls last: one first_failure_on
         scan of them all, then a full scan of each its failure misses."""
-        axioms = [(name, lambda cols, of=rel.checks[name]: lambda r: getattr(
-            copy.copy(rel).restrict(r, **{last: slice(None) if cols is None else cols}), of)()[0])
+        axioms = [(name, lambda cols, of=rel.checks[name]: lambda r: of(
+            rel.restrict(r, **{last: slice(None) if cols is None else cols}))[0])
             for name in names]
         failure = first_failure_on(shape, axioms, gens)
         for name, mask_of in axioms:
@@ -563,7 +623,7 @@ def _report(hg: HypergroupOverGroup, found: dict) -> Report:
         a, = found["neutral"]
         checks["P1"] = CheckResult(False, (o, a), f"xi[{o}][{a}] = {xi[o, a]}, expected {a}")
     elif "columns" in found:
-        a, = found["columns"]
+        a = found["columns"][0]
         col = xi[:, a].tolist()   # its first repeated value, at rows y < x
         x = next(x for x, v in enumerate(col) if v in col[:x])
         y = col.index(col[x])

@@ -327,6 +327,26 @@ class TestVerifyAxioms:
                         expect = loop_oracles.verify_axioms(mutated)
                         assert got == expect, (tname, i, j, v)
 
+    def test_one_cell_mutations_of_a_non_normal_case(self):
+        # S4 over a subgroup of order 3 (not normal, |M| = 8): every cell
+        # of every table moved to one other value, each mutant evaluated
+        # in full at the default block, alone and in one batch
+        g = symmetric_group(4)
+        h = next(s for s in enumerate_subgroups(g) if s.order == 3)
+        assert not is_normal(h)
+        hg = standard_construction(g, h, sample_transversals(g, h, cap=1)[0])
+        assert (hg.m_size, hg.h.order) == (8, 3) and core._items_per_block(8, 3)
+        mutants = [with_cell(hg, name, i, j, (v + 1 + (i + j) % 2) % vrange)
+                   for name, vrange in (("phi", 8), ("psi", 3), ("xi", 8), ("lam", 3))
+                   for (i, j), v in np.ndenumerate(getattr(hg, name))]
+        assert len(mutants) == 2 * 8 * 3 + 2 * 8 * 8
+        expected = [loop_oracles.verify_axioms(x) for x in mutants]
+        assert [results(verify_axioms(x)) for x in mutants] == expected
+        assert [results(r) for r in verify_axioms_batch(mutants)] == expected
+        # every axiom fails on some mutant, and only A5 on all of them
+        assert [name for name in AXIOM_NAMES
+                if {e[name][0] for e in expected} != {True, False}] == ["A5"]
+
     def test_p1_neutral_witness(self):
         _, _, _, hg = z6_example()
         hg = with_cell(hg, "xi", 0, 1, 0)
@@ -589,6 +609,75 @@ class TestStandardConstructions:
                      lambda: standard_constructions(g, h, sample_transversals(g, h))):
             with pytest.raises(InternalInconsistencyError,
                                match="h-part outside the subgroup"):
+                call()
+
+    @staticmethod
+    def batch_items(max_order=12, seed=None):
+        """(G, H, the transversals, their standard_constructions) for each
+        (G, H) with |G| <= max_order: every transversal, or, with a
+        seed, three sampled ones of each (G, H) with |G| = max_order."""
+        for g in builtin_groups(max_order):
+            if seed is not None and g.order != max_order:
+                continue
+            for h in enumerate_subgroups(g):
+                ts = (enumerate_transversals(g, h) if seed is None
+                      else sample_transversals(g, h, cap=3, seed=seed))
+                yield g, h, ts, standard_constructions(g, h, ts)
+
+    @pytest.mark.parametrize("max_order, seed", [(12, None), (16, 5)])
+    def test_items_equal_checked_tables_and_own_them(self, max_order, seed):
+        count = 0
+        for g, h, ts, hgs in self.batch_items(max_order, seed):
+            assert len(hgs) == len(ts)
+            for t, hg in zip(ts, hgs):
+                lists = [getattr(hg, name).tolist() for name in TABLES]
+                assert hg == hypergroup_from_tables(
+                    hg.m_size, h.as_group(), *lists, 0,
+                    ambient=core.Ambient(group=g, subgroup=h, transversal=t))
+                for name in TABLES:
+                    table = getattr(hg, name)
+                    assert table.dtype == np.intp and not table.flags.writeable
+                    assert table.base is None and table.flags.owndata
+            # arrays that each own their memory share it only if they
+            # are the same array
+            tables = [getattr(hg, name) for hg in hgs for name in TABLES]
+            assert len(set(map(id, tables))) == len(tables)
+            count += len(hgs)
+        assert count == (2690 if seed is None else 578)
+
+    @pytest.mark.parametrize("block", [_util.BLOCK_CELLS, 64])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_an_h_part_outside_h_in_one_item_of_a_batch(self, position, block):
+        # Z6 with 4 declared its own inverse (it is 2): the h-part of
+        # 4 * 0 = 4 is taken as 4 * 4 = 2, not in {0, 3}, so only the
+        # transversals with the representative 4 fail
+        z6 = cyclic_group(6)
+        g = FiniteGroup(6, z6.table, 0, [0, 5, 4, 3, 4, 1], "Z6'")
+        h = subgroup_from_elements(g, [0, 3])
+        ts = enumerate_transversals(g, h)
+        good = [t for t in ts if 4 not in t.reps]
+        bad = next(t for t in ts if 4 in t.reps)
+        batch = {"first": [bad] + good, "middle": good[:2] + [bad] + good[2:],
+                 "last": good + [bad]}[position]
+        with mock.patch.object(_util, "BLOCK_CELLS", block):
+            assert len(standard_constructions(g, h, good)) == len(good) == 4
+            with pytest.raises(InternalInconsistencyError,
+                               match="^factorization produced an h-part outside the subgroup$"):
+                standard_constructions(g, h, batch)
+
+    @pytest.mark.parametrize("value", [3, 6, -1, -3])
+    def test_a_coset_index_out_of_range(self, value):
+        # a hand-made decomposition of Z6 by {0, 3} whose index of 5 is
+        # outside [0, 3): refused before any table is gathered
+        g = cyclic_group(6)
+        h = subgroup_from_elements(g, [0, 3])
+        ts = sample_transversals(g, h)
+        dec = ts[0].decomposition
+        wrong = CosetDecomposition(h, dec.cosets, dec.coset_of[:5] + (value,))
+        moved = [replace(t, decomposition=wrong) for t in ts]
+        for call in (lambda: standard_construction(g, h, moved[0]),
+                     lambda: standard_constructions(g, h, moved)):
+            with pytest.raises(InternalInconsistencyError, match=r"outside \[0, 3\)"):
                 call()
 
 
@@ -1398,6 +1487,20 @@ class TestStoredTables:
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(other, name)[0, 1] = 0
             assert verify_axioms(other).overall
+
+    @pytest.mark.parametrize("row_type", [list, tuple])
+    def test_row_input_is_copied(self, row_type):
+        _, _, _, hg = z6_example()
+        rows = {name: [row_type(row) for row in getattr(hg, name).tolist()]
+                for name in TABLES}
+        made = hypergroup_from_tables(hg.m_size, hg.h, *(rows[name] for name in TABLES),
+                                      hg.o)
+        for name in TABLES:
+            if row_type is list:
+                rows[name][0][0] = rows[name][0][0] + 1
+            rows[name][1] = row_type([0] * len(rows[name][1]))
+            rows[name].append(rows[name][0])
+        assert made == replace(hg, ambient=None)
 
     def test_array_input_is_copied(self):
         _, _, _, hg = z6_example()
