@@ -150,7 +150,7 @@ class HypergroupOverGroup:
         the right shapes and ranges that nothing else holds, made
         read-only here; skips __post_init__."""
         for table in (phi, psi, xi, lam):
-            table.flags.writeable = False
+            table.setflags(write=False)
         hg = object.__new__(cls)
         hg.__dict__.update(m_size=m_size, h=h, phi=phi, psi=psi, xi=xi, lam=lam, o=o,
                            ambient=ambient)
@@ -276,10 +276,8 @@ def standard_constructions(group: FiniteGroup, h: Subgroup, transversals) -> lis
            for t in ts):
         raise NotATransversalError("transversals index different right cosets")
 
-    gt, n = group.np_table(), group.order
     cos = dec.np_coset_of()
-    hels, h_index = h.np_elements(), h.np_index_in()
-    m, hn, h_group = len(ts[0].reps), h.order, h.as_group()
+    m, hn, n, h_group = len(ts[0].reps), h.order, group.order, h.as_group()
     # every cell of phi and xi is a coset index, so one check of cos
     # covers them all; read as unsigned, a negative value is past 2^63
     if cos.view(np.uintp).max() >= m:
@@ -289,24 +287,8 @@ def standard_constructions(group: FiniteGroup, h: Subgroup, transversals) -> lis
     out = []
     for lo in range(0, len(ts), step):
         batch = ts[lo:lo + step]
-        k = len(batch)
-        reps = np.array([t.reps for t in batch], dtype=np.intp)     # (k, m)
-        rows = gt.take(reps, axis=0)                                # a * x
-        # h_part[i * n + x]: the H-index of alpha in x = alpha * a, with a
-        # the rep of x's coset in item i; -1 for an h-part outside H
-        h_part = h_index.take(gt.ravel().take(
-            _arange(n, n) + group.np_inverse().take(reps).take(cos, axis=1)))
-        prod = rows.take(hels, axis=2)                    # a * alpha
-        # a * b, at rows[i, a, reps[i, b]]
-        prod2 = rows.take(reps[0], axis=2) if k == 1 else rows.ravel().take(
-            _arange(k * m, n, (k, m, 1)) + reps[:, None, :])
-        if k > 1:   # one item, as in standard_construction, needs no shift
-            shift = _arange(k, n, (k, 1, 1))
-            at, at2 = prod + shift, prod2 + shift
-        else:
-            at, at2 = prod, prod2
-        phi, psi = cos.take(prod), h_part.take(at)
-        xi, lam = cos.take(prod2), h_part.take(at2)
+        phi, psi, xi, lam = _factorization_tables(
+            group, h, cos, np.array([t.reps for t in batch], dtype=np.intp))
         if min(psi.min(), lam.min()) < 0:
             raise InternalInconsistencyError(
                 "factorization produced an h-part outside the subgroup")
@@ -316,6 +298,29 @@ def standard_constructions(group: FiniteGroup, h: Subgroup, transversals) -> lis
                     Ambient(group=group, subgroup=h, transversal=t))
                 for i, t in enumerate(batch)]
     return out
+
+
+def _factorization_tables(group: FiniteGroup, h: Subgroup, cos: np.ndarray, reps: np.ndarray):
+    """phi, psi, xi and lam of the k transversals whose reps are the rows
+    of the (k, |M|) array reps, stacked along a leading axis, each with
+    one gather; an h-part outside H is -1 in psi or lam."""
+    gt, n = group.np_table(), group.order
+    k, m = reps.shape
+    rows = gt.take(reps, axis=0)                                  # a * x
+    # h_part[i * n + x]: the H-index of alpha in x = alpha * a, with a the
+    # rep of x's coset in item i
+    h_part = h.np_index_in().take(gt.ravel().take(
+        _arange(n, n) + group.np_inverse().take(reps).take(cos, axis=1)))
+    prod = rows.take(h.np_elements(), axis=2)            # a * alpha
+    # a * b, at rows[i, a, reps[i, b]]
+    prod2 = rows.take(reps[0], axis=2) if k == 1 else rows.ravel().take(
+        _arange(k * m, n, (k, m, 1)) + reps[:, None, :])
+    if k > 1:   # one item, as in standard_construction, needs no shift
+        shift = _arange(k, n, (k, 1, 1))
+        at, at2 = prod + shift, prod2 + shift
+    else:
+        at, at2 = prod, prod2
+    return cos.take(prod), h_part.take(at), cos.take(prod2), h_part.take(at2)
 
 
 def verify_axioms(hg: HypergroupOverGroup) -> Report:
