@@ -207,8 +207,9 @@ def _table_array(name: str, rows, nrows: int, ncols: int, vrange: int) -> np.nda
 @lru_cache(maxsize=256)
 def _arange(n: int, step: int = 1, shape: tuple[int, ...] = (-1,)) -> np.ndarray:
     """np.arange(0, n * step, step).reshape(shape), read-only, made once
-    per set of arguments."""
-    arr = np.arange(0, n * step, step).reshape(shape)
+    per set of arguments. For constants of one hypergroup or group, so
+    each holds at most max(|G|, |M|, |H|) cells."""
+    arr = np.arange(0, n * step, step, dtype=np.intp).reshape(shape)
     arr.flags.writeable = False
     return arr
 
@@ -313,13 +314,13 @@ def _factorization_tables(group: FiniteGroup, h: Subgroup, cos: np.ndarray, reps
         _arange(n, n) + group.np_inverse().take(reps).take(cos, axis=1)))
     prod = rows.take(h.np_elements(), axis=2)            # a * alpha
     # a * b, at rows[i, a, reps[i, b]]
-    prod2 = rows.take(reps[0], axis=2) if k == 1 else rows.ravel().take(
-        _arange(k * m, n, (k, m, 1)) + reps[:, None, :])
-    if k > 1:   # one item, as in standard_construction, needs no shift
-        shift = _arange(k, n, (k, 1, 1))
-        at, at2 = prod + shift, prod2 + shift
-    else:
+    if k == 1:   # one item, as in standard_construction, needs no shift
+        prod2 = rows.take(reps[0], axis=2)
         at, at2 = prod, prod2
+    else:
+        prod2 = rows.ravel().take(np.arange(0, k * m * n, n).reshape(k, m, 1) + reps[:, None, :])
+        shift = np.arange(0, k * n, n)[:, None, None]
+        at, at2 = prod + shift, prod2 + shift
     return cos.take(prod), h_part.take(at), cos.take(prod2), h_part.take(at2)
 
 
@@ -459,22 +460,24 @@ class _Relations:
         k, m, hn = len(hgs), first.m_size, first.h.order
         self.o, self.eps, self.ht = first.o, first.h.identity, first.h.np_table()
         self.m_range, self.h_range = _arange(m), _arange(hn)
+        # a_h: (i*|M| + a)*|H|, kept from call to call for one item
         if k == 1:   # one item needs no stack and no shift
             phi, psi, xi, lam = first.phi[None], first.psi[None], first.xi[None], first.lam[None]
             phi_r, xi_r = phi, xi
             self.phi_cr, self.psi_cr, self.xi_cr, self.lam_cr = (
                 first.phi, first.psi, first.xi, first.lam)
+            self.a_h = _arange(m, hn, (1, m, 1, 1))
         else:
             phi, psi, xi, lam = (np.stack([getattr(hg, name) for hg in hgs])
                                  for name in ("phi", "psi", "xi", "lam"))
-            shift = _arange(k, m, (k, 1, 1))   # i*|M|
+            shift = np.arange(0, k * m, m)[:, None, None]   # i*|M|
             phi_r, xi_r = phi + shift, xi + shift
             self.phi_cr, self.psi_cr = phi.reshape(-1, hn), psi.reshape(-1, hn)
             self.xi_cr, self.lam_cr = xi.reshape(-1, m), lam.reshape(-1, m)
+            self.a_h = np.arange(0, k * m * hn, hn).reshape(k, m, 1, 1)
         self.phi, self.psi, self.xi, self.lam, self.phi_r, self.xi_r = phi, psi, xi, lam, phi_r, xi_r
         self.phi_m = phi_r.ravel() * m       # (i*|M| + phi[a][al])*|M|
         self.psi_h, self.lam_h = psi * hn, lam * hn
-        self.a_h = _arange(k * m, hn, (k, m, 1, 1))   # (i*|M| + a)*|H|
         self.htf, self.xif, self.lamf, self.psi_hf = (
             self.ht.ravel(), xi.ravel(), lam.ravel(), self.psi_h.ravel())
         # the other _a and _c tables, at every row and column
