@@ -152,8 +152,11 @@ class HypergroupOverGroup:
         for table in (phi, psi, xi, lam):
             table.setflags(write=False)
         hg = object.__new__(cls)
-        hg.__dict__.update(m_size=m_size, h=h, phi=phi, psi=psi, xi=xi, lam=lam, o=o,
-                           ambient=ambient)
+        # set in field order, as __init__ does, so that the instances keep
+        # sharing one key table; __dict__.update gave each its own, 143
+        # more bytes per hypergroup
+        hg.m_size, hg.h, hg.phi, hg.psi, hg.xi, hg.lam, hg.o, hg.ambient = (
+            m_size, h, phi, psi, xi, lam, o, ambient)
         return hg
 
     def __reduce__(self):
