@@ -15,12 +15,10 @@ the unique H x M factorization.
 H-indices in psi/lam refer to a standalone copy of H on 0..|H|-1, so
 abstract hypergroups (loaded or enumerated, no ambient group) use the
 same representation as constructed ones. The four tables are stored
-only as read-only intp arrays; lists appear only in the JSON form that
-hypergroup_to_json writes. Every public way to make a
-HypergroupOverGroup shape- and range-checks each of its tables.
-standard_constructions checks a whole batch at once instead: its coset
-indices (every cell of phi and xi) once per call, and its stacked psi
-and lam once per gather.
+only as read-only intp arrays, shape- and range-checked when a
+HypergroupOverGroup is made, except that standard_constructions checks
+its items' tables once per batch; lists appear only in the JSON form
+that hypergroup_to_json writes.
 """
 
 from __future__ import annotations
@@ -256,10 +254,9 @@ def standard_constructions(group: FiniteGroup, h: Subgroup, transversals) -> lis
     transversal of (G, H) indexes the same right cosets, so the tables
     of many are one gather with a leading axis over the transversals,
     made for as many at a time as keep each temporary within
-    BLOCK_CELLS cells (at least one). The tables are range-checked on
-    the batch, not per item: the coset indices, which are every cell of
-    phi and xi, once per call, and the stacked psi and lam once per
-    gather, where an h-part outside H is -1. Either fault raises
+    BLOCK_CELLS cells (at least one). The coset indices, every cell of
+    phi and xi, are range-checked once, and the stacked psi and lam once
+    per gather, not per item; either fault raises
     InternalInconsistencyError. Each item owns copies of its tables.
     """
     ts = []
