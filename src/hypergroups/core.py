@@ -475,13 +475,15 @@ class _Relations:
             self.phi_cr, self.psi_cr = phi.reshape(-1, hn), psi.reshape(-1, hn)
             self.xi_cr, self.lam_cr = xi.reshape(-1, m), lam.reshape(-1, m)
             self.a_h = np.arange(0, k * m * hn, hn).reshape(k, m, 1, 1)
-        self.phi, self.psi, self.xi, self.lam, self.phi_r, self.xi_r = phi, psi, xi, lam, phi_r, xi_r
+        self.phi, self.psi, self.xi, self.lam = phi, psi, xi, lam
+        self.phi_r, self.xi_r = phi_r, xi_r
         self.phi_m = phi_r.ravel() * m       # (i*|M| + phi[a][al])*|M|
         self.psi_h, self.lam_h = psi * hn, lam * hn
         self.htf, self.xif, self.lamf, self.psi_hf = (
             self.ht.ravel(), xi.ravel(), lam.ravel(), self.psi_h.ravel())
         # the other _a and _c tables, at every row and column
-        self.phi_a, self.psi_a, self.phi_ra, self.xi_ra, self.a_ha = phi, psi, phi_r, xi_r, self.a_h
+        self.phi_a, self.psi_a, self.phi_ra, self.xi_ra = phi, psi, phi_r, xi_r
+        self.a_ha = self.a_h
         self.psi_ha, self.lam_ha = self.psi_h[..., None], self.lam_h[..., None]
         self.ht_c = self.ht
         self.phi_c4, self.psi_c4, self.xi_c4, self.lam_c4 = (

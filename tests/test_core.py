@@ -630,9 +630,8 @@ class TestStandardConstructions:
         for g, h, ts, hgs in self.batch_items(max_order, seed):
             assert len(hgs) == len(ts)
             for t, hg in zip(ts, hgs):
-                lists = [getattr(hg, name).tolist() for name in TABLES]
                 assert hg == hypergroup_from_tables(
-                    hg.m_size, h.as_group(), *lists, 0,
+                    len(t.reps), h.as_group(), *oracle_standard_tables(g, h, t), 0,
                     ambient=core.Ambient(group=g, subgroup=h, transversal=t))
                 for name in TABLES:
                     table = getattr(hg, name)
