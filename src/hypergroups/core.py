@@ -460,7 +460,7 @@ class _Relations:
         k, m, hn = len(hgs), first.m_size, first.h.order
         self.o, self.eps, self.ht = first.o, first.h.identity, first.h.np_table()
         self.m_range, self.h_range = _arange(m), _arange(hn)
-        # a_h: (i*|M| + a)*|H|, kept from call to call for one item
+        # a_h = (i*|M| + a)*|H|, a cached constant for one item
         if k == 1:   # one item needs no stack and no shift
             phi, psi, xi, lam = first.phi[None], first.psi[None], first.xi[None], first.lam[None]
             phi_r, xi_r = phi, xi
