@@ -6,7 +6,7 @@ import functools
 import json
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -143,6 +143,16 @@ def _dump(obj: Any, nl: str, out: Callable[[str], Any]) -> None:
         out(nl + "}")
     else:
         out(_encode_leaf(obj))
+
+
+def fields_equal(a: Any, b: Any) -> bool:
+    """a == b for dataclass instances whose fields may hold arrays: of
+    one class, and every compared field equal, arrays by value."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in ((getattr(a, f.name), getattr(b, f.name))
+                            for f in fields(a) if f.compare))
 
 
 def as_int(value: Any, location: str) -> int:

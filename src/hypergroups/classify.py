@@ -234,7 +234,7 @@ def _ambient(hg: HypergroupOverGroup, provenance: str) -> tuple[FiniteGroup, lis
     m, hn = hg.m_size, hg.h.order
     try:
         group = group_from_cayley_table(
-            _product_table(hg.phi, hg.psi, hg.xi, hg.lam, hg.h.np_table()))
+            _product_table(hg.phi, hg.psi, hg.xi, hg.lam, hg.h.table))
     except AlgebraError as exc:
         raise InternalInconsistencyError(
             f"{provenance} passes verify_axioms but its product table is not "
@@ -310,14 +310,14 @@ def _phi_candidates(h: FiniteGroup, m: int):
     Sym(M) with sigma_eps = id and sigma_(al*be) = sigma_al then sigma_be."""
     perms = list(itertools.permutations(range(m)))
     idp = tuple(range(m))
-    hn = h.order
+    hn, ht = h.order, h.table.tolist()
     others = [al for al in range(hn) if al != h.identity]
     for assignment in itertools.product(perms, repeat=len(others)):
         sigma = {h.identity: idp}
         for al, p in zip(others, assignment):
             sigma[al] = p
         ok = all(
-            tuple(sigma[be][sigma[al][x]] for x in range(m)) == sigma[h.table[al][be]]
+            tuple(sigma[be][sigma[al][x]] for x in range(m)) == sigma[ht[al][be]]
             for al in range(hn)
             for be in range(hn)
         )
@@ -345,7 +345,7 @@ def _psi_candidates(h: FiniteGroup, phi: list[list[int]], m: int):
     filtered by the complete A1 relation and by P3.
     """
     hn = h.order
-    ht = h.table
+    ht = h.table.tolist()
     eps = h.identity
     if hn == 1:
         yield [[eps] for _ in range(m)]
@@ -390,7 +390,7 @@ def _lambda_candidates(
     fail A5. The yield sequence is that of an A5 check at the leaves only.
     """
     hn = h.order
-    ht = h.table
+    ht = h.table.tolist()
     hinv = h.inverse
     links: dict[tuple[int, int], list[tuple]] = {}
     for a in range(m):

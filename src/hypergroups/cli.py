@@ -120,7 +120,7 @@ def _cmd_group(args, cfg: CliConfig) -> int:
             "identity": group.identity,
             "abelian": group.is_abelian(),
             "element_orders": element_orders(group),
-            "table": [list(row) for row in group.table],
+            "table": group.table.tolist(),
         }
         if cfg.format == "json":
             _emit_json(info)
@@ -129,7 +129,7 @@ def _cmd_group(args, cfg: CliConfig) -> int:
                   f"{'abelian' if info['abelian'] else 'non-abelian'}, "
                   f"identity {group.identity}")
             _emit("element orders: " + ",".join(map(str, info["element_orders"])))
-            for row in group.table:
+            for row in info["table"]:
                 _emit(" ".join(map(str, row)))
         return 0
     subgroups = enumerate_subgroups(group)

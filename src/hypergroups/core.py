@@ -161,15 +161,7 @@ class HypergroupOverGroup:
         return (HypergroupOverGroup, (self.m_size, self.h, self.phi, self.psi,
                                       self.xi, self.lam, self.o, self.ambient))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HypergroupOverGroup):
-            return NotImplemented
-        return (
-            (self.m_size, self.h, self.o, self.ambient)
-            == (other.m_size, other.h, other.o, other.ambient)
-            and all(np.array_equal(getattr(self, name), getattr(other, name))
-                    for name in ("phi", "psi", "xi", "lam"))
-        )
+    __eq__ = _util.fields_equal
 
     def __repr__(self) -> str:
         return (
@@ -263,7 +255,7 @@ def standard_constructions(group: FiniteGroup, h: Subgroup, transversals) -> lis
     for t in transversals:
         if isinstance(t, Transversal):
             if ((t.subgroup is not h and t.subgroup.elements != h.elements)
-                    or (t.group is not group and t.group.table != group.table)):
+                    or (t.group is not group and not np.array_equal(t.group.table, group.table))):
                 raise NotATransversalError(
                     "transversal was built for a different (group, subgroup) pair"
                 )
@@ -305,7 +297,7 @@ def _factorization_tables(group: FiniteGroup, h: Subgroup, cos: np.ndarray, reps
     """phi, psi, xi and lam of the k transversals whose reps are the rows
     of the (k, |M|) array reps, stacked along a leading axis, each with
     one gather; an h-part outside H is -1 in psi or lam."""
-    gt, n = group.np_table(), group.order
+    gt, n = group.table, group.order
     k, m = reps.shape
     rows = gt.take(reps, axis=0)                                  # a * x
     # h_part[i * n + x]: the H-index of alpha in x = alpha * a, with a the
@@ -424,7 +416,8 @@ def verify_axioms_batch(hgs) -> list[Report]:
         return []
     m, h, o = hgs[0].m_size, hgs[0].h, hgs[0].o
     if any(hg.m_size != m or hg.o != o or (hg.h is not h and (
-            hg.h.table != h.table or hg.h.identity != h.identity)) for hg in hgs):
+            hg.h.identity != h.identity or not np.array_equal(hg.h.table, h.table)))
+           for hg in hgs):
         raise ShapeMismatchError("a batch must share |M|, o and the H table")
     step = _items_per_block(m, h.order)
     if not step:
@@ -458,7 +451,7 @@ class _Relations:
     def __init__(self, hgs: list[HypergroupOverGroup]):
         first = hgs[0]
         k, m, hn = len(hgs), first.m_size, first.h.order
-        self.o, self.eps, self.ht = first.o, first.h.identity, first.h.np_table()
+        self.o, self.eps, self.ht = first.o, first.h.identity, first.h.table
         self.m_range, self.h_range = _arange(m), _arange(hn)
         # a_h = (i*|M| + a)*|H|, a cached constant for one item
         if k == 1:   # one item needs no stack and no shift
@@ -713,7 +706,7 @@ def lemma_solve(hg: HypergroupOverGroup, a: int, b: int) -> int:
     am = amb.m_index(am_parent)
     x = int(hg.xi[hg.phi[b, ah], am])
 
-    ht = hg.h.table
+    ht = hg.h.table.tolist()
     companion = ht[ht[hg.lam[x, a]][hg.psi[b, ah]]][hg.lam[hg.phi[b, ah], am]]
     if companion != hg.h.identity:
         raise InternalInconsistencyError(
@@ -753,7 +746,7 @@ def check_derived_identities(hg: HypergroupOverGroup) -> Report:
     if hg.ambient is None:
         raise NoAmbientError("derived identities reference the ambient triple")
     amb = hg.ambient
-    ht = hg.h.table
+    ht = hg.h.table.tolist()
     eps = hg.h.identity
     theta = amb.theta
     theta_inv = hg.h.inverse[theta]
@@ -841,7 +834,7 @@ def check_normal_case(
     if hgs:
         phi_ok = (np.stack([hg.phi for hg in hgs]) == marange).all(axis=(1, 2)).tolist()
         is_quotient = (np.stack([hg.xi for hg in hgs])
-                       == quotient.np_table()).all(axis=(1, 2)).tolist()
+                       == quotient.table).all(axis=(1, 2)).tolist()
     # the first (M, xi) that is a group, and whether it is isomorphic to
     # the quotient (so the quotient is isomorphic to it)
     first: tuple[FiniteGroup, bool] | None = None
@@ -903,6 +896,9 @@ def hypergroup_to_json(hg: HypergroupOverGroup) -> dict:
 
 
 def hypergroup_from_json(data: dict) -> HypergroupOverGroup:
+    """The hypergroup hypergroup_to_json wrote. After the tables, an
+    ambient whose subgroup is not h (its standalone table) or whose
+    transversal is not m_size long raises MalformedTablesError."""
     h = group_from_json(data["h"])
     ambient = None
     if data.get("ambient") is not None:
@@ -910,13 +906,10 @@ def hypergroup_from_json(data: dict) -> HypergroupOverGroup:
         sub = subgroup_from_elements(g, data["ambient"]["subgroup"])
         t = make_transversal(g, sub, data["ambient"]["transversal"])
         ambient = Ambient(group=g, subgroup=sub, transversal=t)
-    return hypergroup_from_tables(
-        data["m_size"],
-        h,
-        data["phi"],
-        data["psi"],
-        data["xi"],
-        data["lam"],
-        data["o"],
-        ambient=ambient,
-    )
+    hg = hypergroup_from_tables(data["m_size"], h, data["phi"], data["psi"], data["xi"],
+                                data["lam"], data["o"], ambient=ambient)
+    if ambient is not None and (not np.array_equal(sub.as_group().table, h.table)
+                                or len(t.reps) != hg.m_size):
+        raise MalformedTablesError(
+            "ambient", "the subgroup is not h or the transversal has not m_size elements")
+    return hg

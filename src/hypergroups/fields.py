@@ -8,20 +8,20 @@ same table-driven representation for uniformity.
 Extension fields are built from exp/log tables: addition digitwise, and
 multiplication as exp[(log a + log b) mod (q - 1)] from the powers of
 the first primitive element. A FiniteField is frozen, and keeps each
-table twice, made and checked once at construction: as tuple rows for
-Python loops and as a read-only intp array (np_add(), np_mul()) for
-numpy code.
+table once, as a read-only intp array made and checked at construction;
+a Python loop over its cells reads rows or columns taken with tolist()
+once per call.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import CheckResult, Report, first_failure, first_failure_on
+from ._util import CheckResult, Report, fields_equal, first_failure, first_failure_on
 from .errors import (
     InternalInconsistencyError,
     NotIrreducibleError,
@@ -30,59 +30,48 @@ from .errors import (
     SizeLimitExceededError,
     UnknownSpecError,
 )
-from .groups import (FiniteGroup, _associative_mask, _right_generators,
-                     _square_table, element_orders)
+from .groups import FiniteGroup, _associative_mask, _right_generators, _square_table
 
 MAX_FIELD_ORDER = 512
 MAX_PRIME = 97
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteField:
     """GF(q) as tables: add and mul, given as rows or as integer arrays,
-    are kept as tuple rows and as read-only intp arrays (np_add() and
-    np_mul()), made and checked once at construction: q rows of q cells
-    in [0, q), else the error FiniteGroup raises for its table. Copy and
+    are kept as read-only intp arrays, made and checked once at
+    construction: q rows of q cells in [0, q), else the error
+    FiniteGroup raises for its table. Fields compare by value; copy and
     pickle rebuild through the constructor."""
 
     p: int
     m: int
     modulus: list[int]  # ascending coefficients, length m+1, monic
     q: int
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
+    add: np.ndarray
+    mul: np.ndarray
     zero: int
     one: int
     name: str
-    _add: np.ndarray = field(init=False, repr=False, compare=False)
-    _mul: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("add", "mul"):
-            arr = _square_table(getattr(self, name), self.q, name)
-            object.__setattr__(self, name, tuple(map(tuple, arr.tolist())))
-            object.__setattr__(self, "_" + name, arr)
+            object.__setattr__(self, name, _square_table(getattr(self, name), self.q, name))
 
     def __reduce__(self):
-        return (FiniteField, (self.p, self.m, self.modulus, self.q, self._add,
-                              self._mul, self.zero, self.one, self.name))
+        return (FiniteField, (self.p, self.m, self.modulus, self.q, self.add,
+                              self.mul, self.zero, self.one, self.name))
 
-    def np_add(self) -> np.ndarray:
-        """add as a read-only intp array."""
-        return self._add
-
-    def np_mul(self) -> np.ndarray:
-        """mul as a read-only intp array."""
-        return self._mul
+    __eq__ = fields_equal
 
     def neg(self, a: int) -> int:
-        hits = np.flatnonzero(self._add[a] == self.zero)
+        hits = np.flatnonzero(self.add[a] == self.zero)
         if not len(hits):
             raise InternalInconsistencyError(f"no additive inverse for {a}")
         return int(hits[0])
 
     def mul_inverse(self, a: int) -> int:
-        hits = np.flatnonzero(self._mul[a] == self.one)
+        hits = np.flatnonzero(self.mul[a] == self.one)
         if not len(hits):
             raise InternalInconsistencyError(f"no multiplicative inverse for {a}")
         return int(hits[0])
@@ -311,24 +300,13 @@ def parse_field_spec(spec: str) -> FiniteField:
 
 
 def multiplicative_group(f: FiniteField) -> FiniteGroup:
-    """F* on the q-1 nonzero elements; group index h is field index h+1."""
-    n = f.q - 1
-    table = f.np_mul()[1:, 1:] - 1
-    if (table < 0).any():
-        raise InternalInconsistencyError("zero divisor in the nonzero elements")
-    is_one = f.np_mul()[1:] == f.one   # rows of the nonzero elements
-    has_inverse = is_one.any(axis=1)
-    if not has_inverse.all():
-        raise InternalInconsistencyError(
-            f"no multiplicative inverse for {int(has_inverse.argmin()) + 1}")
-    inverse = is_one.argmax(axis=1) - 1
-    group = FiniteGroup(
-        order=n, table=table, identity=f.one - 1, inverse=inverse,
-        name=f"{f.name}*",
+    """F* on the q-1 nonzero elements; group index h is field index h+1.
+    Unless they are a cyclic group, raises as _unit_orders does."""
+    _unit_orders(f)
+    return FiniteGroup(
+        order=f.q - 1, table=f.mul[1:, 1:] - 1, identity=f.one - 1,
+        inverse=(f.mul[1:] == f.one).argmax(axis=1) - 1, name=f"{f.name}*",
     )
-    if n not in element_orders(group):
-        raise InternalInconsistencyError(f"{group.name} is not cyclic")
-    return group
 
 
 def check_field_tables(
@@ -428,7 +406,7 @@ def verify_field_axioms(f: FiniteField) -> Report:
     the nonzero elements under multiplication. A failing field_axioms
     has the witness (failing check, *indices); a failing
     multiplicative_cyclic has (reason,)."""
-    ok, what, witness = check_field_tables(f.np_add(), f.np_mul(), f.zero, f.one)
+    ok, what, witness = check_field_tables(f.add, f.mul, f.zero, f.one)
     checks = {"field_axioms": CheckResult(ok, None if ok else (what, *witness))}
     try:
         multiplicative_group(f)  # raises unless F* is cyclic of order q - 1
@@ -440,21 +418,29 @@ def verify_field_axioms(f: FiniteField) -> Report:
 
 def _unit_orders(f: FiniteField) -> list[int]:
     """The multiplicative order of each nonzero element, element h + 1 at
-    index h, read from mul by walking the powers of all of them at once.
-    As with multiplicative_group, InternalInconsistencyError is raised
-    for a zero divisor among the nonzero elements, or when they are no
-    cyclic group: some powers never reach one, or no order is q - 1."""
+    index h, read from mul by walking the powers of all of them at once,
+    q - 1 steps of q - 1 cells. InternalInconsistencyError is raised for
+    a zero divisor among the nonzero elements, then for one with no
+    inverse, then at the first h whose powers h^1, ..., h^(q-1) never
+    reach one, and last when no order is q - 1 (not cyclic)."""
     n = f.q - 1
-    units = f.np_mul()[1:, 1:].ravel() - 1
+    units = f.mul[1:, 1:].ravel() - 1
     if (units < 0).any():
         raise InternalInconsistencyError("zero divisor in the nonzero elements")
+    has_inverse = (f.mul[1:] == f.one).any(axis=1)
+    if not has_inverse.all():
+        raise InternalInconsistencyError(
+            f"no multiplicative inverse for {int(has_inverse.argmin()) + 1}")
     x = np.arange(n, dtype=np.intp)
     power, orders = x, np.zeros(n, dtype=np.intp)
     for k in range(1, n + 1):  # power = x^k
         orders[(power == f.one - 1) & (orders == 0)] = k
         power = units.take(power * n + x)
     orders = orders.tolist()
-    if 0 in orders or n not in orders:
+    if 0 in orders:
+        raise InternalInconsistencyError(
+            f"the powers of {orders.index(0)} in {f.name}* never reach the identity")
+    if n not in orders:
         raise InternalInconsistencyError(f"{f.name}* is not cyclic")
     return orders
 
@@ -480,18 +466,19 @@ def field_isomorphism(f1: FiniteField, f2: FiniteField) -> list[int] | None:
     # index h of the orders is field element h + 1
     orders1, orders2 = _unit_orders(f1), _unit_orders(f2)
     g1 = orders1.index(n) + 1
-    add1, add2 = f1.np_add(), f2.np_add()
+    times_g1 = f1.mul[:, g1].tolist()
     for cand in (h + 1 for h, k in enumerate(orders2) if k == n):
+        times_cand = f2.mul[:, cand].tolist()
         mapping = [f2.zero] * f1.q
         mapping[f1.one] = f2.one
         x = f1.one
         image = f2.one
         for _ in range(f1.q - 2):
-            x = f1.mul[x][g1]
-            image = f2.mul[image][cand]
+            x = times_g1[x]
+            image = times_cand[image]
             mapping[x] = image
         image_of = np.asarray(mapping, dtype=np.intp)
-        if ((image_of[add1[:, f1.one]] == add2[image_of, f2.one]).all()
-                and (image_of[add1] == add2[image_of[:, None], image_of]).all()):
+        if ((image_of[f1.add[:, f1.one]] == f2.add[image_of, f2.one]).all()
+                and (image_of[f1.add] == f2.add[image_of[:, None], image_of]).all()):
             return mapping
     return None

@@ -53,7 +53,7 @@ def functor_group(m_group: FiniteGroup) -> HypergroupOverGroup:
         h=trivial_group(),
         phi=[[a] for a in range(n)],
         psi=[[0] for _ in range(n)],
-        xi=m_group.np_table(),
+        xi=m_group.table,
         lam=[[0] * n for _ in range(n)],
         o=m_group.identity,
     )
@@ -97,15 +97,16 @@ def functor_vector_space(k: FiniteField, dim: int) -> HypergroupOverGroup:
         )
     size = k.q ** dim
     h = multiplicative_group(k)
+    add, mul = k.add.tolist(), k.mul.tolist()
     vectors = list(itertools.product(range(k.q), repeat=dim))
     phi = [
-        [_vector_index(tuple(k.mul[c][al + 1] for c in v), k.q) for al in range(h.order)]
+        [_vector_index(tuple(mul[c][al + 1] for c in v), k.q) for al in range(h.order)]
         for v in vectors
     ]
     psi = [list(range(h.order)) for _ in vectors]
     xi = [
         [
-            _vector_index(tuple(k.add[c][d] for c, d in zip(u, v)), k.q)
+            _vector_index(tuple(add[c][d] for c, d in zip(u, v)), k.q)
             for v in vectors
         ]
         for u in vectors
@@ -128,13 +129,14 @@ def functor_vector_space_on_map(
         )
     src = functor_vector_space(k, src_dim)
     dst = functor_vector_space(k, dst_dim)
+    add, mul = k.add.tolist(), k.mul.tolist()
     f1 = []
     for v in itertools.product(range(k.q), repeat=src_dim):
         w = []
         for row in matrix:
             acc = k.zero
             for coef, comp in zip(row, v):
-                acc = k.add[acc][k.mul[coef][comp]]
+                acc = add[acc][mul[coef][comp]]
             w.append(acc)
         f1.append(_vector_index(tuple(w), k.q))
     return HgMorphism(
@@ -147,21 +149,19 @@ def functor_field(f: FiniteField) -> HypergroupOverGroup:
     h = multiplicative_group(f)
     q = f.q
     return hypergroup_from_tables(
-        m_size=q, h=h, phi=f.np_mul()[:, 1:],
-        psi=np.broadcast_to(np.arange(q - 1), (q, q - 1)), xi=f.np_add(),
+        m_size=q, h=h, phi=f.mul[:, 1:],
+        psi=np.broadcast_to(np.arange(q - 1), (q, q - 1)), xi=f.add,
         lam=np.full((q, q), h.identity), o=f.zero,
     )
 
 
 def frobenius(f: FiniteField) -> list[int]:
     """The map x -> x^p as a field-index table."""
-    out = []
-    for a in range(f.q):
-        y = f.one
-        for _ in range(f.p):
-            y = f.mul[y][a]
-        out.append(y)
-    return out
+    x = np.arange(f.q)
+    y = np.full(f.q, f.one)
+    for _ in range(f.p):
+        y = f.mul[y, x]
+    return y.tolist()
 
 
 def functor_field_on_hom(
@@ -258,7 +258,7 @@ def reconstruct_field(
     hn = hg.h.order
     eps = hg.h.identity
     phi, psi, xi, lam = hg.phi, hg.psi, hg.xi, hg.lam
-    ht = hg.h.np_table()
+    ht = hg.h.table
 
     first = first_mismatch(psi, np.arange(hn))
     if first is not None:

@@ -7,12 +7,13 @@ j"; for symmetric groups that means composition applies the left factor
 first: (s*t)(x) = t(s(x)).
 
 FiniteGroup, Subgroup and CosetDecomposition are frozen. A group's table
-is stored once, in two read-only forms made and checked at construction:
-a tuple of tuples for Python loops and an intp array for numpy kernels.
-A subgroup's index_in and as_group() are made with it; cosets are tuples.
-Each tuple that numpy code reads (a group's inverses, a subgroup's
-elements and index_in, a decomposition's coset_of) is also held once as a
-read-only intp array, behind an np_ method.
+is stored once, as a read-only intp array made and checked at
+construction; a Python loop over its cells reads rows = table.tolist(),
+taken once per call. A subgroup's index_in and as_group() are made with
+it; cosets are tuples. Each tuple that numpy code reads (a group's
+inverses, a subgroup's elements and index_in, a decomposition's
+coset_of) is also held once as a read-only intp array, behind an np_
+method.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_int, as_int_matrix, first_failure, first_failure_on, int_table
+from ._util import (as_int, as_int_matrix, fields_equal, first_failure, first_failure_on,
+                    int_table)
 from .errors import (
     IndexOutOfRangeError,
     InternalInconsistencyError,
@@ -48,22 +50,21 @@ DEFAULT_ENUM_BOUND = 24
 DEFAULT_ISO_BOUND = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A Cayley table, given as rows or as an integer array, kept as
-    table (tuples) and np_table() (a read-only intp array), and the
-    inverses as inverse and np_inverse(). __post_init__
-    checks shape and range only: order rows of order cells in [0, order),
-    else NotClosedError at the first bad cell as group_from_cayley_table
-    reports it, and identity and inverse in range, else
-    MalformedTablesError. Copy and pickle rebuild through it."""
+    """A Cayley table, given as rows or as an integer array, kept as table,
+    a read-only intp array, and the inverses as inverse and np_inverse().
+    __post_init__ checks shape and range only: order rows of order cells
+    in [0, order), else NotClosedError at the first bad cell as
+    group_from_cayley_table reports it, and identity and inverse in range,
+    else MalformedTablesError. Groups compare by value and hash without
+    the table; copy and pickle rebuild through the constructor."""
 
     order: int
-    table: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     identity: int
     inverse: tuple[int, ...]
     name: str
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
     _inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -76,29 +77,29 @@ class FiniteGroup:
         if (inverse.shape != (n,) or inverse.dtype.kind not in "iu"
                 or not ((inverse >= 0) & (inverse < n)).all()):
             raise MalformedTablesError("inverse", f"not {n} values in [0, {n})")
-        object.__setattr__(self, "table", tuple(map(tuple, arr.tolist())))
+        object.__setattr__(self, "table", arr)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse.tolist()))
-        object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "_inverse", _read_only(inverse))
 
     def __reduce__(self):
-        return (FiniteGroup, (self.order, self._array, self.identity,
+        return (FiniteGroup, (self.order, self.table, self.identity,
                               self.inverse, self.name))
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+    __eq__ = fields_equal
 
-    def np_table(self) -> np.ndarray:
-        """The table as a read-only intp array."""
-        return self._array
+    def __hash__(self) -> int:
+        return hash((self.order, self.identity, self.inverse, self.name))
+
+    def mul(self, i: int, j: int) -> int:
+        return self.table.item(i, j)
 
     def np_inverse(self) -> np.ndarray:
         """inverse as a read-only intp array."""
         return self._inverse
 
     def is_abelian(self) -> bool:
-        return bool((self._array == self._array.T).all())
+        return bool((self.table == self.table.T).all())
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -130,7 +131,7 @@ class Subgroup:
         pos[hels] = np.arange(len(els))
         group = FiniteGroup(
             order=len(els),
-            table=pos[parent.np_table()[hels[:, None], hels]],
+            table=pos[parent.table[hels[:, None], hels]],
             identity=pos[parent.identity],
             inverse=pos[parent.np_inverse()[hels]],
             name="{%s} <= %s" % (",".join(map(str, els)), parent.name),
@@ -398,8 +399,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
         )
     nb = b.order
     # cell ((x1, y1), (x2, y2)) at [x1, y1, x2, y2] before the reshape
-    table = (a.np_table()[:, None, :, None] * nb
-             + b.np_table()[None, :, None, :]).reshape(order, order)
+    table = (a.table[:, None, :, None] * nb
+             + b.table[None, :, None, :]).reshape(order, order)
     inverse = (a.np_inverse()[:, None] * nb + b.np_inverse()).ravel()
     return FiniteGroup(order, table, a.identity * nb + b.identity, inverse,
                        f"{a.name}x{b.name}")
@@ -464,20 +465,19 @@ def builtin_groups(max_order: int) -> tuple[FiniteGroup, ...]:
 
 
 def subgroup_closure(group: FiniteGroup, generators) -> Subgroup:
-    gens = sorted(set(int(g) for g in generators))
+    gens = sorted(set(as_int(g, "generator") for g in generators))
     for g in gens:
         if not 0 <= g < group.order:
             raise IndexOutOfRangeError(
                 f"generator {g} outside [0, {group.order})"
             )
-    return _subgroup_of_mask(group, _closure_mask(group, gens))
+    return _subgroup_of_mask(group, _closure_mask(group.table.tolist(), group.identity, gens))
 
 
-def _closure_mask(group: FiniteGroup, gens: list[int]) -> int:
-    """<gens> as a bitmask over the elements: the closure of the identity
-    under right multiplication by gens, which in a finite group is the
-    subgroup they generate (inverses are positive powers)."""
-    t, e = group.table, group.identity
+def _closure_mask(t: list[list[int]], e: int, gens: list[int]) -> int:
+    """<gens> as a bitmask in the group with table rows t and identity e:
+    the closure of e under right multiplication by gens, which in a finite
+    group is the subgroup they generate (inverses are positive powers)."""
     mask, frontier = 1 << e, [e]
     while frontier:
         x = frontier.pop()
@@ -495,18 +495,18 @@ def _subgroup_of_mask(group: FiniteGroup, mask: int) -> Subgroup:
 
 def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
     """Validate an explicit element list as a subgroup."""
-    els = sorted(set(int(x) for x in elements))
+    els = sorted(set(as_int(x, "subgroup") for x in elements))
     for x in els:
         if not 0 <= x < group.order:
             raise IndexOutOfRangeError(f"element {x} outside [0, {group.order})")
-    elset = set(els)
+    elset, rows = set(els), group.table.tolist()
     if group.identity not in elset:
         raise NotSubgroupError("missing the identity")
     for a in els:
         if group.inverse[a] not in elset:
             raise NotSubgroupError(f"not closed under inverse at {a}")
         for b in els:
-            if group.table[a][b] not in elset:
+            if rows[a][b] not in elset:
                 raise NotSubgroupError(f"not closed under product at ({a},{b})")
     return Subgroup(parent=group, elements=tuple(els))
 
@@ -524,10 +524,11 @@ def enumerate_subgroups(group: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> 
         raise SizeLimitExceededError(
             f"subgroup enumeration capped at order {bound}"
         )
+    rows, e = group.table.tolist(), group.identity
     cyclic: dict[int, int] = {}   # mask -> a generator
     for x in range(group.order):
-        cyclic.setdefault(_closure_mask(group, [x]), x)
-    trivial = 1 << group.identity
+        cyclic.setdefault(_closure_mask(rows, e, [x]), x)
+    trivial = 1 << e
     found = {trivial: []}   # mask -> generators
     frontier = [trivial]
     while frontier:
@@ -535,7 +536,7 @@ def enumerate_subgroups(group: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> 
         for c, x in cyclic.items():
             if c & ~k:
                 gens = found[k] + [x]
-                j = _closure_mask(group, gens)
+                j = _closure_mask(rows, e, gens)
                 if j not in found:
                     found[j] = gens
                     frontier.append(j)
@@ -551,14 +552,14 @@ def is_normal(subgroup: Subgroup) -> bool:
 def right_cosets(group: FiniteGroup, h: Subgroup) -> CosetDecomposition:
     """Right cosets Ha; the coset of the identity comes first, the rest
     follow in order of their smallest element."""
-    coset_of = [-1] * group.order
+    coset_of, rows = [-1] * group.order, group.table.tolist()
     cosets: list[tuple[int, ...]] = []
     order: list[int] = [group.identity]
     order += [x for x in range(group.order) if x != group.identity]
     for a in order:
         if coset_of[a] >= 0:
             continue
-        members = tuple(sorted(group.table[x][a] for x in h.elements))
+        members = tuple(sorted(rows[x][a] for x in h.elements))
         idx = len(cosets)
         cosets.append(members)
         for m in members:
@@ -573,9 +574,9 @@ def quotient_group(group: FiniteGroup, h: Subgroup) -> FiniteGroup:
         raise NotNormalError(witness)
     dec = right_cosets(group, h)
     n = len(dec.cosets)
-    reps = [c[0] for c in dec.cosets]
+    reps, rows = [c[0] for c in dec.cosets], group.table.tolist()
     table = [
-        [dec.coset_of[group.table[a][b]] for b in reps]
+        [dec.coset_of[rows[a][b]] for b in reps]
         for a in reps
     ]
     # representative independence: the induced product must not depend
@@ -585,7 +586,7 @@ def quotient_group(group: FiniteGroup, h: Subgroup) -> FiniteGroup:
             expect = table[i][j]
             for x in ci:
                 for y in cj:
-                    if dec.coset_of[group.table[x][y]] != expect:
+                    if dec.coset_of[rows[x][y]] != expect:
                         raise NotNormalError(
                             None,
                             f"coset product ill-defined at ({x},{y})",
@@ -595,11 +596,11 @@ def quotient_group(group: FiniteGroup, h: Subgroup) -> FiniteGroup:
 
 
 def _normality_witness(h: Subgroup) -> tuple[int, int] | None:
-    g = h.parent
+    g, rows = h.parent, h.parent.table.tolist()
     for x in range(g.order):
         xinv = g.inverse[x]
         for hh in h.elements:
-            if not h.contains(g.table[g.table[x][hh]][xinv]):
+            if not h.contains(rows[rows[x][hh]][xinv]):
                 return (x, hh)
     return None
 
@@ -608,7 +609,7 @@ def element_orders(group: FiniteGroup) -> list[int]:
     """The order of each element, by walking its powers. A walk that
     passes |G| steps (the table is no group) raises
     InternalInconsistencyError instead of running forever."""
-    n, e, t = group.order, group.identity, group.table
+    n, e, t = group.order, group.identity, group.table.tolist()
     succ = list(range(1, n + 1))  # succ[k] = k + 1, and no succ[n]
     orders = [0] * n
     try:
@@ -647,7 +648,7 @@ def group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup, bound: int = DEFAULT_IS
     candidates = [
         [y for y in range(n) if o2[y] == o1[x]] for x in range(n)
     ]
-    t1, t2 = g1.table, g2.table
+    t1, t2 = g1.table.tolist(), g2.table.tolist()
     f = [-1] * n
     used = [False] * n
 
@@ -727,8 +728,7 @@ def automorphisms(group: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> np.nda
     n = group.order
     if n > bound:
         raise SizeLimitExceededError(f"automorphism listing capped at order {bound}")
-    t, e = group.table, group.identity
-    tn = group.np_table()
+    tn, t, e = group.table, group.table.tolist(), group.identity
     orders = np.array(element_orders(group))
     gens: list[int] = []
     f = np.full((n, 1), e, dtype=np.uint8)   # f[x, row]: the image of x
@@ -757,7 +757,7 @@ def automorphisms(group: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> np.nda
 
 
 def group_to_json(group: FiniteGroup) -> dict:
-    return {"order": group.order, "table": group.np_table().tolist(), "name": group.name}
+    return {"order": group.order, "table": group.table.tolist(), "name": group.name}
 
 
 def group_from_json(data: dict) -> FiniteGroup:
@@ -766,7 +766,7 @@ def group_from_json(data: dict) -> FiniteGroup:
 
 def format_cayley_text(group: FiniteGroup) -> str:
     lines = [str(group.order)]
-    lines += [" ".join(map(str, row)) for row in group.table]
+    lines += [" ".join(map(str, row)) for row in group.table.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -87,19 +87,18 @@ def verify_morphism(m: HgMorphism) -> MorphismReport:
         raise ShapeMismatchError("f0 value outside the target H")
     if any(not 0 <= v < dst.m_size for v in m.f1):
         raise ShapeMismatchError("f1 value outside the target M")
-    return _first_failed_square(m.f0, m.f1, src.h.table, dst.h.table,
-                                _table_lists(src), _table_lists(dst))
+    return _first_failed_square(m.f0, m.f1, _table_lists(src), _table_lists(dst))
 
 
 def _table_lists(hg: HypergroupOverGroup) -> list[list[list[int]]]:
-    """phi, psi, xi and lam as lists, for the pure-Python loops."""
-    return [t.tolist() for t in (hg.phi, hg.psi, hg.xi, hg.lam)]
+    """The H table, phi, psi, xi and lam as lists, for Python loops."""
+    return [t.tolist() for t in (hg.h.table, hg.phi, hg.psi, hg.xi, hg.lam)]
 
 
-def _first_failed_square(f0, f1, ht, ht2, tables1, tables2) -> MorphismReport:
+def _first_failed_square(f0, f1, tables1, tables2) -> MorphismReport:
     """The scan of verify_morphism, on _table_lists of source and target."""
-    phi1, psi1, xi1, lam1 = tables1
-    phi2, psi2, xi2, lam2 = tables2
+    ht, phi1, psi1, xi1, lam1 = tables1
+    ht2, phi2, psi2, xi2, lam2 = tables2
     hn, m = len(ht), len(phi1)
     for al in range(hn):
         for be in range(hn):
@@ -180,8 +179,8 @@ def find_isomorphism(
         [b for b in range(m) if keys2[b] == keys1[a]] for a in range(m)
     ]
     tables1, tables2 = _table_lists(hg), _table_lists(hg2)
-    phi1, psi1, xi1, lam1 = tables1
-    phi2, psi2, xi2, lam2 = tables2
+    _, phi1, psi1, xi1, lam1 = tables1
+    _, phi2, psi2, xi2, lam2 = tables2
 
     for f0 in group_isomorphisms(hg.h, hg2.h):
         f1 = [-1] * m
@@ -263,8 +262,7 @@ def find_isomorphism(
             continue
         result = search()
         if result is not None:
-            report = _first_failed_square(f0, result, hg.h.table, hg2.h.table,
-                                          tables1, tables2)
+            report = _first_failed_square(f0, result, tables1, tables2)
             if not report.ok:
                 raise InternalInconsistencyError(
                     f"isomorphism search returned a non-morphism "

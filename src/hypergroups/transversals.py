@@ -13,6 +13,9 @@ import random
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._util import as_int
 from .errors import InternalInconsistencyError, NotATransversalError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup, right_cosets
 
@@ -42,7 +45,7 @@ class Decomposition:
 def _cosets(group: FiniteGroup, h: Subgroup) -> CosetDecomposition:
     if h.parent is not group:
         # allow structurally identical parents (e.g. reloaded groups)
-        if h.parent.table != group.table:
+        if not np.array_equal(h.parent.table, group.table):
             raise NotATransversalError("subgroup belongs to a different group")
     return right_cosets(group, h)
 
@@ -59,7 +62,7 @@ def _meets_each_coset_once(dec: CosetDecomposition, members: list) -> bool:
 
 def make_transversal(group: FiniteGroup, h: Subgroup, reps) -> Transversal:
     """Validate reps as a transversal and order them by coset index."""
-    members = [int(x) for x in reps]
+    members = [as_int(x, "transversal") for x in reps]
     dec = _cosets(group, h)
     if not _meets_each_coset_once(dec, members):
         raise NotATransversalError(
@@ -140,7 +143,7 @@ def decompose(t: Transversal, x: int) -> Decomposition:
     if not 0 <= x < g.order:
         raise NotATransversalError(f"element {x} outside [0, {g.order})")
     a = t.reps[t.decomposition.coset_of[x]]
-    alpha = g.table[x][g.inverse[a]]
+    alpha = g.mul(x, g.inverse[a])
     if not t.subgroup.contains(alpha):
         raise InternalInconsistencyError(
             f"decompose({x}) produced h-part {alpha} outside the subgroup"

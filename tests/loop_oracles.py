@@ -29,7 +29,9 @@ from hypergroups.transversals import sample_transversals
 
 
 def check_field_tables(add, mul, zero, one, require_commutative_mul=True):
-    """(ok, failing check, witness) of the field axioms, by loops."""
+    """(ok, failing check, witness) of the field axioms, by loops, on
+    tables given as rows or as arrays."""
+    add, mul = (t.tolist() if isinstance(t, np.ndarray) else t for t in (add, mul))
     n = len(add)
     rng = range(n)
     if zero == one:
@@ -176,28 +178,29 @@ def field_isomorphism(f1, f2):
     """The first multiplicative-generator map f1 -> f2 that is additive."""
     if f1.q != f2.q:
         return None
+    add1, mul1, add2, mul2 = (t.tolist() for t in (f1.add, f1.mul, f2.add, f2.mul))
 
-    def mult_order(f, a):
+    def mult_order(f, mul, a):
         k, y = 1, a
         while y != f.one:
-            y = f.mul[y][a]
+            y = mul[y][a]
             k += 1
         return k
 
-    g1 = next((a for a in range(1, f1.q) if mult_order(f1, a) == f1.q - 1), None)
+    g1 = next((a for a in range(1, f1.q) if mult_order(f1, mul1, a) == f1.q - 1), None)
     if g1 is None:
         return None
     for cand in range(1, f2.q):
-        if mult_order(f2, cand) != f2.q - 1:
+        if mult_order(f2, mul2, cand) != f2.q - 1:
             continue
         mapping = [f2.zero] * f1.q
         mapping[f1.one] = f2.one
         x, image = f1.one, f2.one
         for _ in range(f1.q - 2):
-            x = f1.mul[x][g1]
-            image = f2.mul[image][cand]
+            x = mul1[x][g1]
+            image = mul2[image][cand]
             mapping[x] = image
-        if all(mapping[f1.add[a][b]] == f2.add[mapping[a]][mapping[b]]
+        if all(mapping[add1[a][b]] == add2[mapping[a]][mapping[b]]
                for a in range(f1.q) for b in range(f1.q)):
             return mapping
     return None
@@ -209,7 +212,7 @@ def reconstruct_field(hg, require_abelian_h=True):
     once they exist."""
     m = hg.m_size
     hn = hg.h.order
-    ht = hg.h.table
+    ht = hg.h.table.tolist()
     eps = hg.h.identity
     phi, psi, xi, lam = (t.tolist() for t in (hg.phi, hg.psi, hg.xi, hg.lam))
     for a in range(m):
@@ -293,7 +296,7 @@ def verify_axioms(hg):
     """
     m, hn = hg.m_size, hg.h.order
     phi, psi, xi, lam = (t.tolist() for t in (hg.phi, hg.psi, hg.xi, hg.lam))
-    ht, eps, o = hg.h.table, hg.h.identity, hg.o
+    ht, eps, o = hg.h.table.tolist(), hg.h.identity, hg.o
     M, H = range(m), range(hn)
     passed = (True, None, "")
 
@@ -400,7 +403,7 @@ def lambda_candidates(h, xi, phi, psi, m):
     new component starts.
     """
     hn = h.order
-    ht = h.table
+    ht = h.table.tolist()
     hinv = h.inverse
     links: dict[tuple[int, int], list[tuple]] = {}
     for a in range(m):
@@ -477,12 +480,13 @@ def direct_product_table(a, b):
     """(table, identity, inverse) of A x B with pair (x, y) at index
     x*|B| + y, as lists, by loops."""
     order, nb = a.order * b.order, b.order
+    at, bt = a.table.tolist(), b.table.tolist()
     table = [[0] * order for _ in range(order)]
     for x1 in range(a.order):
         for y1 in range(b.order):
             row = table[x1 * nb + y1]
-            arow = a.table[x1]
-            brow = b.table[y1]
+            arow = at[x1]
+            brow = bt[y1]
             for x2 in range(a.order):
                 ax = arow[x2] * nb
                 for y2 in range(b.order):
@@ -541,13 +545,15 @@ def enumerate_subgroups(group):
     """groups.enumerate_subgroups by BFS over closures: every subgroup
     arises by adjoining one element at a time, so extending each known
     subgroup by each outside element reaches all of them."""
+    t = group.table.tolist()
+
     def close(seed):
         members = set(seed)
         frontier = list(seed)
         while frontier:
             x = frontier.pop()
             for y in tuple(members):
-                for z in (group.table[x][y], group.table[y][x]):
+                for z in (t[x][y], t[y][x]):
                     if z not in members:
                         members.add(z)
                         frontier.append(z)
@@ -583,8 +589,9 @@ def bijection_characterization(group, h, candidate):
     if len(h.elements) * len(members) != group.order:
         return False
     seen = set()
+    rows = group.table.tolist()
     for alpha in h.elements:
-        row = group.table[alpha]
+        row = rows[alpha]
         for a in members:
             seen.add(row[a])
     return len(seen) == group.order

@@ -376,7 +376,7 @@ def test_criterion_10_mutation_sensitivity():
     t = enumerate_transversals(g, h)[0]
     base = standard_construction(g, h, t)
     assert verify_axioms(base).overall
-    ht = base.h.table
+    ht = base.h.table.tolist()
 
     # (axiom, table, row, col, new value, expected witness); A0 is the
     # composition clause of P2

@@ -7,6 +7,7 @@ fresh interpreter, as the installer-generated wrapper would, so it needs
 no install.
 """
 
+import copy
 import hashlib
 import json
 import os
@@ -18,6 +19,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -29,8 +32,14 @@ from hypergroups import (
     HgMorphism,
     InternalInconsistencyError,
     cyclic_group,
+    enumerate_transversals,
+    functor_field,
+    group_from_spec,
     hypergroup_from_json,
     hypergroup_to_json,
+    make_field,
+    standard_construction,
+    subgroup_closure,
     verify_morphism,
 )
 from hypergroups.cli import main, run
@@ -97,7 +106,7 @@ class TestGroup:
 
     def test_group_from_file(self, tmp_path, capsys):
         f = tmp_path / "k4.json"
-        f.write_text(json.dumps({"name": "K4", "table": cyclic_group(4).table}))
+        f.write_text(json.dumps({"name": "K4", "table": cyclic_group(4).table.tolist()}))
         assert run(["group", "info", str(f)]) == 0
         assert "order 4" in capsys.readouterr().out
 
@@ -534,6 +543,133 @@ class TestMalformedRowsAndTokens:
             capture_output=True, text=True, env=_child_env(), timeout=60)
         assert proc.returncode == 2
         assert proc.stderr == "error: xi[1]: row is not a sequence\n"
+
+
+class TestAmbientEntries:
+    """A hypergroup file's ambient must be the triple its tables came
+    from, with integer entries: otherwise `hg solve --lemma` exits 2 with
+    one line, where it raised an IndexError or read 2.5 as 2."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda amb: amb.update(group={"table": [[0]]}, subgroup=[0], transversal=[0]),
+         "ambient: the subgroup is not h or the transversal has not m_size elements"),
+        (lambda amb: amb.update(transversal=[0, 2.5, 4]),
+         "transversal: value 2.5 is not an integer"),
+        (lambda amb: amb.update(transversal=[True, 2, 4]),
+         "transversal: value True is not an integer"),
+        (lambda amb: amb.update(subgroup=[0, 1.0]), "subgroup: value 1.0 is not an integer"),
+    ])
+    def test_lemma_solve(self, tmp_path, capsys, edit, message):
+        s3 = tmp_path / "s3.json"
+        assert run(["hg", "construct", "--group", "S3", "--subgroup", "1",
+                    "--transversal", "auto", "-o", str(s3)]) == 0
+        data = json.loads(s3.read_text())
+        assert (data["ambient"]["subgroup"], data["ambient"]["transversal"]) == (
+            [0, 1], [0, 2, 4])
+        assert run(["hg", "solve", str(s3), "--a", "1", "--b", "0", "--lemma"]) == 0
+        edit(data["ambient"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["hg", "solve", str(bad), "--a", "1", "--b", "0", "--lemma"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _first_construction(spec, generators):
+    g = group_from_spec(spec)
+    h = subgroup_closure(g, generators)
+    return standard_construction(g, h, enumerate_transversals(g, h, limit=1)[0])
+
+
+# the files the fuzzer mutates: one with an ambient for `hg solve
+# --lemma`, one field image for reconstruct-field
+FUZZ_BASES = {"s3": hypergroup_to_json(_first_construction("S3", [1])),
+              "gf4": hypergroup_to_json(functor_field(make_field(4)))}
+
+# ambients of other constructions, each valid on its own
+FUZZ_AMBIENTS = [hypergroup_to_json(_first_construction(spec, gens))["ambient"]
+                 for spec, gens in (("E", []), ("Z4", [2]), ("Z6", [3]), ("S3", [3]))]
+
+FUZZ_COMMANDS = [["hg", "verify"], ["hg", "solve", "--a", "1", "--b", "0"],
+                 ["hg", "solve", "--a", "1", "--b", "0", "--lemma"],
+                 ["hg", "iso"], ["reconstruct-field"]]
+
+# values for a leaf: of the wrong type, or integers small, negative or huge
+WRONG_LEAVES = st.one_of(
+    st.text(max_size=3), st.floats(allow_nan=False), st.booleans(), st.none(),
+    st.integers(-3, 9), st.integers(2 ** 63 - 1, 2 ** 70),
+    st.lists(st.integers(-1, 9), max_size=3),
+    st.dictionaries(st.sampled_from(["table", "name", "group"]), st.integers(0, 3),
+                    max_size=2))
+
+
+def _json_paths(obj, path=()):
+    """The path of every value in obj, obj's own () first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def mutated_files(draw):
+    """(base name, text): a FUZZ_BASES file cut short, with a key
+    dropped, a value swapped for one of the wrong type, an ambient list
+    made longer or shorter, or the ambient of another construction."""
+    name = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    data = copy.deepcopy(FUZZ_BASES[name])
+    kind = draw(st.sampled_from(["truncate", "drop", "leaf", "resize", "ambient"]))
+    if kind == "ambient":
+        data["ambient"] = draw(st.sampled_from(FUZZ_AMBIENTS))
+        return name, json.dumps(data)
+    if kind == "truncate":
+        text = json.dumps(data)
+        return name, text[:draw(st.integers(0, len(text) - 1))]
+    paths = list(_json_paths(data))[1:]
+    if kind == "drop":
+        path = draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
+        del _at(data, path[:-1])[path[-1]]
+    elif kind == "leaf":
+        path = draw(st.sampled_from(paths))
+        _at(data, path[:-1])[path[-1]] = draw(WRONG_LEAVES)
+    else:
+        lists = [p for p in paths if p[0] == "ambient" and isinstance(_at(data, p), list)]
+        target = _at(data, draw(st.sampled_from(lists))) if lists else data.setdefault(
+            "ambient", [])
+        if target and draw(st.booleans()):
+            del target[draw(st.integers(0, len(target) - 1))]
+        else:
+            target.append(copy.deepcopy(target[0]) if target and draw(st.booleans())
+                          else draw(st.integers(-1, 7)))
+    return name, json.dumps(data)
+
+
+@pytest.fixture(scope="class")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzzedFiles:
+    """Mutated hypergroup files through the CLI, in process: each call
+    answers with exit 0, 1, 2 or 3 and raises nothing."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(case=mutated_files(), command=st.sampled_from(FUZZ_COMMANDS))
+    def test_exit_code_contract(self, fuzz_dir, case, command):
+        name, text = case
+        bad, base = fuzz_dir / "bad.json", fuzz_dir / "base.json"
+        bad.write_text(text)
+        base.write_text(json.dumps(FUZZ_BASES[name]))
+        files = [str(bad), str(base)] if command == ["hg", "iso"] else [str(bad)]
+        argv = command[:2] + files + command[2:] if command[0] == "hg" else command + files
+        assert run(argv) in (0, 1, 2, 3)
 
 
 def _frozen_calls(tmp_path):

@@ -86,12 +86,13 @@ import loop_oracles
 # oracles
 
 
-def scan_decompose(group, h_elements, reps, x):
+def scan_decompose(rows, h_elements, reps, x):
+    """The unique (alpha, a) with alpha*a = x in the table rows, by scan."""
     pairs = [
         (alpha, a)
         for alpha in h_elements
         for a in reps
-        if group.table[alpha][a] == x
+        if rows[alpha][a] == x
     ]
     assert len(pairs) == 1
     return pairs[0]
@@ -106,18 +107,19 @@ def oracle_standard_tables(group, h, t):
     m, hn = len(reps), len(hel)
     hidx = {x: i for i, x in enumerate(hel)}
     midx = {x: i for i, x in enumerate(reps)}
+    rows = group.table.tolist()
     phi = [[0] * hn for _ in range(m)]
     psi = [[0] * hn for _ in range(m)]
     for i, a in enumerate(reps):
         for j, al in enumerate(hel):
-            alpha2, a2 = scan_decompose(group, hel, reps, group.table[a][al])
+            alpha2, a2 = scan_decompose(rows, hel, reps, rows[a][al])
             phi[i][j] = midx[a2]
             psi[i][j] = hidx[alpha2]
     xi = [[0] * m for _ in range(m)]
     lam = [[0] * m for _ in range(m)]
     for i, a in enumerate(reps):
         for k, b in enumerate(reps):
-            alpha2, c = scan_decompose(group, hel, reps, group.table[a][b])
+            alpha2, c = scan_decompose(rows, hel, reps, rows[a][b])
             xi[i][k] = midx[c]
             lam[i][k] = hidx[alpha2]
     return phi, psi, xi, lam
@@ -166,7 +168,7 @@ def a3_links(hg):
 def a3_force(hg, links, lam, cell, value):
     """Set lam[cell] = value and the unset (-1) cells A3 links to it, in
     place; False when a link fails."""
-    ht, hinv = hg.h.table, hg.h.inverse
+    ht, hinv = hg.h.table.tolist(), hg.h.inverse
     lam[cell[0]][cell[1]] = value
     todo = [cell]
     while todo:
@@ -286,7 +288,7 @@ class TestStandardConstruction:
         # H = {e}: M = G and xi is the group table
         h = subgroup_from_elements(g, [0])
         hg = standard_construction(g, h, list(range(6)))
-        assert hg.xi.tolist() == [list(r) for r in g.table]
+        assert hg.xi.tolist() == g.table.tolist()
         assert all(v == 0 for row in hg.lam.tolist() for v in row)
 
 
@@ -895,7 +897,7 @@ def generator_scan_inputs(draw):
         x, y = draw(st.lists(st.sampled_from([x for x in range(m) if x != hg.o]),
                              min_size=2, max_size=2, unique=True))
         xi[x][b], xi[y][b] = xi[y][b], xi[x][b]
-    h_table = [list(row) for row in hg.h.table]
+    h_table = hg.h.table.tolist()
     for _ in range(draw(st.integers(1, 2)) if mutation == "cells" else 0):
         name = draw(st.sampled_from(["phi", "psi", "xi", "lam", "h"]))
         table = h_table if name == "h" else tables[name]
@@ -959,7 +961,7 @@ class TestGeneratorScans:
     def test_non_group_h_scans_in_full(self):
         # the closure arguments need H to be a group
         hg = functor_field(make_field(8))
-        table = [list(row) for row in hg.h.table]
+        table = hg.h.table.tolist()
         table[3][4], table[3][5] = table[3][5], table[3][4]
         h = FiniteGroup(order=7, table=table, identity=0,
                         inverse=list(hg.h.inverse), name="H")
@@ -982,7 +984,7 @@ class TestGeneratorScans:
             xi=[[(a + b) % m for b in range(m)] for a in range(m)],
             lam=[[0 if b == 0 and a else 1 for b in range(m)] for a in range(m)],
             o=0)
-        assert core._group_generators(np.asarray(h.table), 0) is None
+        assert core._group_generators(h.table, 0) is None
         with mock.patch.object(_util, "BLOCK_CELLS", m * m):
             assert (2 * m) ** 2 > _util.BLOCK_CELLS < m ** 3
             got = results(verify_axioms(hg))
@@ -1058,7 +1060,7 @@ def fixes_units(hg):
 
 def product_table(hg):
     return core._product_table(hg.phi, hg.psi, hg.xi, hg.lam,
-                               np.asarray(hg.h.table, dtype=np.intp))
+                               hg.h.table)
 
 
 def cube(hg, name):
@@ -1124,7 +1126,7 @@ class TestProductShortcut:
         # (alpha, a) at alpha * |M| + a stands for alpha * a in G
         for g, h, t in all_small_hypergroups(12):
             hg = standard_construction(g, h, t)
-            gt = np.asarray(g.table)
+            gt = g.table
             elem = gt[np.asarray(h.elements)[:, None],
                       np.asarray(t.reps)[None, :]].ravel()
             assert (elem[product_table(hg)] == gt[elem[:, None], elem]).all()
@@ -1386,8 +1388,7 @@ def broken_normal_case(g, h):
 
     def unmatched_quotient(group, h):
         q = quotient_group(group, h)
-        return types.SimpleNamespace(name=q.name,
-                                     np_table=lambda: np.full(q.np_table().shape, -1))
+        return types.SimpleNamespace(name=q.name, table=np.full(q.table.shape, -1))
 
     with mock.patch.object(hypergroups.core, "standard_constructions", edited), \
             mock.patch.object(hypergroups.core, "quotient_group", unmatched_quotient), \
@@ -1585,6 +1586,33 @@ class TestSerialization:
         assert "ambient" not in data
         hg2 = hypergroup_from_json(data)
         assert hg2.ambient is None and hg2.xi.tolist() == hg.xi.tolist()
+
+    def test_every_written_file_loads_unchanged(self):
+        # the ambient checks accept every file the library writes
+        for g, h, t in all_small_hypergroups(8):
+            hg = standard_construction(g, h, t)
+            blob = canonical_dumps(hypergroup_to_json(hg))
+            assert hypergroup_from_json(json.loads(blob)) == hg
+
+    def test_an_ambient_that_is_not_the_tables_is_refused(self):
+        # H = {0, 3} of Z6 is Z2 on [[0, 1], [1, 0]], and |M| = 3
+        _, _, _, hg = z6_example()
+        swap = [3, 1, 2, 0, 4, 5]   # Z6 with 0 and 3 relabelled
+        z6 = cyclic_group(6).table.tolist()
+        relabelled = [[swap[z6[swap[a]][swap[b]]] for b in range(6)] for a in range(6)]
+        for ambient in (
+                # |H| = 1, so its table is not h's
+                {"group": {"table": [[0]]}, "subgroup": [0], "transversal": [0]},
+                # H = {0, 2} of Z4 is h, but the transversal has 2 elements
+                {"group": {"table": cyclic_group(4).table.tolist()}, "subgroup": [0, 2],
+                 "transversal": [0, 1]},
+                # {0, 3} is Z2 with its identity at 1: [[1, 0], [0, 1]]
+                {"group": {"table": relabelled}, "subgroup": [0, 3],
+                 "transversal": [0, 1, 2]}):
+            data = {**hypergroup_to_json(hg), "ambient": ambient}
+            with pytest.raises(MalformedTablesError) as ei:
+                hypergroup_from_json(data)
+            assert ei.value.location == "ambient"
 
     def test_json_fields(self):
         _, _, _, hg = z6_example()

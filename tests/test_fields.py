@@ -14,6 +14,7 @@ import itertools
 import pickle
 import random
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -138,28 +139,46 @@ class TestPrimeFields:
 
 
 class TestFrozenField:
-    """A field's tables are tuple rows plus read-only intp arrays, made and
-    checked once; edits make a new field through the constructor."""
+    """A field's tables are read-only intp arrays, made and checked once;
+    edits make a new field through the constructor."""
 
     @pytest.mark.parametrize("q", [2, 4, 9, 25])
     def test_two_forms_of_one_table(self, q):
+        # one stored form: rows and an array given to the constructor
+        # make equal fields, and no field holds a second copy
         f = make_field(q)
-        for rows, arr in ((f.add, f.np_add()), (f.mul, f.np_mul())):
-            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        for arr in (f.add, f.mul):
+            assert isinstance(arr, np.ndarray)
             assert arr.dtype == np.intp and arr.shape == (q, q)
-            assert arr.tolist() == [list(row) for row in rows]
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 1
+        assert [fd.name for fd in dataclasses.fields(f)
+                if isinstance(getattr(f, fd.name), np.ndarray)] == ["add", "mul"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.one = 0
-        assert replace(f, add=np.array(f.add)) == f
+        assert replace(f, add=f.add.tolist()) == f == replace(f, mul=np.array(f.mul))
+        mul = f.mul.tolist()
+        mul[1][1] = (mul[1][1] + 1) % q
+        assert replace(f, mul=mul) != f and replace(f, mul=np.array(mul)) != f
 
     def test_arrays_are_copies(self):
         f = make_field(5)
         mul = np.array(f.mul)
         g = replace(f, mul=mul)
         mul[2, 3] = 0
-        assert g.mul[2][3] == f.mul[2][3] and g.np_mul()[2, 3] == f.mul[2][3]
+        assert g.mul[2, 3] == f.mul[2, 3] == 1
+
+    def test_gf512_holds_one_table_form(self):
+        # two 512 x 512 intp arrays are 4 MiB; a second form of either
+        # table, one int object per cell, would pass the 8 MiB bound
+        tracemalloc.start()
+        try:
+            f = make_field(512)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.q == 512
+        assert held < 8 * 2 ** 20, held
 
     @pytest.mark.parametrize("edit, error, text", [
         (lambda mul: mul[1].__setitem__(2, 5), NotClosedError,
@@ -171,7 +190,7 @@ class TestFrozenField:
     ])
     def test_tables_are_checked(self, edit, error, text):
         gf5 = make_field(5)
-        mul = [list(row) for row in gf5.mul]
+        mul = gf5.mul.tolist()
         edit(mul)
         with pytest.raises(error) as ei:
             replace(gf5, mul=mul)
@@ -189,18 +208,18 @@ class TestFrozenField:
         f = make_field(8)
         for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert g == f and g.name == f.name
-            assert not g.np_add().flags.writeable and not g.np_mul().flags.writeable
+            assert not g.add.flags.writeable and not g.mul.flags.writeable
 
     def test_inverse_errors_keep_their_texts(self):
         gf5 = make_field(5)
-        mul = [list(row) for row in gf5.mul]
+        mul = gf5.mul.tolist()
         mul[3][2] = 3   # row 3 keeps no 1: 3*2 was 1
         f = replace(gf5, mul=mul)
         with pytest.raises(InternalInconsistencyError, match="^no multiplicative inverse for 3$"):
             f.mul_inverse(3)
         with pytest.raises(InternalInconsistencyError, match="^no multiplicative inverse for 3$"):
             multiplicative_group(f)
-        add = [list(row) for row in gf5.add]
+        add = gf5.add.tolist()
         add[4][1] = 4   # row 4 keeps no 0
         with pytest.raises(InternalInconsistencyError, match="^no additive inverse for 4$"):
             replace(gf5, add=add).neg(4)
@@ -300,7 +319,7 @@ class TestExtensionFields:
 
     def test_non_field_gives_a_report(self):
         gf9 = make_field(9)
-        mul = [list(row) for row in gf9.mul]
+        mul = gf9.mul.tolist()
         mul[2][3], mul[2][4] = mul[2][4], mul[2][3]
         f = replace(gf9, mul=mul)
         with time_limit(10):
@@ -332,7 +351,7 @@ class TestCheckFieldTables:
 
     def test_symmetric_mul_mutation_gives_distributivity_witness(self):
         f = make_field(5)
-        mul = [list(row) for row in f.mul]
+        mul = f.mul.tolist()
         mul[2][3] = mul[3][2] = 2  # keeps commutativity
         ok, what, witness = check_field_tables(f.add, mul, f.zero, f.one)
         assert not ok
@@ -393,11 +412,10 @@ class TestMultiplicativeGroup:
                 f = make_field(q)
             except (NotPrimeError, SizeLimitExceededError):
                 continue
-            n = q - 1
+            n, mul = q - 1, f.mul.tolist()
             g = multiplicative_group(f)
-            table = [[f.mul[i + 1][j + 1] - 1 for j in range(n)] for i in range(n)]
-            assert [list(row) for row in g.table] == table
-            assert g.np_table().tolist() == table
+            table = [[mul[i + 1][j + 1] - 1 for j in range(n)] for i in range(n)]
+            assert g.table.tolist() == table
             assert list(g.inverse) == [f.mul_inverse(i + 1) - 1 for i in range(n)]
 
 
@@ -495,7 +513,7 @@ def mutated_field_tables(draw):
         mul = [[(i * j) % q for j in range(q)] for i in range(q)]
     else:
         f = make_field(q)
-        add, mul = [list(row) for row in f.add], [list(row) for row in f.mul]
+        add, mul = f.add.tolist(), f.mul.tolist()
     cell = st.one_of(st.integers(min(2, q - 1), q - 1), st.integers(0, q - 1))
     for _ in range(draw(st.integers(0, 3))):
         table = draw(st.sampled_from([add, mul]))
@@ -530,7 +548,7 @@ class TestAgainstLoopOracles:
     def test_every_single_mutation_with_generator_scans(self, q):
         f = make_field(q)
         for name, a, b, v in itertools.product(("add", "mul"), *[range(q)] * 3):
-            tables = {"add": [list(row) for row in f.add], "mul": [list(row) for row in f.mul]}
+            tables = {"add": f.add.tolist(), "mul": f.mul.tolist()}
             tables[name][a][b] = v
             for commutative in (True, False):
                 with mock.patch.object(_util, "BLOCK_CELLS", 1):
@@ -542,10 +560,11 @@ class TestAgainstLoopOracles:
         # tables that fail one law only, so that the generator scan for
         # that law is the one that must catch it
         f = make_field(9)
-        squares = {f.mul[x][x] for x in range(9)}
-        cube = [f.mul[f.mul[a][a]][a] for a in range(9)]
+        fmul = f.mul.tolist()
+        squares = {fmul[x][x] for x in range(9)}
+        cube = [fmul[fmul[a][a]][a] for a in range(9)]
         # Dickson's near-field: a o b = ab for a square b, a^3 b otherwise
-        dickson = [[f.mul[a if b in squares else cube[a]][b] for b in range(9)]
+        dickson = [[fmul[a if b in squares else cube[a]][b] for b in range(9)]
                    for a in range(9)]
         opposite = [list(col) for col in zip(*dickson)]
         # GF(2)^3 with basis 1, x, y and x^2 = y, y^2 = 0, xy = yx = x
@@ -570,7 +589,7 @@ class TestAgainstLoopOracles:
     def test_every_single_mul_mutation_matches_loops(self, q):
         f = make_field(q)
         for a, b, v in itertools.product(range(q), repeat=3):
-            mul = [list(row) for row in f.mul]
+            mul = f.mul.tolist()
             mul[a][b] = v
             for commutative in (True, False):
                 assert check_field_tables(f.add, mul, 0, 1, commutative) == (
@@ -588,9 +607,9 @@ class TestAgainstLoopOracles:
         picks = {0, len(irreducible) // 2, len(irreducible) - 1}
         for modulus in (irreducible[i] for i in sorted(picks)):
             f = make_extension_field(p, modulus)
-            assert ([list(row) for row in f.add], [list(row) for row in f.mul]) == (
+            assert (f.add.tolist(), f.mul.tolist()) == (
                 loop_oracles.extension_tables(p, modulus))
-            assert all(type(v) is int for row in f.mul for v in row)
+            assert f.add.dtype == f.mul.dtype == np.intp
 
     @pytest.mark.parametrize("p,m", [(2, 5), (2, 6), (3, 4), (5, 3), (2, 7), (11, 2)])
     def test_field_isomorphism_matches_loops_on_larger_fields(self, p, m):
@@ -602,18 +621,18 @@ class TestAgainstLoopOracles:
 
     def test_field_isomorphism_rejects_non_fields(self):
         gf5 = make_field(5)
-        mul = [list(row) for row in gf5.mul]
+        mul = gf5.mul.tolist()
         mul[2][3] = mul[3][2] = 0
         zero_divisor = replace(gf5, mul=mul)
         # {1, 2, 3, 4} as the Klein group: no element of order 4
         klein = replace(gf5, mul=[[0] * 5] + [[0] + [1 + ((a - 1) ^ (b - 1))
                                                       for b in range(1, 5)]
                                                for a in range(1, 5)])
-        mul = [list(row) for row in gf5.mul]
+        mul = gf5.mul.tolist()
         mul[2][2] = 2  # the powers of 2 stay at 2
         never_one = replace(gf5, mul=mul)
         for bad, match in ((zero_divisor, "zero divisor"), (klein, "not cyclic"),
-                           (never_one, "not cyclic")):
+                           (never_one, "the powers of 1 in GF.5.. never reach")):
             for pair in ((bad, gf5), (gf5, bad)):
                 with pytest.raises(InternalInconsistencyError, match=match):
                     field_isomorphism(*pair)

@@ -96,14 +96,14 @@ def oracle_is_group(table):
 def oracle_subgroups(group):
     """Every closed subset containing the identity, by scanning all
     2^n subsets. Only sane for |G| <= 8."""
-    n = group.order
+    n, t = group.order, group.table.tolist()
     found = []
     for mask in range(1, 1 << n):
         elems = [x for x in range(n) if (mask >> x) & 1]
         if group.identity not in elems:
             continue
         s = set(elems)
-        if all(group.table[a][b] in s for a in elems for b in elems):
+        if all(t[a][b] in s for a in elems for b in elems):
             found.append(tuple(elems))
     return sorted(found, key=lambda t: (len(t), t))
 
@@ -124,10 +124,11 @@ def oracle_isomorphisms(g1, g2):
     for |G| <= 6."""
     if g1.order != g2.order:
         return []
+    t1, t2 = g1.table.tolist(), g2.table.tolist()
     out = []
     for f in itertools.permutations(range(g1.order)):
         if all(
-            f[g1.table[a][b]] == g2.table[f[a]][f[b]]
+            f[t1[a][b]] == t2[f[a]][f[b]]
             for a in range(g1.order)
             for b in range(g1.order)
         ):
@@ -137,12 +138,12 @@ def oracle_isomorphisms(g1, g2):
 
 def relabelled(group, perm):
     """group with each element x renamed perm[x]."""
-    n = group.order
+    n, t = group.order, group.table.tolist()
     inv = [0] * n
     for x, y in enumerate(perm):
         inv[y] = x
     return group_from_cayley_table(
-        [[perm[group.table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)])
+        [[perm[t[inv[a]][inv[b]]] for b in range(n)] for a in range(n)])
 
 
 @st.composite
@@ -183,7 +184,7 @@ def magmas(draw):
     if kind in ("group", "mutant"):
         spec = draw(st.sampled_from(["Z2", "Z5", "S3", "Q8", "Z2xZ4", "D4",
                                      "Z3xS3", "Z2xZ2xZ2xZ2"]))
-        table = [list(row) for row in group_from_spec(spec).table]
+        table = group_from_spec(spec).table.tolist()
         n = len(table)
         if kind == "mutant":
             a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -269,7 +270,7 @@ class TestFirstNonassociative:
     def test_large_groups_pass_and_mutants_fail(self, spec):
         # past one block, so the generating-set scan decides the groups;
         # a changed cell sends the mutant to the full scan
-        table = [list(row) for row in group_from_spec(spec).table]
+        table = group_from_spec(spec).table.tolist()
         assert len(table) ** 3 > _util.BLOCK_CELLS
         assert first_nonassociative(np.array(table, dtype=np.intp)) is None
         table[37][91] = table[37][92]
@@ -284,7 +285,7 @@ class TestFirstNonassociative:
 class TestLightAssociative:
     @pytest.mark.parametrize("spec", ["Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2", "D8xZ16", "S4"])
     def test_groups_pass_and_a_changed_cell_fails(self, spec):
-        table = [list(row) for row in group_from_spec(spec).table]
+        table = group_from_spec(spec).table.tolist()
         assert light_associative(np.array(table, dtype=np.intp))
         table[5][11] = table[5][12]
         assert not light_associative(np.array(table, dtype=np.intp))
@@ -297,17 +298,21 @@ class TestLightAssociative:
 
 
 class TestNpTable:
+    """The table is stored once, as a read-only intp array."""
+
     def test_read_only(self):
-        t = cyclic_group(4).np_table()
+        t = cyclic_group(4).table
+        assert isinstance(t, np.ndarray)
         assert t.dtype == np.intp and not t.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             t[0, 0] = 1
 
     def test_cells_refuse_writes(self):
         g = cyclic_group(4)
-        with pytest.raises(TypeError):
+        # the table is a read-only array, the other cells are tuples
+        with pytest.raises(ValueError, match="read-only"):
             g.table[1][1] = 3
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="read-only"):
             g.table[1] = (1, 0, 3, 2)
         with pytest.raises(TypeError):
             g.inverse[1] = 1
@@ -317,7 +322,7 @@ class TestNpTable:
                       dec.coset_of):
             with pytest.raises(TypeError):
                 cells[0] = 1
-        assert g.np_table().tolist() == [list(row) for row in g.table]
+        assert g.table.tolist() == [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
 
     def test_attributes_refuse_writes(self):
         # over the trivial subgroup, xi is the group table
@@ -326,28 +331,45 @@ class TestNpTable:
         dec = right_cosets(g, h)
         klein = group_from_spec("Z2xZ2")
         for obj, name, value in ((g, "table", klein.table), (g, "inverse", klein.inverse),
-                                 (g, "order", 2), (g, "_array", klein.np_table()),
+                                 (g, "order", 2), (g, "_inverse", klein.np_inverse()),
                                  (h, "parent", klein), (h, "elements", (0, 1)),
                                  (h, "index_in", (0, 1, -1, -1)), (h, "_group", klein),
                                  (dec, "cosets", ((0,),)), (dec, "coset_of", (0,))):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, value)
         xi = standard_construction(g, h, [0, 1, 2, 3]).xi
-        assert xi.tolist() == [list(row) for row in g.table]
-        assert (xi == g.np_table()).all()
+        assert (xi == g.table).all()
 
     def test_unchanged_table_is_not_rebuilt(self):
         g = cyclic_group(4)
-        assert g.np_table() is g.np_table()
-        assert g.np_table().tolist() == [list(row) for row in g.table]
+        assert g.table is g.table
+        # no field holds a second copy of the table
+        arrays = [getattr(g, f.name) for f in dataclasses.fields(g)
+                  if isinstance(getattr(g, f.name), np.ndarray)]
+        assert [a.ndim for a in arrays] == [2, 1]
+
+    def test_rows_and_array_make_one_group(self):
+        table = group_from_spec("S3").table.tolist()
+        from_rows = FiniteGroup(6, table, 0, [0, 1, 2, 4, 3, 5], "S3")
+        from_array = FiniteGroup(6, np.array(table, dtype=np.uint8), 0,
+                                 np.array([0, 1, 2, 4, 3, 5]), "S3")
+        assert from_rows == from_array == group_from_spec("S3")
+        assert hash(from_rows) == hash(from_array)
+        table[4][5] = 0   # one cell changed, still in range
+        assert FiniteGroup(6, table, 0, [0, 1, 2, 4, 3, 5], "S3") != from_rows
+
+    def test_mul_returns_an_int(self):
+        g = group_from_spec("Z2xS3")
+        assert all(type(g.mul(a, b)) is int and g.mul(a, b) == g.table[a, b]
+                   for a in range(g.order) for b in range(g.order))
 
     def test_subgroup_as_group_is_made_once(self):
         g = group_from_spec("Z2xZ2")
         h = subgroup_from_elements(g, [0, 1])
         assert h.as_group() is h.as_group()
-        assert h.as_group().table == ((0, 1), (1, 0))
+        assert h.as_group().table.tolist() == [[0, 1], [1, 0]]
         assert h.as_group().inverse == (0, 1)
-        assert not h.as_group().np_table().flags.writeable
+        assert not h.as_group().table.flags.writeable
 
 
 class TestFiniteGroupChecks:
@@ -397,7 +419,7 @@ class TestFiniteGroupChecks:
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(table=st.sampled_from(["Z5", "S3", "Q8", "Z2xZ4"])
-           .flatmap(lambda spec: relabelled_mutants(group_from_spec(spec).table)))
+           .flatmap(lambda spec: relabelled_mutants(group_from_spec(spec).table.tolist())))
     def test_range_faults_match_group_from_cayley_table(self, table):
         # in-range tables are kept whatever their axioms; a range or
         # length fault is the one group_from_cayley_table reports
@@ -409,12 +431,11 @@ class TestFiniteGroupChecks:
             assert describe(exc) == describe(expected)
         else:
             assert not isinstance(expected, NotClosedError)
-            assert [list(row) for row in g.table] == table
-            assert g.np_table().tolist() == table
+            assert g.table.tolist() == table
 
     def test_a_non_group_in_range_is_kept(self):
         g = FiniteGroup(2, [[0, 1], [1, 1]], 0, [0, 1], "H")
-        assert g.table == ((0, 1), (1, 1)) and g.inverse == (0, 1)
+        assert g.table.tolist() == [[0, 1], [1, 1]] and g.inverse == (0, 1)
 
 
 class TestCopyAndPickle:
@@ -430,25 +451,34 @@ class TestCopyAndPickle:
         h = subgroup_closure(g, [3])
         dec = right_cosets(g, h)
         for g2 in self.copies(g):
-            assert g2 == g and g2.table == g.table and g2.inverse == g.inverse
-            assert not g2.np_table().flags.writeable
-            assert g2.np_table().tolist() == g.np_table().tolist()
+            assert g2 == g and g2.inverse == g.inverse
+            assert not g2.table.flags.writeable
+            assert g2.table.tolist() == g.table.tolist()
             with pytest.raises(dataclasses.FrozenInstanceError):
                 g2.table = ()
         for h2 in self.copies(h):
             assert h2 == h and h2.index_in == h.index_in
             assert h2.as_group() == h.as_group()
-            assert not h2.as_group().np_table().flags.writeable
-            assert not h2.parent.np_table().flags.writeable
+            assert not h2.as_group().table.flags.writeable
+            assert not h2.parent.table.flags.writeable
             with pytest.raises(dataclasses.FrozenInstanceError):
                 h2.elements = (0,)
         for dec2 in self.copies(dec):
             assert dec2 == dec
-            assert not dec2.subgroup.parent.np_table().flags.writeable
+            assert not dec2.subgroup.parent.table.flags.writeable
             with pytest.raises(TypeError):
                 dec2.cosets[0][0] = 1
             with pytest.raises(dataclasses.FrozenInstanceError):
                 dec2.coset_of = ()
+
+    def test_hashes_survive_copies(self):
+        g = group_from_spec("Z2xS3")
+        h = subgroup_closure(g, [3])
+        dec = right_cosets(g, h)
+        for obj in (g, h, dec):
+            for obj2 in self.copies(obj):
+                assert obj2 == obj and hash(obj2) == hash(obj)
+        assert len({g, *self.copies(g)}) == 1 and len({h, *self.copies(h)}) == 1
 
     def test_arrays_held_once(self):
         # each tuple that numpy code reads is also a read-only intp
@@ -501,7 +531,7 @@ class TestGroupFromCayleyTable:
            data=st.data())
     def test_mutated_tables_give_loop_witness(self, spec, data):
         # row and column 0 stay, so 0 stays the identity
-        table = [list(row) for row in group_from_spec(spec).table]
+        table = group_from_spec(spec).table.tolist()
         n = len(table)
         for _ in range(data.draw(st.integers(1, 3))):
             a, b = (data.draw(st.integers(1, n - 1)) for _ in range(2))
@@ -517,7 +547,7 @@ class TestGroupFromCayleyTable:
     def test_associativity_witness_past_the_first_block(self, monkeypatch):
         # one leading element per block: the witness (1, ., .) of a
         # mutated Z2^5 lies in the second block
-        table = [list(row) for row in group_from_spec("Z2xZ2xZ2xZ2xZ2").table]
+        table = group_from_spec("Z2xZ2xZ2xZ2xZ2").table.tolist()
         monkeypatch.setattr(_util, "BLOCK_CELLS", len(table) ** 2)
         table[21][5] = table[21][6]
         expected = loop_oracles.associativity_witness(table)
@@ -528,7 +558,7 @@ class TestGroupFromCayleyTable:
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(table=st.sampled_from(["Z5", "S3", "Q8", "Z2xZ4", "D4", "Z3xS3"])
-           .flatmap(lambda spec: relabelled_mutants(group_from_spec(spec).table)),
+           .flatmap(lambda spec: relabelled_mutants(group_from_spec(spec).table.tolist())),
            block=st.sampled_from([1, 7, 64, _util.BLOCK_CELLS]))
     def test_errors_match_loop_oracle(self, table, block):
         # any cell may change, so the identity can go, move or stay; a
@@ -593,7 +623,7 @@ class TestGroupFromCayleyTable:
                                 side_effect=AssertionError("converted to rows")
                                 ) if value is arr else contextlib.nullcontext():
                     g = group_from_cayley_table(value)
-                outcomes.append((g.table, g.identity, g.inverse))
+                outcomes.append((g.table.tolist(), g.identity, g.inverse))
             except AlgebraError as exc:
                 outcomes.append((type(exc), str(exc), getattr(exc, "witness", None)))
         assert outcomes[0] == outcomes[1]
@@ -611,14 +641,14 @@ class TestFamilies:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
     def test_cyclic_matches_modular_addition(self, n):
         g = cyclic_group(n)
-        assert [list(r) for r in g.table] == [
+        assert g.table.tolist() == [
             [(i + j) % n for j in range(n)] for i in range(n)
         ]
-        assert oracle_is_group([list(r) for r in g.table])
+        assert oracle_is_group(g.table.tolist())
 
     def test_s3_table_matches_permutation_oracle(self):
         g = symmetric_group(3)
-        assert [list(r) for r in g.table] == oracle_s3_table()
+        assert g.table.tolist() == oracle_s3_table()
         # frozen spot value, re-derived by the oracle above:
         # perms[3] = (1,2,0) then perms[1] = (0,2,1) gives (2,1,0) = perms[5]
         assert g.table[3][1] == 5
@@ -626,7 +656,7 @@ class TestFamilies:
     def test_s4_is_a_group_of_order_24(self):
         g = symmetric_group(4)
         assert g.order == 24
-        assert oracle_is_group([list(r) for r in g.table])
+        assert oracle_is_group(g.table.tolist())
 
     def test_symmetric_cap(self):
         with pytest.raises(SizeLimitExceededError):
@@ -638,7 +668,7 @@ class TestFamilies:
         # element (f, k) is encoded as f*n + k
         g = dihedral_group(n)
         assert g.order == 2 * n
-        assert oracle_is_group([list(r) for r in g.table])
+        assert oracle_is_group(g.table.tolist())
         r, s = 1, n  # rotation by 1, first reflection
         x = r
         for _ in range(n - 1):
@@ -655,7 +685,7 @@ class TestFamilies:
         # order [1, -1, i, -i, j, -j, k, -k]
         g = quaternion_group()
         assert g.order == 8
-        assert oracle_is_group([list(r) for r in g.table])
+        assert oracle_is_group(g.table.tolist())
         one, minus, i, j, k = 0, 1, 2, 4, 6
         assert g.mul(i, i) == minus
         assert g.mul(j, j) == minus
@@ -683,9 +713,8 @@ class TestFamilies:
         a, b = group_from_spec(spec_a), group_from_spec(spec_b)
         table, identity, inverse = loop_oracles.direct_product_table(a, b)
         g = direct_product(a, b)
-        assert [list(row) for row in g.table] == table
+        assert g.table.tolist() == table
         assert (g.identity, list(g.inverse)) == (identity, inverse)
-        assert g.np_table().tolist() == table
 
     def test_trivial_group(self):
         g = trivial_group()
@@ -717,7 +746,7 @@ class TestSpecs:
         assert len(names) == len(set(names))
         for g in groups:
             if g.order <= 8:
-                assert oracle_is_group([list(r) for r in g.table])
+                assert oracle_is_group(g.table.tolist())
         # both groups of order 4 and at least 3 of the 5 of order 8
         assert sum(1 for g in groups if g.order == 4) == 2
         assert sum(1 for g in groups if g.order == 8) >= 3
@@ -841,9 +870,9 @@ class TestIsomorphisms:
     def test_s3_isomorphic_to_d3(self):
         f = group_isomorphism(group_from_spec("S3"), group_from_spec("D3"))
         assert f is not None
-        g1, g2 = group_from_spec("S3"), group_from_spec("D3")
+        t1, t2 = group_from_spec("S3").table.tolist(), group_from_spec("D3").table.tolist()
         assert all(
-            f[g1.table[a][b]] == g2.table[f[a]][f[b]]
+            f[t1[a][b]] == t2[f[a]][f[b]]
             for a in range(6) for b in range(6)
         )
 
@@ -895,15 +924,16 @@ class TestSerialization:
         g = group_from_spec("D4")
         data = group_to_json(g)
         assert set(data) == {"order", "table", "name"}
+        assert type(data["table"][0][0]) is int
         g2 = group_from_json(data)
-        assert g2.table == g.table and g2.name == g.name
+        assert g2 == g
 
     def test_cayley_text_round_trip(self):
         g = group_from_spec("S3")
         text = format_cayley_text(g)
         assert text.splitlines()[0].strip() == "6"
         g2 = parse_cayley_text(text)
-        assert g2.table == g.table
+        assert (g2.table == g.table).all()
 
     def test_cayley_text_validates(self):
         with pytest.raises(NotClosedError):

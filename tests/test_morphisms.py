@@ -116,8 +116,7 @@ class TestVerifyMorphism:
             assert m.f0[src.lam[a][b]] != dst.lam[m.f1[a]][m.f1[b]]
         else:
             al, be = w
-            assert (m.f0[src.h.table[al][be]]
-                    != dst.h.table[m.f0[al]][m.f0[be]])
+            assert m.f0[src.h.mul(al, be)] != dst.h.mul(m.f0[al], m.f0[be])
 
     def test_f0_must_be_homomorphism(self):
         hg = z6_hg()  # H = Z2
