@@ -499,14 +499,14 @@ def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
     for x in els:
         if not 0 <= x < group.order:
             raise IndexOutOfRangeError(f"element {x} outside [0, {group.order})")
-    elset, rows = set(els), group.table.tolist()
+    elset = set(els)
     if group.identity not in elset:
         raise NotSubgroupError("missing the identity")
-    for a in els:
+    for a, row in zip(els, group.table[els].tolist()):
         if group.inverse[a] not in elset:
             raise NotSubgroupError(f"not closed under inverse at {a}")
         for b in els:
-            if rows[a][b] not in elset:
+            if row[b] not in elset:
                 raise NotSubgroupError(f"not closed under product at ({a},{b})")
     return Subgroup(parent=group, elements=tuple(els))
 
@@ -552,14 +552,14 @@ def is_normal(subgroup: Subgroup) -> bool:
 def right_cosets(group: FiniteGroup, h: Subgroup) -> CosetDecomposition:
     """Right cosets Ha; the coset of the identity comes first, the rest
     follow in order of their smallest element."""
-    coset_of, rows = [-1] * group.order, group.table.tolist()
+    coset_of, h_rows = [-1] * group.order, group.table[h.np_elements()].tolist()
     cosets: list[tuple[int, ...]] = []
     order: list[int] = [group.identity]
     order += [x for x in range(group.order) if x != group.identity]
     for a in order:
         if coset_of[a] >= 0:
             continue
-        members = tuple(sorted(rows[x][a] for x in h.elements))
+        members = tuple(sorted(row[a] for row in h_rows))
         idx = len(cosets)
         cosets.append(members)
         for m in members:
