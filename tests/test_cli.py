@@ -38,6 +38,7 @@ from hypergroups import (
     hypergroup_from_json,
     hypergroup_to_json,
     make_field,
+    right_cosets,
     standard_construction,
     subgroup_closure,
     verify_morphism,
@@ -817,3 +818,44 @@ class TestFrozenFieldPipeline:
                 out = path.read_bytes()
             got[name] = (code, hashlib.sha256(out).hexdigest())
         assert got == FROZEN_FIELD_PIPELINE[spec]
+
+
+def _least_coset_reps(spec, gens):
+    group = group_from_spec(spec)
+    return ",".join(str(min(c)) for c in right_cosets(group, subgroup_closure(group, gens)).cosets)
+
+
+# (exit code, sha256) of the file each call writes with -o (stdout for
+# group_info, which has no -o), taken while the writers still turned
+# every table into lists of ints: the |M| = 256 file of GF(2)^8 over the
+# trivial subgroup, with its 256 x 256 ambient table, and the |M| = 128
+# file over a non-normal subgroup of order 2
+FROZEN_WRITES = {
+    "construct_z2_8": (0, "197ae41918c7272be8706f14bda22add177c16434ee8b907b1bc72cee1a248bf"),
+    "construct_d8xz16": (0, "8161d34818d27264574cc0dc9c80c4fe9ac99d2fde8105f004da42ad8aa6ee8c"),
+    "functor_group_z3": (0, "b28ece2b9070a2058f8345cf90a4314e9dfc39777df63c08c3d31e8d24fc91bb"),
+    "group_info": (0, "0b24e99775f5f4f8c2bad6533200ad89c6324eedaaba64bbe9014c27406e2cab"),
+}
+
+
+class TestFrozenWrites:
+    @pytest.mark.parametrize("name", sorted(FROZEN_WRITES))
+    def test_exit_code_and_bytes(self, name, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        argv = {
+            "construct_z2_8": ["hg", "construct", "--group", "x".join(["Z2"] * 8),
+                               "--subgroup", "", "--transversal", "auto"],
+            "construct_d8xz16": ["hg", "construct", "--group", "D8xZ16", "--subgroup", "128",
+                                 "--transversal", _least_coset_reps("D8xZ16", [128])],
+            "functor_group_z3": ["functor", "group", "Z3"],
+            "group_info": ["--format", "json", "group", "info", "D4"],
+        }[name]
+        capsys.readouterr()
+        if name == "group_info":
+            code = run(argv)
+            out = capsys.readouterr().out.encode()
+        else:
+            code = run(argv + ["-o", str(path)])
+            assert capsys.readouterr().out == ""
+            out = path.read_bytes()
+        assert (code, hashlib.sha256(out).hexdigest()) == FROZEN_WRITES[name]
