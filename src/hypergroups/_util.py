@@ -76,11 +76,13 @@ def canonical_dumps(obj: Any) -> str:
     dicts and lists are walked in Python and the rest is handed to the
     C encoder: a non-empty list of plain ints (a table row) in one call
     whose item separator carries the newline and indent, every other
-    leaf on its own. A list of such rows whose values all lie in
-    [0, 2^16) (a table) is written in one join instead, each cell's text
-    read from a list of str(0), ..., str(max) made for that table. Keys
-    are sorted on their original values and a non-str key is written as
-    json writes it.
+    leaf on its own. A 2-D integer np.ndarray (a table) is written as
+    its tolist() would be, one join per row: when its values lie in
+    [0, size], each cell's text is read from an array of str(0), ...,
+    str(max) made for that table, a block of rows at a time; else its
+    rows go through the row encoder. Any other array raises TypeError,
+    as json.dumps does. Keys are sorted on their original values and a
+    non-str key is written as json writes it.
     """
     chunks: list[str] = []
     _dump(obj, "\n", chunks.append)
@@ -107,23 +109,29 @@ def _dump(obj: Any, nl: str, out: Callable[[str], Any]) -> None:
         if set(map(type, obj)) == {int}:
             out("[" + inner + _row_encoder(inner).encode(obj)[1:-1] + nl + "]")
             return
-        if all(type(row) in (list, tuple) and row and set(map(type, row)) == {int}
-               for row in obj) and min(map(min, obj)) >= 0:
-            top = max(map(max, obj))
-            if top < 1 << 16:
-                tokens = list(map(str, range(top + 1)))
-                cells, deeper = ("," + inner + "  ").join, inner + "  "
-                out("[" + inner)
-                out(("," + inner).join([
-                    "[" + deeper + cells([tokens[v] for v in row]) + inner + "]"
-                    for row in obj]))
-                out(nl + "]")
-                return
         sep = "[" + inner
         for value in obj:
             out(sep)
             sep = "," + inner
             _dump(value, inner, out)
+        out(nl + "]")
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim != 2 or obj.dtype.kind not in "iu":
+            raise TypeError("Object of type ndarray is not JSON serializable")
+        top = int(obj.max()) if obj.size else -1
+        if not 0 <= top <= obj.size or obj.min() < 0:
+            _dump(obj.tolist(), nl, out)
+            return
+        tokens = np.array(list(map(str, range(top + 1))), dtype=object)
+        inner, deeper = nl + "  ", nl + "    "
+        cells = ("," + deeper).join
+        # about 4,096 cells' texts at a time: a whole 256 x 256 table's
+        # at once raised the peak RSS of writing it by 1 MB
+        step = max(1, 4096 // obj.shape[1])
+        out("[" + inner)
+        out(("," + inner).join([
+            "[" + deeper + cells(row) + inner + "]" for lo in range(0, len(obj), step)
+            for row in tokens[obj[lo:lo + step]].tolist()]))
         out(nl + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -143,6 +151,13 @@ def _dump(obj: Any, nl: str, out: Callable[[str], Any]) -> None:
         out(nl + "}")
     else:
         out(_encode_leaf(obj))
+
+
+def tables_to_lists(obj: Any) -> Any:
+    """obj with each array in it, in dicts at any depth, as its tolist()."""
+    if isinstance(obj, dict):
+        return {key: tables_to_lists(value) for key, value in obj.items()}
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
 
 
 def fields_equal(a: Any, b: Any) -> bool:

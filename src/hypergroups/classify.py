@@ -25,9 +25,9 @@ import numpy as np
 from ._util import BLOCK_CELLS, canonical_dumps
 from .core import (
     HypergroupOverGroup,
+    _hypergroup_json,
     _product_table,
     hypergroup_from_tables,
-    hypergroup_to_json,
     is_group_quasigroup,
     standard_constructions,
     verify_axioms,
@@ -570,7 +570,7 @@ def export_catalog(catalog: Catalog, directory) -> list[str]:
     written = []
     for class_id, rep in enumerate(catalog.class_reps):
         fname = f"class_{class_id:04d}.json"
-        (path / fname).write_text(canonical_dumps(hypergroup_to_json(rep)))
+        (path / fname).write_text(canonical_dumps(_hypergroup_json(rep)))
         written.append(fname)
     (path / "entries.csv").write_text(catalog_csv(catalog))
     written.append("entries.csv")

@@ -21,8 +21,8 @@ from ._util import canonical_dumps
 from .classify import catalog_csv, enumerate_abstract, export_catalog, sweep_standard
 from .core import (
     HypergroupOverGroup,
+    _hypergroup_json,
     hypergroup_from_json,
-    hypergroup_to_json,
     lemma_solve,
     quasigroup_divide,
     standard_construction,
@@ -120,7 +120,7 @@ def _cmd_group(args, cfg: CliConfig) -> int:
             "identity": group.identity,
             "abelian": group.is_abelian(),
             "element_orders": element_orders(group),
-            "table": group.table.tolist(),
+            "table": group.table,
         }
         if cfg.format == "json":
             _emit_json(info)
@@ -129,7 +129,7 @@ def _cmd_group(args, cfg: CliConfig) -> int:
                   f"{'abelian' if info['abelian'] else 'non-abelian'}, "
                   f"identity {group.identity}")
             _emit("element orders: " + ",".join(map(str, info["element_orders"])))
-            for row in info["table"]:
+            for row in group.table.tolist():
                 _emit(" ".join(map(str, row)))
         return 0
     subgroups = enumerate_subgroups(group)
@@ -162,7 +162,7 @@ def _cmd_hg_construct(args, cfg: CliConfig) -> int:
     else:
         t = make_transversal(group, h, _parse_indices(args.transversal))
     hg = standard_construction(group, h, t)
-    _write_or_print(args, hypergroup_to_json(hg))
+    _write_or_print(args, _hypergroup_json(hg))
     if cfg.verbose:
         _note(f"constructed |M|={hg.m_size}, |H|={hg.h.order}")
     return 0
@@ -240,7 +240,7 @@ def _cmd_functor(args, cfg: CliConfig) -> int:
         hg = functor_vector_space(parse_field_spec(args.field), args.dim)
     else:
         hg = functor_field(parse_field_spec(args.field))
-    _write_or_print(args, hypergroup_to_json(hg))
+    _write_or_print(args, _hypergroup_json(hg))
     return 0
 
 

@@ -18,7 +18,7 @@ same representation as constructed ones. The four tables are stored
 only as read-only intp arrays, shape- and range-checked when a
 HypergroupOverGroup is made, except that standard_constructions checks
 its items' tables once per batch; lists appear only in the JSON form
-that hypergroup_to_json writes.
+that hypergroup_to_json returns, not in the files written.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _util
 from ._util import (CheckResult, Report, as_int, as_int_matrix, first_failure,
-                    first_failure_on, first_mismatch, int_table)
+                    first_failure_on, first_mismatch, int_table, tables_to_lists)
 from .errors import (
     AlgebraError,
     IndexOutOfRangeError,
@@ -48,12 +48,12 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _associativity_witness,
+    _group_json,
     _right_generators,
     first_nonassociative,
     group_from_cayley_table,
     group_from_json,
     group_isomorphism,
-    group_to_json,
     is_normal,
     light_associative,
     quotient_group,
@@ -877,18 +877,23 @@ def check_normal_case(
 
 
 def hypergroup_to_json(hg: HypergroupOverGroup) -> dict:
+    return tables_to_lists(_hypergroup_json(hg))
+
+
+def _hypergroup_json(hg: HypergroupOverGroup) -> dict:
+    """hypergroup_to_json with the tables as arrays, which canonical_dumps writes."""
     data = {
         "m_size": hg.m_size,
-        "h": group_to_json(hg.h),
-        "phi": hg.phi.tolist(),
-        "psi": hg.psi.tolist(),
-        "xi": hg.xi.tolist(),
-        "lam": hg.lam.tolist(),
+        "h": _group_json(hg.h),
+        "phi": hg.phi,
+        "psi": hg.psi,
+        "xi": hg.xi,
+        "lam": hg.lam,
         "o": hg.o,
     }
     if hg.ambient is not None:
         data["ambient"] = {
-            "group": group_to_json(hg.ambient.group),
+            "group": _group_json(hg.ambient.group),
             "subgroup": list(hg.ambient.subgroup.elements),
             "transversal": list(hg.ambient.transversal.reps),
         }

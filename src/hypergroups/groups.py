@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import (as_int, as_int_matrix, fields_equal, first_failure, first_failure_on,
-                    int_table)
+                    int_table, tables_to_lists)
 from .errors import (
     IndexOutOfRangeError,
     InternalInconsistencyError,
@@ -757,7 +757,12 @@ def automorphisms(group: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> np.nda
 
 
 def group_to_json(group: FiniteGroup) -> dict:
-    return {"order": group.order, "table": group.table.tolist(), "name": group.name}
+    return tables_to_lists(_group_json(group))
+
+
+def _group_json(group: FiniteGroup) -> dict:
+    """group_to_json with the table as its array, which canonical_dumps writes."""
+    return {"order": group.order, "table": group.table, "name": group.name}
 
 
 def group_from_json(data: dict) -> FiniteGroup:

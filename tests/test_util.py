@@ -7,7 +7,8 @@ block sizes force many blocks, so the block boundaries are exercised.
 first_mismatch, its 2-D table-against-table case, is compared with a
 double loop over a full table and over a broadcast row, column and
 scalar. canonical_dumps is compared with the json.dumps call whose bytes
-it promises, errors included.
+it promises, errors included; on integer arrays, with that call on the
+array's tolist().
 """
 
 import json
@@ -16,6 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hypergroups import _util
 from hypergroups._util import canonical_dumps, first_failure, first_mismatch
@@ -196,9 +198,9 @@ def test_canonical_dumps_is_json_dumps(value):
 @st.composite
 def json_tables(draw):
     """A list of rows, mostly non-empty lists of ints in one range: small
-    ones, which are written from a token list, or negatives or ints past
-    2^16 or 2^63, which are not. Now and then a row is a tuple, empty,
-    of another length, or holds a bool, a float or None."""
+    ones, negatives, or ints near 2^16 or past 2^63. Now and then a row
+    is a tuple, empty, of another length, or holds a bool, a float or
+    None."""
     cell = draw(st.sampled_from([
         st.integers(0, 9), st.integers(0, 2 ** 16 - 1), st.integers(-3, 3),
         st.integers(2 ** 16 - 2, 2 ** 16 + 2), st.integers(2 ** 63 - 2, 2 ** 63 + 2),
@@ -230,6 +232,66 @@ def json_tables(draw):
     max_leaves=6))
 def test_canonical_dumps_on_tables(value):
     assert canonical_dumps(value) == reference_dumps(value)
+
+
+def as_lists(value):
+    """value with each array in it, in lists and dicts at any depth, as
+    its tolist()."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [as_lists(v) for v in value]
+    if isinstance(value, dict):
+        return {k: as_lists(v) for k, v in value.items()}
+    return value
+
+
+@st.composite
+def int_arrays(draw):
+    """An n x m integer array, n, m >= 1, of intp, int32 or uint8, its
+    values in one range clipped to the dtype: small ones, mostly within
+    [0, size] and so written from a token list, or negatives or values
+    around 2^16 or up to 2^31, which are not. Now and then it is
+    read-only."""
+    dtype = np.dtype(draw(st.sampled_from([np.intp, np.int32, np.uint8])))
+    info = np.iinfo(dtype)
+    shape = draw(st.sampled_from([(1, 1), (1, 4), (5, 1)])
+                 | st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    lo, hi = draw(st.sampled_from([
+        (0, 1), (0, 9), (0, 40), (-3, 3), (2 ** 16 - 2, 2 ** 16 + 2), (0, 2 ** 31 - 1),
+    ]))
+    lo, hi = min(max(lo, info.min), info.max), min(hi, info.max)
+    arr = draw(hnp.arrays(dtype, shape, elements=st.integers(lo, hi)))
+    arr.flags.writeable = draw(st.booleans())
+    return arr
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(value=st.recursive(
+    int_arrays(),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(st.text(max_size=2), children, max_size=3)),
+    max_leaves=6))
+def test_canonical_dumps_on_arrays(value):
+    assert canonical_dumps(value) == reference_dumps(as_lists(value))
+
+
+def test_canonical_dumps_on_a_table_past_two_to_the_sixteen():
+    # 90,000 cells, so values up to 90,000 are written from a token
+    # list, in blocks of 13 rows, the last one short
+    arr = np.arange(300 * 300, dtype=np.intp).reshape(300, 300)[::-1]
+    arr.flags.writeable = False
+    assert canonical_dumps({"t": [arr]}) == reference_dumps({"t": [arr.tolist()]})
+
+
+def test_canonical_dumps_refuses_other_arrays():
+    for arr in [np.zeros((2, 2)), np.ones((2, 3), dtype=bool), np.array(3),
+                np.zeros((2, 2, 2), dtype=np.intp), np.arange(3),
+                np.array([["a"]]), np.array([[1]], dtype=object)]:
+        for value in (arr, {"k": [arr]}):
+            outcome = dump_outcome(canonical_dumps, value)
+            assert outcome == (TypeError, "Object of type ndarray is not JSON serializable")
+            assert outcome == dump_outcome(reference_dumps, value)
 
 
 def test_canonical_dumps_edge_values():
