@@ -480,9 +480,9 @@ def enumerate_abstract(m_size: int, h: FiniteGroup) -> Catalog:
     first entry isomorphic to none before it, and the others find their
     certificates when iso_to_rep is first read.
     """
-    if m_size > MAX_ABSTRACT_M or m_size < 1:
+    if not 1 <= m_size <= MAX_ABSTRACT_M:
         raise SizeLimitExceededError(
-            f"abstract enumeration capped at |M| <= {MAX_ABSTRACT_M}"
+            f"abstract enumeration needs |M| in 1..{MAX_ABSTRACT_M}, not {m_size}"
         )
     if h.order > MAX_ABSTRACT_H:
         raise SizeLimitExceededError(

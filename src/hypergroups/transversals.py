@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_int
-from .errors import InternalInconsistencyError, NotATransversalError
+from .errors import AlgebraError, InternalInconsistencyError, NotATransversalError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup, right_cosets
 
 # When |H|^[G:H] explodes, sweeps draw this many transversals.
@@ -122,7 +122,10 @@ def sample_transversals(
     seed: int = 0,
 ) -> list[Transversal]:
     """All transversals when the count fits the cap, otherwise a fixed-
-    seed sample of cap distinct ones, in enumeration order."""
+    seed sample of cap distinct ones, in enumeration order. A cap below
+    1 raises AlgebraError: every subgroup has a transversal."""
+    if cap < 1:
+        raise AlgebraError(f"transversal cap {cap} is below 1")
     total = transversal_count(group, h)
     if total <= cap:
         return list(enumerate_transversals(group, h))

@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergroups import (
+    AlgebraError,
     HgMorphism,
     InternalInconsistencyError,
     SizeLimitExceededError,
@@ -163,6 +165,14 @@ class TestSweep:
         with pytest.raises(SizeLimitExceededError):
             sweep_standard(25)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_transversal_cap_below_one(self, cap, capsys):
+        with pytest.raises(AlgebraError, match=f"transversal cap {cap} is below 1"):
+            sweep_standard(4, transversal_cap=cap)
+        capsys.readouterr()
+        assert run(["classify", "--max-order", "4", "--transversal-cap", str(cap)]) == 2
+        assert capsys.readouterr().err == f"error: transversal cap {cap} is below 1\n"
+
     def test_provenance_format(self):
         cat = sweep_standard(2)
         assert cat.entries[0].provenance == "standard:E:H=0:M=0"
@@ -201,6 +211,15 @@ class TestAbstract:
             enumerate_abstract(4, group_from_spec("E"))
         with pytest.raises(SizeLimitExceededError):
             enumerate_abstract(2, group_from_spec("Z4"))
+
+    @pytest.mark.parametrize("m", [0, -1, 4])
+    def test_m_outside_one_to_three(self, m, capsys):
+        message = f"abstract enumeration needs |M| in 1..3, not {m}"
+        with pytest.raises(SizeLimitExceededError, match=re.escape(message)):
+            enumerate_abstract(m, group_from_spec("E"))
+        capsys.readouterr()
+        assert run(["classify", "--abstract", "--m", str(m), "--h", "E"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_determinism(self):
         h = group_from_spec("Z2")

@@ -14,6 +14,7 @@ from unittest import mock
 import pytest
 
 from hypergroups import (
+    AlgebraError,
     InternalInconsistencyError,
     NotATransversalError,
     check_normal_case,
@@ -204,6 +205,14 @@ class TestEnumeration:
                 picks = sorted(random.Random(1).sample(range(total), cap))
                 assert [t.reps for t in drawn] == [
                     transversal_at(g, h, i).reps for i in picks]
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_refused(self, cap):
+        g = group_from_spec("S3")
+        with pytest.raises(AlgebraError, match=f"transversal cap {cap} is below 1"):
+            sample_transversals(g, subgroup_from_elements(g, [0]), cap=cap)
+        with pytest.raises(AlgebraError, match=f"transversal cap {cap} is below 1"):
+            check_normal_case(g, subgroup_from_elements(g, [0]), transversal_cap=cap)
 
     def test_make_transversal_reorders_and_validates(self):
         g = cyclic_group(6)
