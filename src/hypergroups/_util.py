@@ -178,47 +178,76 @@ def as_int(value: Any, location: str) -> int:
     raise MalformedTablesError(location, f"value {value!r} is not an integer")
 
 
-def as_int_matrix(rows: Any, name: str = "table") -> list[Sequence[int]]:
-    """A nested sequence or an array as a list of rows of Python ints.
+def row_count(table: Any) -> int:
+    """len(table) for rows or an array of at least one dimension, else 0:
+    read_table refuses such a table."""
+    return len(table) if isinstance(table, (list, tuple)) or np.ndim(table) else 0
 
-    A table or row that is not a sequence, or a cell that is not an
-    integer (a float, a bool, a string), raises MalformedTablesError at
-    the first one in row-major order. Each row's cell types are read
-    once. A row of Python ints is returned as it is, not copied, so
-    callers only read the rows; a row with other integer types is
-    converted cell by cell.
+
+def read_table(table: Any, name: str, shape: tuple[int, int], vrange: int,
+               copy: bool = True) -> tuple[np.ndarray | None, tuple | None]:
+    """The one reader of integer tables: table, given as rows or as an
+    integer array, as (array, None) or (None, fault).
+
+    array is a plain intp array, never a subclass, of the given shape
+    with values in [0, vrange): a new one, or with copy off a view of
+    table where that needs no conversion. A table or row that is not a
+    sequence, or a cell that is not an integer (a float, a bool, a
+    string), raises MalformedTablesError at the first one in row-major
+    order. Then a fault is (None, None, k) for k rows where shape asks
+    for another count, else the first in row-major order of (i, None, k)
+    for row i of another length k and (i, j, v) for a value v outside
+    [0, vrange). A 2-D integer array is checked as an array, never
+    turned into rows; any other array is read as its tolist().
     """
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    if not isinstance(rows, (list, tuple)):
-        raise MalformedTablesError(name, "not a sequence of rows")
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)):
-            raise MalformedTablesError(f"{name}[{i}]", "row is not a sequence")
-        if set(map(type, row)) <= {int}:
-            out.append(row)
-        else:
-            out.append([as_int(v, f"{name}[{i}][{j}]") for j, v in enumerate(row)])
-    return out
-
-
-def int_table(rows: list[Sequence[int]], ncols: int, vrange: int):
-    """(array, fault) for rows of ints. array holds the rows before the
-    first one whose length is not ncols, as intp; fault is the first
-    fault in row-major order: (i, j) for a value outside [0, vrange),
-    else (i, None) for that row of the wrong length, else None."""
-    good = next((i for i, row in enumerate(rows) if len(row) != ncols), len(rows))
+    nrows, ncols = shape
+    if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iu":
+        rows = np.asarray(table)  # a subclass's own indexing plays no part
+        good = len(rows) if rows.shape[1] == ncols else 0
+    else:
+        table = table.tolist() if isinstance(table, np.ndarray) else table
+        if not isinstance(table, (list, tuple)):
+            raise MalformedTablesError(name, "not a sequence of rows")
+        rows = []
+        for i, row in enumerate(table):
+            if not isinstance(row, (list, tuple)):
+                raise MalformedTablesError(f"{name}[{i}]", "row is not a sequence")
+            rows.append(row if set(map(type, row)) <= {int} else
+                        [as_int(v, f"{name}[{i}][{j}]") for j, v in enumerate(row)])
+        good = next((i for i, row in enumerate(rows) if len(row) != ncols), len(rows))
+    if len(rows) != nrows:
+        return None, (None, None, len(rows))
     try:
-        arr = np.array(rows[:good], dtype=np.intp).reshape(good, ncols)
-    except OverflowError:  # a value beyond intp is out of range anyway
-        arr = None
-    if arr is None or not ((arr >= 0) & (arr < vrange)).all():
-        return arr, next(
-            (i, j) for i, row in enumerate(rows[:good])
-            for j, v in enumerate(row) if not 0 <= v < vrange
-        )
-    return arr, None if good == len(rows) else (good, None)
+        arr = np.asarray(rows[:good], dtype=np.intp)
+    except OverflowError:  # a Python int past intp is out of range anyway
+        i, j = next((i, j) for i, row in enumerate(rows[:good])
+                    for j, v in enumerate(row) if not 0 <= v < vrange)
+    else:
+        # read as unsigned, a negative value is past 2^63: one compare
+        # checks both bounds
+        bad = arr.view(np.uintp) >= vrange
+        if not bad.any():
+            if good < nrows:
+                return None, (good, None, len(rows[good]))
+            # a view of table is copied only once it is known good
+            return (arr.copy() if copy and arr.base is not None else arr).reshape(shape), None
+        i, j = divmod(int(bad.argmax()), ncols)
+    return None, (i, j, int(rows[i][j]))
+
+
+def int_table(table: Any, name: str, shape: tuple[int, int], vrange: int,
+              copy: bool = True) -> np.ndarray:
+    """read_table's array; a fault raises MalformedTablesError at name,
+    name[i] or name[i][j]."""
+    arr, fault = read_table(table, name, shape, vrange, copy)
+    if fault is None:
+        return arr
+    i, j, v = fault
+    if i is None:
+        raise MalformedTablesError(name, f"expected {shape[0]} rows, got {v}")
+    if j is None:
+        raise MalformedTablesError(f"{name}[{i}]", f"expected {shape[1]} columns, got {v}")
+    raise MalformedTablesError(f"{name}[{i}][{j}]", f"value {v} outside [0, {vrange})")
 
 
 def first_failure(

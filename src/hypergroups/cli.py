@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from ._util import canonical_dumps
@@ -42,15 +41,7 @@ from .groups import (
     subgroup_closure,
 )
 from .morphisms import HgMorphism, find_isomorphism, verify_morphism
-from .transversals import enumerate_transversals, make_transversal
-
-
-@dataclass
-class CliConfig:
-    subcommand: str
-    format: str = "text"
-    seed: int = 0
-    verbose: bool = False
+from .transversals import DEFAULT_SAMPLE_CAP, enumerate_transversals, make_transversal
 
 
 def _emit(text: str) -> None:
@@ -111,7 +102,7 @@ def _write_or_print(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_group(args, cfg: CliConfig) -> int:
+def _cmd_group(args) -> int:
     group = _load_group(args.spec)
     if args.group_cmd == "info":
         info = {
@@ -122,7 +113,7 @@ def _cmd_group(args, cfg: CliConfig) -> int:
             "element_orders": element_orders(group),
             "table": group.table,
         }
-        if cfg.format == "json":
+        if args.format == "json":
             _emit_json(info)
         else:
             _emit(f"group {group.name}: order {group.order}, "
@@ -142,7 +133,7 @@ def _cmd_group(args, cfg: CliConfig) -> int:
         }
         for h in subgroups
     ]
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({"group": group.name, "subgroups": rows})
     else:
         _emit(f"{len(rows)} subgroups of {group.name}")
@@ -153,7 +144,7 @@ def _cmd_group(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_hg_construct(args, cfg: CliConfig) -> int:
+def _cmd_hg_construct(args) -> int:
     group = _load_group(args.group)
     gens = _parse_indices(args.subgroup)
     h = subgroup_closure(group, gens)
@@ -163,15 +154,15 @@ def _cmd_hg_construct(args, cfg: CliConfig) -> int:
         t = make_transversal(group, h, _parse_indices(args.transversal))
     hg = standard_construction(group, h, t)
     _write_or_print(args, _hypergroup_json(hg))
-    if cfg.verbose:
+    if args.verbose:
         _note(f"constructed |M|={hg.m_size}, |H|={hg.h.order}")
     return 0
 
 
-def _cmd_hg_verify(args, cfg: CliConfig) -> int:
+def _cmd_hg_verify(args) -> int:
     hg = _load_hypergroup(args.file)
     report = verify_axioms(hg)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(report.to_dict())
     else:
         for name, check in report.checks.items():
@@ -183,7 +174,7 @@ def _cmd_hg_verify(args, cfg: CliConfig) -> int:
     return 0 if report.overall else 1
 
 
-def _cmd_hg_solve(args, cfg: CliConfig) -> int:
+def _cmd_hg_solve(args) -> int:
     hg = _load_hypergroup(args.file)
     if args.lemma:
         x = lemma_solve(hg, args.a, args.b)
@@ -191,24 +182,24 @@ def _cmd_hg_solve(args, cfg: CliConfig) -> int:
     else:
         x = quasigroup_divide(hg, args.a, args.b)
         method = "divide"
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({"a": args.a, "b": args.b, "method": method, "x": x})
     else:
         _emit(f"x = {x}  (solves [x, {args.a}] = {args.b}, via {method})")
     return 0
 
 
-def _cmd_hg_iso(args, cfg: CliConfig) -> int:
+def _cmd_hg_iso(args) -> int:
     hg1 = _load_hypergroup(args.file_a)
     hg2 = _load_hypergroup(args.file_b)
     iso = find_isomorphism(hg1, hg2)
     if iso is None:
-        if cfg.format == "json":
+        if args.format == "json":
             _emit_json({"isomorphic": False})
         else:
             _emit("not isomorphic")
         return 1
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({"isomorphic": True, **iso.to_json()})
     else:
         _emit("isomorphic")
@@ -217,14 +208,14 @@ def _cmd_hg_iso(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_hg_morphism(args, cfg: CliConfig) -> int:
+def _cmd_hg_morphism(args) -> int:
     src = _load_hypergroup(args.source)
     dst = _load_hypergroup(args.target)
     data = _read_json(Path(args.morphism).read_text())
     mor = HgMorphism(source=src, target=dst,
                      f0=list(data["f0"]), f1=list(data["f1"]))
     report = verify_morphism(mor)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(report.to_dict())
     elif report.ok:
         _emit("morphism: pass")
@@ -233,7 +224,7 @@ def _cmd_hg_morphism(args, cfg: CliConfig) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_functor(args, cfg: CliConfig) -> int:
+def _cmd_functor(args) -> int:
     if args.functor_cmd == "group":
         hg = functor_group(_load_group(args.spec))
     elif args.functor_cmd == "vs":
@@ -244,10 +235,10 @@ def _cmd_functor(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_reconstruct(args, cfg: CliConfig) -> int:
+def _cmd_reconstruct(args) -> int:
     hg = _load_hypergroup(args.file)
     result = reconstruct_field(hg)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(result.to_dict())
     elif result.ok:
         f = result.field
@@ -261,7 +252,7 @@ def _cmd_reconstruct(args, cfg: CliConfig) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_classify(args, cfg: CliConfig) -> int:
+def _cmd_classify(args) -> int:
     if args.abstract:
         if args.m is None or args.h is None:
             raise AlgebraError("--abstract requires --m and --h")
@@ -271,12 +262,12 @@ def _cmd_classify(args, cfg: CliConfig) -> int:
             raise AlgebraError("classify needs --max-order N or --abstract")
         catalog = sweep_standard(args.max_order,
                                  transversal_cap=args.transversal_cap,
-                                 seed=cfg.seed)
+                                 seed=args.seed)
     if args.out:
         written = export_catalog(catalog, args.out)
-        if cfg.verbose:
+        if args.verbose:
             _note(f"wrote {len(written)} files to {args.out}")
-    if cfg.format == "json":
+    if args.format == "json":
         stats = [
             {"m_size": k[0], "h_order": k[1], "xi_is_group": k[2],
              "xi_commutative": k[3], "count": v}
@@ -292,10 +283,10 @@ def _cmd_classify(args, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_field(args, cfg: CliConfig) -> int:
+def _cmd_field(args) -> int:
     f = parse_field_spec(args.spec)
     report = verify_field_axioms(f)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({"overall": report.overall, "checks": {
             name: {"ok": c.ok, "detail": list(c.witness) if c.witness else None}
             for name, c in report.checks.items()}})
@@ -371,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abstract", action="store_true")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--h", default=None, help="group spec for H")
-    p.add_argument("--transversal-cap", type=int, default=10_000)
+    p.add_argument("--transversal-cap", type=int, default=DEFAULT_SAMPLE_CAP)
     p.add_argument("--out", default=None, help="export directory")
 
     p = sub.add_parser("field", help="build and verify a finite field")
@@ -409,12 +400,10 @@ def run(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
-    cfg = CliConfig(subcommand=args.cmd, format=args.format,
-                    seed=args.seed, verbose=args.verbose)
     try:
         if args.cmd == "hg":
-            return _HG_DISPATCH[args.hg_cmd](args, cfg)
-        return _DISPATCH[args.cmd](args, cfg)
+            return _HG_DISPATCH[args.hg_cmd](args)
+        return _DISPATCH[args.cmd](args)
     except InternalInconsistencyError as exc:
         _note(f"internal inconsistency: {exc}")
         return 3

@@ -30,8 +30,8 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import _util
-from ._util import (CheckResult, Report, as_int, as_int_matrix, first_failure,
-                    first_failure_on, first_mismatch, int_table, tables_to_lists)
+from ._util import (CheckResult, Report, as_int, first_failure, first_failure_on,
+                    first_mismatch, int_table, tables_to_lists)
 from .errors import (
     AlgebraError,
     IndexOutOfRangeError,
@@ -109,9 +109,9 @@ class HypergroupOverGroup:
     """The tables phi, psi, xi and lam as read-only intp arrays.
 
     __post_init__ converts and checks each table once, through
-    _table_array: rows of the right length, values in [0, |M|) for phi
-    and xi and in [0, |H|) for psi and lam, and o in [0, |M|). A fault
-    raises MalformedTablesError, whether the hypergroup comes from
+    _util.int_table: |M| rows of the right length, values in [0, |M|)
+    for phi and xi and in [0, |H|) for psi and lam, and o in [0, |M|).
+    A fault raises MalformedTablesError, whether the hypergroup comes from
     hypergroup_from_tables, the constructor or dataclasses.replace.
     standard_constructions makes its items through _prechecked instead:
     it checks the coset indices once per call and the gathered psi and
@@ -136,7 +136,7 @@ class HypergroupOverGroup:
         m, hn = self.m_size, self.h.order
         for name, ncols, vrange in (("phi", hn, m), ("psi", hn, hn),
                                     ("xi", m, m), ("lam", m, hn)):
-            table = _table_array(name, getattr(self, name), m, ncols, vrange)
+            table = int_table(getattr(self, name), name, (m, ncols), vrange)
             table.flags.writeable = False
             setattr(self, name, table)
         if not 0 <= self.o < m:
@@ -168,33 +168,6 @@ class HypergroupOverGroup:
             f"HypergroupOverGroup(|M|={self.m_size}, H={self.h.name}, "
             f"o={self.o})"
         )
-
-
-def _table_array(name: str, rows, nrows: int, ncols: int, vrange: int) -> np.ndarray:
-    """rows as a new (nrows, ncols) intp array with values in [0, vrange).
-    A cell that is not an integer raises MalformedTablesError at the
-    first one in row-major order, before any shape or range fault, which
-    then raises at the first in row-major order. An integer array of
-    that shape and range skips the row-by-row checks."""
-    if (isinstance(rows, np.ndarray) and rows.shape == (nrows, ncols)
-            and rows.dtype.kind in "iu"):
-        arr = rows.astype(np.intp)
-        # read as unsigned, a negative value is past 2^63: one compare
-        # checks both bounds
-        if (arr.view(np.uintp) < vrange).all():
-            return arr
-    rows = as_int_matrix(rows, name)
-    if len(rows) != nrows:
-        raise MalformedTablesError(name, f"expected {nrows} rows, got {len(rows)}")
-    arr, fault = int_table(rows, ncols, vrange)
-    if fault is None:
-        return arr
-    i, j = fault
-    if j is None:
-        raise MalformedTablesError(
-            f"{name}[{i}]", f"expected {ncols} columns, got {len(rows[i])}")
-    raise MalformedTablesError(
-        f"{name}[{i}][{j}]", f"value {rows[i][j]} outside [0, {vrange})")
 
 
 @lru_cache(maxsize=256)

@@ -106,9 +106,9 @@ class NotMonicError(AlgebraError):
 
 
 class NotIrreducibleError(AlgebraError):
-    def __init__(self, factor: list[int], msg: str | None = None):
+    def __init__(self, factor: list[int]):
         self.factor = factor
-        super().__init__(msg or f"reducible: divisible by {factor} (coefficients, ascending)")
+        super().__init__(f"reducible: divisible by {factor} (coefficients, ascending)")
 
 
 class InternalInconsistencyError(RuntimeError):

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import CheckResult, Report, fields_equal, first_failure, first_failure_on
+from ._util import (CheckResult, Report, as_int, fields_equal, first_failure, first_failure_on,
+                    int_table, row_count)
 from .errors import (
     InternalInconsistencyError,
+    MalformedTablesError,
     NotIrreducibleError,
     NotMonicError,
     NotPrimeError,
@@ -34,6 +36,7 @@ from .groups import FiniteGroup, _associative_mask, _right_generators, _square_t
 
 MAX_FIELD_ORDER = 512
 MAX_PRIME = 97
+MAX_DEGREE = MAX_FIELD_ORDER.bit_length() - 1  # of a modulus: p^m within the cap, p >= 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,11 +184,10 @@ def make_extension_field(p: int, modulus) -> FiniteField:
         raise NotMonicError("extension modulus must have degree >= 2")
     if modulus[-1] != 1:
         raise NotMonicError(f"leading coefficient {modulus[-1]} != 1")
+    if m > MAX_DEGREE or p ** m > MAX_FIELD_ORDER:
+        order = p ** m if m <= MAX_DEGREE else f"{p}^{m}"
+        raise SizeLimitExceededError(f"field order {order} exceeds cap {MAX_FIELD_ORDER}")
     q = p ** m
-    if q > MAX_FIELD_ORDER:
-        raise SizeLimitExceededError(
-            f"field order {q} exceeds cap {MAX_FIELD_ORDER}"
-        )
     factor = _irreducibility_witness(modulus, p)
     if factor is not None:
         raise NotIrreducibleError(factor)
@@ -245,7 +247,9 @@ _TERM_RE = re.compile(r"^(\d+)?(?:(x)(?:\^(\d+))?)?$")
 
 
 def parse_poly(text: str) -> list[int]:
-    """Parse "x^2+x+1" style polynomials into ascending coefficients."""
+    """Parse "x^2+x+1" style polynomials into ascending coefficients. A
+    degree past MAX_DEGREE, which no field within MAX_FIELD_ORDER has,
+    raises SizeLimitExceededError before any list is made."""
     text = text.replace(" ", "").replace("*", "")
     terms = text.split("+")
     coeffs: dict[int, int] = {}
@@ -257,6 +261,11 @@ def parse_poly(text: str) -> list[int]:
         if coef is None and has_x is None:
             raise UnknownSpecError(f"cannot parse polynomial term {term!r}")
         c = int(coef) if coef is not None else 1
+        # compared as text first: int() refuses more than 4,300 digits
+        if exp is not None and (len(exp.lstrip("0")) > len(str(MAX_DEGREE))
+                                or int(exp) > MAX_DEGREE):
+            raise SizeLimitExceededError(f"polynomial degree exceeds {MAX_DEGREE}, the most "
+                                         f"for a field of order <= {MAX_FIELD_ORDER}")
         d = 0 if has_x is None else (int(exp) if exp is not None else 1)
         coeffs[d] = coeffs.get(d, 0) + c
     degree = max(coeffs)
@@ -320,6 +329,9 @@ def check_field_tables(
 
     Shared between constructed fields and reconstruction candidates;
     with require_commutative_mul off it checks a division ring instead.
+    add sets the order n; add and mul are read by _util.int_table as
+    n x n tables over [0, n), and zero and one must be in [0, n), else
+    MalformedTablesError.
     The checks run in this order, each reporting the first witness in
     scan order: add_neutral, add_inverse, then add_commutative and
     add_associative over (a, b[, c]), mul_neutral and mul_zero over a,
@@ -346,9 +358,13 @@ def check_field_tables(
     """
     if zero == one:
         return False, "zero_equals_one", (zero,)
-    n = len(add)
-    A = np.asarray(add, dtype=np.intp).reshape(n, n)
-    M = np.asarray(mul, dtype=np.intp).reshape(n, n)
+    n = row_count(add)
+    # not copied: an intp array in range is read as it is
+    A = int_table(add, "add", (n, n), n, copy=False)
+    M = int_table(mul, "mul", (n, n), n, copy=False)
+    for name, value in (("zero", zero), ("one", one)):
+        if not 0 <= as_int(value, name) < n:
+            raise MalformedTablesError(name, f"value {value} outside [0, {n})")
     ar = np.arange(n, dtype=np.intp)
 
     flat_add = A.ravel().astype(np.int32)  # a compact copy keeps the gathers in cache

@@ -23,11 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
-from ._util import first_failure_on, first_mismatch
+from ._util import first_failure_on, first_mismatch, read_table
 from .core import HypergroupOverGroup, hypergroup_from_tables
 from .errors import (
     AlgebraError,
     InternalInconsistencyError,
+    MalformedTablesError,
+    NotPrimeError,
     ShapeMismatchError,
     SizeLimitExceededError,
 )
@@ -122,11 +124,16 @@ def functor_vector_space_on_map(
 ) -> HgMorphism:
     """Lift the linear map v -> matrix . v (entries are field indices,
     shape dst_dim x src_dim) to a morphism of the functor images; f0 is
-    the identity on k*."""
-    if len(matrix) != dst_dim or any(len(r) != src_dim for r in matrix):
-        raise ShapeMismatchError(
-            f"matrix must be {dst_dim}x{src_dim}"
-        )
+    the identity on k*. The matrix is read by _util.read_table: another
+    shape raises ShapeMismatchError, and an entry that is not a field
+    index MalformedTablesError at matrix[i][j]."""
+    arr, fault = read_table(matrix, "matrix", (dst_dim, src_dim), k.q)
+    if fault is not None:
+        i, j, value = fault
+        if j is None:
+            raise ShapeMismatchError(f"matrix must be {dst_dim}x{src_dim}")
+        raise MalformedTablesError(f"matrix[{i}][{j}]", f"value {value} outside [0, {k.q})")
+    matrix = arr.tolist()
     src = functor_vector_space(k, src_dim)
     dst = functor_vector_space(k, dst_dim)
     add, mul = k.add.tolist(), k.mul.tolist()
@@ -405,7 +412,7 @@ def reconstruct_field(
 
     try:
         canonical = make_field(nk)
-    except AlgebraError:
+    except NotPrimeError:
         return FieldReconstruction(
             status="NotAField",
             witness=(nk,),

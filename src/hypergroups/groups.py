@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import (as_int, as_int_matrix, fields_equal, first_failure, first_failure_on,
-                    int_table, tables_to_lists)
+from ._util import (as_int, fields_equal, first_failure, first_failure_on, read_table,
+                    row_count, tables_to_lists)
 from .errors import (
     IndexOutOfRangeError,
     InternalInconsistencyError,
@@ -44,10 +44,10 @@ from .errors import (
 # Hard cap on explicit Cayley tables; n^2 integers must stay cheap.
 MAX_ORDER = 2048
 
-# Default bound for the subgroup/isomorphism searches; the acceptance
-# sweeps need 16, this leaves headroom.
-DEFAULT_ENUM_BOUND = 24
-DEFAULT_ISO_BOUND = 128
+# Caps on the order for subgroup and automorphism listing and for the
+# isomorphism search; the acceptance sweeps need 16, this leaves headroom.
+MAX_ENUM_ORDER = 24
+MAX_ISO_ORDER = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,41 +193,16 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
-def _int_rows(table, name: str = "table"):
-    """table itself if it is a 2-D integer array, else as_int_matrix(table)."""
-    if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iu":
-        return table
-    return as_int_matrix(table, name)
-
-
-def _closed_table(rows, n: int) -> np.ndarray:
-    """rows, lists of ints or a 2-D integer array, as a new (n, n) intp
-    array. Other than n rows raise MalformedTablesError; then the first
-    row of another length, or cell outside [0, n), in row-major order
-    raises NotClosedError."""
-    if len(rows) != n:
-        raise MalformedTablesError("table", f"expected {n} rows, got {len(rows)}")
-    if isinstance(rows, np.ndarray):
-        if rows.shape[1] != n:
-            raise NotClosedError(0, rows.shape[1], -1, n)
-        bad = (rows < 0) | (rows >= n)
-        if not bad.any():
-            return rows.astype(np.intp)
-        i, j = divmod(int(bad.argmax()), n)
-        raise NotClosedError(i, j, int(rows[i, j]), n)
-    arr, fault = int_table(rows, n, n)
-    if fault is None:
-        return arr
-    i, j = fault
-    if j is None:
-        raise NotClosedError(i, len(rows[i]), -1, n)
-    raise NotClosedError(i, j, rows[i][j], n)
-
-
 def _square_table(table, n: int, name: str = "table") -> np.ndarray:
-    """table, rows or a 2-D integer array, as a new read-only (n, n) intp
-    array, checked as _closed_table checks it."""
-    arr = _closed_table(_int_rows(table, name), n)
+    """table as a new read-only (n, n) intp array, by read_table: other
+    than n rows raise MalformedTablesError at table, and its other
+    faults NotClosedError."""
+    arr, fault = read_table(table, name, (n, n), n)
+    if fault is not None:
+        i, j, value = fault
+        if i is None:
+            raise MalformedTablesError("table", f"expected {n} rows, got {value}")
+        raise NotClosedError(i, value, -1, n) if j is None else NotClosedError(i, j, value, n)
     arr.flags.writeable = False
     return arr
 
@@ -235,16 +210,16 @@ def _square_table(table, n: int, name: str = "table") -> np.ndarray:
 def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
     """Validate a Cayley table and build a FiniteGroup.
 
-    Check order matters: closure, then identity, then associativity,
-    then inverses, each reported with its first witness in scan order.
+    Check order matters: the order cap, then closure, then identity,
+    then associativity, then inverses, each reported with its first
+    witness in scan order.
     """
-    table = _int_rows(table)
-    n = len(table)
-    if n == 0:
-        raise NotClosedError(0, 0, -1, 0)
+    n = row_count(table)
     if n > MAX_ORDER:
         raise SizeLimitExceededError(f"order {n} exceeds cap {MAX_ORDER}")
-    t = _closed_table(table, n)
+    t = _square_table(table, n)
+    if n == 0:
+        raise NotClosedError(0, 0, -1, 0)
 
     elements = np.arange(n)
     neutral = (t == elements).all(axis=1) & (t == elements[:, None]).all(axis=0)
@@ -511,7 +486,7 @@ def subgroup_from_elements(group: FiniteGroup, elements) -> Subgroup:
     return Subgroup(parent=group, elements=tuple(els))
 
 
-def enumerate_subgroups(group: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> list[Subgroup]:
+def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups, each once, sorted by size then lexicographically.
 
     Every subgroup is the join of the cyclic subgroups of its elements,
@@ -520,9 +495,9 @@ def enumerate_subgroups(group: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> 
     bitmasks over the elements, and a join is the _closure_mask of the
     generators met on the way.
     """
-    if group.order > bound:
+    if group.order > MAX_ENUM_ORDER:
         raise SizeLimitExceededError(
-            f"subgroup enumeration capped at order {bound}"
+            f"subgroup enumeration capped at order {MAX_ENUM_ORDER}"
         )
     rows, e = group.table.tolist(), group.identity
     cyclic: dict[int, int] = {}   # mask -> a generator
@@ -627,7 +602,7 @@ def element_orders(group: FiniteGroup) -> list[int]:
     return orders
 
 
-def group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup, bound: int = DEFAULT_ISO_BOUND):
+def group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     """Yield all isomorphisms g1 -> g2 as mapping lists, in lexicographic
     order of the mapping tuple.
 
@@ -636,8 +611,8 @@ def group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup, bound: int = DEFAULT_IS
     branch only decides genuinely free images. Trying candidate images
     in ascending order makes the first yield lexicographically least.
     """
-    if g1.order > bound or g2.order > bound:
-        raise SizeLimitExceededError(f"isomorphism search capped at {bound}")
+    if max(g1.order, g2.order) > MAX_ISO_ORDER:
+        raise SizeLimitExceededError(f"isomorphism search capped at {MAX_ISO_ORDER}")
     if g1.order != g2.order:
         return
     o1 = element_orders(g1)
@@ -701,14 +676,14 @@ def group_isomorphisms(g1: FiniteGroup, g2: FiniteGroup, bound: int = DEFAULT_IS
     yield from search()
 
 
-def group_isomorphism(g1: FiniteGroup, g2: FiniteGroup, bound: int = DEFAULT_ISO_BOUND) -> list[int] | None:
+def group_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> list[int] | None:
     """First isomorphism in lexicographic order, or None."""
-    for f in group_isomorphisms(g1, g2, bound=bound):
+    for f in group_isomorphisms(g1, g2):
         return f
     return None
 
 
-def automorphisms(group: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> np.ndarray:
+def automorphisms(group: FiniteGroup) -> np.ndarray:
     """Every automorphism of group, one per row of a read-only uint8
     array of shape (|Aut(G)|, n) in lexicographic row order, the order
     group_isomorphisms(group, group) yields them in.
@@ -726,8 +701,8 @@ def automorphisms(group: FiniteGroup, bound: int = DEFAULT_ENUM_BOUND) -> np.nda
     G, bijective.
     """
     n = group.order
-    if n > bound:
-        raise SizeLimitExceededError(f"automorphism listing capped at order {bound}")
+    if n > MAX_ENUM_ORDER:
+        raise SizeLimitExceededError(f"automorphism listing capped at order {MAX_ENUM_ORDER}")
     tn, t, e = group.table, group.table.tolist(), group.identity
     orders = np.array(element_orders(group))
     gens: list[int] = []
@@ -775,7 +750,7 @@ def format_cayley_text(group: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_cayley_text(text: str, name: str | None = None) -> FiniteGroup:
+def parse_cayley_text(text: str) -> FiniteGroup:
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
     if not rows:
         raise UnknownSpecError("empty Cayley-table text")
@@ -783,7 +758,7 @@ def parse_cayley_text(text: str, name: str | None = None) -> FiniteGroup:
     if len(rows) != n + 1:
         raise UnknownSpecError(f"expected {n} table rows, got {len(rows) - 1}")
     table = [[_int_token(v) for v in row] for row in rows[1:]]
-    return group_from_cayley_table(table, name=name)
+    return group_from_cayley_table(table)
 
 
 def _int_token(token: str) -> int:

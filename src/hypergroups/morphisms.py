@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._util import as_int
 from .core import HypergroupOverGroup
 from .errors import (
     InternalInconsistencyError,
@@ -25,7 +26,8 @@ from .errors import (
 )
 from .groups import group_isomorphisms
 
-DEFAULT_ISO_SIZE_BOUND = 24
+# Cap on |M| for the isomorphism search.
+MAX_ISO_M = 24
 
 
 @dataclass
@@ -49,14 +51,16 @@ def identity_morphism(hg: HypergroupOverGroup) -> HgMorphism:
 
 
 def compose(g: HgMorphism, f: HgMorphism) -> HgMorphism:
-    """g followed by f; requires g.target = f.source."""
+    """g followed by f; requires g.target = f.source, and both maps
+    checked as verify_morphism checks them."""
     if g.target is not f.source and g.target != f.source:
         raise NotComposableError("g.target and f.source differ")
+    (g0, g1), (f0, f1) = _checked_maps(g), _checked_maps(f)
     return HgMorphism(
         source=g.source,
         target=f.target,
-        f0=[f.f0[v] for v in g.f0],
-        f1=[f.f1[v] for v in g.f1],
+        f0=[f0[v] for v in g0],
+        f1=[f1[v] for v in g1],
     )
 
 
@@ -77,17 +81,28 @@ class MorphismReport:
 def verify_morphism(m: HgMorphism) -> MorphismReport:
     """Check the f0 homomorphism property and all four squares pointwise;
     reports the first failure with its witness."""
+    f0, f1 = _checked_maps(m)
+    return _first_failed_square(f0, f1, _table_lists(m.source), _table_lists(m.target))
+
+
+def _checked_maps(m: HgMorphism) -> tuple[list[int], list[int]]:
+    """m's f0 and f1 as lists of Python ints. An entry that is not an
+    integer raises MalformedTablesError at f0[i] or f1[i]; lengths other
+    than the source's sizes, or a value outside the target, raise
+    ShapeMismatchError."""
     src, dst = m.source, m.target
-    if len(m.f0) != src.h.order or len(m.f1) != src.m_size:
+    f0, f1 = ([as_int(v, f"{name}[{i}]") for i, v in enumerate(values)]
+              for name, values in (("f0", m.f0), ("f1", m.f1)))
+    if len(f0) != src.h.order or len(f1) != src.m_size:
         raise ShapeMismatchError(
-            f"f0/f1 lengths ({len(m.f0)}, {len(m.f1)}) do not match the "
+            f"f0/f1 lengths ({len(f0)}, {len(f1)}) do not match the "
             f"source sizes ({src.h.order}, {src.m_size})"
         )
-    if any(not 0 <= v < dst.h.order for v in m.f0):
+    if any(not 0 <= v < dst.h.order for v in f0):
         raise ShapeMismatchError("f0 value outside the target H")
-    if any(not 0 <= v < dst.m_size for v in m.f1):
+    if any(not 0 <= v < dst.m_size for v in f1):
         raise ShapeMismatchError("f1 value outside the target M")
-    return _first_failed_square(m.f0, m.f1, _table_lists(src), _table_lists(dst))
+    return f0, f1
 
 
 def _table_lists(hg: HypergroupOverGroup) -> list[list[list[int]]]:
@@ -150,11 +165,7 @@ def _element_keys(hg: HypergroupOverGroup) -> list[tuple]:
     ]
 
 
-def find_isomorphism(
-    hg: HypergroupOverGroup,
-    hg2: HypergroupOverGroup,
-    size_bound: int = DEFAULT_ISO_SIZE_BOUND,
-) -> HgMorphism | None:
+def find_isomorphism(hg: HypergroupOverGroup, hg2: HypergroupOverGroup) -> HgMorphism | None:
     """First isomorphism (f0, f1) in search order, or None.
 
     Iterates group isomorphisms f0: H -> H' lexicographically; for each,
@@ -166,9 +177,9 @@ def find_isomorphism(
     """
     if hg.m_size != hg2.m_size or hg.h.order != hg2.h.order:
         return None
-    if hg.m_size > size_bound:
+    if hg.m_size > MAX_ISO_M:
         raise SizeLimitExceededError(
-            f"isomorphism search capped at |M| <= {size_bound}"
+            f"isomorphism search capped at |M| <= {MAX_ISO_M}"
         )
     m = hg.m_size
     hn = hg.h.order
@@ -274,22 +285,19 @@ def find_isomorphism(
 
 
 def invert_isomorphism(m: HgMorphism) -> HgMorphism:
-    """Inverse of a bijective morphism; raises if not bijective."""
-    inv0 = [-1] * len(m.f0)
-    for i, v in enumerate(m.f0):
+    """Inverse of a bijective morphism; raises if not bijective, and
+    checks the maps as verify_morphism does first."""
+    f0, f1 = _checked_maps(m)
+    inv0 = [-1] * m.target.h.order
+    for i, v in enumerate(f0):
         if inv0[v] >= 0:
             raise ShapeMismatchError("f0 is not injective")
         inv0[v] = i
-    inv1 = [-1] * len(m.f1)
-    for i, v in enumerate(m.f1):
+    inv1 = [-1] * m.target.m_size
+    for i, v in enumerate(f1):
         if inv1[v] >= 0:
             raise ShapeMismatchError("f1 is not injective")
         inv1[v] = i
-    if (
-        m.target.h.order != len(m.f0)
-        or m.target.m_size != len(m.f1)
-        or -1 in inv0
-        or -1 in inv1
-    ):
+    if -1 in inv0 or -1 in inv1:
         raise ShapeMismatchError("morphism is not bijective")
     return HgMorphism(source=m.target, target=m.source, f0=inv0, f1=inv1)

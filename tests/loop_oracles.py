@@ -8,7 +8,7 @@ test on xi, the abstract lambda search without pruning, the direct
 product's table, the normal case checked one transversal at a time and
 the subgroup BFS over frozensets, all earlier versions of library code,
 Aut(G) by the isomorphism search, and two characterizations of a right
-transversal.
+transversal. RowlessArray, last, is an input for the table readers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from hypergroups import (AlgebraError, FiniteField, InternalInconsistencyError,
                          NoIdentityError, NoInverseError, NotAssociativeError,
                          NotClosedError, group_from_cayley_table, make_field)
 from hypergroups import core
-from hypergroups._util import CheckResult, Report, first_mismatch
+from hypergroups._util import CheckResult, Report, first_mismatch, int_table
 from hypergroups.groups import (Subgroup, first_nonassociative, group_isomorphism,
                                 group_isomorphisms, quotient_group, right_cosets)
 from hypergroups.transversals import sample_transversals
@@ -380,7 +380,7 @@ def is_group_quasigroup(hg):
     after a first associativity scan; raises InternalInconsistencyError
     when xi is associative and P1 holds but (M, xi) is not a group."""
     m = hg.m_size
-    if first_nonassociative(core._table_array("xi", hg.xi, m, m, m)) is not None:
+    if first_nonassociative(int_table(hg.xi, "xi", (m, m), m)) is not None:
         return False
     try:
         group_from_cayley_table(hg.xi)
@@ -610,3 +610,13 @@ def section_characterization(group, h, candidate):
             return False
         sigma[c] = x
     return len(sigma) == len(dec.cosets)
+
+
+class RowlessArray(np.ndarray):
+    """An array whose tolist() raises. A table given as one shows that
+    the reader checked it as an array and never turned it into rows, and
+    a table stored as one, rather than as a plain array, fails the first
+    test that reads it back with tolist()."""
+
+    def tolist(self):
+        raise AssertionError("an integer array was turned into rows")

@@ -105,6 +105,18 @@ class TestGroup:
         assert len(data["subgroups"]) == 6
         assert sum(1 for r in data["subgroups"] if r["normal"]) == 3
 
+    def test_subgroups_text(self, capsys):
+        assert run(["group", "subgroups", "S3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "6 subgroups of S3",
+            "  {0} order 1 index 6 (normal)",
+            "  {0,1} order 2 index 3 (not normal)",
+            "  {0,2} order 2 index 3 (not normal)",
+            "  {0,5} order 2 index 3 (not normal)",
+            "  {0,3,4} order 3 index 2 (normal)",
+            "  {0,1,2,3,4,5} order 6 index 1 (normal)",
+        ]
+
     def test_group_from_file(self, tmp_path, capsys):
         f = tmp_path / "k4.json"
         f.write_text(json.dumps({"name": "K4", "table": cyclic_group(4).table.tolist()}))
@@ -127,6 +139,14 @@ class TestConstructVerify:
         assert run(["hg", "construct", "--group", "S3", "--subgroup", "1",
                     "--transversal", "auto", "-o", str(out)]) == 0
         assert run(["hg", "verify", str(out)]) == 0
+
+    def test_construct_verbose_note(self, tmp_path, capsys):
+        out = tmp_path / "z6.json"
+        assert run(["-v", "hg", "construct", "--group", "Z6", "--subgroup", "3",
+                    "--transversal", "0,1,2", "-o", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "constructed |M|=3, |H|=2\n")
+        assert out.exists()
 
     def test_construct_to_stdout(self, capsys):
         assert run(["hg", "construct", "--group", "Z4", "--subgroup", "2",
@@ -229,6 +249,10 @@ class TestIso:
         assert run(["hg", "iso", str(z6_file), str(z6_alt_file)]) == 1
         assert "not isomorphic" in capsys.readouterr().out
 
+    def test_non_isomorphic_json(self, z6_file, z6_alt_file, capsys):
+        assert run(["--format", "json", "hg", "iso", str(z6_file), str(z6_alt_file)]) == 1
+        assert capsys.readouterr().out == '{\n  "isomorphic": false\n}\n'
+
 
 class TestMorphism:
     def test_identity_morphism(self, z6_file, tmp_path, capsys):
@@ -247,6 +271,20 @@ class TestMorphism:
         mf.write_text(json.dumps({"f0": [0, 0], "f1": [0, 1, 2]}))
         assert run(["hg", "morphism", str(z6_file), str(z6_file), str(mf)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("maps, message", [
+        ({"f0": [False, True], "f1": [0, 1, 2]}, "error: f0[0]: value False is not an integer"),
+        ({"f0": [0, 1], "f1": [0, 1.0, 2]}, "error: f1[1]: value 1.0 is not an integer"),
+        ({"f0": [0, 1], "f1": [0, 1, 3]}, "error: f1 value outside the target M"),
+    ])
+    def test_malformed_maps_are_exit_2(self, z6_file, tmp_path, capsys, maps, message):
+        # a bool map passed as 0 and 1, where a bool in a hypergroup file
+        # is refused
+        mf = tmp_path / "mor.json"
+        mf.write_text(json.dumps(maps))
+        assert run(["hg", "morphism", str(z6_file), str(z6_file), str(mf)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
 
 
 class TestFunctorCommands:
@@ -291,6 +329,16 @@ class TestReconstruct:
         assert run(["reconstruct-field", str(out)]) == 1
         assert "NotAdditivelyClosed" in capsys.readouterr().out
 
+    def test_size_cap_is_exit_2(self, tmp_path, capsys):
+        # past |k| = 512 make_field refuses k; that is no diagnostic
+        out = tmp_path / "ff9.json"
+        assert run(["functor", "field", "GF(9)", "-o", str(out)]) == 0
+        cap = hypergroups.SizeLimitExceededError("field order 9 exceeds cap 8")
+        with mock.patch("hypergroups.functors.make_field", side_effect=cap):
+            assert run(["reconstruct-field", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: field order 9 exceeds cap 8\n")
+
 
 class TestClassify:
     def test_sweep_text(self, capsys):
@@ -319,6 +367,11 @@ class TestClassify:
             "class_0002.json", "class_0003.json",
         ]
 
+    def test_export_verbose_note(self, tmp_path, capsys):
+        d = tmp_path / "cat"
+        assert run(["-v", "classify", "--max-order", "2", "--out", str(d)]) == 0
+        assert capsys.readouterr().err == f"wrote 5 files to {d}\n"
+
     def test_missing_mode_is_exit_2(self, capsys):
         assert run(["classify"]) == 2
 
@@ -336,6 +389,16 @@ class TestFieldCommand:
         assert run(["--format", "json", "field", "GF(8)"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["overall"] is True
+
+    @pytest.mark.parametrize("spec", ["GF(4;x^2000000)", "GF(4;x^5000)",
+                                      "GF(4;x^" + "9" * 5000 + ")"])
+    def test_huge_modulus_degree_is_exit_2(self, spec, capsys):
+        # 2^2000000 was past what str() writes, and GF(4;x^5000) printed
+        # a 1,505-digit order
+        assert run(["field", spec]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: polynomial degree exceeds 9, the most for a field of order <= 512\n")
 
 
 class TestExitCodesAndDeterminism:

@@ -1502,6 +1502,39 @@ class TestStoredTables:
             rows[name].append(rows[name][0])
         assert made == replace(hg, ambient=None)
 
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize("edit", ["none", "range", "negative", "past_intp", "columns",
+                                      "rows"])
+    def test_an_array_is_validated_as_its_rows(self, table, edit):
+        # an integer array is read as one, never turned into rows, and
+        # stored as a plain array: RowlessArray's tolist() raises
+        _, _, _, hg = z6_example()
+        arr = np.array(getattr(hg, table), dtype=np.uint64 if edit == "past_intp" else np.int64)
+        if edit in ("range", "negative", "past_intp"):
+            arr[2, 1] = {"range": 3, "negative": -1, "past_intp": 2 ** 63}[edit]
+        arr = {"columns": arr[:, :1], "rows": arr[:2]}.get(edit, arr)
+        outcomes = []
+        for value in (arr.tolist(), arr.view(loop_oracles.RowlessArray)):
+            try:
+                made = replace(hg, **{table: value})
+                outcomes.append([getattr(made, name).tolist() for name in TABLES])
+            except MalformedTablesError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (edit == "none") == isinstance(outcomes[0], list)
+
+    @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+    def test_matrix_tables_are_stored_as_arrays(self):
+        # np.matrix tables were stored as matrices, and verify_axioms then
+        # raised ValueError
+        _, _, _, hg = z6_example()
+        for edited in (hg, with_cell(hg, "xi", 1, 2, 0)):
+            made = hypergroup_from_tables(
+                hg.m_size, hg.h, *(np.matrix(getattr(edited, name)) for name in TABLES), hg.o)
+            assert all(type(getattr(made, name)) is np.ndarray for name in TABLES)
+            assert verify_axioms(made).to_dict() == verify_axioms(
+                replace(edited, ambient=None)).to_dict()
+
     def test_array_input_is_copied(self):
         _, _, _, hg = z6_example()
         xi = np.array(hg.xi)  # a writeable copy, owned by the caller

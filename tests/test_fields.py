@@ -373,6 +373,52 @@ class TestCheckFieldTables:
         assert not ok
         assert what in ("mul_inverse", "mul_zero_divisor")
 
+    @pytest.mark.parametrize("edit, location, text", [
+        (lambda t: t["add"][1].__setitem__(2, 3.5), "add[1][2]", "value 3.5 is not an integer"),
+        (lambda t: t["mul"][2].__setitem__(3, -1), "mul[2][3]", "value -1 outside [0, 4)"),
+        (lambda t: t["add"][3].__setitem__(0, 4), "add[3][0]", "value 4 outside [0, 4)"),
+        (lambda t: t["mul"][1].pop(), "mul[1]", "expected 4 columns, got 3"),
+        (lambda t: t.__setitem__("mul", [row[:3] for row in t["mul"][:3]]), "mul",
+         "expected 4 rows, got 3"),
+        (lambda t: t.__setitem__("zero", 4), "zero", "value 4 outside [0, 4)"),
+        (lambda t: t.__setitem__("one", True), "one", "value True is not an integer"),
+    ])
+    def test_malformed_tables_are_refused(self, edit, location, text):
+        # a 3.5 was truncated and passed, a -1 wrapped to a bogus witness,
+        # and the rest raised IndexError or ValueError
+        f = make_field(4)
+        tables = {"add": f.add.tolist(), "mul": f.mul.tolist(), "zero": 0, "one": 1}
+        edit(tables)
+        with pytest.raises(MalformedTablesError) as ei:
+            check_field_tables(**tables)
+        assert (ei.value.location, str(ei.value)) == (location, f"{location}: {text}")
+
+    @pytest.mark.parametrize("name", ["add", "mul"])
+    @pytest.mark.parametrize("cell", [None, 0, -1, 5, 2 ** 63], ids=str)
+    def test_an_array_is_validated_as_its_rows(self, name, cell):
+        # an integer array is read as one, never turned into rows
+        f = make_field(5)
+        tables = {"add": f.add, "mul": f.mul}
+        edited = np.array(tables[name], dtype=np.uint64 if cell == 2 ** 63 else np.int64)
+        if cell is not None:
+            edited[3, 2] = cell
+        outcomes = []
+        for value in (edited.tolist(), edited.view(loop_oracles.RowlessArray)):
+            try:
+                outcomes.append(check_field_tables(**{**tables, name: value}, zero=0, one=1))
+            except MalformedTablesError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+    def test_matrix_tables_check_as_their_rows(self):
+        f = make_field(9)
+        mul = f.mul.tolist()
+        mul[2][3] = mul[3][2] = 2
+        for add, mul in ((f.add, f.mul), (f.add, mul)):
+            assert check_field_tables(np.matrix(add), np.matrix(mul), 0, 1) == (
+                check_field_tables(np.array(add).tolist(), np.array(mul).tolist(), 0, 1))
+
     def test_noncommutative_allowed_when_relaxed(self):
         # the relaxed mode only drops the commutativity requirement
         f = make_field(3)
@@ -472,6 +518,26 @@ class TestPolyParsing:
             parse_poly("y^2+1")
         with pytest.raises(UnknownSpecError):
             parse_poly("")
+
+    @pytest.mark.parametrize("text", ["x^10+1", "x^2000000", "x^99999999",
+                                      "x^" + "9" * 5000, "x^" + "0" * 5000 + "12"])
+    def test_a_degree_past_any_field_is_refused_first(self, text):
+        # "x^99999999" built a 100-million-entry list before any check,
+        # and 5,000 digits were past what int() converts
+        with pytest.raises(SizeLimitExceededError) as ei:
+            parse_poly(text)
+        assert str(ei.value) == ("polynomial degree exceeds 9, the most for a field "
+                                 "of order <= 512")
+        assert parse_poly("x^0009+1") == [1] + [0] * 8 + [1]
+
+    def test_a_long_modulus_is_refused_with_a_short_message(self):
+        # the message used to spell out p^m: 1,505 digits at GF(4;x^5000),
+        # and past 4,300 digits str() raised ValueError instead
+        for m, text in ((7, "field order 2187 exceeds cap 512"),
+                        (2_000_000, "field order 3^2000000 exceeds cap 512")):
+            with pytest.raises(SizeLimitExceededError) as ei:
+                make_extension_field(3, [1] + [0] * (m - 1) + [1])
+            assert str(ei.value) == text
 
 
 class TestFieldSpec:

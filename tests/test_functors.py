@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from hypergroups import (
     FiniteGroup,
+    MalformedTablesError,
+    NotPrimeError,
     ShapeMismatchError,
     SizeLimitExceededError,
     compose,
@@ -143,6 +145,24 @@ class TestFunctorVectorSpace:
         with pytest.raises(SizeLimitExceededError):
             functor_vector_space(make_field(5), 4)  # 625 > 512
 
+    @pytest.mark.parametrize("matrix, location, text", [
+        ([[9]], "matrix[0][0]", "value 9 outside [0, 4)"),
+        ([[1.0]], "matrix[0][0]", "value 1.0 is not an integer"),
+        ([[True]], "matrix[0][0]", "value True is not an integer"),
+        ([[-1]], "matrix[0][0]", "value -1 outside [0, 4)"),
+        ("1", "matrix", "not a sequence of rows"),
+    ])
+    def test_a_matrix_entry_is_a_field_index(self, matrix, location, text):
+        # [[9]] raised IndexError, [[1.0]] TypeError, and [[-1]] wrapped
+        with pytest.raises(MalformedTablesError) as ei:
+            functor_vector_space_on_map(make_field(4), matrix, 1, 1)
+        assert (ei.value.location, str(ei.value)) == (location, f"{location}: {text}")
+
+    @pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]], [], [[1], []]])
+    def test_a_matrix_of_another_shape_is_a_shape_mismatch(self, matrix):
+        with pytest.raises(ShapeMismatchError, match=r"^matrix must be 1x1$"):
+            functor_vector_space_on_map(make_field(4), matrix, 1, 1)
+
 
 class TestFunctorField:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -205,6 +225,19 @@ class TestReconstructField:
             for j in range(q):
                 assert iso[r.add_table[i][j]] == add[iso[i]][iso[j]]
                 assert iso[r.mul_table[i][j]] == mul[iso[i]][iso[j]]
+
+    def test_a_size_cap_is_not_a_diagnostic(self):
+        # every AlgebraError of make_field read as "not a prime power";
+        # past |k| = 512 it is a size cap, which must reach the caller
+        hg = functor_field(make_field(9))
+        cap = SizeLimitExceededError("field order 9 exceeds cap 8")
+        with mock.patch("hypergroups.functors.make_field", side_effect=cap):
+            with pytest.raises(SizeLimitExceededError, match="exceeds cap 8"):
+                reconstruct_field(hg)
+        with mock.patch("hypergroups.functors.make_field",
+                        side_effect=NotPrimeError("9 is not a prime power")):
+            r = reconstruct_field(hg)
+        assert (r.status, r.detail) == ("NotAField", "|k| = 9 is not a prime power")
 
     def test_psi_not_trivial(self):
         g = symmetric_group(3)

@@ -7,7 +7,6 @@ so the frozen literals below are re-derived on every run rather than
 trusted.
 """
 
-import contextlib
 import copy
 import dataclasses
 import itertools
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypergroups import _util
+from hypergroups import _util, groups
 from hypergroups import (
     AlgebraError,
     FiniteGroup,
@@ -614,19 +613,28 @@ class TestGroupFromCayleyTable:
         ([[0, 1], [1, 0]], np.uint8),                    # a group
     ])
     def test_an_array_is_validated_as_its_rows(self, table, dtype):
+        # an integer array is read as it is, never converted to rows: the
+        # RowlessArray's tolist() raises, and so would a stored table's
+        # that were not a plain array
         arr = np.array(table, dtype=dtype).reshape(len(table), -1)
         outcomes = []
-        for value in (arr.tolist(), arr):
+        for value in (arr.tolist(), arr.view(loop_oracles.RowlessArray)):
             try:
-                # an integer array is read as it is, never converted to rows
-                with mock.patch("hypergroups.groups.as_int_matrix",
-                                side_effect=AssertionError("converted to rows")
-                                ) if value is arr else contextlib.nullcontext():
-                    g = group_from_cayley_table(value)
+                g = group_from_cayley_table(value)
                 outcomes.append((g.table.tolist(), g.identity, g.inverse))
             except AlgebraError as exc:
                 outcomes.append((type(exc), str(exc), getattr(exc, "witness", None)))
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+    @pytest.mark.parametrize("spec", ["Z4", "S3"])
+    def test_a_matrix_is_stored_as_a_plain_array(self, spec):
+        # np.matrix keeps two dimensions under every index, so a table
+        # kept as one crashed numpy's reshapes
+        table = group_from_spec(spec).table
+        g = group_from_cayley_table(np.matrix(table))
+        assert type(g.table) is np.ndarray and g == group_from_cayley_table(table.tolist())
+        assert type(FiniteGroup(g.order, np.matrix(table), 0, g.inverse, "H").table) is np.ndarray
 
     def test_order_cap(self):
         with pytest.raises(SizeLimitExceededError):
@@ -913,6 +921,18 @@ class TestIsomorphisms:
         big = cyclic_group(256)
         with pytest.raises(SizeLimitExceededError):
             group_isomorphism(big, big)
+
+    @pytest.mark.parametrize("search, cap, text", [
+        (enumerate_subgroups, 24, "subgroup enumeration capped at order 24"),
+        (automorphisms, 24, "automorphism listing capped at order 24"),
+        (lambda g: group_isomorphism(g, g), 128, "isomorphism search capped at 128"),
+    ], ids=["enumerate_subgroups", "automorphisms", "group_isomorphism"])
+    def test_each_cap_is_its_constant(self, search, cap, text):
+        assert (groups.MAX_ENUM_ORDER, groups.MAX_ISO_ORDER) == (24, 128)
+        assert len(search(cyclic_group(cap))) > 0
+        with pytest.raises(SizeLimitExceededError) as ei:
+            search(cyclic_group(cap + 1))
+        assert str(ei.value) == text
 
 
 # --------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from hypergroups import (
     HgMorphism,
+    MalformedTablesError,
     NotComposableError,
     ShapeMismatchError,
     SizeLimitExceededError,
@@ -32,6 +33,7 @@ from hypergroups import (
     symmetric_group,
     verify_morphism,
 )
+from hypergroups import morphisms
 
 # --------------------------------------------------------------------
 # oracles and helpers
@@ -210,6 +212,15 @@ class TestFindIsomorphism:
     def test_size_mismatch(self):
         assert find_isomorphism(z6_hg(), functor_group(cyclic_group(4))) is None
 
+    def test_size_cap_is_its_constant(self):
+        assert morphisms.MAX_ISO_M == 24
+        hg = functor_group(cyclic_group(24))
+        assert verify_morphism(find_isomorphism(hg, hg)).ok
+        big = functor_group(cyclic_group(25))
+        with pytest.raises(SizeLimitExceededError,
+                           match=r"^isomorphism search capped at \|M\| <= 24$"):
+            find_isomorphism(big, big)
+
     def test_size_cap(self):
         big = functor_group(group_from_spec("Z32"))
         with pytest.raises(SizeLimitExceededError):
@@ -237,3 +248,42 @@ class TestInvert:
         squash = HgMorphism(hg, hg, f0=[0, 1], f1=[0, 0, 0])
         with pytest.raises(ShapeMismatchError):
             invert_isomorphism(squash)
+
+
+class TestMapEntries:
+    """verify_morphism, invert_isomorphism and compose read f0 and f1
+    alike: integers only, in range of the target, before any indexing."""
+
+    @pytest.mark.parametrize("f0, f1, location", [
+        ([False, True], [0, 1, 2], "f0[0]"),
+        ([0, 1.0], [0, 1, 2], "f0[1]"),
+        ("01", [0, 1, 2], "f0[0]"),
+        ([0, 1], [0, 1, "2"], "f1[2]"),
+    ])
+    def test_a_non_integer_entry_is_malformed(self, f0, f1, location):
+        hg = z6_hg()
+        mor = HgMorphism(hg, hg, f0=f0, f1=f1)
+        for call in (verify_morphism, invert_isomorphism,
+                     lambda m: compose(m, identity_morphism(hg)),
+                     lambda m: compose(identity_morphism(hg), m)):
+            with pytest.raises(MalformedTablesError) as ei:
+                call(mor)
+            assert ei.value.location == location
+
+    @pytest.mark.parametrize("f0, f1, text", [
+        ([0, 2], [0, 1, 2], "f0 value outside the target H"),
+        ([0, 1], [0, 1, 3], "f1 value outside the target M"),
+        ([0, 1], [0, -1, 2], "f1 value outside the target M"),
+        ([0, 1], [0, 1], "f0/f1 lengths (2, 2) do not match the source sizes (2, 3)"),
+    ])
+    def test_a_value_past_the_target_is_a_shape_mismatch(self, f0, f1, text):
+        # invert_isomorphism and compose used to index with it and raise
+        # IndexError, or wrap around at -1
+        hg = z6_hg()
+        mor = HgMorphism(hg, hg, f0=f0, f1=f1)
+        for call in (verify_morphism, invert_isomorphism,
+                     lambda m: compose(m, identity_morphism(hg)),
+                     lambda m: compose(identity_morphism(hg), m)):
+            with pytest.raises(ShapeMismatchError) as ei:
+                call(mor)
+            assert str(ei.value) == text
