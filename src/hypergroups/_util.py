@@ -22,8 +22,11 @@ from .errors import MalformedTablesError
 BLOCK_CELLS = 1 << 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict. Frozen, so that one instance can stand for
+    every passed check of a report."""
+
     ok: bool
     witness: tuple | None = None
     detail: str = ""

@@ -24,7 +24,7 @@ that hypergroup_to_json returns, not in the files written.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
@@ -78,11 +78,13 @@ class Ambient:
     group: FiniteGroup
     subgroup: Subgroup
     transversal: Transversal
-    theta: int = field(init=False)  # standalone H-index of o^{-1}
 
-    def __post_init__(self):
+    @property
+    def theta(self) -> int:
+        """The standalone H-index of o^{-1}, worked out on each read: it is
+        a function of the transversal, and few readers need it."""
         theta_parent, _ = neutral_decomposition(self.transversal)
-        self.theta = self.h_index(theta_parent)
+        return self.h_index(theta_parent)
 
     @property
     def h_to_parent(self) -> tuple[int, ...]:
@@ -303,14 +305,35 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
       A5: ht[lam[a][b]][lam[xi[a][b]][c]]
           == ht[psi[a][lam[b][c]]][lam[phi[a][lam[b][c]]][xi[b][c]]]
 
-    _Relations writes each check once, as a mask. Where hg's relation
-    cubes fit one BLOCK_CELLS block, every mask is evaluated in full, as
-    by verify_axioms_batch, and a witness is the first True cell of its
-    mask in row-major order. Past it each cubic relation is one
-    first_failure scan over blocks of leading a, which stops at the
-    first failing block. Memory: besides the tables, every temporary
-    holds at most max(BLOCK_CELLS, |M|^2, |H|^2) cells (512 KiB of intp
-    for |M|, |H| <= 256): a full evaluation, a block of a scan, the
+    Each check is a mask, True where it fails, and a witness is the
+    first True cell of its mask in row-major order. Where hg's relation
+    cubes fit one BLOCK_CELLS block, as in verify_axioms_batch, the
+    cubic masks are the parts of three identities. In the notation of
+    facts (2), (4) and (5) below, with x = (eps, a), y = (eps, b),
+    z = (eps, c):
+      (2) (x.al).be = x.(al*be)   M-part A0, H-part A1, over (a, al, be)
+      (4) (xy).al = x(y.al)       M-part A2, H-part A3, over (a, b, al)
+      (5) (xy)z = x(yz)           M-part A4, H-part A5, over (a, b, c)
+    cell by cell, with each side written as the table forms write it:
+    (ga, d) as ga*(eps, d), so x(w) for w = (de, d) is
+    psi[a][de]*((eps, a^de)(eps, d)). Encode (ga, d) as ga*|M| + d, so
+    that x.al is E[a][al] = psi[a][al]*|M| + phi[a][al], xy is F[a][b] =
+    lam[a][b]*|M| + xi[a][b], ga*w is L[ga*|H||M| + w], with
+    L[ga*|H||M| + de*|M| + d] = ht[ga][de]*|M| + d, and x(w) is
+    X[a*|H||M| + w] = L[psi[a][de]*|H||M| + F[phi[a][de]][d]]. Then
+    x(y.al) = X at E[b][al] and x(yz) = X at F[b][c], and with X the
+    three identities take 11 gathers and 3 comparisons
+    (_Stack.products). A count of their mismatches and of the True
+    cells of the four linear masks is 0 exactly when every check
+    passes; otherwise the mismatches of an identity that fails, taken
+    mod |M| and div |M|, are the masks of its two checks. Past one
+    block _Relations writes each check as a mask of a block of leading
+    a, and each cubic relation is one first_failure scan over those
+    blocks, which stops at the first failing block. Memory: besides the
+    tables, every temporary holds at most max(BLOCK_CELLS, |M|^2, |H|^2)
+    cells (512 KiB of intp for |M|, |H| <= 256): an identity or mask
+    within one block, L and X (|H|^2|M| and |M|^2|H| cells: made per
+    call, no cache, and only within one block), a block of a scan, the
     (|H||M|)^2 product table below, which is built only within that
     budget, and the generator walks, O(|M| + |H|) cells per generator.
 
@@ -375,15 +398,16 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
     """
     if not _items_per_block(hg.m_size, hg.h.order):
         return _scan_axioms(hg)
-    return _report(hg, _failures(_Relations([hg]))[0])
+    return _report(hg, _block_failures(_Stack([hg]))[0])
 
 
 def verify_axioms_batch(hgs) -> list[Report]:
     """[verify_axioms(hg) for hg in hgs], for hypergroups that share
     m_size, o and H (its table and identity), else ShapeMismatchError.
     Where one hypergroup's relation cubes fit one BLOCK_CELLS block, as
-    many as fit together are evaluated in full on their stacked tables;
-    past it each is scanned on its own, as verify_axioms does."""
+    many as fit together are checked at once on their stacked tables, as
+    verify_axioms checks one; past it each is scanned on its own, as
+    verify_axioms does."""
     hgs = list(hgs)
     if not hgs:
         return []
@@ -396,7 +420,7 @@ def verify_axioms_batch(hgs) -> list[Report]:
     if not step:
         return [_scan_axioms(hg) for hg in hgs]
     chunks = [hgs[lo:lo + step] for lo in range(0, len(hgs), step)]
-    return [r for chunk in chunks for r in map(_report, chunk, _failures(_Relations(chunk)))]
+    return [r for chunk in chunks for r in map(_report, chunk, _block_failures(_Stack(chunk)))]
 
 
 def _items_per_block(m: int, hn: int) -> int:
@@ -405,56 +429,117 @@ def _items_per_block(m: int, hn: int) -> int:
     return _util.BLOCK_CELLS // max(m * m * m, m * m * hn, m * hn * hn)
 
 
-class _Relations:
-    """The checks of verify_axioms as masks, True where a check fails, on
-    the tables of k hypergroups that share |M|, H and o, stacked along a
-    leading axis; checks maps each name to its method, in report order (P2
-    is A0, which decides P2 once the unit action holds). A0-A5 are
-    (k, |rows|, d2, |cols|) over the loop nest: the first argument at the
-    rows of a block, the last at the columns of the tables it indexes,
-    h_cols of phi, psi and ht (A0-A3) or m_cols of xi and lam (A4, A5).
-    Suffixes: _a at those rows, _c at those columns, _cr that by stacked
-    row, _c4 that with an axis for a. Row x of item i is row i*|M| + x of
-    the stack, so T[x][y] is the flat stack at (i*|M| + x)*ncols + y; the
-    tables whose values index rows are shifted (phi_r, xi_r) and
-    premultiplied (phi_m, psi_h, lam_h, a_h) once. A new _Relations is at
-    every row and column, the whole tables; restrict gives a scan's block.
-    """
+class _Stack:
+    """The tables of k hypergroups that share |M|, H and o, stacked along
+    a leading axis: row x of item i is row i*|M| + x of the stack, so the
+    tables whose values index rows are shifted once (phi_r, xi_r). For
+    one item the tables are its own, with a leading axis of 1 and no
+    shift. The four checks linear in |M| and |H| are masks, True where a
+    check fails; products gives the three identities of the induced
+    product that the cubic checks are parts of."""
 
     def __init__(self, hgs: list[HypergroupOverGroup]):
         first = hgs[0]
-        k, m, hn = len(hgs), first.m_size, first.h.order
+        k, m = len(hgs), first.m_size
         self.o, self.eps, self.ht = first.o, first.h.identity, first.h.table
-        self.m_range, self.h_range = _arange(m), _arange(hn)
-        # a_h = (i*|M| + a)*|H|, a cached constant for one item
-        if k == 1:   # one item needs no stack and no shift
+        self.m_range, self.h_range = _arange(m), _arange(first.h.order)
+        if k == 1:
             phi, psi, xi, lam = first.phi[None], first.psi[None], first.xi[None], first.lam[None]
-            phi_r, xi_r = phi, xi
-            self.phi_cr, self.psi_cr, self.xi_cr, self.lam_cr = (
-                first.phi, first.psi, first.xi, first.lam)
-            self.a_h = _arange(m, hn, (1, m, 1, 1))
+            self.phi_r, self.xi_r = phi, xi
         else:
             phi, psi, xi, lam = (np.stack([getattr(hg, name) for hg in hgs])
                                  for name in ("phi", "psi", "xi", "lam"))
             shift = np.arange(0, k * m, m)[:, None, None]   # i*|M|
-            phi_r, xi_r = phi + shift, xi + shift
-            self.phi_cr, self.psi_cr = phi.reshape(-1, hn), psi.reshape(-1, hn)
-            self.xi_cr, self.lam_cr = xi.reshape(-1, m), lam.reshape(-1, m)
-            self.a_h = np.arange(0, k * m * hn, hn).reshape(k, m, 1, 1)
+            self.phi_r, self.xi_r = phi + shift, xi + shift
         self.phi, self.psi, self.xi, self.lam = phi, psi, xi, lam
-        self.phi_r, self.xi_r = phi_r, xi_r
-        self.phi_m = phi_r.ravel() * m       # (i*|M| + phi[a][al])*|M|
-        self.psi_h, self.lam_h = psi * hn, lam * hn
+
+    def _row_offsets(self, step: int) -> np.ndarray:
+        """(i*|M| + a)*step at [i, a, 0, 0]: where row a of item i starts
+        in a stacked table of step columns."""
+        k, m = len(self.xi), self.m_range.size
+        return (_arange(m, step, (1, m, 1, 1)) if k == 1
+                else np.arange(0, k * m * step, step).reshape(k, m, 1, 1))
+
+    def neutral(self) -> np.ndarray:
+        return self.xi[:, self.o] != self.m_range
+
+    def columns(self) -> np.ndarray:
+        # (k, a, x): column a of xi, sorted, against 0..|M|-1
+        return np.sort(self.xi, axis=1).transpose(0, 2, 1) != self.m_range
+
+    def unit(self) -> np.ndarray:
+        return self.phi[:, :, self.eps] != self.m_range
+
+    def image(self) -> np.ndarray:
+        return (self.psi[:, self.o, :, None] != self.h_range).all(axis=1)
+
+    def products(self):
+        """(lhs, rhs) of each identity of verify_axioms' facts (2), (4)
+        and (5) on H x M, for all arguments at once, with (ga, d) encoded
+        as ga*|M| + d. Made one identity at a time, so that at most two
+        of them are held at once. The tables left and x_times are made
+        per call and not cached: |H|^2|M| and k|M|^2|H| cells, at most
+        BLOCK_CELLS each where verify_axioms stacks k items."""
+        m, hn = self.m_range.size, self.h_range.size
+        ht, phi, psi, xi, lam = self.ht, self.phi, self.psi, self.xi, self.lam
+        hm = hn * m
+        # ga*w at ga*|H||M| + w, for w = de*|M| + d: ht[ga][de]*|M| + d
+        left = (ht[:, :, None] * m + self.m_range).ravel()
+        act = psi * m + phi                   # (eps, a).al, at [a, al]
+        mul = lam * m + xi                    # (eps, a)(eps, b), at [a, b]
+        act_r, mul_r = act.reshape(-1, hn), mul.reshape(-1, m)
+        psi_l, lam_l = psi[..., None] * hm, lam[..., None] * hm
+        # X: (eps, a)w at (i*|M| + a)*|H||M| + w
+        x_times = left.take(psi_l + mul_r.take(self.phi_r, axis=0))
+        a_w = self._row_offsets(hm)
+        # (2) ((eps, a).al).be = (eps, a).(al*be), over (a, al, be)
+        yield left.take(psi_l + act_r.take(self.phi_r, axis=0)), act.take(ht, axis=2)
+        # (4) ((eps, a)(eps, b)).al = (eps, a)((eps, b).al), over (a, b, al)
+        yield left.take(lam_l + act_r.take(self.xi_r, axis=0)), x_times.take(a_w + act[:, None])
+        # (5) ((eps, a)(eps, b))(eps, c) = (eps, a)((eps, b)(eps, c)), over (a, b, c)
+        yield left.take(lam_l + mul_r.take(self.xi_r, axis=0)), x_times.take(a_w + mul[:, None])
+
+
+def _block_failures(stack: _Stack) -> list[dict]:
+    """_first_cells of every check's mask on the items of stack: the four
+    linear masks, and the M- and H-parts of the mismatches of the three
+    identities of _Stack.products, which are the masks of A0-A5 cell by
+    cell. One count over the linear masks and the mismatches finds the
+    common case of no failure; only an identity with a mismatch is split
+    into its parts."""
+    m = stack.m_range.size
+    masks = {"neutral": stack.neutral(), "columns": stack.columns(), "unit": stack.unit(),
+             "image": stack.image()}
+    count = sum(map(np.count_nonzero, masks.values()))
+    for names, (lhs, rhs) in zip((("P2", "A1"), ("A2", "A3"), ("A4", "A5")), stack.products()):
+        if np.count_nonzero(lhs != rhs):
+            masks[names[0]], masks[names[1]] = lhs % m != rhs % m, lhs // m != rhs // m
+            count += 1
+    return _first_cells(masks, len(stack.xi)) if count else [{} for _ in stack.xi]
+
+
+class _Relations(_Stack):
+    """The checks of verify_axioms as masks, True where a check fails, on
+    the stacked tables of _Stack, for the scans past one block; checks
+    maps each name to its method, in report order (P2 is A0, which
+    decides P2 once the unit action holds). A0-A5 are
+    (k, |rows|, d2, |cols|) over the loop nest: the first argument at the
+    rows of a block, the last at the columns of the tables it indexes,
+    h_cols of phi, psi and ht (A0-A3) or m_cols of xi and lam (A4, A5).
+    Suffixes: _a at those rows, _c at those columns, _cr that by stacked
+    row, _c4 that with an axis for a. phi_m is premultiplied by |M| and
+    psi_h, lam_h and a_h by |H|, once. A0-A5 are evaluated on restrict's
+    copy for a block, at every row and column by default.
+    """
+
+    def __init__(self, hgs: list[HypergroupOverGroup]):
+        super().__init__(hgs)
+        m, hn = self.m_range.size, self.h_range.size
+        self.a_h = self._row_offsets(hn)
+        self.phi_m = self.phi_r.ravel() * m
+        self.psi_h, self.lam_h = self.psi * hn, self.lam * hn
         self.htf, self.xif, self.lamf, self.psi_hf = (
-            self.ht.ravel(), xi.ravel(), lam.ravel(), self.psi_h.ravel())
-        # the other _a and _c tables, at every row and column
-        self.phi_a, self.psi_a, self.phi_ra, self.xi_ra = phi, psi, phi_r, xi_r
-        self.a_ha = self.a_h
-        self.psi_ha, self.lam_ha = self.psi_h[..., None], self.lam_h[..., None]
-        self.ht_c = self.ht
-        self.phi_c4, self.psi_c4, self.xi_c4, self.lam_c4 = (
-            phi[:, None], psi[:, None], xi[:, None], lam[:, None])
-        self._at = None, None
+            self.ht.ravel(), self.xi.ravel(), self.lam.ravel(), self.psi_h.ravel())
 
     def restrict(self, rows=slice(None), h_cols=slice(None), m_cols=slice(None)) -> _Relations:
         """A copy with the _a and _c tables at rows, h_cols and m_cols."""
@@ -471,19 +556,6 @@ class _Relations:
         rel.phi_c4, rel.psi_c4, rel.xi_c4, rel.lam_c4 = (t[:, None] for t in c)
         rel._at = None, None
         return rel
-
-    def neutral(self) -> np.ndarray:
-        return self.xi[:, self.o] != self.m_range
-
-    def columns(self) -> np.ndarray:
-        # (k, a, x): column a of xi, sorted, against 0..|M|-1
-        return np.sort(self.xi, axis=1).transpose(0, 2, 1) != self.m_range
-
-    def unit(self) -> np.ndarray:
-        return self.phi[:, :, self.eps] != self.m_range
-
-    def image(self) -> np.ndarray:
-        return (self.psi[:, self.o, :, None] != self.h_range).all(axis=1)
 
     def a0(self) -> np.ndarray:
         return self.phi_cr.take(self.phi_ra, axis=0) != self.phi_a.take(self.ht_c, axis=2)
@@ -520,21 +592,24 @@ class _Relations:
             self._at = q_c4, (at, self.phi_m.take(at) + r_c4)
         return self._at[1]
 
-    checks = {"neutral": neutral, "columns": columns, "unit": unit, "P2": a0, "image": image,
+    checks = {"neutral": _Stack.neutral, "columns": _Stack.columns, "unit": _Stack.unit,
+              "P2": a0, "image": _Stack.image,
               "A1": a1, "A2": a2, "A3": a3, "A4": a4, "A5": a5}
 
 
-def _failures(rel: _Relations, names=tuple(_Relations.checks)) -> list[dict]:
-    """For each item of rel, {name: the index of the first True cell of
-    its mask in row-major order} over the checks of names that fail.
-    Every mask is made first; one count over them all finds the common
-    case of no failure."""
-    masks = [rel.checks[name](rel) for name in names]
-    found: list[dict] = [{} for _ in range(len(rel.xi))]
-    if np.count_nonzero(np.concatenate([mask.ravel() for mask in masks])):
-        for name, mask in zip(names, masks):
-            for i in np.flatnonzero(mask.reshape(len(mask), -1).any(axis=1)).tolist():
-                found[i][name] = tuple(np.argwhere(mask[i])[0].tolist())
+def _failures(rel: _Relations, names) -> list[dict]:
+    """_first_cells of the masks of the checks of names on rel."""
+    return _first_cells({name: rel.checks[name](rel) for name in names}, len(rel.xi))
+
+
+def _first_cells(masks: dict, k: int) -> list[dict]:
+    """For each of the k items of the masks, {name: the index of the
+    first True cell of its mask in row-major order} over the masks by
+    name that have one."""
+    found: list[dict] = [{} for _ in range(k)]
+    for name, mask in masks.items():
+        for i in np.flatnonzero(mask.reshape(k, -1).any(axis=1)).tolist():
+            found[i][name] = tuple(np.argwhere(mask[i])[0].tolist())
     return found
 
 
@@ -594,7 +669,7 @@ def _report(hg: HypergroupOverGroup, found: dict) -> Report:
     """The Report of verify_axioms on hg, from the first failing index of
     each failed check's mask by its name in _Relations.checks."""
     xi, phi, o, eps = hg.xi, hg.phi, hg.o, hg.h.identity
-    checks = {name: CheckResult(True) for name in AXIOM_NAMES}
+    checks = dict.fromkeys(AXIOM_NAMES, CheckResult(True))   # frozen: one for all passes
     if "neutral" in found:
         a, = found["neutral"]
         checks["P1"] = CheckResult(False, (o, a), f"xi[{o}][{a}] = {xi[o, a]}, expected {a}")

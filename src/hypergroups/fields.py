@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,7 +250,8 @@ _TERM_RE = re.compile(r"^(\d+)?(?:(x)(?:\^(\d+))?)?$")
 def parse_poly(text: str) -> list[int]:
     """Parse "x^2+x+1" style polynomials into ascending coefficients. A
     degree past MAX_DEGREE, which no field within MAX_FIELD_ORDER has,
-    raises SizeLimitExceededError before any list is made."""
+    raises SizeLimitExceededError before any list is made, and so does a
+    coefficient too long for _numeral."""
     text = text.replace(" ", "").replace("*", "")
     terms = text.split("+")
     coeffs: dict[int, int] = {}
@@ -260,16 +262,30 @@ def parse_poly(text: str) -> list[int]:
         coef, has_x, exp = m.groups()
         if coef is None and has_x is None:
             raise UnknownSpecError(f"cannot parse polynomial term {term!r}")
-        c = int(coef) if coef is not None else 1
-        # compared as text first: int() refuses more than 4,300 digits
-        if exp is not None and (len(exp.lstrip("0")) > len(str(MAX_DEGREE))
-                                or int(exp) > MAX_DEGREE):
-            raise SizeLimitExceededError(f"polynomial degree exceeds {MAX_DEGREE}, the most "
-                                         f"for a field of order <= {MAX_FIELD_ORDER}")
-        d = 0 if has_x is None else (int(exp) if exp is not None else 1)
+        c = 1 if coef is None else _numeral(coef, "polynomial coefficient")
+        d = 0 if has_x is None else 1
+        if exp is not None:
+            # compared as text first: int() refuses long numerals, leading
+            # zeros included
+            exp = exp.lstrip("0") or "0"
+            if len(exp) > len(str(MAX_DEGREE)) or int(exp) > MAX_DEGREE:
+                raise SizeLimitExceededError(f"polynomial degree exceeds {MAX_DEGREE}, the most "
+                                             f"for a field of order <= {MAX_FIELD_ORDER}")
+            d = int(exp)
         coeffs[d] = coeffs.get(d, 0) + c
     degree = max(coeffs)
     return [coeffs.get(d, 0) for d in range(degree + 1)]
+
+
+def _numeral(digits: str, what: str) -> int:
+    """The value of a string of decimal digits. Compared as text first:
+    past the most digits that int() converts under any
+    sys.set_int_max_str_digits (leading zeros aside),
+    SizeLimitExceededError names what."""
+    digits, limit = digits.lstrip("0") or "0", sys.int_info.str_digits_check_threshold
+    if len(digits) > limit:
+        raise SizeLimitExceededError(f"{what} of {len(digits)} digits is longer than {limit} digits")
+    return int(digits)
 
 
 def format_poly(coeffs: list[int]) -> str:
@@ -291,11 +307,12 @@ _FIELD_SPEC_RE = re.compile(r"^GF\((\d+)(?:;(.*))?\)$")
 
 
 def parse_field_spec(spec: str) -> FiniteField:
-    """Field spec strings: "GF(5)", "GF(4;x^2+x+1)"."""
+    """Field spec strings: "GF(5)", "GF(4;x^2+x+1)". An order too long
+    for _numeral raises SizeLimitExceededError."""
     m = _FIELD_SPEC_RE.match(spec.strip())
     if not m:
         raise UnknownSpecError(f"unknown field spec {spec!r}")
-    q = int(m.group(1))
+    q = _numeral(m.group(1), "field order")
     poly = m.group(2)
     if poly is None:
         return make_field(q)

@@ -57,8 +57,10 @@ class FiniteGroup:
     __post_init__ checks shape and range only: order rows of order cells
     in [0, order), else NotClosedError at the first bad cell as
     group_from_cayley_table reports it, and identity and inverse in range,
-    else MalformedTablesError. Groups compare by value and hash without
-    the table; copy and pickle rebuild through the constructor."""
+    else MalformedTablesError. group_from_cayley_table, which has read
+    the table already, makes its group through _prechecked, which checks
+    the rest. Groups compare by value and hash without the table; copy
+    and pickle rebuild through the constructor."""
 
     order: int
     table: np.ndarray
@@ -68,8 +70,23 @@ class FiniteGroup:
     _inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "table", _square_table(self.table, self.order))
+        self._check_identity_and_inverse()
+
+    @classmethod
+    def _prechecked(cls, order, table, identity, inverse, name) -> FiniteGroup:
+        """A group on a table its caller read with _square_table; skips
+        that second read, but checks identity and inverse as
+        __post_init__ does."""
+        group = object.__new__(cls)
+        for key, value in (("order", order), ("table", table), ("identity", identity),
+                           ("inverse", inverse), ("name", name)):
+            object.__setattr__(group, key, value)
+        group._check_identity_and_inverse()
+        return group
+
+    def _check_identity_and_inverse(self):
         n = self.order
-        arr = _square_table(self.table, n)
         identity = as_int(self.identity, "identity")
         if not 0 <= identity < n:
             raise MalformedTablesError("identity", f"value {identity} outside [0, {n})")
@@ -77,7 +94,6 @@ class FiniteGroup:
         if (inverse.shape != (n,) or inverse.dtype.kind not in "iu"
                 or not ((inverse >= 0) & (inverse < n)).all()):
             raise MalformedTablesError("inverse", f"not {n} values in [0, {n})")
-        object.__setattr__(self, "table", arr)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse.tolist()))
         object.__setattr__(self, "_inverse", _read_only(inverse))
@@ -236,13 +252,8 @@ def group_from_cayley_table(table, name: str | None = None) -> FiniteGroup:
     if not has_inverse.all():
         raise NoInverseError(int(has_inverse.argmin()))
 
-    return FiniteGroup(
-        order=n,
-        table=t,
-        identity=identity,
-        inverse=inverts.argmax(axis=1),
-        name=name if name is not None else f"G{n}",
-    )
+    return FiniteGroup._prechecked(n, t, identity, inverts.argmax(axis=1),
+                                   name if name is not None else f"G{n}")
 
 
 def first_nonassociative(t: np.ndarray) -> tuple[int, int, int] | None:

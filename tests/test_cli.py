@@ -400,6 +400,17 @@ class TestFieldCommand:
         assert (captured.out, captured.err) == (
             "", "error: polynomial degree exceeds 9, the most for a field of order <= 512\n")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("GF(" + "1" * 5000 + ")", "field order of 5000 digits is longer than 640 digits"),
+        ("GF(4;x^2+" + "1" * 5000 + ")",
+         "polynomial coefficient of 5000 digits is longer than 640 digits"),
+    ])
+    def test_a_numeral_past_what_int_converts_is_exit_2(self, spec, message, capsys):
+        # both printed Python's "Exceeds the limit (4300 digits)" text
+        assert run(["field", spec]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 class TestExitCodesAndDeterminism:
     def test_help_is_exit_0(self, capsys):

@@ -783,6 +783,97 @@ class TestVerifyAxiomsBatch:
             verify_axioms_batch([hg, replace(hg, h=other_h)])
 
 
+@st.composite
+def identity_inputs(draw):
+    """Two to four standard constructions of one (G, H) with |G| <= 24,
+    of distinct transversals where there are enough: the first as built,
+    each other one with one or two cells of phi, psi, xi or lam changed,
+    or not; and a quarter of the time one or two cells of the H table
+    they share changed, so that H need not be a group."""
+    g, subgroups = subgroups_of(draw(st.sampled_from(
+        ["Z4", "S3", "D4", "Q8", "Z2xZ4", "D5", "Z12", "D6", "Z2xS3", "Z2xD4",
+         "Z16", "Z3xS3", "Z2xQ8", "S4", "D8", "Z4xZ6"])))
+    h = draw(st.sampled_from(subgroups))
+    k = draw(st.integers(2, 4))
+    ts = sample_transversals(g, h, cap=k, seed=draw(st.integers(0, 3)))
+    # H = G or H = 1 has one transversal, built again for each item
+    hgs = standard_constructions(g, h, [ts[i % len(ts)] for i in range(k)])
+    m, hn = hgs[0].m_size, h.order
+    h_table = h.as_group().table.tolist()
+    for _ in range(draw(st.integers(1, 2)) if draw(st.integers(0, 3)) == 0 else 0):
+        h_table[draw(st.integers(0, hn - 1))][draw(st.integers(0, hn - 1))] = draw(
+            st.integers(0, hn - 1))
+    h_group = FiniteGroup(hn, h_table, h.as_group().identity, list(h.as_group().inverse), "H")
+    out = []
+    for i, hg in enumerate(hgs):
+        tables = {name: getattr(hg, name).tolist() for name in TABLES}
+        for _ in range(draw(st.integers(0, 2)) if i else 0):
+            name = draw(st.sampled_from(TABLES))
+            row = tables[name][draw(st.integers(0, m - 1))]
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.integers(0, (m if name in ("phi", "xi") else hn) - 1))
+        out.append(hypergroup_from_tables(m, h_group, o=hg.o, **tables))
+    return out
+
+
+class TestProductIdentities:
+    """One block is decided by the three identities of the product on
+    H x M (verify_axioms' facts (2), (4) and (5)), with (ga, c) encoded
+    as ga*|M| + c."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(hgs=identity_inputs())
+    def test_parts_are_the_masks_and_the_count_decides(self, hgs):
+        m, hn = hgs[0].m_size, hgs[0].h.order
+        rel = core._Relations(hgs).restrict()
+        parts = list(core._Stack(hgs).products())
+        for (lhs, rhs), (m_part, h_part) in zip(parts, [("P2", "A1"), ("A2", "A3"),
+                                                         ("A4", "A5")]):
+            assert lhs.shape == rhs.shape and lhs.min() >= 0 and lhs.max() < hn * m
+            assert np.array_equal(lhs % m != rhs % m, rel.checks[m_part](rel))
+            assert np.array_equal(lhs // m != rhs // m, rel.checks[h_part](rel))
+        # the witnesses are those of the masks, and the count decides
+        found = core._block_failures(core._Stack(hgs))
+        assert found == core._failures(rel, core._Relations.checks)
+        assert [core._block_failures(core._Stack([hg]))[0] for hg in hgs] == found
+        expected = [loop_oracles.verify_axioms(hg) for hg in hgs]
+        assert [not f for f in found] == [all(ok for ok, _, _ in e.values()) for e in expected]
+        # one chunk of k > 1 items, the first of them unchanged
+        assert core._items_per_block(m, hn) >= len(hgs) > 1
+        assert [results(report) for report in verify_axioms_batch(hgs)] == expected
+        assert [results(verify_axioms(hg)) for hg in hgs] == expected
+
+    def test_a_failure_of_p3_alone_is_found(self):
+        # (M, xi) = Z3 with H = Z2 acting trivially and psi = lam = eps
+        # passes every check but P3: the image of psi[o] is {eps}
+        g = cyclic_group(6)
+        h = subgroup_from_elements(g, [0, 3])
+        good = standard_construction(g, h, [0, 1, 2])
+        bad = hypergroup_from_tables(3, good.h, [[0, 0], [1, 1], [2, 2]], np.zeros((3, 2), int),
+                                     cyclic_group(3).table, np.zeros((3, 3), int), 0)
+        p3 = (False, (1,), "1 not in the image of psi[0]")
+        assert loop_oracles.verify_axioms(bad) == {
+            name: p3 if name == "P3" else (True, None, "") for name in AXIOM_NAMES}
+        assert core._block_failures(core._Stack([bad])) == [{"image": (1,)}]
+        assert core._block_failures(core._Stack([good, bad, good])) == [{}, {"image": (1,)}, {}]
+        assert [results(r) for r in verify_axioms_batch([good, bad, good])] == [
+            loop_oracles.verify_axioms(x) for x in (good, bad, good)]
+
+    def test_a_passed_report_shares_one_frozen_result(self):
+        g = group_from_spec("S3")
+        h = subgroup_from_elements(g, [0, 1])
+        first, second = (verify_axioms(hg) for hg in standard_constructions(
+            g, h, sample_transversals(g, h)[:2]))
+        assert first.to_dict() == second.to_dict() == {
+            "overall": True, "axioms": {name: {"ok": True, "witness": None, "detail": ""}
+                                        for name in AXIOM_NAMES}}
+        # one frozen result stands for every passed check of a report
+        assert len({id(check) for check in first.checks.values()}) == 1
+        assert first.checks["P1"] is not second.checks["P1"]
+        with pytest.raises(AttributeError):
+            first.checks["P1"].ok = False
+
+
 def normal_pairs(max_order):
     return [(g, h) for g in builtin_groups(max_order)
             for h in enumerate_subgroups(g) if is_normal(h)]

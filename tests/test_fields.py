@@ -530,6 +530,18 @@ class TestPolyParsing:
                                  "of order <= 512")
         assert parse_poly("x^0009+1") == [1] + [0] * 8 + [1]
 
+    def test_leading_zeros_do_not_count_as_digits(self):
+        # int() counts them: each of these raised ValueError
+        assert parse_poly("x^" + "0" * 5000 + "2+" + "0" * 5000 + "1") == [1, 0, 1]
+        assert parse_field_spec("GF(" + "0" * 5000 + "4)").q == 4
+        # an order int() converts is refused by the field's cap, with the value
+        for order in ("1000", "9" * 640):
+            with pytest.raises(SizeLimitExceededError, match=f"^field order {order} exceeds cap"):
+                parse_field_spec(f"GF({order})")
+        with pytest.raises(SizeLimitExceededError, match="^polynomial coefficient of 641 digits"):
+            parse_poly("x^2+" + "1" * 641)
+        assert parse_poly("x^2+" + "1" * 640)[1:] == [0, 1]
+
     def test_a_long_modulus_is_refused_with_a_short_message(self):
         # the message used to spell out p^m: 1,505 digits at GF(4;x^5000),
         # and past 4,300 digits str() raised ValueError instead

@@ -512,6 +512,17 @@ class TestGroupFromCayleyTable:
         assert g.identity == 0
         assert list(g.inverse) == [0, 3, 2, 1]
 
+    @pytest.mark.parametrize("table", [cyclic_group(8).table, cyclic_group(8).table.tolist()])
+    def test_the_table_is_read_once(self, table):
+        # FiniteGroup's own read of the checked copy was a second full
+        # read and copy: 1.5 ms and 8 MB at order 1,024
+        with mock.patch.object(groups, "read_table", wraps=groups.read_table) as reads:
+            g = group_from_cayley_table(table, name="Z8")
+        assert reads.call_count == 1
+        assert g == cyclic_group(8) and not g.table.flags.writeable
+        assert not np.shares_memory(g.table, table)
+        assert g.np_inverse().tolist() == list(g.inverse) == [0, 7, 6, 5, 4, 3, 2, 1]
+
     def test_not_closed(self):
         table = [[0, 1], [1, 7]]
         with pytest.raises(NotClosedError) as ei:
