@@ -23,7 +23,6 @@ that hypergroup_to_json returns, not in the files written.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -327,23 +326,28 @@ def verify_axioms(hg: HypergroupOverGroup) -> Report:
     cells of the four linear masks is 0 exactly when every check
     passes; otherwise the mismatches of an identity that fails, taken
     mod |M| and div |M|, are the masks of its two checks. Past one
-    block _Relations writes each check as a mask of a block of leading
-    a, and each cubic relation is one first_failure scan over those
-    blocks, which stops at the first failing block. Memory: besides the
-    tables, every temporary holds at most max(BLOCK_CELLS, |M|^2, |H|^2)
-    cells (512 KiB of intp for |M|, |H| <= 256): an identity or mask
-    within one block, L and X (|H|^2|M| and |M|^2|H| cells: made per
-    call, no cache, and only within one block), a block of a scan, the
-    (|H||M|)^2 product table below, which is built only within that
-    budget, and the generator walks, O(|M| + |H|) cells per generator.
+    block each identity is one first_failure scan over blocks of
+    leading a, which stops at the first failing block: _parts gathers
+    the M- and H-parts of both sides on a block, with no encoding, and
+    gives the masks of the identity's two checks at once. A part whose
+    first failure that scan misses is scanned on its own.
+    Memory: besides the tables, every temporary holds at most
+    max(BLOCK_CELLS, |M|^2, |H|^2) cells (512 KiB of intp for |M|, |H|
+    <= 256): an identity or mask within one block, L and X (|H|^2|M|
+    and |M|^2|H| cells: made per call, no cache, and only within one
+    block), a part of a side on a block of a scan, the (|H||M|)^2
+    product table below, which is built only within that budget, and
+    the generator walks, O(|M| + |H|) cells per generator.
 
     Generators only. When a cube spans more than one block and every
-    check before it passed, its relation is first scanned with the last
-    argument over a generating set only (first_failure_on). A pass there
-    is a pass, by the closure arguments below; a failure runs the full
-    scan, which gives the witness. The arguments need H to be a group:
-    ht associative, eps neutral and in every row, so that each element
-    has an inverse (checked, else every relation is scanned in full).
+    check before it passed, the two parts of its identity are first
+    scanned with the last argument over a generating set only
+    (first_failure_on). A pass of both there is a pass of both, by the
+    closure arguments below (A1 given A0, A3 given A2, and A4 with A5);
+    a failure runs the full scan, which gives the witnesses. The
+    arguments need H to be a group: ht associative, eps neutral and in
+    every row, so that each element has an inverse (checked, else every
+    relation is scanned in full).
     B is _right_generators(ht): every element of H is a product
     b1*...*bk of members of B, so a set that contains B and is closed
     under the product is H. Write a^al = phi[a][al], p(a, al) =
@@ -518,90 +522,6 @@ def _block_failures(stack: _Stack) -> list[dict]:
     return _first_cells(masks, len(stack.xi)) if count else [{} for _ in stack.xi]
 
 
-class _Relations(_Stack):
-    """The checks of verify_axioms as masks, True where a check fails, on
-    the stacked tables of _Stack, for the scans past one block; checks
-    maps each name to its method, in report order (P2 is A0, which
-    decides P2 once the unit action holds). A0-A5 are
-    (k, |rows|, d2, |cols|) over the loop nest: the first argument at the
-    rows of a block, the last at the columns of the tables it indexes,
-    h_cols of phi, psi and ht (A0-A3) or m_cols of xi and lam (A4, A5).
-    Suffixes: _a at those rows, _c at those columns, _cr that by stacked
-    row, _c4 that with an axis for a. phi_m is premultiplied by |M| and
-    psi_h, lam_h and a_h by |H|, once. A0-A5 are evaluated on restrict's
-    copy for a block, at every row and column by default.
-    """
-
-    def __init__(self, hgs: list[HypergroupOverGroup]):
-        super().__init__(hgs)
-        m, hn = self.m_range.size, self.h_range.size
-        self.a_h = self._row_offsets(hn)
-        self.phi_m = self.phi_r.ravel() * m
-        self.psi_h, self.lam_h = self.psi * hn, self.lam * hn
-        self.htf, self.xif, self.lamf, self.psi_hf = (
-            self.ht.ravel(), self.xi.ravel(), self.lam.ravel(), self.psi_h.ravel())
-
-    def restrict(self, rows=slice(None), h_cols=slice(None), m_cols=slice(None)) -> _Relations:
-        """A copy with the _a and _c tables at rows, h_cols and m_cols."""
-        rel = copy.copy(self)
-        rel.phi_a, rel.psi_a, rel.phi_ra, rel.xi_ra, rel.a_ha = (
-            self.phi[:, rows], self.psi[:, rows], self.phi_r[:, rows], self.xi_r[:, rows],
-            self.a_h[:, rows])
-        rel.psi_ha, rel.lam_ha = self.psi_h[:, rows, :, None], self.lam_h[:, rows, :, None]
-        rel.ht_c = self.ht[:, h_cols]
-        # a list of columns gives strided copies, which slow every gather after
-        c = [np.ascontiguousarray(t) for t in (self.phi[..., h_cols], self.psi[..., h_cols],
-                                               self.xi[..., m_cols], self.lam[..., m_cols])]
-        rel.phi_cr, rel.psi_cr, rel.xi_cr, rel.lam_cr = (t.reshape(-1, t.shape[2]) for t in c)
-        rel.phi_c4, rel.psi_c4, rel.xi_c4, rel.lam_c4 = (t[:, None] for t in c)
-        rel._at = None, None
-        return rel
-
-    def a0(self) -> np.ndarray:
-        return self.phi_cr.take(self.phi_ra, axis=0) != self.phi_a.take(self.ht_c, axis=2)
-
-    def a1(self) -> np.ndarray:
-        return (self.psi_a.take(self.ht_c, axis=2)
-                != self.htf.take(self.psi_ha + self.psi_cr.take(self.phi_ra, axis=0)))
-
-    def a2(self) -> np.ndarray:
-        return (self.phi_cr.take(self.xi_ra, axis=0)
-                != self.xif.take(self._at_q(self.psi_c4, self.phi_c4)[1]))
-
-    def a3(self) -> np.ndarray:
-        at, cell = self._at_q(self.psi_c4, self.phi_c4)
-        return (self.htf.take(self.lam_ha + self.psi_cr.take(self.xi_ra, axis=0))
-                != self.htf.take(self.psi_hf.take(at) + self.lamf.take(cell)))
-
-    def a4(self) -> np.ndarray:
-        return (self.xi_cr.take(self.xi_ra, axis=0)
-                != self.xif.take(self._at_q(self.lam_c4, self.xi_c4)[1]))
-
-    def a5(self) -> np.ndarray:
-        at, cell = self._at_q(self.lam_c4, self.xi_c4)
-        return (self.htf.take(self.lam_ha + self.lam_cr.take(self.xi_ra, axis=0))
-                != self.htf.take(self.psi_hf.take(at) + self.lamf.take(cell)))
-
-    def _at_q(self, q_c4, r_c4):
-        """(at, cell): at the flat index of row a, column q[b][y], and cell
-        that of row phi[a][q[b][y]], column r[b][y], for q, r = psi, phi
-        (A2, A3) or lam, xi (A4, A5); kept for the last q, as A2 and A3
-        run one after the other, then A4 and A5."""
-        if self._at[0] is not q_c4:
-            at = self.a_ha + q_c4
-            self._at = q_c4, (at, self.phi_m.take(at) + r_c4)
-        return self._at[1]
-
-    checks = {"neutral": _Stack.neutral, "columns": _Stack.columns, "unit": _Stack.unit,
-              "P2": a0, "image": _Stack.image,
-              "A1": a1, "A2": a2, "A3": a3, "A4": a4, "A5": a5}
-
-
-def _failures(rel: _Relations, names) -> list[dict]:
-    """_first_cells of the masks of the checks of names on rel."""
-    return _first_cells({name: rel.checks[name](rel) for name in names}, len(rel.xi))
-
-
 def _first_cells(masks: dict, k: int) -> list[dict]:
     """For each of the k items of the masks, {name: the index of the
     first True cell of its mask in row-major order} over the masks by
@@ -615,12 +535,13 @@ def _first_cells(masks: dict, k: int) -> list[dict]:
 
 def _scan_axioms(hg: HypergroupOverGroup) -> Report:
     """verify_axioms past one block: the checks linear in |M| and |H| in
-    full, each cubic relation by blocked scans, over generators where
-    the closure arguments allow, and A4 and A5 by Light's test where the
-    product table fits."""
-    rel = _Relations([hg])
-    phi, xi, ht, eps, o, m, hn = hg.phi, hg.xi, rel.ht, hg.h.identity, hg.o, hg.m_size, hg.h.order
-    found = _failures(rel, ("neutral", "columns", "unit", "image"))[0]
+    full, the M- and H-parts of each identity of facts (2), (4) and (5)
+    by blocked scans, over generators where the closure arguments
+    allow, and A4 and A5 by Light's test where the product table fits."""
+    stack = _Stack([hg])
+    phi, xi, ht, eps, o, m, hn = hg.phi, hg.xi, stack.ht, hg.h.identity, hg.o, hg.m_size, hg.h.order
+    found = _first_cells({"neutral": stack.neutral(), "columns": stack.columns(),
+                          "unit": stack.unit(), "image": stack.image()}, 1)[0]
     group_gens = cache(lambda: _group_generators(ht, eps))
 
     def b_if_all_ok():
@@ -628,25 +549,36 @@ def _scan_axioms(hg: HypergroupOverGroup) -> Report:
         each closure argument below needs both."""
         return None if found else group_gens()
 
-    def settle(shape, names, gens, last="h_cols"):
-        """found[name] for each relation of names, whose last argument
-        runs over the columns restrict calls last: one first_failure_on
-        scan of them all, then a full scan of each its failure misses."""
-        axioms = [(name, lambda cols, of=rel.checks[name]: lambda r: of(
-            rel.restrict(r, **{last: slice(None) if cols is None else cols}))[0])
-            for name in names]
+    def settle(n, names, shape, gens):
+        """found[name] for the M- and H-parts of identity (n), named
+        names: one first_failure_on scan of the two, which evaluates the
+        identity once per block for both. A part that its failure misses
+        is scanned on its own, in order, as the checks before it allow:
+        over generators when gens() gives them, as A0 and A2 need only
+        the checks before them and A1 and A3 also A0 and A2; in full for
+        A4 and A5, which close only together."""
+        held = {}   # the parts of the last block, by its rows and columns
+
+        def parts(rows, cols):
+            key = rows.start, rows.stop, cols is None
+            if key not in held:
+                held.clear()
+                held[key] = _parts(stack, n, rows, cols)
+            return held[key]
+
+        axioms = [(name, lambda cols, i=i: lambda rows: parts(rows, cols)[i])
+                  for i, name in enumerate(names)]
         failure = first_failure_on(shape, axioms, gens)
         for name, mask_of in axioms:
             own = failure
             if own is not None and own[0] != name:
-                own = first_failure(shape, [(name, mask_of(None))])
+                own = first_failure_on(shape, [(name, mask_of)],
+                                       (lambda: None) if n == 5 else gens)
             if own is not None:
                 found[name] = own[1]
 
-    if "unit" not in found:
-        settle((m, hn, hn), ["P2"], b_if_all_ok)
-    for name, shape in (("A1", (m, hn, hn)), ("A2", (m, m, hn)), ("A3", (m, m, hn))):
-        settle(shape, [name], b_if_all_ok)
+    settle(2, ("P2", "A1"), (m, hn, hn), b_if_all_ok)
+    settle(4, ("A2", "A3"), (m, m, hn), b_if_all_ok)
 
     units_ok = "unit" not in found and bool((hg.psi[:, eps] == eps).all())
     table_fits = (hn * m) ** 2 <= max(_util.BLOCK_CELLS, m * m)
@@ -661,13 +593,46 @@ def _scan_axioms(hg: HypergroupOverGroup) -> Report:
         return None if b is None else _right_generators(
             xi, [phi[:, be] for be in b], order=[*range(o), *range(o + 1, m), o])
 
-    settle((m, m, m), ["A4", "A5"], s_if_all_ok, "m_cols")
+    settle(5, ("A4", "A5"), (m, m, m), s_if_all_ok)
     return _report(hg, found)
+
+
+def _parts(stack: _Stack, n: int, rows: slice, cols=None) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of the M- and H-parts of identity (n) of verify_axioms'
+    facts, n = 2, 4 or 5, on the one item of stack: A0 and A1, A2 and A3,
+    or A4 and A5 over their loop nests (a, x, y), with a at rows and the
+    last argument y at cols, all for None. The left side is u.y (n = 2,
+    4) or u(eps, y) (n = 5) for u = (eps, a).x (n = 2) or (eps, a)(eps, x);
+    the right side is (eps, a).(x*y) (n = 2) or (eps, a)w, for w =
+    (de, d) = (eps, x).y or (eps, x)(eps, y), which is (psi[a][de]*
+    lam[a'][d], xi[a'][d]) with a' = phi[a][de]. Each part of each side
+    is its own gather, the M-parts first, so that their temporaries
+    are freed before the H-parts are gathered."""
+    phi, psi, xi, lam = stack.phi[0], stack.psi[0], stack.xi[0], stack.lam[0]
+    ht, m, hn = stack.ht, stack.m_range.size, stack.h_range.size
+    u_h, u_m = (psi, phi) if n == 2 else (lam, xi)       # u at [a][x]
+    y_h, y_m = (lam, xi) if n == 5 else (psi, phi)       # the last step at [.][y]
+    if cols is not None:
+        y_h, y_m = y_h.take(cols, axis=1), y_m.take(cols, axis=1)
+    u = u_m[rows]
+    if n == 2:
+        xy = ht if cols is None else ht.take(cols, axis=1)
+        m_part = y_m.take(u, axis=0) != phi[rows].take(xy, axis=1)
+        rhs_h = psi[rows].take(xy, axis=1)
+    else:
+        at = phi[rows].take(y_h, axis=1) * m + y_m       # a'*|M| + d
+        m_part = y_m.take(u, axis=0) != xi.ravel().take(at)
+        rhs_h = psi[rows].take(y_h, axis=1) * hn + lam.ravel().take(at)
+        del at
+        rhs_h = ht.ravel().take(rhs_h)
+    lhs_h = ht.ravel().take(u_h[rows][..., None] * hn + y_h.take(u, axis=0))
+    return m_part, lhs_h != rhs_h
 
 
 def _report(hg: HypergroupOverGroup, found: dict) -> Report:
     """The Report of verify_axioms on hg, from the first failing index of
-    each failed check's mask by its name in _Relations.checks."""
+    each failed check's mask by its name: neutral and columns (P1), unit
+    and P2 (A0), image (P3), and A1-A5."""
     xi, phi, o, eps = hg.xi, hg.phi, hg.o, hg.h.identity
     checks = dict.fromkeys(AXIOM_NAMES, CheckResult(True))   # frozen: one for all passes
     if "neutral" in found:
@@ -841,7 +806,8 @@ def is_group_quasigroup(hg: HypergroupOverGroup) -> bool:
         return False
     if (np.sort(np.vstack((xi, xi.T)), axis=1) == np.arange(hg.m_size)).all():
         return True  # every row and every column is a permutation
-    if not _failures(_Relations([hg]), ("neutral", "columns"))[0]:  # P1 holds
+    stack = _Stack([hg])
+    if not (stack.neutral().any() or stack.columns().any()):  # P1 holds
         raise InternalInconsistencyError(
             "xi is associative and P1 holds but (M, xi) is not a group"
         )

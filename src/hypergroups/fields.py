@@ -335,17 +335,10 @@ def multiplicative_group(f: FiniteField) -> FiniteGroup:
     )
 
 
-def check_field_tables(
-    add,
-    mul,
-    zero: int,
-    one: int,
-    require_commutative_mul: bool = True,
-) -> tuple[bool, str, tuple | None]:
+def check_field_tables(add, mul, zero: int, one: int) -> tuple[bool, str, tuple | None]:
     """Field axioms on raw tables; returns (ok, failing check, witness).
 
-    Shared between constructed fields and reconstruction candidates;
-    with require_commutative_mul off it checks a division ring instead.
+    Shared between constructed fields and reconstruction candidates.
     add sets the order n; add and mul are read by _util.int_table as
     n x n tables over [0, n), and zero and one must be in [0, n), else
     MalformedTablesError.
@@ -403,11 +396,10 @@ def check_field_tables(
 
     add_block = [("add_commutative", commutative(A)),
                  ("add_associative", _associative_mask(A))]
-    mul_block = [("left_distributive", left_distributive),
+    mul_block = [("mul_commutative", commutative(M)),
+                 ("left_distributive", left_distributive),
                  ("right_distributive", right_distributive),
                  ("mul_associative", _associative_mask(M))]
-    if require_commutative_mul:
-        mul_block.insert(0, ("mul_commutative", commutative(M)))
     add_gens = functools.cache(lambda: _right_generators(
         A, order=[*range(zero), *range(zero + 1, n), zero]))  # zero is a sum
 

@@ -230,15 +230,9 @@ class FieldReconstruction:
         }
 
 
-def reconstruct_field(
-    hg: HypergroupOverGroup, require_abelian_h: bool = True
-) -> FieldReconstruction:
+def reconstruct_field(hg: HypergroupOverGroup) -> FieldReconstruction:
     """Invert the field functor, checking each required condition in
     order and reporting the first failure.
-
-    With require_abelian_h off, the final axiom check tests a division
-    ring instead of a field (finite ones are fields anyway, so over this
-    package's inputs the toggle only relabels the diagnostic).
 
     PhiNotEndomorphism scans (alpha, a, b). Past one first_failure
     block, b first runs over G, the _right_generators of xi, and only a
@@ -307,15 +301,14 @@ def reconstruct_field(
             detail="the xi neutral element differs from o",
         )
 
-    if require_abelian_h:
-        first = first_mismatch(np.triu(ht, 1), np.triu(ht.T, 1))
-        if first is not None:
-            al, be = first
-            return FieldReconstruction(
-                status="HNotAbelian",
-                witness=(al, be),
-                detail=f"H product at ({al}, {be}) is not commutative",
-            )
+    first = first_mismatch(np.triu(ht, 1), np.triu(ht.T, 1))
+    if first is not None:
+        al, be = first
+        return FieldReconstruction(
+            status="HNotAbelian",
+            witness=(al, be),
+            detail=f"H product at ({al}, {be}) is not commutative",
+        )
 
     # t(alpha) = phi(., alpha) must be an endomorphism of (M, xi); past
     # one block b runs over the generators G first (see the docstring)
@@ -396,10 +389,7 @@ def reconstruct_field(
     mul_table = mul.tolist()
 
     one = 1 + eps
-    ok, what, witness = check_field_tables(
-        add, mul, 0, one,
-        require_commutative_mul=require_abelian_h,
-    )
+    ok, what, witness = check_field_tables(add, mul, 0, one)
     if not ok:
         return FieldReconstruction(
             status="NotAField",

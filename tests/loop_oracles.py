@@ -28,7 +28,7 @@ from hypergroups.groups import (Subgroup, first_nonassociative, group_isomorphis
 from hypergroups.transversals import sample_transversals
 
 
-def check_field_tables(add, mul, zero, one, require_commutative_mul=True):
+def check_field_tables(add, mul, zero, one):
     """(ok, failing check, witness) of the field axioms, by loops, on
     tables given as rows or as arrays."""
     add, mul = (t.tolist() if isinstance(t, np.ndarray) else t for t in (add, mul))
@@ -56,7 +56,7 @@ def check_field_tables(add, mul, zero, one, require_commutative_mul=True):
             return False, "mul_zero", (a,)
     for a in rng:
         for b in rng:
-            if require_commutative_mul and mul[a][b] != mul[b][a]:
+            if mul[a][b] != mul[b][a]:
                 return False, "mul_commutative", (a, b)
             for c in rng:
                 if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
@@ -206,7 +206,7 @@ def field_isomorphism(f1, f2):
     return None
 
 
-def reconstruct_field(hg, require_abelian_h=True):
+def reconstruct_field(hg):
     """What reconstruct_field reports, by loops: a dict with status and
     witness, plus the candidate tables, unit witness and isomorphism
     once they exist."""
@@ -232,11 +232,10 @@ def reconstruct_field(hg, require_abelian_h=True):
                 return {"status": "XiNotAbelianGroup", "witness": (a, b)}
     if identity != hg.o:
         return {"status": "XiNotAbelianGroup", "witness": (identity,)}
-    if require_abelian_h:
-        for al in range(hn):
-            for be in range(al + 1, hn):
-                if ht[al][be] != ht[be][al]:
-                    return {"status": "HNotAbelian", "witness": (al, be)}
+    for al in range(hn):
+        for be in range(al + 1, hn):
+            if ht[al][be] != ht[be][al]:
+                return {"status": "HNotAbelian", "witness": (al, be)}
     for al in range(hn):
         for a in range(m):
             for b in range(m):
@@ -268,7 +267,7 @@ def reconstruct_field(hg, require_abelian_h=True):
             mul[i][j] = 1 + ht[i - 1][j - 1]
     tables = {"k_endomorphisms": k_endos, "add_table": add, "mul_table": mul}
     one = 1 + eps
-    ok, _, witness = check_field_tables(add, mul, 0, one, require_abelian_h)
+    ok, _, witness = check_field_tables(add, mul, 0, one)
     if not ok:
         return {"status": "NotAField", "witness": witness, **tables}
     try:
@@ -287,6 +286,40 @@ def reconstruct_field(hg, require_abelian_h=True):
             "unit_witness": unit_witness}
 
 
+def _relations(hg):
+    """{name: (loop nest, holds)} of A0-A5, on the tables as rows."""
+    m, hn = hg.m_size, hg.h.order
+    phi, psi, xi, lam = (t.tolist() for t in (hg.phi, hg.psi, hg.xi, hg.lam))
+    ht = hg.h.table.tolist()
+    M, H = range(m), range(hn)
+    return {
+        "A0": ((M, H, H),
+               lambda a, al, be: phi[phi[a][al]][be] == phi[a][ht[al][be]]),
+        "A1": ((M, H, H),
+               lambda a, al, be:
+                   psi[a][ht[al][be]] == ht[psi[a][al]][psi[phi[a][al]][be]]),
+        "A2": ((M, M, H),
+               lambda a, b, al:
+                   phi[xi[a][b]][al] == xi[phi[a][psi[b][al]]][phi[b][al]]),
+        "A3": ((M, M, H),
+               lambda a, b, al: ht[lam[a][b]][psi[xi[a][b]][al]]
+               == ht[psi[a][psi[b][al]]][lam[phi[a][psi[b][al]]][phi[b][al]]]),
+        "A4": ((M, M, M),
+               lambda a, b, c: xi[xi[a][b]][c] == xi[phi[a][lam[b][c]]][xi[b][c]]),
+        "A5": ((M, M, M),
+               lambda a, b, c: ht[lam[a][b]][lam[xi[a][b]][c]]
+               == ht[psi[a][lam[b][c]]][lam[phi[a][lam[b][c]]][xi[b][c]]]),
+    }
+
+
+def axiom_masks(hg):
+    """{name: the mask of A0-A5 over its loop nest, True where the
+    relation fails}, by loops."""
+    return {name: np.array([not holds(*w) for w in product(*loops)], dtype=bool)
+                    .reshape([len(r) for r in loops])
+            for name, (loops, holds) in _relations(hg).items()}
+
+
 def verify_axioms(hg):
     """{axiom: (ok, witness, detail)} of P1-P3 and A1-A5, by loops.
 
@@ -295,12 +328,14 @@ def verify_axioms(hg):
     failing index tuple is the witness.
     """
     m, hn = hg.m_size, hg.h.order
-    phi, psi, xi, lam = (t.tolist() for t in (hg.phi, hg.psi, hg.xi, hg.lam))
-    ht, eps, o = hg.h.table.tolist(), hg.h.identity, hg.o
+    phi, psi, xi = (t.tolist() for t in (hg.phi, hg.psi, hg.xi))
+    eps, o = hg.h.identity, hg.o
     M, H = range(m), range(hn)
+    relations = _relations(hg)
     passed = (True, None, "")
 
-    def first(loops, holds, detail):
+    def first(name, detail):
+        loops, holds = relations[name]
         for w in product(*loops):
             if not holds(*w):
                 return False, w, detail(*w)
@@ -325,10 +360,7 @@ def verify_axioms(hg):
             if phi[a][eps] != a:
                 return False, (a,), f"phi[{a}][{eps}] = {phi[a][eps]}, expected {a}"
         return first(
-            (M, H, H),
-            lambda a, al, be: phi[phi[a][al]][be] == phi[a][ht[al][be]],
-            lambda a, al, be: f"phi[phi[{a}][{al}]][{be}] != phi[{a}][{al}*{be}]",
-        )
+            "A0", lambda a, al, be: f"phi[phi[{a}][{al}]][{be}] != phi[{a}][{al}*{be}]")
 
     def p3():
         for b in H:
@@ -337,41 +369,17 @@ def verify_axioms(hg):
         return passed
 
     def fails_at(axiom, names):
-        return lambda *w: f"{axiom} fails at ({names}) = {w}"
+        return first(axiom, lambda *w: f"{axiom} fails at ({names}) = {w}")
 
     return {
         "P1": p1(),
         "P2": p2(),
         "P3": p3(),
-        "A1": first(
-            (M, H, H),
-            lambda a, al, be:
-                psi[a][ht[al][be]] == ht[psi[a][al]][psi[phi[a][al]][be]],
-            fails_at("A1", "a, alpha, beta"),
-        ),
-        "A2": first(
-            (M, M, H),
-            lambda a, b, al:
-                phi[xi[a][b]][al] == xi[phi[a][psi[b][al]]][phi[b][al]],
-            fails_at("A2", "a, b, alpha"),
-        ),
-        "A3": first(
-            (M, M, H),
-            lambda a, b, al: ht[lam[a][b]][psi[xi[a][b]][al]]
-            == ht[psi[a][psi[b][al]]][lam[phi[a][psi[b][al]]][phi[b][al]]],
-            fails_at("A3", "a, b, alpha"),
-        ),
-        "A4": first(
-            (M, M, M),
-            lambda a, b, c: xi[xi[a][b]][c] == xi[phi[a][lam[b][c]]][xi[b][c]],
-            fails_at("A4", "a, b, c"),
-        ),
-        "A5": first(
-            (M, M, M),
-            lambda a, b, c: ht[lam[a][b]][lam[xi[a][b]][c]]
-            == ht[psi[a][lam[b][c]]][lam[phi[a][lam[b][c]]][xi[b][c]]],
-            fails_at("A5", "a, b, c"),
-        ),
+        "A1": fails_at("A1", "a, alpha, beta"),
+        "A2": fails_at("A2", "a, b, alpha"),
+        "A3": fails_at("A3", "a, b, alpha"),
+        "A4": fails_at("A4", "a, b, c"),
+        "A5": fails_at("A5", "a, b, c"),
     }
 
 

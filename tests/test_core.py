@@ -733,17 +733,22 @@ class TestVerifyAxiomsBatch:
         assert reports[0].checks["P1"] is not reports[1].checks["P1"]
 
     def test_items_past_the_block_go_one_at_a_time(self):
+        # |M| = 8 over E: the |M|^3 cube spans two blocks, the others fit
+        # one, and Light's test decides A4 and A5 on these passing items
         g = group_from_spec("Z2xZ2xZ2")
         h = subgroup_from_elements(g, [0])
         hgs = standard_constructions(g, h, sample_transversals(g, h)) * 3
+        scan = mock.Mock(wraps=_util.first_failure)
         with mock.patch.object(_util, "BLOCK_CELLS", 8 ** 3 - 1), \
-                mock.patch.object(core, "_scan_axioms", wraps=core._scan_axioms) as scan, \
-                mock.patch.object(core, "_failures", wraps=core._failures) as full:
+                mock.patch.object(core, "_scan_axioms", wraps=core._scan_axioms) as scanned, \
+                mock.patch.object(_util, "first_failure", scan), \
+                mock.patch.object(core, "first_failure", scan):
             reports = verify_axioms_batch(hgs)
-        assert [call.args[0] for call in scan.call_args_list] == hgs
-        # only the checks linear in |M| and |H| are evaluated in full
-        assert {tuple(call.args[1]) for call in full.call_args_list} == {
-            ("neutral", "columns", "unit", "image")}
+        assert [call.args[0] for call in scanned.call_args_list] == hgs
+        # no scan covers the |M|^3 cube: A4 and A5 are never scanned in full
+        assert {(tuple(name for name, _ in c.args[1]), c.args[0])
+                for c in scan.call_args_list} == {
+            (("P2", "A1"), (8, 1, 1)), (("A2", "A3"), (8, 8, 1))}
         assert all(r.overall for r in reports)
 
     def test_block_splitting_the_cubes(self):
@@ -816,6 +821,13 @@ def identity_inputs(draw):
     return out
 
 
+# the masks of loop_oracles.axiom_masks that are the M- and H-parts of
+# facts (2), (4) and (5), and the one of each cubic check by its name in
+# the first failures of core (A0 decides P2)
+IDENTITY_PARTS = (("A0", "A1"), ("A2", "A3"), ("A4", "A5"))
+MASK_OF = {"P2": "A0", "A1": "A1", "A2": "A2", "A3": "A3", "A4": "A4", "A5": "A5"}
+
+
 class TestProductIdentities:
     """One block is decided by the three identities of the product on
     H x M (verify_axioms' facts (2), (4) and (5)), with (ga, c) encoded
@@ -825,16 +837,18 @@ class TestProductIdentities:
     @given(hgs=identity_inputs())
     def test_parts_are_the_masks_and_the_count_decides(self, hgs):
         m, hn = hgs[0].m_size, hgs[0].h.order
-        rel = core._Relations(hgs).restrict()
+        masks = [loop_oracles.axiom_masks(hg) for hg in hgs]
         parts = list(core._Stack(hgs).products())
-        for (lhs, rhs), (m_part, h_part) in zip(parts, [("P2", "A1"), ("A2", "A3"),
-                                                         ("A4", "A5")]):
+        for (lhs, rhs), names in zip(parts, IDENTITY_PARTS):
             assert lhs.shape == rhs.shape and lhs.min() >= 0 and lhs.max() < hn * m
-            assert np.array_equal(lhs % m != rhs % m, rel.checks[m_part](rel))
-            assert np.array_equal(lhs // m != rhs // m, rel.checks[h_part](rel))
-        # the witnesses are those of the masks, and the count decides
+            for part, name in zip((lhs % m != rhs % m, lhs // m != rhs // m), names):
+                assert np.array_equal(part, np.stack([mask[name] for mask in masks]))
+        # the witnesses are the first failing cells of the masks, and the
+        # count decides
         found = core._block_failures(core._Stack(hgs))
-        assert found == core._failures(rel, core._Relations.checks)
+        assert [{name: at for name, at in f.items() if name in MASK_OF} for f in found] == [
+            {name: tuple(np.argwhere(mask[of])[0].tolist())
+             for name, of in MASK_OF.items() if mask[of].any()} for mask in masks]
         assert [core._block_failures(core._Stack([hg]))[0] for hg in hgs] == found
         expected = [loop_oracles.verify_axioms(hg) for hg in hgs]
         assert [not f for f in found] == [all(ok for ok, _, _ in e.values()) for e in expected]
@@ -1012,6 +1026,25 @@ class TestGeneratorScans:
             report = verify_axioms(hg)
         assert results(report) == loop_oracles.verify_axioms(hg)
 
+    # the scans read the parts of the identities on a block of leading a,
+    # with the last argument over all of its range or over generators
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(hg=st.one_of(identity_inputs().flatmap(st.sampled_from), generator_scan_inputs()),
+           data=st.data())
+    def test_parts_are_the_masks_on_blocks_and_columns(self, hg, data):
+        masks = loop_oracles.axiom_masks(hg)
+        stack = core._Stack([hg])
+        m = hg.m_size
+        for n, names in zip((2, 4, 5), IDENTITY_PARTS):
+            lo = data.draw(st.integers(0, m - 1))
+            rows = slice(lo, data.draw(st.integers(lo + 1, m)))
+            n_cols = masks[names[0]].shape[2]
+            cols = data.draw(st.none() | st.lists(st.integers(0, n_cols - 1), min_size=1,
+                                                  max_size=3, unique=True))
+            at = slice(None) if cols is None else cols
+            for part, name in zip(core._parts(stack, n, rows, cols), names):
+                assert np.array_equal(part, masks[name][rows][..., at]), (n, name)
+
     @pytest.mark.parametrize("image,n_gens", [
         (lambda: functor_field(make_field(9)), 1),
         (lambda: functor_vector_space(make_field(4), 2), 2),
@@ -1101,6 +1134,21 @@ class TestGeneratorScans:
             got = results(verify_axioms(hg))
         assert got == loop_oracles.verify_axioms(hg)
         assert not got[axiom][0]
+
+    def test_a_part_that_passes_on_generators_is_not_scanned_again(self):
+        # one cell of lam changed on GF(9)'s image: A3 fails and A2, which
+        # reads no lam, holds; once the scan of both names A3, A2 is
+        # settled over generators alone, not by a full scan of its own
+        hg = functor_field(make_field(9))
+        bad = with_cell(hg, "lam", 4, 5, (int(hg.lam[4, 5]) + 1) % 8)
+        with mock.patch.object(_util, "BLOCK_CELLS", 1):
+            report, scans, _ = axiom_scans(bad)
+        assert results(report) == loop_oracles.verify_axioms(bad)
+        assert report.checks["A2"].ok and not report.checks["A3"].ok
+        full = [names for names, shape in scans if shape == cube(bad, names[0])]
+        assert ("A2", "A3") in full and ("A2",) not in full
+        b = core._group_generators(bad.h.table, bad.h.identity)
+        assert [shape for names, shape in scans if names == ("A2",)] == [(9, 9, len(b))]
 
     def test_a1_scan_waits_for_a0(self):
         # H = Z3 with B = {0, 1}; A1 holds at every beta in B, and fails
@@ -1267,8 +1315,7 @@ class TestProductShortcut:
         assert report.overall and not light_ran and scanned == []
         m, hn = q, q - 1
         scans = generator_scans(hg)
-        assert [names for names, _ in scans] == [
-            ("P2",), ("A1",), ("A2",), ("A3",), ("A4", "A5")]
+        assert [names for names, _ in scans] == [("P2", "A1"), ("A2", "A3"), ("A4", "A5")]
         assert scans[-1][1] == (m, m, 1)
         assert all(math.prod(shape) * 20 < m * hn * hn for _, shape in scans)
 

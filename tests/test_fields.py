@@ -419,14 +419,6 @@ class TestCheckFieldTables:
             assert check_field_tables(np.matrix(add), np.matrix(mul), 0, 1) == (
                 check_field_tables(np.array(add).tolist(), np.array(mul).tolist(), 0, 1))
 
-    def test_noncommutative_allowed_when_relaxed(self):
-        # the relaxed mode only drops the commutativity requirement
-        f = make_field(3)
-        ok, _, _ = check_field_tables(
-            f.add, f.mul, f.zero, f.one, require_commutative_mul=False
-        )
-        assert ok
-
 
 # --------------------------------------------------------------------
 # multiplicative group and isomorphism
@@ -605,22 +597,21 @@ def mutated_field_tables(draw):
 
 class TestAgainstLoopOracles:
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-    @given(tables=mutated_field_tables(), commutative=st.booleans())
-    def test_check_field_tables_matches_loops(self, tables, commutative):
+    @given(tables=mutated_field_tables())
+    def test_check_field_tables_matches_loops(self, tables):
         add, mul, zero, one = tables
-        assert check_field_tables(add, mul, zero, one, commutative) == (
-            loop_oracles.check_field_tables(add, mul, zero, one, commutative)
+        assert check_field_tables(add, mul, zero, one) == (
+            loop_oracles.check_field_tables(add, mul, zero, one)
         )
 
     # blocks this small run the generator scans on these small tables
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-    @given(tables=mutated_field_tables(), commutative=st.booleans(),
-           block=st.sampled_from([1, 8, 64]))
-    def test_generator_scans_match_loops(self, tables, commutative, block):
+    @given(tables=mutated_field_tables(), block=st.sampled_from([1, 8, 64]))
+    def test_generator_scans_match_loops(self, tables, block):
         add, mul, zero, one = tables
         with mock.patch.object(_util, "BLOCK_CELLS", block):
-            got = check_field_tables(add, mul, zero, one, commutative)
-        assert got == loop_oracles.check_field_tables(add, mul, zero, one, commutative)
+            got = check_field_tables(add, mul, zero, one)
+        assert got == loop_oracles.check_field_tables(add, mul, zero, one)
 
     @pytest.mark.parametrize("q", [4, 5, 8])
     def test_every_single_mutation_with_generator_scans(self, q):
@@ -628,15 +619,14 @@ class TestAgainstLoopOracles:
         for name, a, b, v in itertools.product(("add", "mul"), *[range(q)] * 3):
             tables = {"add": f.add.tolist(), "mul": f.mul.tolist()}
             tables[name][a][b] = v
-            for commutative in (True, False):
-                with mock.patch.object(_util, "BLOCK_CELLS", 1):
-                    got = check_field_tables(tables["add"], tables["mul"], 0, 1, commutative)
-                assert got == loop_oracles.check_field_tables(
-                    tables["add"], tables["mul"], 0, 1, commutative)
+            with mock.patch.object(_util, "BLOCK_CELLS", 1):
+                got = check_field_tables(tables["add"], tables["mul"], 0, 1)
+            assert got == loop_oracles.check_field_tables(tables["add"], tables["mul"], 0, 1)
 
     def test_near_fields_and_a_non_associative_algebra(self):
-        # tables that fail one law only, so that the generator scan for
-        # that law is the one that must catch it
+        # tables that fail one law first (the near-fields before any pair
+        # fails to commute), so that the generator scan for that law is
+        # the one that must catch it
         f = make_field(9)
         fmul = f.mul.tolist()
         squares = {fmul[x][x] for x in range(9)}
@@ -653,15 +643,15 @@ class TestAgainstLoopOracles:
                 if a & i and b & j:
                     algebra[a][b] ^= basis[min(i, j), max(i, j)]
         xor = [[a ^ b for b in range(8)] for a in range(8)]
-        cases = [(f.add, dickson, False, "left_distributive"),
-                 (f.add, opposite, False, "right_distributive"),
-                 (xor, algebra, True, "mul_associative")]
-        for add, mul, commutative, law in cases:
-            expect = loop_oracles.check_field_tables(add, mul, 0, 1, commutative)
+        cases = [(f.add, dickson, "left_distributive"),
+                 (f.add, opposite, "right_distributive"),
+                 (xor, algebra, "mul_associative")]
+        for add, mul, law in cases:
+            expect = loop_oracles.check_field_tables(add, mul, 0, 1)
             assert expect[1] == law
             for block in (1, 8, _util.BLOCK_CELLS):
                 with mock.patch.object(_util, "BLOCK_CELLS", block):
-                    assert check_field_tables(add, mul, 0, 1, commutative) == expect
+                    assert check_field_tables(add, mul, 0, 1) == expect
 
     @pytest.mark.parametrize("q", [4, 5])
     def test_every_single_mul_mutation_matches_loops(self, q):
@@ -669,10 +659,9 @@ class TestAgainstLoopOracles:
         for a, b, v in itertools.product(range(q), repeat=3):
             mul = f.mul.tolist()
             mul[a][b] = v
-            for commutative in (True, False):
-                assert check_field_tables(f.add, mul, 0, 1, commutative) == (
-                    loop_oracles.check_field_tables(f.add, mul, 0, 1, commutative)
-                )
+            assert check_field_tables(f.add, mul, 0, 1) == (
+                loop_oracles.check_field_tables(f.add, mul, 0, 1)
+            )
 
     @pytest.mark.parametrize(
         "p,m",
