@@ -1,15 +1,15 @@
 """Enumeration and isomorphism classification of small hypergroups.
 
-Two sources feed the same catalog type: sweep_standard runs the
-standard construction over builtin groups, subgroups and transversals;
-enumerate_abstract searches the defining axioms directly over tables
-at tiny sizes. Both file an entry under the orbit key of its ambient
-group under the automorphisms: a standard construction's (G, H, T)
-itself, an abstract hypergroup's the group its tables define on H x M
-(_ambient). Equal keys mean isomorphic hypergroups, so no entry is
-deduplicated by search, and every entry carries a certificate onto its
-class representative, searched on first read, so "same class" claims
-stay machine-checkable.
+Both sources of the catalog run the standard construction over builtin
+groups, subgroups and transversals: sweep_standard files each
+construction as it is, enumerate_abstract relabels those of order
+|M|*|H| onto a given H, which by the converse of the construction gives
+every hypergroup over H at tiny sizes. Each entry is filed under the
+orbit key of its construction's (G, H, T) under the automorphisms.
+Equal keys mean isomorphic hypergroups, so no entry is deduplicated by
+search, and every entry carries a certificate onto its class
+representative, searched on first read, so "same class" claims stay
+machine-checkable.
 """
 
 from __future__ import annotations
@@ -26,18 +26,17 @@ from ._util import BLOCK_CELLS, canonical_dumps
 from .core import (
     HypergroupOverGroup,
     _hypergroup_json,
-    _product_table,
     hypergroup_from_tables,
     is_group_quasigroup,
     standard_constructions,
-    verify_axioms,
     verify_axioms_batch,
 )
-from .errors import AlgebraError, InternalInconsistencyError, SizeLimitExceededError
-from .groups import (FiniteGroup, automorphisms, builtin_groups, element_orders,
-                     enumerate_subgroups, group_from_cayley_table, group_isomorphism)
+from .errors import InternalInconsistencyError, SizeLimitExceededError
+from .groups import (FiniteGroup, Subgroup, automorphisms, builtin_groups,
+                     element_orders, enumerate_subgroups, group_isomorphism,
+                     group_isomorphisms)
 from .morphisms import HgMorphism, find_isomorphism
-from .transversals import DEFAULT_SAMPLE_CAP, sample_transversals
+from .transversals import DEFAULT_SAMPLE_CAP, enumerate_transversals, sample_transversals
 
 MAX_SWEEP_ORDER = 24
 MAX_ABSTRACT_M = 3
@@ -46,7 +45,8 @@ MAX_ABSTRACT_H = 3
 
 @dataclass
 class CatalogEntry:
-    """One catalogued hypergroup and its class. An entry other than the
+    """One catalogued hypergroup, where it came from (a standard or an
+    abstract provenance) and its class. An entry other than the
     representative of its class, made with _rep, finds iso_to_rep on
     first read."""
 
@@ -77,11 +77,12 @@ class CatalogEntry:
 @dataclass
 class Catalog:
     """Entries sorted into isomorphism classes by a key, a value that two
-    hypergroups share exactly when they are isomorphic (the orbit keys
-    of sweep_standard and enumerate_abstract). insert searches nothing:
-    the first entry of a key represents its class, and the others find
-    their certificates when iso_to_rep is first read. Each class's key
-    is kept, in class-id order, for universality_probe.
+    hypergroups share exactly when they are isomorphic: the orbit key of
+    the (G, H, T) each entry was constructed from (sweep_standard; the
+    entries of enumerate_abstract are relabelled constructions). insert
+    searches nothing: the first entry of a key represents its class, and
+    the others find their certificates when iso_to_rep is first read.
+    Each class's key is kept, in class-id order, for universality_probe.
     """
 
     entries: list[CatalogEntry] = field(default_factory=list)
@@ -129,10 +130,9 @@ def sweep_standard(
 ) -> Catalog:
     """Construct and classify every (builtin G, subgroup, transversal)
     triple up to the order bound, sampling transversals past the cap.
-    The transversals of each (G, H) are built by one
-    standard_constructions call and checked by one verify_axioms_batch
-    call, then inserted in order by orbit key (Catalog.insert), so the
-    sweep runs no isomorphism search.
+    The transversals of each (G, H) are built, checked and keyed as one
+    batch (_keyed_constructions), then inserted in order by orbit key
+    (Catalog.insert), so the sweep runs no isomorphism search.
 
     The key rests on this: the hypergroups of (G, H, T) and (G', H', T')
     are isomorphic iff some group isomorphism F : G -> G' has F(H) = H'
@@ -171,76 +171,33 @@ def sweep_standard(
         base, maps = canonical(group)
         for h in enumerate_subgroups(group):
             ts = sample_transversals(group, h, cap=transversal_cap, seed=seed)
-            hgs = standard_constructions(group, h, ts)
-            reps = np.array([t.reps for t in ts], dtype=np.intp)
-            keys = _orbit_keys(maps, h.elements, reps)
-            for t, hg, report, key in zip(ts, hgs, verify_axioms_batch(hgs), keys):
-                if not report.overall:
-                    raise InternalInconsistencyError(
-                        f"standard construction failed axioms "
-                        f"{report.failing()} for G={group.name}, "
-                        f"H={list(h.elements)}, M={list(t.reps)}"
-                    )
+            for t, hg, key in _keyed_constructions(group, h, ts, base, maps):
                 provenance = "standard:%s:H=%s:M=%s" % (
                     group.name,
                     ",".join(map(str, h.elements)),
                     ",".join(map(str, t.reps)),
                 )
-                catalog.insert(hg, provenance, (base, *key))
+                catalog.insert(hg, provenance, key)
     return catalog
 
 
-def _ambient(hg: HypergroupOverGroup, provenance: str) -> tuple[FiniteGroup, list[int], np.ndarray]:
-    """The converse of the standard construction: the group A that hg's
-    tables define on H x M, with (al, a) at index al*|M| + a and the
-    product (al, a)(be, b) = (al*psi(a, be)*lam(a^be, b), xi(a^be, b))
-    (core._product_table); the elements of H_A = {(al, o)}; and
-    T_A = {(eps, a)} in the order of a, as a (1, |M|) reps array. The
-    table is checked to be a group: InternalInconsistencyError, naming
-    provenance, reports one that is not, as hg passed verify_axioms.
-
-    enumerate_abstract files hg under the orbit key (sweep_standard) of
-    (A, H_A, T_A), and two hypergroups get equal keys iff they are
-    isomorphic, the standard constructions among them included.
-    - iso => equal key. An isomorphism (f0, f1) : hg -> hg' carries the
-      four tables, and the product above is built from them and the
-      group law of H, so F(al, a) = (f0 al, f1 a) is a group isomorphism
-      A -> A'. f0(eps) = eps', and f1(o) = o' as P1 makes o the only left
-      neutral of xi, so F(H_A) = H_A' and F(T_A) = T_A'. The isomorphisms
-      A -> G0 are those A' -> G0 composed with F, so the keys are equal.
-    - equal key => iso. Equal keys give isomorphisms F : A -> G0 and
-      F' : A' -> G0 with F(H_A) = F'(H_A') and F(T_A) = F'(T_A'), so by
-      sweep_standard's proof the standard constructions S of
-      (A, H_A, T_A) and S' of (A', H_A', T_A') are isomorphic. So it is
-      enough that hg is isomorphic to S. Take the notation (1)-(4) of
-      verify_axioms' A4 and A5 argument. A's identity is e = (th, o) for
-      some th: the M-part of e(eps, b) = (eps, b) says that e's M-part
-      is a left neutral of xi, and P1 allows only o. By (4),
-      x.be = (xe).be = x(e.be), so j(be) = e.be = (th*psi(o, be), o^be)
-      is a homomorphism H -> A by (2). o^be = o: A2 at a = o reads
-      xi(o^psi(b, al), b^al) = b^al, so o^psi(b, al) = o by P1, and
-      psi(o, .) is onto H by P3, so a bijection. So j is injective, and
-      j(H) = H_A. By (1), x(be, b) = (x.be)(eps, b), whence
-        (be, b) = j(be) (eps, b),
-        (eps, a) j(be) = (psi(a, be), a^be) = j(psi(a, be)) (eps, a^be),
-        (eps, a)(eps, b) = (lam(a, b), xi(a, b)) = j(lam(a, b)) (eps, xi(a, b)).
-      The first says that the right cosets of H_A are the fibres H x {a},
-      each holding one (eps, a), so T_A is a right transversal; the
-      other two, that f0 = j and f1(a) = (eps, a), read in S's labels
-      (H_A's index and the right coset order), take hg's tables to S's.
-      The isomorphism follows the coset order, not the identity
-      labelling, and f0 is j, not the identity.
-    """
-    m, hn = hg.m_size, hg.h.order
-    try:
-        group = group_from_cayley_table(
-            _product_table(hg.phi, hg.psi, hg.xi, hg.lam, hg.h.table))
-    except AlgebraError as exc:
-        raise InternalInconsistencyError(
-            f"{provenance} passes verify_axioms but its product table is not "
-            f"a group: {exc}") from None
-    return (group, [al * m + hg.o for al in range(hn)],
-            np.arange(hg.h.identity * m, hg.h.identity * m + m)[None])
+def _keyed_constructions(group: FiniteGroup, h: Subgroup, ts, base: str, maps: np.ndarray):
+    """Yield (t, hg, key) for each transversal t in ts of the subgroup h
+    of group, in order: hg its standard construction, built by one
+    standard_constructions call and checked by one verify_axioms_batch
+    call, and key its orbit key (sweep_standard) with group's canonical
+    base and maps. A construction that fails an axiom raises
+    InternalInconsistencyError."""
+    hgs = standard_constructions(group, h, ts)
+    keys = _orbit_keys(maps, h.elements, np.array([t.reps for t in ts], dtype=np.intp))
+    for t, hg, report, key in zip(ts, hgs, verify_axioms_batch(hgs), keys):
+        if not report.overall:
+            raise InternalInconsistencyError(
+                f"standard construction failed axioms "
+                f"{report.failing()} for G={group.name}, "
+                f"H={list(h.elements)}, M={list(t.reps)}"
+            )
+        yield t, hg, (base, *key)
 
 
 def _canonical_bases(builtins: tuple[FiniteGroup, ...]):
@@ -294,191 +251,54 @@ def _orbit_keys(maps: np.ndarray, h_elements, reps: np.ndarray) -> list[tuple[in
     return [(int(h_key), t_key) for t_key in np.concatenate(t_keys).tolist()]
 
 
-def _xi_candidates(m: int):
-    """All xi tables with left neutral 0 and permutation columns: choose
-    per column a a permutation of M sending 0 to a."""
-    perms = list(itertools.permutations(range(m)))
-    per_column = [
-        [p for p in perms if p[0] == a] for a in range(m)
-    ]
-    for combo in itertools.product(*per_column):
-        yield [[combo[a][x] for a in range(m)] for x in range(m)]
-
-
-def _phi_candidates(h: FiniteGroup, m: int):
-    """All right actions of H on M as tables: maps al -> sigma_al into
-    Sym(M) with sigma_eps = id and sigma_(al*be) = sigma_al then sigma_be."""
-    perms = list(itertools.permutations(range(m)))
-    idp = tuple(range(m))
-    hn, ht = h.order, h.table.tolist()
-    others = [al for al in range(hn) if al != h.identity]
-    for assignment in itertools.product(perms, repeat=len(others)):
-        sigma = {h.identity: idp}
-        for al, p in zip(others, assignment):
-            sigma[al] = p
-        ok = all(
-            tuple(sigma[be][sigma[al][x]] for x in range(m)) == sigma[ht[al][be]]
-            for al in range(hn)
-            for be in range(hn)
-        )
-        if ok:
-            yield [[sigma[al][a] for al in range(hn)] for a in range(m)]
-
-
-def _cyclic_generator_of(h: FiniteGroup) -> int:
-    orders = element_orders(h)
-    if h.order not in orders:
-        raise SizeLimitExceededError(
-            "abstract enumeration requires a cyclic H (all groups of order "
-            "<= 3 are cyclic)"
-        )
-    return orders.index(h.order)
-
-
-def _psi_candidates(h: FiniteGroup, phi: list[list[int]], m: int):
-    """Psi tables satisfying A1 and P3.
-
-    psi[a][eps] = eps is forced (set al = be = eps in A1 and cancel),
-    and the rest of each row follows from the generator column via
-    A1: psi[a][g^(k+1)] = psi[a][g^k] * psi[phi[a][g^k]][g]. Free
-    choices are the m generator-column values; the full table is then
-    filtered by the complete A1 relation and by P3.
-    """
-    hn = h.order
-    ht = h.table.tolist()
-    eps = h.identity
-    if hn == 1:
-        yield [[eps] for _ in range(m)]
-        return
-    gamma = _cyclic_generator_of(h)
-    # powers[k] = gamma^(k+1); covers all of H minus eps
-    powers = [gamma]
-    while ht[powers[-1]][gamma] != eps:
-        powers.append(ht[powers[-1]][gamma])
-    for column in itertools.product(range(hn), repeat=m):
-        psi = [[-1] * hn for _ in range(m)]
-        for a in range(m):
-            psi[a][eps] = eps
-            psi[a][gamma] = column[a]
-        for k in range(len(powers) - 1):
-            g_k, g_next = powers[k], powers[k + 1]
-            for a in range(m):
-                psi[a][g_next] = ht[psi[a][g_k]][psi[phi[a][g_k]][gamma]]
-        ok = all(
-            psi[a][ht[al][be]] == ht[psi[a][al]][psi[phi[a][al]][be]]
-            for a in range(m)
-            for al in range(hn)
-            for be in range(hn)
-        )
-        if ok and set(psi[0]) == set(range(hn)):  # P3 at o = 0
-            yield psi
-
-
-def _lambda_candidates(
-    h: FiniteGroup, xi: list[list[int]], phi: list[list[int]],
-    psi: list[list[int]], m: int
-):
-    """All lam tables consistent with A3 and A5, by DFS over cells with
-    A3-forced propagation and A5 pruning.
-
-    Each A3 instance (a, b, al) links cells (a, b) and
-    (phi[a][psi[b][al]], phi[b][al]) by an invertible relation in H, so
-    assigning one cell forces the other; free cells only appear when a
-    new component starts. After each successful assignment every A5
-    instance (a, b, c) whose four lam cells are assigned is checked; a
-    failure prunes the subtree, whose leaves all keep those cells and so
-    fail A5. The yield sequence is that of an A5 check at the leaves only.
-    """
-    hn = h.order
-    ht = h.table.tolist()
-    hinv = h.inverse
-    links: dict[tuple[int, int], list[tuple]] = {}
-    for a in range(m):
-        for b in range(m):
-            for al in range(hn):
-                t = psi[xi[a][b]][al]
-                s = psi[a][psi[b][al]]
-                c1 = (a, b)
-                c2 = (phi[a][psi[b][al]], phi[b][al])
-                # relation: lam[c1] * t = s * lam[c2]
-                links.setdefault(c1, []).append((c1, c2, t, s))
-                links.setdefault(c2, []).append((c1, c2, t, s))
-    lam = [[-1] * m for _ in range(m)]
-    cells = [(a, b) for a in range(m) for b in range(m)]
-
-    def force(cell, value, trail):
-        lam[cell[0]][cell[1]] = value
-        trail.append(cell)
-        queue = [cell]
-        while queue:
-            c = queue.pop()
-            for (c1, c2, t, s) in links.get(c, ()):
-                v1 = lam[c1[0]][c1[1]]
-                v2 = lam[c2[0]][c2[1]]
-                if v1 >= 0 and v2 >= 0:
-                    if ht[v1][t] != ht[s][v2]:
-                        return False
-                elif v1 >= 0:
-                    forced = ht[hinv[s]][ht[v1][t]]
-                    lam[c2[0]][c2[1]] = forced
-                    trail.append(c2)
-                    queue.append(c2)
-                elif v2 >= 0:
-                    forced = ht[ht[s][v2]][hinv[t]]
-                    lam[c1[0]][c1[1]] = forced
-                    trail.append(c1)
-                    queue.append(c1)
-        return True
-
-    def a5_violated():
-        for a in range(m):
-            for b in range(m):
-                ab = lam[a][b]
-                for c in range(m):
-                    bc = lam[b][c]
-                    if ab < 0 or bc < 0:
-                        continue
-                    x = lam[xi[a][b]][c]
-                    y = lam[phi[a][bc]][xi[b][c]]
-                    if x >= 0 and y >= 0 and ht[ab][x] != ht[psi[a][bc]][y]:
-                        return True
-        return False
-
-    def undo(trail):
-        for (a, b) in trail:
-            lam[a][b] = -1
-
-    def search(pos):
-        while pos < len(cells) and lam[cells[pos][0]][cells[pos][1]] >= 0:
-            pos += 1
-        if pos == len(cells):
-            yield [row[:] for row in lam]
-            return
-        cell = cells[pos]
-        for value in range(hn):
-            trail: list[tuple[int, int]] = []
-            if force(cell, value, trail) and not a5_violated():
-                yield from search(pos + 1)
-            undo(trail)
-
-    yield from search(0)
-
-
 def enumerate_abstract(m_size: int, h: FiniteGroup) -> Catalog:
-    """All hypergroups with |M| = m_size over H, up to isomorphism.
+    """All hypergroups with |M| = m_size over H, up to isomorphism, as
+    the standard constructions relabelled onto H's labels.
 
     o is fixed at 0: every hypergroup is isomorphic to one with o = 0
     (transport the structure along the transposition swapping 0 and o),
-    so the restriction loses no classes. Candidates are generated
-    axiom-by-axiom and a final verify_axioms pass is the authority on
-    what enters the catalog. Each entry is inserted under the orbit key
-    (G0's name, least F(H) mask, least F(T) mask) of its ambient group
-    (_ambient, which holds the proof that equal keys mean isomorphic
-    hypergroups), with G0 the first builtin isomorphic to it: every
-    group of order m_size*|H| <= 9 is a builtin. So no isomorphism is
-    searched; the first entry of a key represents its class, as the
-    first entry isomorphic to none before it, and the others find their
-    certificates when iso_to_rep is first read.
+    so the restriction loses no classes. Every group of order
+    m_size*|H| <= 9 is a builtin, so by the converse below every
+    hypergroup over H with o = 0 has the tables of a construction of
+    (G, H', T'), with G a builtin of that order, H' a subgroup
+    isomorphic to H and T' a right transversal, carried along some
+    (f0, f1): T'[f1 a][f0 al] = f(T[a][al]), with f0 an isomorphism
+    H' -> H (group_isomorphisms) and f1 a bijection of M fixing 0.
+    Conversely an isomorphism carries the axioms, so each such table is
+    a hypergroup. The entries are these tables, repeats dropped, in the
+    order of _search_order, each inserted under its construction's orbit
+    key. Each entry is isomorphic to its construction, and constructions
+    share a key exactly when they are isomorphic (sweep_standard), so
+    entries do too: no isomorphism is searched, the first entry of a key
+    represents its class, and the others find their certificates when
+    iso_to_rep is first read.
+
+    The converse of the standard construction. hg's tables define a
+    group A on H x M (the paper's converse; associative by verify_axioms'
+    A4 and A5 argument), with (al, a)(be, b) =
+    (al*psi(a, be)*lam(a^be, b), xi(a^be, b)) for a^be = phi(a, be), and
+    in it H_A = {(al, o)} and T_A = {(eps, a)}. hg is isomorphic to the
+    standard construction S of (A, H_A, T_A). Take the notation (1)-(4)
+    of verify_axioms' A4 and A5 argument. A's identity is e = (th, o)
+    for some th: the M-part of e(eps, b) = (eps, b) says that e's M-part
+    is a left neutral of xi, and P1 allows only o. By (4),
+    x.be = (xe).be = x(e.be), so j(be) = e.be = (th*psi(o, be), o^be)
+    is a homomorphism H -> A by (2). o^be = o: A2 at a = o reads
+    xi(o^psi(b, al), b^al) = b^al, so o^psi(b, al) = o by P1, and
+    psi(o, .) is onto H by P3, so a bijection. So j is injective, and
+    j(H) = H_A. By (1), x(be, b) = (x.be)(eps, b), whence
+      (be, b) = j(be) (eps, b),
+      (eps, a) j(be) = (psi(a, be), a^be) = j(psi(a, be)) (eps, a^be),
+      (eps, a)(eps, b) = (lam(a, b), xi(a, b)) = j(lam(a, b)) (eps, xi(a, b)).
+    The first says that the right cosets of H_A are the fibres H x {a},
+    each holding one (eps, a), so T_A is a right transversal; the other
+    two, that f0 = j and f1(a) = (eps, a), read in S's labels (H_A's
+    index and the right coset order), take hg's tables to S's. An
+    isomorphism F from A onto the builtin G of its order takes H_A to a
+    subgroup H' and T_A to a right transversal T' of it, so by
+    sweep_standard's proof S is isomorphic to the construction of
+    (G, H', T'). Composed, the isomorphism onto hg has f1(0) = 0, as P1
+    makes o the only left neutral of xi.
     """
     if not 1 <= m_size <= MAX_ABSTRACT_M:
         raise SizeLimitExceededError(
@@ -488,25 +308,51 @@ def enumerate_abstract(m_size: int, h: FiniteGroup) -> Catalog:
         raise SizeLimitExceededError(
             f"abstract enumeration capped at |H| <= {MAX_ABSTRACT_H}"
         )
+    order = m_size * h.order
+    builtins = builtin_groups(order)
+    canonical = _canonical_bases(builtins)
+    gamma = element_orders(h).index(h.order)  # every H of order <= 3 is cyclic
+    f1s = [np.array((0, *p)) for p in itertools.permutations(range(1, m_size))]
+    found: dict[tuple, tuple] = {}
+    for group in builtins:
+        if group.order != order:
+            continue
+        base, maps = canonical(group)
+        for sub in enumerate_subgroups(group):
+            f0s = [np.array(f0) for f0 in group_isomorphisms(sub.as_group(), h)]
+            if not f0s:
+                continue
+            ts = enumerate_transversals(group, sub)
+            for _, hg, key in _keyed_constructions(group, sub, ts, base, maps):
+                for f0, f1 in itertools.product(f0s, f1s):
+                    tables = _relabel(hg, f0, f1)
+                    found.setdefault(_search_order(tables, gamma), (tables, key))
     catalog = Catalog()
-    canonical = _canonical_bases(builtin_groups(m_size * h.order))
-    count = 0
-    for xi in _xi_candidates(m_size):
-        for phi in _phi_candidates(h, m_size):
-            for psi in _psi_candidates(h, phi, m_size):
-                for lam in _lambda_candidates(h, xi, phi, psi, m_size):
-                    hg = hypergroup_from_tables(
-                        m_size, h, phi, psi, xi, lam, 0
-                    )
-                    if not verify_axioms(hg).overall:
-                        continue
-                    provenance = f"abstract:m{m_size}:H={h.name}:#{count}"
-                    count += 1
-                    group, h_elements, reps = _ambient(hg, provenance)
-                    base, maps = canonical(group)
-                    key = _orbit_keys(maps, h_elements, reps)[0]
-                    catalog.insert(hg, provenance, (base, *key))
+    for i, order_key in enumerate(sorted(found)):
+        tables, key = found[order_key]
+        catalog.insert(hypergroup_from_tables(m_size, h, *tables, 0),
+                       f"abstract:m{m_size}:H={h.name}:#{i}", key)
     return catalog
+
+
+def _relabel(hg: HypergroupOverGroup, f0: np.ndarray, f1: np.ndarray) -> tuple:
+    """hg's phi, psi, xi and lam carried along f0 on H and f1 on M:
+    T'[f1 a][f0 al] = f(T[a][al]), with f the map of T's values."""
+    g0, g1 = np.argsort(f0), np.argsort(f1)  # the inverse maps
+    by_h, by_m = np.ix_(g1, g0), np.ix_(g1, g1)
+    return f1[hg.phi[by_h]], f0[hg.psi[by_h]], f1[hg.xi[by_m]], f0[hg.lam[by_m]]
+
+
+def _search_order(tables: tuple, gamma: int) -> tuple[int, ...]:
+    """The sort key of (phi, psi, xi, lam): xi by columns, phi by
+    columns, psi's column at the generator gamma of H, lam by rows, the
+    order in which a search choosing xi's columns, then phi's images of
+    H's elements, then psi at gamma (which fixes psi by A1), then lam's
+    cells by row in ascending values finds them, which numbers the
+    entries. psi whole comes last, so that the key names the tables."""
+    phi, psi, xi, lam = tables
+    return tuple(np.concatenate((xi.T.ravel(), phi.T.ravel(), psi[:, gamma],
+                                 lam.ravel(), psi.ravel())).tolist())
 
 
 @dataclass
@@ -529,8 +375,9 @@ def universality_probe(
 ) -> UniversalityReport:
     """For each abstract class, report whether some standard-constructed
     class is isomorphic to it: the one filed under the same orbit key,
-    as equal keys mean isomorphic hypergroups (see _ambient). Unmatched
-    classes are listed, not treated as errors."""
+    as equal keys mean isomorphic hypergroups (see sweep_standard and
+    enumerate_abstract). Unmatched classes are listed, not treated as
+    errors."""
     matches = []
     for abstract_id, key in enumerate(catalog_abstract._classes):
         std_id = catalog_standard._classes.get(key, (None,))[0]

@@ -2,29 +2,34 @@
 
 Each function here is the straightforward scan the library's numpy code
 must agree with: same check order, same first witness in scan order.
-They are slow (q^3 Python steps) and only tests import them. The last
-eight are other routes to library answers kept as references: the group
-test on xi, the abstract lambda search without pruning, the direct
-product's table, the normal case checked one transversal at a time and
-the subgroup BFS over frozensets, all earlier versions of library code,
-Aut(G) by the isomorphism search, and two characterizations of a right
-transversal. RowlessArray, last, is an input for the table readers.
+They are slow (q^3 Python steps) and only tests import them. The rest
+are other routes to library answers kept as references: the group test
+on xi; the abstract catalog by a search over the axioms, its xi, phi,
+psi and lambda candidates (the lambda search without pruning), each
+entry keyed through its ambient group, the product the tables define
+on H x M; the direct product's table, the normal case checked one
+transversal at a time and the subgroup BFS over frozensets, all earlier
+versions of library code; Aut(G) by the isomorphism search; and two
+characterizations of a right transversal. RowlessArray, last, is an
+input for the table readers.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
 from hypergroups import (AlgebraError, FiniteField, InternalInconsistencyError,
                          NoIdentityError, NoInverseError, NotAssociativeError,
-                         NotClosedError, group_from_cayley_table, make_field)
-from hypergroups import core
+                         NotClosedError, SizeLimitExceededError, builtin_groups,
+                         group_from_cayley_table, make_field)
+from hypergroups import classify, core
 from hypergroups._util import CheckResult, Report, first_mismatch, int_table
-from hypergroups.groups import (Subgroup, first_nonassociative, group_isomorphism,
-                                group_isomorphisms, quotient_group, right_cosets)
+from hypergroups.groups import (Subgroup, element_orders, first_nonassociative,
+                                group_isomorphism, group_isomorphisms, quotient_group,
+                                right_cosets)
 from hypergroups.transversals import sample_transversals
 
 
@@ -401,6 +406,86 @@ def is_group_quasigroup(hg):
         return False
 
 
+def xi_candidates(m):
+    """All xi tables with left neutral 0 and permutation columns: choose
+    per column a a permutation of M sending 0 to a."""
+    perms = list(permutations(range(m)))
+    per_column = [
+        [p for p in perms if p[0] == a] for a in range(m)
+    ]
+    for combo in product(*per_column):
+        yield [[combo[a][x] for a in range(m)] for x in range(m)]
+
+
+def phi_candidates(h, m):
+    """All right actions of H on M as tables: maps al -> sigma_al into
+    Sym(M) with sigma_eps = id and sigma_(al*be) = sigma_al then sigma_be."""
+    perms = list(permutations(range(m)))
+    idp = tuple(range(m))
+    hn, ht = h.order, h.table.tolist()
+    others = [al for al in range(hn) if al != h.identity]
+    for assignment in product(perms, repeat=len(others)):
+        sigma = {h.identity: idp}
+        for al, p in zip(others, assignment):
+            sigma[al] = p
+        ok = all(
+            tuple(sigma[be][sigma[al][x]] for x in range(m)) == sigma[ht[al][be]]
+            for al in range(hn)
+            for be in range(hn)
+        )
+        if ok:
+            yield [[sigma[al][a] for al in range(hn)] for a in range(m)]
+
+
+def cyclic_generator_of(h):
+    orders = element_orders(h)
+    if h.order not in orders:
+        raise SizeLimitExceededError(
+            "abstract enumeration requires a cyclic H (all groups of order "
+            "<= 3 are cyclic)"
+        )
+    return orders.index(h.order)
+
+
+def psi_candidates(h, phi, m):
+    """Psi tables satisfying A1 and P3.
+
+    psi[a][eps] = eps is forced (set al = be = eps in A1 and cancel),
+    and the rest of each row follows from the generator column via
+    A1: psi[a][g^(k+1)] = psi[a][g^k] * psi[phi[a][g^k]][g]. Free
+    choices are the m generator-column values; the full table is then
+    filtered by the complete A1 relation and by P3.
+    """
+    hn = h.order
+    ht = h.table.tolist()
+    eps = h.identity
+    if hn == 1:
+        yield [[eps] for _ in range(m)]
+        return
+    gamma = cyclic_generator_of(h)
+    # powers[k] = gamma^(k+1); covers all of H minus eps
+    powers = [gamma]
+    while ht[powers[-1]][gamma] != eps:
+        powers.append(ht[powers[-1]][gamma])
+    for column in product(range(hn), repeat=m):
+        psi = [[-1] * hn for _ in range(m)]
+        for a in range(m):
+            psi[a][eps] = eps
+            psi[a][gamma] = column[a]
+        for k in range(len(powers) - 1):
+            g_k, g_next = powers[k], powers[k + 1]
+            for a in range(m):
+                psi[a][g_next] = ht[psi[a][g_k]][psi[phi[a][g_k]][gamma]]
+        ok = all(
+            psi[a][ht[al][be]] == ht[psi[a][al]][psi[phi[a][al]][be]]
+            for a in range(m)
+            for al in range(hn)
+            for be in range(hn)
+        )
+        if ok and set(psi[0]) == set(range(hn)):  # P3 at o = 0
+            yield psi
+
+
 def lambda_candidates(h, xi, phi, psi, m):
     """All lam tables consistent with A3 and A5, by DFS over cells with
     A3-forced propagation and an A5 check on completed tables.
@@ -482,6 +567,44 @@ def lambda_candidates(h, xi, phi, psi, m):
             undo(trail)
 
     yield from search(0)
+
+
+def ambient(hg):
+    """The converse of the standard construction: the group A that hg's
+    tables define on H x M, with (al, a) at index al*|M| + a and the
+    product (al, a)(be, b) = (al*psi(a, be)*lam(a^be, b), xi(a^be, b))
+    (core._product_table); the elements of H_A = {(al, o)}; and
+    T_A = {(eps, a)} in the order of a, as a (1, |M|) reps array. A table
+    that is no group raises the AlgebraError of group_from_cayley_table."""
+    m, hn = hg.m_size, hg.h.order
+    group = group_from_cayley_table(
+        core._product_table(hg.phi, hg.psi, hg.xi, hg.lam, hg.h.table))
+    return (group, [al * m + hg.o for al in range(hn)],
+            np.arange(hg.h.identity * m, hg.h.identity * m + m)[None])
+
+
+def enumerate_abstract(m, h):
+    """The abstract catalog by a search over the axioms: every xi, phi,
+    psi and lam the candidate generators above allow, with o = 0, that
+    passes verify_axioms, numbered in the order found and filed under
+    the orbit key of its ambient group (ambient), the first builtin of
+    that order isomorphic to it standing for the group."""
+    catalog = classify.Catalog()
+    canonical = classify._canonical_bases(builtin_groups(m * h.order))
+    count = 0
+    for xi in xi_candidates(m):
+        for phi in phi_candidates(h, m):
+            for psi in psi_candidates(h, phi, m):
+                for lam in lambda_candidates(h, xi, phi, psi, m):
+                    hg = core.hypergroup_from_tables(m, h, phi, psi, xi, lam, 0)
+                    if not core.verify_axioms(hg).overall:
+                        continue
+                    group, h_elements, reps = ambient(hg)
+                    base, maps = canonical(group)
+                    key = classify._orbit_keys(maps, h_elements, reps)[0]
+                    catalog.insert(hg, f"abstract:m{m}:H={h.name}:#{count}", (base, *key))
+                    count += 1
+    return catalog
 
 
 def direct_product_table(a, b):

@@ -33,6 +33,7 @@ from hypergroups import (
     builtin_groups,
     enumerate_subgroups,
     find_isomorphism,
+    group_from_cayley_table,
     group_from_spec,
     group_isomorphism,
     group_isomorphisms,
@@ -49,10 +50,6 @@ from hypergroups import (
 from hypergroups import classify, morphisms
 from hypergroups.classify import (
     Catalog,
-    _lambda_candidates,
-    _phi_candidates,
-    _psi_candidates,
-    _xi_candidates,
     catalog_csv,
     enumerate_abstract,
     export_catalog,
@@ -226,20 +223,6 @@ class TestAbstract:
         assert catalog_csv(enumerate_abstract(3, h)) == catalog_csv(
             enumerate_abstract(3, h)
         )
-
-
-class TestLambdaPruning:
-    @pytest.mark.parametrize("m,spec", [
-        (2, "Z2"), (2, "Z3"), (3, "E"), (3, "Z2"), (3, "Z3"),
-    ])
-    def test_same_tables_as_unpruned_search(self, m, spec):
-        h = group_from_spec(spec)
-        for xi in _xi_candidates(m):
-            for phi in _phi_candidates(h, m):
-                for psi in _psi_candidates(h, phi, m):
-                    args = (h, xi, phi, psi, m)
-                    assert list(_lambda_candidates(*args)) == list(
-                        loop_oracles.lambda_candidates(*args)), args
 
 
 class TestUniversality:
@@ -495,7 +478,7 @@ def transported(draw):
 
 def abstract_key(hg, canonical):
     """The orbit key enumerate_abstract files hg under."""
-    group, h_elements, reps = classify._ambient(hg, "test")
+    group, h_elements, reps = loop_oracles.ambient(hg)
     base, maps = canonical(group)
     return (base, *classify._orbit_keys(maps, h_elements, reps)[0])
 
@@ -528,22 +511,48 @@ class TestAmbient:
         # (A, H_A, T_A) is isomorphic to the entry
         for entry in enumerate_abstract(m, group_from_spec(spec)).entries:
             hg = entry.hypergroup
-            group, h_elements, reps = classify._ambient(hg, entry.provenance)
+            group, h_elements, reps = loop_oracles.ambient(hg)
             assert group.order == m * hg.h.order
             rebuilt = standard_construction(
                 group, subgroup_from_elements(group, h_elements), reps[0].tolist())
             iso = find_isomorphism(hg, rebuilt)
             assert iso is not None and verify_morphism(iso).ok, entry.provenance
 
-    def test_a_product_that_is_no_group_raises(self):
-        def no_group(phi, psi, xi, lam, ht):
-            return np.zeros((len(ht) * len(xi),) * 2, dtype=np.intp)
 
-        with mock.patch.object(classify, "_product_table", no_group), \
-                pytest.raises(InternalInconsistencyError) as ei:
-            enumerate_abstract(2, group_from_spec("Z2"))
-        assert str(ei.value).startswith(
-            "abstract:m2:H=Z2:#0 passes verify_axioms but its product table is not a group")
+def catalog_rows(catalog):
+    """Each entry's four tables, provenance and class id."""
+    return [(e.hypergroup.phi.tolist(), e.hypergroup.psi.tolist(),
+             e.hypergroup.xi.tolist(), e.hypergroup.lam.tolist(),
+             e.provenance, e.class_id) for e in catalog.entries]
+
+
+class TestAbstractAgainstSearch:
+    """enumerate_abstract relabels the standard constructions; the search
+    over the axioms (loop_oracles.enumerate_abstract) must find the same
+    tables, numbered in the same order, in the same classes."""
+
+    @pytest.mark.parametrize("m,spec", [(m, spec) for m in (1, 2, 3)
+                                        for spec in ("E", "Z2", "Z3")])
+    def test_same_entries_as_the_search(self, m, spec):
+        h = group_from_spec(spec)
+        got, expected = enumerate_abstract(m, h), loop_oracles.enumerate_abstract(m, h)
+        assert catalog_rows(got) == catalog_rows(expected)
+        assert list(got._classes) == list(expected._classes)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("table,identity", [
+        ([[1, 0], [0, 1]], 1),
+        ([[1, 2, 0], [2, 0, 1], [0, 1, 2]], 2),
+    ], ids=["Z2", "Z3"])
+    def test_an_h_whose_identity_is_not_0(self, m, table, identity):
+        # the relabelling maps onto H's own labels, not onto 0..|H|-1
+        # with the identity at 0
+        h = group_from_cayley_table(table)
+        assert h.identity == identity
+        got, expected = enumerate_abstract(m, h), loop_oracles.enumerate_abstract(m, h)
+        assert catalog_csv(got) == catalog_csv(expected)
+        assert catalog_rows(got) == catalog_rows(expected)
+        assert list(got._classes) == list(expected._classes)
 
 
 class TestFrozenOutputs:

@@ -77,7 +77,6 @@ from hypergroups import (
 )
 from hypergroups import _util, core
 from hypergroups._util import canonical_dumps
-from hypergroups.classify import _phi_candidates, _psi_candidates, _xi_candidates
 from hypergroups.groups import CosetDecomposition, light_associative
 
 import loop_oracles
@@ -1066,9 +1065,9 @@ class TestGeneratorScans:
         # of Light's test on the product table) is the full scans'
         h = group_from_spec(spec)
         tables = fallbacks = 0
-        for xi in _xi_candidates(m):
-            for phi in _phi_candidates(h, m):
-                for psi in _psi_candidates(h, phi, m):
+        for xi in loop_oracles.xi_candidates(m):
+            for phi in loop_oracles.phi_candidates(h, m):
+                for psi in loop_oracles.psi_candidates(h, phi, m):
                     base = hypergroup_from_tables(m, h, phi, psi, xi,
                                                   [[h.identity] * m] * m, 0)
                     if not verify_axioms(base).checks["A2"].ok:
